@@ -40,7 +40,6 @@ from .grid import (
     lex_rank,
     lex_unrank,
     load_labeling_file,
-    neighbors,
     parse_vertex,
     weight,
 )

@@ -1,18 +1,22 @@
 """The graph P_n^d: vertices {0,...,n}^d with edges between coordinate
 vectors differing by one in a single component.
 
-Provides adjacency, an edge stream, the left-to-right lexicographic
-labeling, loading of explicit labeling files, and exact edge-scan
-evaluation of any labeling's bandwidth.
+Provides an edge stream, the lexicographic labeling, labeling files and
+exact edge-scan bandwidths.  Only this module knows the lex-position
+layout, where the vertex at position i has its dimension-p neighbour at
+i + (n+1)^(d-1-p): scans, matrix export and the search's adjacency take it
+from `label_array`, a labeling indexed by lex position, and from the edge
+kernel `edge_ranges`, the edges as strided runs of positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Mapping
+from itertools import compress, product
+from operator import sub
+from typing import Iterator, Sequence
 
-from .hales import Vertex, hales_enumerate, hales_rank
+from .hales import Vertex, hales_enumerate
 
 DEFAULT_SCAN_BUDGET = 1_000_000
 
@@ -94,22 +98,6 @@ def format_vertex(u: Vertex) -> str:
     return ",".join(str(c) for c in u)
 
 
-def neighbors(u: Vertex, params: GridParams) -> list[Vertex]:
-    """All vertices adjacent to u: one coordinate moved by +-1, kept in range."""
-    n, d = params.n, params.d
-    if len(u) != d:
-        raise ValueError(f"vertex has {len(u)} coordinates, expected {d}")
-    out = []
-    for p, c in enumerate(u):
-        if c < 0 or c > n:
-            raise ValueError(f"coordinate {c} outside [0, {n}] in {u}")
-        if c > 0:
-            out.append(u[:p] + (c - 1,) + u[p + 1 :])
-        if c < n:
-            out.append(u[:p] + (c + 1,) + u[p + 1 :])
-    return out
-
-
 def edges(params: GridParams) -> Iterator[tuple[Vertex, Vertex]]:
     """Each undirected edge exactly once, lighter (Hales-smaller) endpoint first."""
     n, d = params.n, params.d
@@ -117,6 +105,35 @@ def edges(params: GridParams) -> Iterator[tuple[Vertex, Vertex]]:
         for p, c in enumerate(u):
             if c < n:
                 yield u, u[:p] + (c + 1,) + u[p + 1 :]
+
+
+def edge_ranges(params: GridParams) -> Iterator[tuple[range, int]]:
+    """Every edge once, as (range, stride) pairs over lex positions.
+
+    Each i in a range is the lighter endpoint of the edge (i, i + stride).
+    Pairs come dimension by dimension, leftmost first.  A dimension with
+    stride s is cut into its (n+1)^p blocks of n*s consecutive positions or
+    into its n*s residue classes modulo (n+1)*s, whichever are fewer.
+    """
+    n, d = params.n, params.d
+    total = params.vertex_count
+    for p in range(d):
+        stride = (n + 1) ** (d - 1 - p)
+        period = (n + 1) * stride
+        if total // period <= n * stride:
+            for start in range(0, total, period):
+                yield range(start, start + n * stride), stride
+        else:
+            for start in range(n * stride):
+                yield range(start, total, period), stride
+
+
+def edge_labels(
+    labels: Sequence[int], r: range, s: int
+) -> tuple[Sequence[int], Sequence[int]]:
+    """The labels at both ends of the edges of one edge_ranges pair (r, s)."""
+    lo, hi, step = r.start, r.stop, r.step
+    return labels[lo:hi:step], labels[lo + s : hi + s : step]
 
 
 def lex_rank(u: Vertex, params: GridParams) -> int:
@@ -178,12 +195,12 @@ def load_labeling_file(path: str, params: GridParams) -> dict[Vertex, int]:
     return mapping
 
 
-def _labels_by_lex_index(spec: LabelingSpec, params: GridParams) -> list[int]:
-    """The labeling as an array indexed by lex rank."""
+def label_array(spec: LabelingSpec, params: GridParams) -> Sequence[int]:
+    """The labeling as a sequence indexed by lex position."""
     n, d = params.n, params.d
     total = params.vertex_count
     if spec.kind == "lex":
-        return list(range(1, total + 1))
+        return range(1, total + 1)
     if spec.kind == "hales":
         labels = [0] * total
         label = 1
@@ -231,27 +248,24 @@ def labeling_bandwidth(
             budget=max_vertices,
             required=total,
         )
-    labels = _labels_by_lex_index(spec, params)
+    labels = label_array(spec, params)
+    runs = list(edge_ranges(params))
+    stretches = [max(_stretches(labels, r, s)) for r, s in runs]
+    value = max(stretches)
+    # the witness is the edge with the smallest pair of Hales ranks among
+    # those reaching the value; ranks are distinct, so i and s never decide
+    hales = LabelingSpec.hales()
+    ranks = labels if spec.kind == "hales" else label_array(hales, params)
+    _, _, i, s = min(
+        (ranks[i], ranks[i + s], i, s)
+        for (r, s), stretch in zip(runs, stretches)
+        if stretch == value
+        for i in compress(r, map(value.__eq__, _stretches(labels, r, s)))
+    )
+    witness = (lex_unrank(i, params), lex_unrank(i + s, params))
+    return BandwidthReport(value=value, witness=witness, method="edge-scan")
 
-    strides = [(n + 1) ** (d - 1 - p) for p in range(d)]
-    best = -1
-    best_pair: tuple[int, int] | None = None
-    best_edge: tuple[Vertex, Vertex] | None = None
-    for i, u in enumerate(product(range(n + 1), repeat=d)):
-        lu = labels[i]
-        for p, c in enumerate(u):
-            if c < n:
-                j = i + strides[p]
-                diff = lu - labels[j]
-                if diff < 0:
-                    diff = -diff
-                if diff < best:
-                    continue
-                v = u[:p] + (c + 1,) + u[p + 1 :]
-                # u has the smaller weight, hence the smaller Hales rank
-                pair = (hales_rank(u, n, d), hales_rank(v, n, d))
-                if diff > best or best_pair is None or pair < best_pair:
-                    best = diff
-                    best_pair = pair
-                    best_edge = (u, v)
-    return BandwidthReport(value=best, witness=best_edge, method="edge-scan")
+
+def _stretches(labels: Sequence[int], r: range, s: int) -> Iterator[int]:
+    """|f(i) - f(i + s)| for each i in r."""
+    return map(abs, map(sub, *edge_labels(labels, r, s)))

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .bandwidth import bw_hales
-from .grid import GridParams, format_vertex, lex_unrank
+from .grid import GridParams, edge_ranges, format_vertex, labeling_bandwidth, lex_unrank
 from .hales import Vertex, hales_enumerate
 
 PROVED = "proved"
@@ -53,17 +53,17 @@ class OptimalityCheck:
 
 class _Search:
     def __init__(self, params: GridParams, budget: SearchBudget, threshold: int):
-        n, d = params.n, params.d
         total = params.vertex_count
-        strides = [(n + 1) ** (d - 1 - p) for p in range(d)]
         verts = [lex_unrank(i, params) for i in range(total)]
+        runs = list(edge_ranges(params))
         adj: list[list[int]] = [[] for _ in range(total)]
-        for i, u in enumerate(verts):
-            for p, c in enumerate(u):
-                if c < n:
-                    j = i + strides[p]
-                    adj[i].append(j)
-                    adj[j].append(i)
+        # lower neighbours in dimension order, then upper ones
+        for r, s in runs:
+            for i in r:
+                adj[i + s].append(i)
+        for r, s in runs:
+            for i in r:
+                adj[i].append(i + s)
         self.total = total
         self.verts = verts
         self.adj = adj
@@ -148,21 +148,6 @@ class _Search:
                 return
 
 
-def _scan_value(mapping: dict[Vertex, int], params: GridParams) -> int:
-    n = params.n
-    best = 0
-    for u, lu in mapping.items():
-        for p, c in enumerate(u):
-            if c < n:
-                diff = lu - mapping[u[:p] + (c + 1,) + u[p + 1 :]]
-                best = max(best, diff if diff >= 0 else -diff)
-    return best
-
-
-def _hales_mapping(params: GridParams) -> dict[Vertex, int]:
-    return {u: i for i, u in enumerate(hales_enumerate(params.n, params.d), start=1)}
-
-
 def brute_force_bw(
     params: GridParams,
     budget: SearchBudget = SearchBudget(),
@@ -198,9 +183,9 @@ def brute_force_bw(
             "search exhausted without finding any labeling below the "
             "starting incumbent; initial upper bound was not valid"
         )
-    mapping = _hales_mapping(params)
+    mapping = {u: i for i, u in enumerate(hales_enumerate(params.n, params.d), start=1)}
     return OptimalityCertificate(
-        optimal_value=_scan_value(mapping, params),
+        optimal_value=labeling_bandwidth("hales", params, max_vertices=total).value,
         witness_labeling=mapping,
         nodes_explored=search.nodes,
         status=BUDGET_EXHAUSTED,

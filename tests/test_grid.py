@@ -1,7 +1,5 @@
 """Graph model, labelings, and the edge-scan bandwidth evaluator."""
 
-from itertools import product
-
 import pytest
 
 from gridband.bandwidth import bw_hales, bw_lex
@@ -9,13 +7,13 @@ from gridband.grid import (
     BudgetExceededError,
     GridParams,
     LabelingSpec,
+    edge_ranges,
     edges,
     format_vertex,
     labeling_bandwidth,
     lex_rank,
     lex_unrank,
     load_labeling_file,
-    neighbors,
     parse_vertex,
     weight,
 )
@@ -45,21 +43,6 @@ def test_weight():
     assert weight((1, 0, 2)) == 3
 
 
-def test_neighbors_examples():
-    params = GridParams(2, 2)
-    assert set(neighbors((0, 0), params)) == {(1, 0), (0, 1)}
-    assert set(neighbors((1, 1), params)) == {(0, 1), (2, 1), (1, 0), (1, 2)}
-    assert set(neighbors((2, 2), params)) == {(1, 2), (2, 1)}
-
-
-def test_adjacency_symmetric():
-    for n, d in [(1, 6), (2, 4), (3, 3)]:
-        params = GridParams(n, d)
-        for u in product(range(n + 1), repeat=d):
-            for v in neighbors(u, params):
-                assert u in neighbors(v, params)
-
-
 def test_edge_counts():
     assert sum(1 for _ in edges(GridParams(2, 2))) == 12
     assert sum(1 for _ in edges(GridParams(5, 1))) == 5
@@ -69,6 +52,23 @@ def test_edge_counts():
 def test_edges_lighter_endpoint_first():
     for u, v in edges(GridParams(2, 3)):
         assert weight(v) == weight(u) + 1
+
+
+def test_edge_ranges_match_edges():
+    # a block of consecutive positions has step 1, a residue class a larger
+    # step; these grids use both cuts
+    cuts = set()
+    for n, d in [(2, 3), (3, 4), (1, 10), (255, 2)]:
+        params = GridParams(n, d)
+        kernel = [
+            (lex_unrank(i, params), lex_unrank(i + s, params))
+            for r, s in edge_ranges(params)
+            for i in r
+        ]
+        assert len(kernel) == params.edge_count, (n, d)
+        assert sorted(kernel) == sorted(edges(params)), (n, d)
+        cuts |= {r.step == 1 for r, _ in edge_ranges(params)}
+    assert cuts == {True, False}
 
 
 def test_lex_rank_unrank():
@@ -109,16 +109,28 @@ def test_witness_is_an_edge_achieving_the_value():
     assert abs(ranks[u] - ranks[v]) == report.value
 
 
-def test_witness_is_deterministic_minimum_rank_pair():
-    params = GridParams(2, 2)
-    report = labeling_bandwidth("hales", params)
-    maximizers = []
-    labels = {u: i for i, u in enumerate(hales_enumerate(2, 2), start=1)}
-    for u, v in edges(params):
-        if abs(labels[u] - labels[v]) == report.value:
-            maximizers.append((labels[u] - 1, labels[v] - 1, (u, v)))
-    best = min(maximizers)
-    assert report.witness == best[2]
+def test_witness_is_deterministic_minimum_rank_pair(tmp_path):
+    # on P_2^2 this labeling reaches its bandwidth 7 on two edges, whose
+    # lighter endpoints (0,2) and (1,0) come in one order by lex position and
+    # by label, and in the other by Hales rank
+    tied = {(0, 2): 1, (1, 2): 8, (1, 0): 2, (2, 0): 9, (0, 0): 3, (0, 1): 4,
+            (1, 1): 5, (2, 1): 6, (2, 2): 7}
+    path = tmp_path / "tied.tsv"
+    _write_labeling(path, tied)
+    for n, d in [(2, 2), (1, 4), (2, 3), (3, 3), (5, 2), (1, 7)]:
+        params = GridParams(n, d)
+        hales = {u: i for i, u in enumerate(hales_enumerate(n, d))}
+        cases = [("hales", hales), ("lex", {u: lex_rank(u, params) for u in hales})]
+        if (n, d) == (2, 2):
+            cases.append((LabelingSpec.from_file(str(path)), tied))
+        for spec, labels in cases:
+            report = labeling_bandwidth(spec, params)
+            maximizers = [
+                (hales[u], hales[v], (u, v))
+                for u, v in edges(params)
+                if abs(labels[u] - labels[v]) == report.value
+            ]
+            assert report.witness == min(maximizers)[2], (spec, n, d)
 
 
 def test_scan_budget_error_names_budget():
