@@ -20,12 +20,10 @@ from .bandwidth import (
 )
 from .coeffs import (
     CoeffRow,
-    SortedCoeffArray,
     coeff,
     coeff_row,
     max_coeff,
     middle_window,
-    sorted_desc,
     top_sum,
     trinomial_coeff,
 )
@@ -33,6 +31,7 @@ from .grid import (
     BandwidthReport,
     BudgetExceededError,
     GridParams,
+    InternalInvariantError,
     LabelingSpec,
     edges,
     format_vertex,

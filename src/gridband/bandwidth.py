@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .coeffs import max_coeff, top_sum
 
@@ -36,7 +37,14 @@ def bw_hales(n: int, d: int) -> int:
     """Exact bandwidth of P_n^d: sum of top_sum(n, i) for i = 0..d-1."""
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    return sum(top_sum(n, i) for i in range(d))
+    return bw_hales_series(n, d)[-1]
+
+
+def bw_hales_series(n: int, d_max: int) -> list[int]:
+    """[bw_hales(n, 1), ..., bw_hales(n, d_max)]: one running sum of top_sum."""
+    if n < 1 or d_max < 1:
+        raise ValueError(f"need n >= 1 and d_max >= 1, got n={n}, d_max={d_max}")
+    return list(accumulate(top_sum(n, i) for i in range(d_max)))
 
 
 def bw_hypercube(d: int) -> int:
@@ -83,9 +91,5 @@ def clt_estimate(n: int, d: int) -> float:
 
 def ratio_table(n: int, d_max: int) -> list[tuple[int, float]]:
     """(d, bw_hales/bw_lex) for d = 1..d_max; exact integers divided last."""
-    if n < 1 or d_max < 1:
-        raise ValueError(f"need n >= 1 and d_max >= 1, got n={n}, d_max={d_max}")
-    out = []
-    for d in range(1, d_max + 1):
-        out.append((d, bw_hales(n, d) / bw_lex(n, d)))
-    return out
+    hales = bw_hales_series(n, d_max)
+    return [(d, h / bw_lex(n, d)) for d, h in enumerate(hales, start=1)]

@@ -23,14 +23,15 @@ from .bandwidth import (
     asymptotic_estimate,
     bounds,
     bw_hales,
+    bw_hales_series,
     bw_lex,
-    ratio_table,
 )
 from .coeffs import coeff_row, max_coeff
 from .grid import (
     DEFAULT_SCAN_BUDGET,
     BudgetExceededError,
     GridParams,
+    InternalInvariantError,
     LabelingSpec,
     edge_labels,
     edge_ranges,
@@ -65,10 +66,6 @@ TABLE_NOTE = (
     "run one below this formula; exhaustive search confirms the formula "
     "values 2 at (n=1, d=2) and 4 at (n=1, d=3)."
 )
-
-
-class InternalInvariantError(Exception):
-    """Two routes that must agree produced different values."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,7 +191,8 @@ def cmd_table(args) -> int:
     n_max, d_max = args.n, args.d
     if n_max < 1 or d_max < 1:
         raise ValueError("table needs --n >= 1 and --d >= 1")
-    rows = [[bw_hales(n, d) for n in range(1, n_max + 1)] for d in range(1, d_max + 1)]
+    columns = [bw_hales_series(n, d_max) for n in range(1, n_max + 1)]
+    rows = [list(row) for row in zip(*columns)]
     if args.format == "json":
         _emit_json({"n_max": n_max, "d_max": d_max, "rows": rows, "note": TABLE_NOTE})
     elif args.format == "csv":
@@ -329,8 +327,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    table = ratio_table(args.n, args.d)
-    rows = [(d, bw_hales(args.n, d), bw_lex(args.n, d), r) for d, r in table]
+    rows = []
+    for d, h in enumerate(bw_hales_series(args.n, args.d), start=1):
+        lex = bw_lex(args.n, d)
+        rows.append((d, h, lex, h / lex))
     if args.format == "json":
         _emit_json(
             {
@@ -410,7 +410,8 @@ def _write_matrix_market(path: str, size: int, entries) -> None:
             handle.write(f"{i} {j} {v}\n")
 
 
-def _read_matrix_market(path: str) -> tuple[int, list[tuple[int, int, int]]]:
+def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> None:
+    """Re-read an exported file line by line and check it against the export."""
     with open(path, encoding="utf-8") as handle:
         header = handle.readline()
         if not header.startswith("%%MatrixMarket matrix coordinate"):
@@ -418,36 +419,33 @@ def _read_matrix_market(path: str) -> tuple[int, list[tuple[int, int, int]]]:
         line = handle.readline()
         while line.startswith("%"):
             line = handle.readline()
-        rows, cols, nnz = (int(tok) for tok in line.split())
-        if rows != cols:
+        size, cols, nnz = (int(tok) for tok in line.split())
+        if size != cols:
             raise ValueError(f"{path}: expected a square matrix")
-        entries = []
+        totals = [0] * (size + 1)
+        found = 0
+        previous = (0, 0)
+        half_bandwidth = 0
         for raw in handle:
             raw = raw.strip()
             if not raw:
                 continue
             i, j, v = (int(tok) for tok in raw.split())
-            entries.append((i, j, v))
-        if len(entries) != nnz:
-            raise ValueError(f"{path}: header says {nnz} entries, found {len(entries)}")
-    return rows, entries
-
-
-def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> None:
-    size, entries = _read_matrix_market(path)
-    totals = [0] * (size + 1)
-    seen = set()
-    half_bandwidth = 0
-    for i, j, v in entries:
-        if j > i:
-            raise InternalInvariantError(f"{path}: entry ({i},{j}) above the diagonal")
-        if (i, j) in seen:
-            raise InternalInvariantError(f"{path}: duplicate entry ({i},{j})")
-        seen.add((i, j))
-        totals[i] += v
-        if i != j:
-            totals[j] += v  # symmetric storage: mirror into the upper half
-            half_bandwidth = max(half_bandwidth, i - j)
+            if j > i:
+                raise InternalInvariantError(f"{path}: entry ({i},{j}) above the diagonal")
+            # entries are written sorted, so strictly increasing pairs also
+            # rule out duplicates
+            if (i, j) <= previous:
+                problem = "duplicate" if (i, j) == previous else "out-of-order"
+                raise InternalInvariantError(f"{path}: {problem} entry ({i},{j})")
+            previous = (i, j)
+            found += 1
+            totals[i] += v
+            if i != j:
+                totals[j] += v  # symmetric storage: mirror into the upper half
+                half_bandwidth = max(half_bandwidth, i - j)
+    if found != nnz:
+        raise ValueError(f"{path}: header says {nnz} entries, found {found}")
     if kind == "laplacian" and any(t != 0 for t in totals[1:]):
         raise InternalInvariantError(f"{path}: laplacian row sums are not all zero")
     if half_bandwidth != expected_half_bandwidth:
@@ -656,9 +654,6 @@ def main(argv=None) -> int:
         print(f"gridband: error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except InternalInvariantError as exc:
-        print(f"gridband: internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except RuntimeError as exc:
         print(f"gridband: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, OSError) as exc:

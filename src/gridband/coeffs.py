@@ -2,15 +2,21 @@
 
 The row for parameters (n, d) holds the n*d + 1 coefficients
 C(d, k) = [x^k] (1 + x + ... + x^n)^d.  Every row is symmetric, log-concave
-and sums to (n + 1)^d.  All arithmetic is exact (Python big integers); rows
-are memoized per (n, d).
+and sums to (n + 1)^d.  All arithmetic is exact (Python big integers).
+Rows are cached per n in one list of rows 0, 1, 2, ..., which a loop
+extends from the highest row built so far; every sum below reads a slice
+of a cached row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 from math import factorial
+from operator import sub
+
+# n -> [row 0, row 1, ...]; grows only, for the life of the process
+_ROWS: dict[int, list[tuple[int, ...]]] = {}
 
 
 @dataclass(frozen=True)
@@ -25,15 +31,6 @@ class CoeffRow:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class SortedCoeffArray:
-    """The coefficients of one row sorted in non-increasing order."""
-
-    n: int
-    d: int
-    entries: tuple[int, ...]
-
-
 def _check_params(n: int, d: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -41,31 +38,16 @@ def _check_params(n: int, d: int) -> None:
         raise ValueError(f"d must be >= 0, got {d}")
 
 
-@lru_cache(maxsize=None)
 def _row(n: int, d: int) -> tuple[int, ...]:
-    if d == 0:
-        return (1,)
-    prev = _row(n, d - 1)
-    # C(d, k) = sum_{j=0}^{n} C(d-1, k-j): a sliding window over the
-    # previous row, evaluated with prefix sums.
-    prefix = [0]
-    for v in prev:
-        prefix.append(prefix[-1] + v)
-    out = []
-    for k in range(n * d + 1):
-        lo = max(0, k - n)
-        hi = min(k, len(prev) - 1)
-        out.append(prefix[hi + 1] - prefix[lo])
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _cumulative(n: int, d: int) -> tuple[int, ...]:
-    """Prefix sums: _cumulative(n, d)[k] = sum of coefficients of degree < k."""
-    acc = [0]
-    for v in _row(n, d):
-        acc.append(acc[-1] + v)
-    return tuple(acc)
+    rows = _ROWS.setdefault(n, [(1,)])
+    while len(rows) <= d:
+        # C(d, k) = sum_{j=0}^{n} C(d-1, k-j): a sliding window over the
+        # previous row, the difference of two shifted prefix sums.
+        acc = list(accumulate(rows[-1], initial=0))
+        upper = acc[1:] + [acc[-1]] * n
+        lower = [0] * n + acc[:-1]
+        rows.append(tuple(map(sub, upper, lower)))
+    return rows[d]
 
 
 def coeff_row(n: int, d: int) -> CoeffRow:
@@ -85,20 +67,13 @@ def coeff(n: int, d: int, k: int) -> int:
 def coeff_range_sum(n: int, d: int, a: int, b: int) -> int:
     """Sum of coefficients of degrees a..b inclusive (degrees clamped to the row)."""
     _check_params(n, d)
-    lo = max(a, 0)
-    hi = min(b, n * d)
-    if lo > hi:
-        return 0
-    acc = _cumulative(n, d)
-    return acc[hi + 1] - acc[lo]
+    return sum(_row(n, d)[max(a, 0) : max(b + 1, 0)])
 
 
 def cumulative_below(n: int, d: int, k: int) -> int:
     """Number of monomials of degree < k, i.e. sum of coefficients 0..k-1."""
     _check_params(n, d)
-    if k <= 0:
-        return 0
-    return _cumulative(n, d)[min(k, n * d + 1)]
+    return sum(_row(n, d)[: max(k, 0)])
 
 
 def max_coeff(n: int, d: int) -> int:
@@ -107,26 +82,15 @@ def max_coeff(n: int, d: int) -> int:
     return _row(n, d)[(n * d) // 2]
 
 
-@lru_cache(maxsize=None)
-def _sorted_desc(n: int, d: int) -> tuple[int, ...]:
-    return tuple(sorted(_row(n, d), reverse=True))
-
-
-def sorted_desc(n: int, d: int) -> SortedCoeffArray:
-    """Row coefficients in non-increasing order."""
-    _check_params(n, d)
-    return SortedCoeffArray(n, d, _sorted_desc(n, d))
-
-
 def top_sum(n: int, i: int) -> int:
     """Sum of the n largest coefficients of the row for (n, i).
 
-    When the row has fewer than n entries (only i = 0) the whole row is
-    summed, which gives 1.
+    Rows are symmetric and unimodal, so these are a central window.  When
+    the row has fewer than n entries (only i = 0) the whole row is summed,
+    which gives 1.
     """
-    _check_params(n, i)
-    entries = _sorted_desc(n, i)
-    return sum(entries[: min(n, len(entries))])
+    lo, hi = middle_window(n, i, min(n, n * i + 1))
+    return sum(_row(n, i)[lo : hi + 1])
 
 
 def trinomial_coeff(d: int, k: int) -> int:

@@ -30,6 +30,10 @@ class BudgetExceededError(Exception):
         self.required = required
 
 
+class InternalInvariantError(Exception):
+    """A check that holds for correct code failed, such as two routes disagreeing."""
+
+
 @dataclass(frozen=True)
 class GridParams:
     """The pair (n, d): paths with n edges, d-fold product."""

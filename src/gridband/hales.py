@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
-from .coeffs import coeff, coeff_range_sum, cumulative_below, _cumulative
+from .coeffs import coeff, coeff_range_sum, coeff_row, cumulative_below
 
 Vertex = tuple[int, ...]
 
@@ -89,7 +90,7 @@ def hales_unrank(r: int, n: int, d: int) -> Vertex:
         raise ValueError(f"d must be >= 1, got {d}")
     if r < 0 or r >= (n + 1) ** d:
         raise ValueError(f"rank {r} outside [0, {(n + 1) ** d - 1}]")
-    acc = _cumulative(n, d)
+    acc = list(accumulate(coeff_row(n, d).values, initial=0))
     k = bisect.bisect_right(acc, r) - 1
     r -= acc[k]
     coords = [0] * d
@@ -102,8 +103,10 @@ def hales_unrank(r: int, n: int, d: int) -> Vertex:
                 k -= h
                 break
             r -= size
-        else:  # pragma: no cover - unreachable for valid ranks
-            raise RuntimeError("rank decoding failed")
+        else:  # unreachable for valid ranks
+            from .grid import InternalInvariantError  # grid imports this module
+
+            raise InternalInvariantError("rank decoding failed")
     coords[0] = k
     return tuple(coords)
 

@@ -15,7 +15,14 @@ import time
 from dataclasses import dataclass
 
 from .bandwidth import bw_hales
-from .grid import GridParams, edge_ranges, format_vertex, labeling_bandwidth, lex_unrank
+from .grid import (
+    GridParams,
+    InternalInvariantError,
+    edge_ranges,
+    format_vertex,
+    labeling_bandwidth,
+    lex_unrank,
+)
 from .hales import Vertex, hales_enumerate
 
 PROVED = "proved"
@@ -179,7 +186,7 @@ def brute_force_bw(
     if not search.out_of_budget:
         # the Hales labeling beats the starting incumbent, so an exhausted
         # search that found nothing means the incumbent was wrong
-        raise RuntimeError(
+        raise InternalInvariantError(
             "search exhausted without finding any labeling below the "
             "starting incumbent; initial upper bound was not valid"
         )

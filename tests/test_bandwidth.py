@@ -13,7 +13,7 @@ from gridband.bandwidth import (
     clt_estimate,
     ratio_table,
 )
-from gridband.coeffs import max_coeff, top_sum
+from gridband.coeffs import max_coeff, top_sum, trinomial_coeff
 
 
 def test_bw_hales_examples():
@@ -55,6 +55,12 @@ def test_bounds_examples():
     assert (pair.lower, pair.upper) == (2, 3)
     for n in range(1, 9):
         assert bounds(n, 1).lower == 1
+
+
+def test_bounds_on_deep_cold_rows(cold_rows):
+    # for n = 2 the largest coefficient of row d is the trinomial C(d, d)
+    pair = bounds(2, 620)
+    assert (pair.lower, pair.upper) == (trinomial_coeff(620, 620), trinomial_coeff(621, 621))
 
 
 def test_bounds_bracket_small():

@@ -7,7 +7,11 @@ import json
 import pytest
 
 import gridband.cli as cli
+import gridband.hales as hales
+import gridband.oracle as oracle
 from gridband.cli import main
+from gridband.coeffs import trinomial_coeff
+from gridband.grid import InternalInvariantError
 
 
 def run(capsys, *argv):
@@ -20,6 +24,15 @@ def test_coeffs_plain(capsys):
     code, out, _ = run(capsys, "coeffs", "--n", "2", "--d", "3")
     assert code == 0
     assert out == "1 3 6 7 6 3 1\n"
+
+
+def test_coeffs_on_deep_cold_rows(capsys, cold_rows):
+    code, out, _ = run(capsys, "coeffs", "--n", "2", "--d", "600")
+    assert code == 0
+    values = [int(tok) for tok in out.split()]
+    assert len(values) == 1201
+    assert sum(values) == 3**600
+    assert values[600] == trinomial_coeff(600, 600)
 
 
 def test_coeffs_csv(capsys):
@@ -78,6 +91,19 @@ def test_bw_brute_budget_exhausted_exits_2(capsys):
 def test_bw_internal_mismatch_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "bw_hales", lambda n, d: 999)
     code, _, err = run(capsys, "bw", "--n", "2", "--d", "2", "--method", "hales-scan")
+    assert code == 3
+    assert "internal error" in err
+
+
+def test_invariant_failures_exit_3(capsys, monkeypatch):
+    # a starting incumbent below the optimum leaves the search with no labeling
+    monkeypatch.setattr(oracle, "bw_hales", lambda n, d: 0)
+    code, _, err = run(capsys, "bw", "--n", "2", "--d", "2", "--method", "brute")
+    assert code == 3
+    assert "internal error" in err
+    # weight classes too small to hold the rank leave unrank without a vertex
+    monkeypatch.setattr(hales, "coeff", lambda n, d, k: 0)
+    code, _, err = run(capsys, "unrank", "--n", "2", "--d", "2", "4")
     assert code == 3
     assert "internal error" in err
 
@@ -216,6 +242,28 @@ def test_export_lex_laplacian(capsys, tmp_path):
     assert json.loads(out)["half_bandwidth"] == 3
 
 
+MM_HEADER = "%%MatrixMarket matrix coordinate integer symmetric\n"
+
+
+@pytest.mark.parametrize(
+    "body,error",
+    [
+        ("2 2 4\n1 1 1\n2 1 -1\n2 1 -1\n2 2 1\n", InternalInvariantError),
+        ("2 2 3\n1 1 1\n1 2 -1\n2 2 1\n", InternalInvariantError),
+        ("2 2 4\n1 1 1\n2 1 -1\n2 2 1\n", ValueError),
+        ("2 2 3\n1 1 1\n2 1 -1\n2 2 2\n", InternalInvariantError),
+        ("2 2 3\n2 1 -1\n1 1 1\n2 2 1\n", InternalInvariantError),
+    ],
+    ids=["duplicate", "above-diagonal", "wrong-nnz", "row-sum", "out-of-order"],
+)
+def test_self_test_rejects_bad_export(tmp_path, body, error):
+    # each file is the P_1^1 Laplacian (half-bandwidth 1) with one defect
+    path = tmp_path / "bad.mtx"
+    path.write_text(MM_HEADER + body, encoding="utf-8")
+    with pytest.raises(error):
+        cli._self_test_export(str(path), "laplacian", 1)
+
+
 def test_export_budget_exit(capsys, tmp_path):
     code, _, err = run(
         capsys, "export-matrix", "--n", "2", "--d", "2",
@@ -262,6 +310,10 @@ def test_usage_errors_exit_1(capsys):
     assert main(["rank", "--n", "2", "--d", "2", "not-a-vertex"]) == 1
     capsys.readouterr()
     assert main(["coeffs", "--n", "0", "--d", "2"]) == 1
+    capsys.readouterr()
+    assert main(["ratio", "--n", "2", "--d", "0"]) == 1
+    capsys.readouterr()
+    assert main(["table", "--n", "2", "--d", "0"]) == 1
     capsys.readouterr()
     assert main([]) == 1
     capsys.readouterr()

@@ -7,7 +7,6 @@ from gridband.coeffs import (
     coeff_row,
     max_coeff,
     middle_window,
-    sorted_desc,
     top_sum,
     trinomial_coeff,
 )
@@ -30,6 +29,15 @@ def test_coeff_row_examples():
     assert coeff_row(3, 1).values == (1, 1, 1, 1)
     assert coeff_row(2, 3).values == (1, 3, 6, 7, 6, 3, 1)
     assert coeff_row(2, 3).values == tuple(conv_row(2, 3))
+
+
+def test_deep_cold_row_matches_closed_form(cold_rows):
+    row = coeff_row(2, 600).values
+    assert len(row) == 1201
+    assert sum(row) == 3**600
+    assert row == row[::-1]
+    for k in (0, 1, 2, 299, 600, 1000):
+        assert row[k] == trinomial_coeff(600, k), k
 
 
 def test_coeff_row_rejects_degenerate_path():
@@ -55,20 +63,6 @@ def test_max_coeff_trivial_power(n):
 def test_max_coeff_examples():
     assert max_coeff(2, 3) == 7
     assert max_coeff(1, 10) == 252  # central binomial C(10, 5)
-
-
-def test_sorted_desc_examples():
-    assert sorted_desc(2, 2).entries == (3, 2, 2, 1, 1)
-    assert sorted_desc(3, 0).entries == (1,)
-    assert sorted_desc(1, 3).entries == (3, 3, 1, 1)
-
-
-def test_sorted_desc_is_permutation_of_row():
-    for n in (1, 2, 3):
-        for d in range(8):
-            arr = sorted_desc(n, d).entries
-            assert sorted(arr, reverse=True) == list(arr)
-            assert sorted(arr) == sorted(coeff_row(n, d).values)
 
 
 def test_top_sum_examples():
@@ -115,15 +109,21 @@ def test_middle_window_is_leftmost_admissible():
     assert middle_window(1, 3, 2) == (1, 2)
 
 
+def ranked(n, d):
+    """Reference for "the largest coefficients": the row sorted, largest first."""
+    return tuple(sorted(coeff_row(n, d).values, reverse=True))
+
+
 def test_middle_window_sums_match_sorted_prefixes():
     for n in range(1, 7):
-        for d in range(1, 13):
+        for d in range(13):
             row = coeff_row(n, d).values
-            ranked = sorted_desc(n, d).entries
+            top = ranked(n, d)
             for i in range(1, n * d + 2):
                 lo, hi = middle_window(n, d, i)
                 assert hi - lo + 1 == i
-                assert sum(row[lo : hi + 1]) == sum(ranked[:i]), (n, d, i)
+                assert sum(row[lo : hi + 1]) == sum(top[:i]), (n, d, i)
+            assert top_sum(n, d) == sum(top[:n]), (n, d)
 
 
 def test_row_invariants_small():
@@ -148,6 +148,6 @@ def test_central_coefficient_identity():
     # that entry read as 0 when row d-1 is shorter than n+1
     for n in range(1, 6):
         for d in range(1, 12):
-            ranked = sorted_desc(n, d - 1).entries
-            extra = ranked[n] if n < len(ranked) else 0
+            top = ranked(n, d - 1)
+            extra = top[n] if n < len(top) else 0
             assert max_coeff(n, d) == top_sum(n, d - 1) + extra, (n, d)

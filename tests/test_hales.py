@@ -108,6 +108,21 @@ def test_round_trips_random_large(n, d):
         assert hales_rank(hales_unrank(r, n, d), n, d) == r
 
 
+@pytest.mark.parametrize("n,d", [(1, 1000), (2, 600)])
+def test_round_trips_on_deep_cold_rows(cold_rows, n, d):
+    total = (n + 1) ** d
+    assert hales_rank((0,) * d, n, d) == 0
+    assert hales_rank((0,) * (d - 1) + (1,), n, d) == 1
+    assert hales_rank((n,) * d, n, d) == total - 1
+    assert hales_unrank(total - 1, n, d) == (n,) * d
+    rng = random.Random(20261018 + n)
+    for _ in range(20):
+        u = tuple(rng.randint(0, n) for _ in range(d))
+        assert hales_unrank(hales_rank(u, n, d), n, d) == u
+        r = rng.randrange(total)
+        assert hales_rank(hales_unrank(r, n, d), n, d) == r
+
+
 @pytest.mark.parametrize("n,d", [(2, 4), (3, 3), (1, 8)])
 def test_order_agreement(n, d):
     by_oracle = grevlex_sorted(n, d)
