@@ -4,8 +4,38 @@ Labels 1, 2, 3, ... are placed one at a time onto unlabeled vertices.  A
 branch dies when the gap to the earliest-labeled vertex that still has an
 unlabeled neighbor reaches the incumbent, when such a vertex has more
 unlabeled neighbors than labels left inside its reach, or when a placement
-would stretch an edge to the incumbent.  Candidates are tried in vertex
-text-form order, making every certificate reproducible.
+would stretch an edge to the incumbent.  Candidates are tried in lex-position
+order, making every certificate reproducible.
+
+Symmetry.  The grid's automorphisms permute the d coordinates and reflect
+any of them (c -> n - c): the hyperoctahedral group, of order 2^d d!.  At
+each node only one unlabeled vertex per orbit of the stabilizer (the
+automorphisms that fix every placed vertex) is tried, the first in candidate
+order.  This loses no value:
+
+- an automorphism g maps edges to edges, so f and f∘g⁻¹ have the same
+  bandwidth;
+- if g is in the stabilizer and f completes the placed prefix, f∘g⁻¹
+  completes it too, and puts the next label on g(u) where f put it on u;
+  taking g with g(u) the representative tried, the representative's subtree
+  holds a completion as good as any in a skipped one;
+- the prune rules read only labels and adjacency, which g preserves, so the
+  representative is pruned only when every vertex of its orbit is.
+
+No theorem about the grid's bandwidth is used, so a search started from the
+trivial bound stays independent of the formula.
+
+The stabilizer is read from the placed vertices' coordinate columns; the
+group itself is never enumerated.  Coordinates whose columns are equal up to
+reflection form a class, and the stabilizer permutes each class freely.  A
+class whose column is its own reflection (every class before the first
+placement, or one whose column entries all equal n/2) may also reflect its
+coordinates freely.  Two vertices then share an orbit exactly when, class by
+class, they have the same sorted coordinate values after aligning: a
+coordinate whose column is stored reflected is reflected, and a value c in a
+self-reflecting class is folded to min(c, n - c).  Once every class is a
+single coordinate that is not self-reflecting, the stabilizer is trivial and
+the whole subtree skips the check.
 """
 
 from __future__ import annotations
@@ -16,6 +46,8 @@ from dataclasses import dataclass
 
 from .bandwidth import bw_hales
 from .grid import (
+    DEFAULT_SCAN_BUDGET,
+    BudgetExceededError,
     GridParams,
     InternalInvariantError,
     edge_ranges,
@@ -27,6 +59,55 @@ from .hales import Vertex, hales_enumerate
 
 PROVED = "proved"
 BUDGET_EXHAUSTED = "budget-exhausted"
+
+# how a coordinate's value is aligned inside its class
+_KEEP, _REFLECT, _FOLD = 0, 1, 2
+
+# a class: ((coordinate, alignment), ...); None stands for the trivial stabilizer
+Classes = tuple[tuple[tuple[int, int], ...], ...] | None
+
+
+def _root_classes(d: int) -> Classes:
+    """The whole group: one self-reflecting class of every coordinate."""
+    return (tuple((j, _FOLD) for j in range(d)),)
+
+
+def _aligned(c: int, mode: int, n: int) -> int:
+    if mode == _KEEP:
+        return c
+    if mode == _REFLECT:
+        return n - c
+    return min(c, n - c)
+
+
+def _orbit_key(classes: Classes, x: Vertex, n: int) -> tuple:
+    """Equal for two vertices exactly when the stabilizer maps one to the other."""
+    return tuple(
+        tuple(sorted([_aligned(x[j], mode, n) for j, mode in cls]))
+        for cls in classes
+    )
+
+
+def _refine(classes: Classes, x: Vertex, n: int) -> Classes:
+    """The stabilizer's classes once the vertex x is placed as well.
+
+    Each class splits by the aligned value of x's coordinate.  In a
+    self-reflecting class, a coordinate where x sits off the centre gets a
+    column that is not its own reflection; it is stored reflected when x
+    lies above the centre there.
+    """
+    refined = []
+    for cls in classes:
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for j, mode in cls:
+            c = x[j]
+            if mode == _FOLD and 2 * c != n:
+                mode = _REFLECT if 2 * c > n else _KEEP
+            groups.setdefault(_aligned(c, mode, n), []).append((j, mode))
+        refined.extend(tuple(group) for group in groups.values())
+    if all(len(cls) == 1 and cls[0][1] != _FOLD for cls in refined):
+        return None
+    return tuple(refined)
 
 
 @dataclass(frozen=True)
@@ -71,10 +152,11 @@ class _Search:
         for r, s in runs:
             for i in r:
                 adj[i].append(i + s)
+        self.n = params.n
+        self.d = params.d
         self.total = total
         self.verts = verts
         self.adj = adj
-        self.order = sorted(range(total), key=lambda i: format_vertex(verts[i]))
         self.label_of = [0] * total
         self.unlabeled_nbrs = [len(a) for a in adj]
         self.placed: list[int] = []
@@ -92,9 +174,9 @@ class _Search:
         depth_needed = self.total + 64
         if sys.getrecursionlimit() < depth_needed:
             sys.setrecursionlimit(depth_needed)
-        self._dfs(0, 0, 1)
+        self._dfs(0, 0, 1, _root_classes(self.d))
 
-    def _dfs(self, t: int, cur_max: int, front: int) -> None:
+    def _dfs(self, t: int, cur_max: int, front: int, classes: Classes) -> None:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             self.out_of_budget = True
@@ -124,8 +206,11 @@ class _Search:
                 if unl[placed[lab - 1]] > lab + thr - 1 - t:
                     return
         adj = self.adj
+        verts = self.verts
+        n = self.n
+        tried: set[tuple] = set()
         next_label = t + 1
-        for v in self.order:
+        for v in range(self.total):
             if label_of[v]:
                 continue
             thr = self.threshold
@@ -142,11 +227,18 @@ class _Search:
                         new_max = stretch
             if not feasible:
                 continue
+            sub_classes = None
+            if classes is not None:
+                key = _orbit_key(classes, verts[v], n)
+                if key in tried:
+                    continue
+                tried.add(key)
+                sub_classes = _refine(classes, verts[v], n)
             label_of[v] = next_label
             placed.append(v)
             for w in adj[v]:
                 unl[w] -= 1
-            self._dfs(next_label, new_max, front)
+            self._dfs(next_label, new_max, front, sub_classes)
             for w in adj[v]:
                 unl[w] += 1
             placed.pop()
@@ -165,9 +257,18 @@ def brute_force_bw(
     The incumbent starts one above the closed-form value (a valid upper
     bound) unless use_formula_bound is False, in which case it starts from
     the trivial bound of vertex count - 1 and the search is fully
-    independent of the formula.
+    independent of the formula.  Grids over DEFAULT_SCAN_BUDGET vertices are
+    refused with BudgetExceededError before anything is built, since an
+    exhausted search falls back to a Hales scan of the whole grid.
     """
     total = params.vertex_count
+    if total > DEFAULT_SCAN_BUDGET:
+        raise BudgetExceededError(
+            f"P_{params.n}^{params.d} has {total} vertices; too large for "
+            f"exhaustive search (budget {DEFAULT_SCAN_BUDGET} vertices)",
+            budget=DEFAULT_SCAN_BUDGET,
+            required=total,
+        )
     threshold = bw_hales(params.n, params.d) + 1 if use_formula_bound else total
     search = _Search(params, budget, threshold)
     search.run()

@@ -88,6 +88,19 @@ def test_bw_brute_budget_exhausted_exits_2(capsys):
     assert "status budget-exhausted" in out
 
 
+def test_search_vertex_cap_exits_2(capsys):
+    # refused before the vertex list is built, as the fallback scan would be too
+    for args in (("bw", "--method", "brute"), ("verify-optimal",)):
+        code, out, err = run(capsys, *args, "--n", "1", "--d", "20")
+        assert code == 2 and out == ""
+        assert "1048576 vertices" in err and "budget" in err
+    code, out, _ = run(
+        capsys, "bw", "--n", "1", "--d", "16", "--method", "brute", "--budget", "10",
+    )
+    assert code == 2
+    assert "status budget-exhausted" in out
+
+
 def test_bw_internal_mismatch_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "bw_hales", lambda n, d: 999)
     code, _, err = run(capsys, "bw", "--n", "2", "--d", "2", "--method", "hales-scan")

@@ -1,5 +1,10 @@
 """Branch-and-bound ground truth on desk-scale grids."""
 
+import math
+import random
+from collections import defaultdict
+from itertools import permutations, product
+
 import pytest
 
 from gridband.bandwidth import bw_hales
@@ -8,10 +13,48 @@ from gridband.oracle import (
     BUDGET_EXHAUSTED,
     PROVED,
     SearchBudget,
+    _orbit_key,
+    _refine,
+    _root_classes,
     brute_force_bw,
     certificate_to_text,
     verify_optimal,
 )
+
+
+def _act(g, x, n):
+    """Apply a coordinate permutation with per-coordinate reflections."""
+    perm, flips = g
+    y = [0] * len(x)
+    for j, (c, flip) in enumerate(zip(x, flips)):
+        y[perm[j]] = n - c if flip else c
+    return tuple(y)
+
+
+def test_orbit_keys_match_enumerated_stabilizer():
+    # orbit keys against the stabilizer picked out of the whole 2^d d! group
+    rng = random.Random(4)
+    for n, d in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (1, 4), (2, 4)]:
+        verts = list(product(range(n + 1), repeat=d))
+        group = [(p, f) for p in permutations(range(d)) for f in product((0, 1), repeat=d)]
+        assert len(group) == 2 ** d * math.factorial(d)
+        placements = [rng.sample(verts, rng.randint(0, min(4, len(verts)))) for _ in range(25)]
+        if n % 2 == 0:
+            centre = (n // 2,) * d
+            placements += [[centre], [centre, verts[1]], [verts[0], centre]]
+        for placed in placements:
+            classes = _root_classes(d)
+            for x in placed:
+                classes = classes and _refine(classes, x, n)
+            stabilizer = [g for g in group if all(_act(g, x, n) == x for x in placed)]
+            orbits = {frozenset(_act(g, v, n) for g in stabilizer) for v in verts}
+            if classes is None:
+                assert len(stabilizer) == 1
+                continue
+            by_key = defaultdict(set)
+            for v in verts:
+                by_key[_orbit_key(classes, v, n)].add(v)
+            assert set(map(frozenset, by_key.values())) == orbits, (n, d, placed)
 
 
 def test_small_grids_proved():
@@ -28,7 +71,7 @@ def test_small_grids_proved():
 def test_hypercube_dimension_four_arbitration():
     # 16 vertices: the exhaustive optimum settles the d=4 value at 7, one
     # above the 6 that circulates in older tabulations
-    cert = brute_force_bw(GridParams(1, 4))
+    cert = brute_force_bw(GridParams(1, 4), SearchBudget(max_nodes=100_000))
     assert cert.status == PROVED
     assert cert.optimal_value == 7 == bw_hales(1, 4)
 
@@ -41,12 +84,13 @@ def test_value_never_exceeds_hales_labeling():
 
 
 def test_witness_rescans_to_optimal_value(tmp_path):
-    params = GridParams(2, 2)
-    cert = brute_force_bw(params)
-    path = tmp_path / "certificate.tsv"
-    path.write_text(certificate_to_text(cert), encoding="utf-8")
-    report = labeling_bandwidth(LabelingSpec.from_file(str(path)), params)
-    assert report.value == cert.optimal_value
+    for params, value in [(GridParams(2, 2), 3), (GridParams(4, 2), 5)]:
+        cert = brute_force_bw(params)
+        assert cert.optimal_value == value
+        path = tmp_path / "certificate.tsv"
+        path.write_text(certificate_to_text(cert), encoding="utf-8")
+        report = labeling_bandwidth(LabelingSpec.from_file(str(path)), params)
+        assert report.value == value
 
 
 def test_certificate_header_lines():
@@ -66,11 +110,14 @@ def test_search_is_deterministic():
 
 
 def test_trivial_bound_start_agrees():
-    for n, d in [(1, 1), (1, 3), (2, 2)]:
-        accel = brute_force_bw(GridParams(n, d))
-        plain = brute_force_bw(GridParams(n, d), use_formula_bound=False)
-        assert plain.status == PROVED
-        assert plain.optimal_value == accel.optimal_value
+    # every grid with at most 25 vertices
+    grids = [(n, 1) for n in range(1, 25)] + [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (1, 4)]
+    budget = SearchBudget(max_nodes=100_000)
+    for n, d in grids:
+        accel = brute_force_bw(GridParams(n, d), budget)
+        plain = brute_force_bw(GridParams(n, d), budget, use_formula_bound=False)
+        assert accel.status == plain.status == PROVED, (n, d)
+        assert accel.optimal_value == plain.optimal_value == bw_hales(n, d), (n, d)
 
 
 def test_node_budget_exhaustion():
