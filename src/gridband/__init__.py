@@ -15,7 +15,6 @@ from .bandwidth import (
     bw_hales,
     bw_hypercube,
     bw_lex,
-    clt_estimate,
     ratio_table,
 )
 from .coeffs import (
@@ -40,18 +39,15 @@ from .grid import (
     lex_unrank,
     load_labeling_file,
     parse_vertex,
-    weight,
 )
 from .hales import (
     Vertex,
-    WeightClass,
     block_matrix,
     hales_compare,
     hales_enumerate,
     hales_rank,
     hales_sort_key,
     hales_unrank,
-    weight_class,
 )
 from .oracle import (
     OptimalityCertificate,

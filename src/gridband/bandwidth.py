@@ -74,19 +74,19 @@ def asymptotic_estimate(n: int, d: int) -> AsymptoticEstimate:
     The coordinate sum of d+1 uniform draws from {0,...,n} has variance
     (d+1)(n^2+2n)/12; the peak of the matching normal density overestimates
     the central coefficient share, so the ratio to the exact value tends to
-    1 from above.
+    1 from above.  Raises ValueError when (n+1)^(d+1) does not fit in a float.
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     factor = math.sqrt(6.0 / (math.pi * (d + 1) * (n * n + 2 * n)))
-    return AsymptoticEstimate(
-        n=n, d=d, estimate=(n + 1) ** (d + 1) * factor, sqrt_factor=factor
-    )
-
-
-def clt_estimate(n: int, d: int) -> float:
-    """The numeric value of asymptotic_estimate(n, d)."""
-    return asymptotic_estimate(n, d).estimate
+    try:
+        estimate = (n + 1) ** (d + 1) * factor
+    except OverflowError:
+        raise ValueError(
+            f"(n+1)^(d+1) = {n + 1}^{d + 1} is beyond float range; "
+            "no float estimate exists"
+        ) from None
+    return AsymptoticEstimate(n=n, d=d, estimate=estimate, sqrt_factor=factor)
 
 
 def ratio_table(n: int, d_max: int) -> list[tuple[int, float]]:

@@ -16,7 +16,7 @@ import csv
 import json
 import sys
 from collections import Counter
-from itertools import product, repeat
+from itertools import chain, product, repeat, starmap
 from operator import sub
 
 from .bandwidth import (
@@ -74,24 +74,83 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _plain_real(x: float) -> str:
-    return format(x, ".6g")
-
-
-def _json_real(x: float) -> float:
-    return float(format(x, ".15g"))
-
-
-def _emit_json(doc) -> None:
-    print(json.dumps(doc, sort_keys=True))
-
-
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
-
-
 def _params(args) -> GridParams:
     return GridParams(args.n, args.d)
+
+
+# ---------------------------------------------------------------- output
+
+
+def _text(value) -> str:
+    """A value as plain and csv print it: floats to 6 digits, lists space-joined."""
+    if isinstance(value, float):
+        return format(value, ".6g")
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+def _json(value):
+    """A value as json prints it: floats rounded to 15 digits, tuples as lists.
+
+    A generator, such as label's streamed rows (which hold no floats), is
+    not walked but listed by json.dumps.
+    """
+    if isinstance(value, float):
+        return float(format(value, ".15g"))
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    return value
+
+
+def _render(args, doc: dict, columns: list[str], rows=None, plain=None) -> None:
+    """Print one command's result in args.format.
+
+    json prints the doc.  csv prints the columns as a header, then the rows;
+    a record command has no rows, and prints the doc's values in column
+    order as one row, with an empty cell for a missing key.  plain prints
+    the command's own plain lines if it has any, else the rows tab-separated,
+    else a `key value` line for each column in the doc, n and d aside.  A
+    doc's note closes plain and csv output.
+
+    Cells print as _text prints them.  The first row's cell types fix each
+    column's format, so a long listing costs one str.format call per row
+    and no per-cell dispatch.
+    """
+    if args.format == "json":
+        doc = {key: _json(value) for key, value in doc.items()}
+        print(json.dumps(doc, sort_keys=True, default=list))
+        return
+    record = rows is None
+    if record:
+        rows = [[_text(doc.get(key, "")) for key in columns]]
+    rows = iter(rows)
+    first = next(rows)
+    rows = chain([first], rows)
+    floats = [isinstance(v, float) for v in first]
+    if args.format == "csv":
+        if any(floats):
+            rows = ([_text(v) for v in row] for row in rows)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        prefix = "# "
+    else:
+        if plain is not None:
+            lines = (f"{_text(v)}\n" for v in plain)
+        elif record:
+            lines = (
+                f"{key} {_text(doc[key])}\n"
+                for key in columns
+                if key in doc and key not in ("n", "d")
+            )
+        else:
+            line = "\t".join("{:.6g}" if f else "{}" for f in floats)
+            lines = starmap(f"{line}\n".format, rows)
+        sys.stdout.writelines(lines)
+        prefix = ""
+    if "note" in doc:
+        print(f"{prefix}note: {doc['note']}")
 
 
 # ---------------------------------------------------------------- commands
@@ -99,28 +158,36 @@ def _params(args) -> GridParams:
 
 def cmd_coeffs(args) -> int:
     row = coeff_row(args.n, args.d)
-    if args.format == "json":
-        _emit_json({"n": row.n, "d": row.d, "values": list(row.values)})
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["k", "coefficient"])
-        for k, v in enumerate(row.values):
-            writer.writerow([k, v])
-    else:
-        print(" ".join(str(v) for v in row.values))
+    values = list(row.values)
+    _render(
+        args, {"n": row.n, "d": row.d, "values": values}, ["k", "coefficient"],
+        enumerate(values), plain=[values],
+    )
     return EXIT_OK
 
 
-def _bw_report(args) -> tuple[dict, int]:
+def _search_budget(args) -> SearchBudget:
+    return SearchBudget(
+        max_nodes=args.budget if args.budget is not None else DEFAULT_NODE_BUDGET,
+        time_limit=args.time_limit,
+    )
+
+
+def _write_certificate(args, cert) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(certificate_to_text(cert))
+
+
+def cmd_bw(args) -> int:
     params = _params(args)
-    method = args.method
     doc: dict = {"n": params.n, "d": params.d}
     exit_code = EXIT_OK
-    if method == "formula":
+    if args.method == "formula":
         doc.update(value=bw_hales(params.n, params.d), method="formula")
-    elif method in ("hales-scan", "lex"):
+    elif args.method in ("hales-scan", "lex"):
         budget = args.budget if args.budget is not None else DEFAULT_SCAN_BUDGET
-        spec = "hales" if method == "hales-scan" else "lex"
+        spec = "hales" if args.method == "hales-scan" else "lex"
         report = labeling_bandwidth(spec, params, max_vertices=budget)
         expected = (
             bw_hales(params.n, params.d)
@@ -131,19 +198,14 @@ def _bw_report(args) -> tuple[dict, int]:
             raise InternalInvariantError(
                 f"{spec} edge scan gave {report.value}, formula gives {expected}"
             )
-        u, v = report.witness
         doc.update(
             value=report.value,
             method=report.method,
-            witness=[format_vertex(u), format_vertex(v)],
+            witness=[format_vertex(u) for u in report.witness],
         )
-    elif method == "brute":
-        budget = SearchBudget(
-            max_nodes=args.budget if args.budget is not None else DEFAULT_NODE_BUDGET,
-            time_limit=args.time_limit,
-        )
+    else:
         cert = brute_force_bw(
-            params, budget, use_formula_bound=not args.no_accelerate
+            params, _search_budget(args), use_formula_bound=not args.no_accelerate
         )
         doc.update(
             value=cert.optimal_value,
@@ -151,39 +213,10 @@ def _bw_report(args) -> tuple[dict, int]:
             status=cert.status,
             nodes=cert.nodes_explored,
         )
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(certificate_to_text(cert))
+        _write_certificate(args, cert)
         if cert.status != PROVED:
             exit_code = EXIT_BUDGET
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown method {method!r}")
-    return doc, exit_code
-
-
-def cmd_bw(args) -> int:
-    doc, exit_code = _bw_report(args)
-    if args.format == "json":
-        _emit_json(doc)
-    elif args.format == "csv":
-        writer = _csv_writer()
-        keys = ["n", "d", "value", "method", "witness", "status", "nodes"]
-        writer.writerow(keys)
-        row = []
-        for key in keys:
-            val = doc.get(key, "")
-            if key == "witness" and val:
-                val = " ".join(val)
-            row.append(val)
-        writer.writerow(row)
-    else:
-        print(f"value {doc['value']}")
-        print(f"method {doc['method']}")
-        if "witness" in doc:
-            print(f"witness {doc['witness'][0]} {doc['witness'][1]}")
-        if "status" in doc:
-            print(f"status {doc['status']}")
-            print(f"nodes {doc['nodes']}")
+    _render(args, doc, ["n", "d", "value", "method", "witness", "status", "nodes"])
     return exit_code
 
 
@@ -191,21 +224,13 @@ def cmd_table(args) -> int:
     n_max, d_max = args.n, args.d
     if n_max < 1 or d_max < 1:
         raise ValueError("table needs --n >= 1 and --d >= 1")
-    columns = [bw_hales_series(n, d_max) for n in range(1, n_max + 1)]
-    rows = [list(row) for row in zip(*columns)]
-    if args.format == "json":
-        _emit_json({"n_max": n_max, "d_max": d_max, "rows": rows, "note": TABLE_NOTE})
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["d"] + [f"n={n}" for n in range(1, n_max + 1)])
-        for d, row in enumerate(rows, start=1):
-            writer.writerow([d] + row)
-        print(f"# note: {TABLE_NOTE}")
-    else:
-        print("\t".join(["d"] + [f"n={n}" for n in range(1, n_max + 1)]))
-        for d, row in enumerate(rows, start=1):
-            print("\t".join([str(d)] + [str(v) for v in row]))
-        print(f"note: {TABLE_NOTE}")
+    series = [bw_hales_series(n, d_max) for n in range(1, n_max + 1)]
+    rows = [list(row) for row in zip(*series)]
+    header = ["d"] + [f"n={n}" for n in range(1, n_max + 1)]
+    numbered = [[d, *row] for d, row in enumerate(rows, start=1)]
+    doc = {"n_max": n_max, "d_max": d_max, "rows": rows, "note": TABLE_NOTE}
+    plain = ("\t".join(map(str, row)) for row in [header, *numbered])
+    _render(args, doc, header, numbered, plain)
     return EXIT_OK
 
 
@@ -217,36 +242,20 @@ def _labeled_vertices(order: str, params: GridParams):
 
 def cmd_label(args) -> int:
     params = _params(args)
-    budget = args.budget if args.budget is not None else DEFAULT_LABEL_BUDGET
     total = params.vertex_count
-    if total > budget:
+    if total > args.budget:
         raise BudgetExceededError(
             f"P_{params.n}^{params.d} needs {total} lines; "
-            f"over the output budget ({budget} lines)",
-            budget=budget,
+            f"over the output budget ({args.budget} lines)",
+            budget=args.budget,
             required=total,
         )
     pairs = (
         (format_vertex(u), label)
         for label, u in enumerate(_labeled_vertices(args.order, params), start=1)
     )
-    if args.format == "json":
-        _emit_json(
-            {
-                "order": args.order,
-                "n": params.n,
-                "d": params.d,
-                "labels": [[text, label] for text, label in pairs],
-            }
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["vertex", "label"])
-        for text, label in pairs:
-            writer.writerow([text, label])
-    else:
-        for text, label in pairs:
-            print(f"{text}\t{label}")
+    doc = {"order": args.order, "n": params.n, "d": params.d, "labels": pairs}
+    _render(args, doc, ["vertex", "label"], pairs)
     return EXIT_OK
 
 
@@ -257,22 +266,14 @@ def cmd_rank(args) -> int:
         label = hales_rank(u, params.n, params.d) + 1
     else:
         label = lex_rank(u, params) + 1
-    if args.format == "json":
-        _emit_json(
-            {
-                "order": args.order,
-                "n": params.n,
-                "d": params.d,
-                "vertex": args.vertex,
-                "label": label,
-            }
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["vertex", "label"])
-        writer.writerow([args.vertex, label])
-    else:
-        print(label)
+    doc = {
+        "order": args.order,
+        "n": params.n,
+        "d": params.d,
+        "vertex": args.vertex,
+        "label": label,
+    }
+    _render(args, doc, ["vertex", "label"], plain=[label])
     return EXIT_OK
 
 
@@ -283,46 +284,27 @@ def cmd_unrank(args) -> int:
     else:
         u = lex_unrank(args.rank, params)
     text = format_vertex(u)
-    if args.format == "json":
-        _emit_json(
-            {
-                "order": args.order,
-                "n": params.n,
-                "d": params.d,
-                "rank": args.rank,
-                "vertex": text,
-            }
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["rank", "vertex"])
-        writer.writerow([args.rank, text])
-    else:
-        print(text)
+    doc = {
+        "order": args.order,
+        "n": params.n,
+        "d": params.d,
+        "rank": args.rank,
+        "vertex": text,
+    }
+    _render(args, doc, ["rank", "vertex"], plain=[text])
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
     pair = bounds(args.n, args.d)
-    value = bw_hales(args.n, args.d)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "d": args.d,
-                "lower": pair.lower,
-                "bandwidth": value,
-                "upper": pair.upper,
-            }
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["lower", "bandwidth", "upper"])
-        writer.writerow([pair.lower, value, pair.upper])
-    else:
-        print(f"lower {pair.lower}")
-        print(f"bandwidth {value}")
-        print(f"upper {pair.upper}")
+    doc = {
+        "n": args.n,
+        "d": args.d,
+        "lower": pair.lower,
+        "bandwidth": bw_hales(args.n, args.d),
+        "upper": pair.upper,
+    }
+    _render(args, doc, ["lower", "bandwidth", "upper"])
     return EXIT_OK
 
 
@@ -331,47 +313,22 @@ def cmd_ratio(args) -> int:
     for d, h in enumerate(bw_hales_series(args.n, args.d), start=1):
         lex = bw_lex(args.n, d)
         rows.append((d, h, lex, h / lex))
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "rows": [[d, h, l, _json_real(r)] for d, h, l, r in rows],
-            }
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["d", "bw_hales", "bw_lex", "ratio"])
-        for d, h, l, r in rows:
-            writer.writerow([d, h, l, _plain_real(r)])
-    else:
-        for d, h, l, r in rows:
-            print(f"{d}\t{h}\t{l}\t{_plain_real(r)}")
+    _render(args, {"n": args.n, "rows": rows}, ["d", "bw_hales", "bw_lex", "ratio"], rows)
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
     est = asymptotic_estimate(args.n, args.d)
     exact = max_coeff(args.n, args.d + 1)
-    ratio = est.estimate / exact
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "d": args.d,
-                "estimate": _json_real(est.estimate),
-                "sqrt_factor": _json_real(est.sqrt_factor),
-                "exact": exact,
-                "ratio": _json_real(ratio),
-            }
-        )
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["estimate", "exact", "ratio"])
-        writer.writerow([_plain_real(est.estimate), exact, _plain_real(ratio)])
-    else:
-        print(f"estimate {_plain_real(est.estimate)}")
-        print(f"exact {exact}")
-        print(f"ratio {_plain_real(ratio)}")
+    doc = {
+        "n": args.n,
+        "d": args.d,
+        "estimate": est.estimate,
+        "sqrt_factor": est.sqrt_factor,
+        "exact": exact,
+        "ratio": est.estimate / exact,
+    }
+    _render(args, doc, ["estimate", "exact", "ratio"])
     return EXIT_OK
 
 
@@ -457,13 +414,12 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
 
 def cmd_export_matrix(args) -> int:
     params = _params(args)
-    budget = args.budget if args.budget is not None else DEFAULT_EXPORT_BUDGET
     total = params.vertex_count
-    if total > budget:
+    if total > args.budget:
         raise BudgetExceededError(
             f"P_{params.n}^{params.d} has {total} vertices; "
-            f"over the export budget ({budget} vertices)",
-            budget=budget,
+            f"over the export budget ({args.budget} vertices)",
+            budget=args.budget,
             required=total,
         )
     entries, half_bandwidth = _matrix_entries(params, args.order, args.kind)
@@ -480,26 +436,15 @@ def cmd_export_matrix(args) -> int:
         "nnz": nnz,
         "half_bandwidth": half_bandwidth,
     }
-    if args.format == "json":
-        _emit_json(doc)
-    elif args.format == "csv":
-        writer = _csv_writer()
-        keys = ["path", "kind", "order", "size", "nnz", "half_bandwidth"]
-        writer.writerow(keys)
-        writer.writerow([doc[key] for key in keys])
-    else:
-        for key in ("path", "kind", "order", "size", "nnz", "half_bandwidth"):
-            print(f"{key} {doc[key]}")
+    _render(args, doc, list(doc))
     return EXIT_OK
 
 
 def cmd_verify_optimal(args) -> int:
     params = _params(args)
-    budget = SearchBudget(
-        max_nodes=args.budget if args.budget is not None else DEFAULT_NODE_BUDGET,
-        time_limit=args.time_limit,
+    check = verify_optimal(
+        params, _search_budget(args), use_formula_bound=not args.no_accelerate
     )
-    check = verify_optimal(params, budget, use_formula_bound=not args.no_accelerate)
     cert = check.certificate
     if check.result is None:
         verdict = "inconclusive"
@@ -510,9 +455,7 @@ def cmd_verify_optimal(args) -> int:
     else:
         verdict = "mismatch"
         exit_code = EXIT_INTERNAL
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(certificate_to_text(cert))
+    _write_certificate(args, cert)
     doc = {
         "n": params.n,
         "d": params.d,
@@ -522,29 +465,31 @@ def cmd_verify_optimal(args) -> int:
         "status": cert.status,
         "nodes": cert.nodes_explored,
     }
-    if args.format == "json":
-        _emit_json(doc)
-    elif args.format == "csv":
-        writer = _csv_writer()
-        keys = ["n", "d", "verdict", "formula", "brute_force", "status", "nodes"]
-        writer.writerow(keys)
-        writer.writerow([doc[key] for key in keys])
-    else:
-        for key in ("verdict", "formula", "brute_force", "status", "nodes"):
-            print(f"{key} {doc[key]}")
+    _render(args, doc, list(doc))
     return exit_code
 
 
 # ------------------------------------------------------------- parser
 
 
-def _add_common(sub, n_required=True, d_required=True):
-    sub.add_argument("--n", type=int, required=n_required, help="edges per path factor")
-    sub.add_argument("--d", type=int, required=d_required, help="number of factors")
+def _add_common(sub):
+    sub.add_argument("--n", type=int, required=True, help="edges per path factor")
+    sub.add_argument("--d", type=int, required=True, help="number of factors")
     sub.add_argument(
         "--format", choices=["plain", "json", "csv"], default="plain",
         help="output format (default plain)",
     )
+
+
+def _add_search(sub, budget_help: str) -> None:
+    """The options of bw --method brute and verify-optimal."""
+    sub.add_argument("--budget", type=int, default=None, help=budget_help)
+    sub.add_argument("--time-limit", type=float, default=None,
+                     help="wall-clock limit in seconds for the search")
+    sub.add_argument("--no-accelerate", action="store_true",
+                     help="start the search from the trivial bound, not the formula")
+    sub.add_argument("--out", default=None,
+                     help="write the search certificate to this file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -566,16 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["formula", "hales-scan", "lex", "brute"],
         default="formula",
     )
-    sub.add_argument(
-        "--budget", type=int, default=None,
-        help="scan budget in vertices, or search budget in nodes for --method brute",
+    _add_search(
+        sub, "scan budget in vertices, or search budget in nodes for --method brute"
     )
-    sub.add_argument("--time-limit", type=float, default=None,
-                     help="wall-clock limit in seconds for --method brute")
-    sub.add_argument("--no-accelerate", action="store_true",
-                     help="start the search from the trivial bound, not the formula")
-    sub.add_argument("--out", default=None,
-                     help="write the brute-force certificate to this file")
     sub.set_defaults(func=cmd_bw)
 
     sub = subparsers.add_parser("table", help="bandwidth table for n=1..N, d=1..D")
@@ -585,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("label", help="full labeling listing in label order")
     _add_common(sub)
     sub.add_argument("--order", choices=["hales", "lex"], default="hales")
-    sub.add_argument("--budget", type=int, default=None,
+    sub.add_argument("--budget", type=int, default=DEFAULT_LABEL_BUDGET,
                      help=f"max output lines (default {DEFAULT_LABEL_BUDGET})")
     sub.set_defaults(func=cmd_label)
 
@@ -619,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--order", choices=["hales", "lex"], default="hales")
     sub.add_argument("--kind", choices=["adjacency", "laplacian"], default="laplacian")
     sub.add_argument("--out", required=True, help="output path")
-    sub.add_argument("--budget", type=int, default=None,
+    sub.add_argument("--budget", type=int, default=DEFAULT_EXPORT_BUDGET,
                      help=f"max vertices (default {DEFAULT_EXPORT_BUDGET})")
     sub.add_argument("--self-test", action="store_true",
                      help="re-read the file and verify row sums, symmetry, half-bandwidth")
@@ -628,12 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("verify-optimal",
                                 help="prove the formula optimal by exhaustive search")
     _add_common(sub)
-    sub.add_argument("--budget", type=int, default=None,
-                     help=f"search budget in nodes (default {DEFAULT_NODE_BUDGET})")
-    sub.add_argument("--time-limit", type=float, default=None)
-    sub.add_argument("--no-accelerate", action="store_true")
-    sub.add_argument("--out", default=None,
-                     help="write the certificate to this file")
+    _add_search(sub, f"search budget in nodes (default {DEFAULT_NODE_BUDGET})")
     sub.set_defaults(func=cmd_verify_optimal)
 
     return parser

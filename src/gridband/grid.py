@@ -63,18 +63,6 @@ class LabelingSpec:
     kind: str  # "hales" | "lex" | "file"
     path: str | None = None
 
-    @classmethod
-    def hales(cls) -> "LabelingSpec":
-        return cls("hales")
-
-    @classmethod
-    def lex(cls) -> "LabelingSpec":
-        return cls("lex")
-
-    @classmethod
-    def from_file(cls, path: str) -> "LabelingSpec":
-        return cls("file", path)
-
 
 @dataclass(frozen=True)
 class BandwidthReport:
@@ -83,11 +71,6 @@ class BandwidthReport:
     value: int
     witness: tuple[Vertex, Vertex] | None
     method: str  # "formula" | "edge-scan" | "brute-force" | "bound"
-
-
-def weight(u: Vertex) -> int:
-    """Sum of the coordinates."""
-    return sum(u)
 
 
 def parse_vertex(text: str) -> Vertex:
@@ -258,7 +241,7 @@ def labeling_bandwidth(
     value = max(stretches)
     # the witness is the edge with the smallest pair of Hales ranks among
     # those reaching the value; ranks are distinct, so i and s never decide
-    hales = LabelingSpec.hales()
+    hales = LabelingSpec("hales")
     ranks = labels if spec.kind == "hales" else label_array(hales, params)
     _, _, i, s = min(
         (ranks[i], ranks[i + s], i, s)

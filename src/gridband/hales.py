@@ -9,23 +9,12 @@ the deciding position).  Ranks are 0-based; user-facing labels are rank + 1.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
 from .coeffs import coeff, coeff_range_sum, coeff_row, cumulative_below
 
 Vertex = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class WeightClass:
-    """The weight-k slice of {0,...,n}^d; size is the degree-k coefficient."""
-
-    n: int
-    d: int
-    k: int
-    size: int
 
 
 def _check_vertex(u: Vertex, n: int, d: int) -> None:
@@ -52,14 +41,6 @@ def hales_compare(u: Vertex, v: Vertex) -> int:
 def hales_sort_key(u: Vertex) -> tuple:
     """Key function equivalent to hales_compare, for use with sorted()."""
     return (sum(u), tuple(-c for c in reversed(u)))
-
-
-def weight_class(n: int, d: int, k: int) -> WeightClass:
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if k < 0 or k > n * d:
-        raise ValueError(f"weight must lie in [0, {n * d}], got {k}")
-    return WeightClass(n, d, k, coeff(n, d, k))
 
 
 def hales_rank(u: Vertex, n: int, d: int) -> int:

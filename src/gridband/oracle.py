@@ -43,6 +43,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from .bandwidth import bw_hales
 from .grid import (
@@ -53,7 +54,6 @@ from .grid import (
     edge_ranges,
     format_vertex,
     labeling_bandwidth,
-    lex_unrank,
 )
 from .hales import Vertex, hales_enumerate
 
@@ -142,7 +142,8 @@ class OptimalityCheck:
 class _Search:
     def __init__(self, params: GridParams, budget: SearchBudget, threshold: int):
         total = params.vertex_count
-        verts = [lex_unrank(i, params) for i in range(total)]
+        # product lists the grid in lex order: verts[i] sits at lex position i
+        verts = list(product(range(params.n + 1), repeat=params.d))
         runs = list(edge_ranges(params))
         adj: list[list[int]] = [[] for _ in range(total)]
         # lower neighbours in dimension order, then upper ones

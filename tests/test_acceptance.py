@@ -11,7 +11,7 @@ from functools import cmp_to_key
 from itertools import product
 
 import gridband.cli as cli
-from gridband.bandwidth import bw_hales, bw_lex, clt_estimate, ratio_table
+from gridband.bandwidth import asymptotic_estimate, bw_hales, bw_lex, ratio_table
 from gridband.coeffs import (
     coeff,
     coeff_row,
@@ -213,7 +213,10 @@ def test_criterion_7_bounds():
 def test_criterion_8_asymptotics():
     start = time.monotonic()
     for n in range(1, 5):
-        ratios = {d: clt_estimate(n, d) / max_coeff(n, d + 1) for d in range(30, 61)}
+        ratios = {
+            d: asymptotic_estimate(n, d).estimate / max_coeff(n, d + 1)
+            for d in range(30, 61)
+        }
         for d, r in ratios.items():
             assert 1.0 <= r <= 1.10, (n, d, r)
         # the peak sits on or half off the distribution mode depending on

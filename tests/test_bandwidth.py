@@ -10,7 +10,6 @@ from gridband.bandwidth import (
     bw_hales,
     bw_hypercube,
     bw_lex,
-    clt_estimate,
     ratio_table,
 )
 from gridband.coeffs import max_coeff, top_sum, trinomial_coeff
@@ -70,13 +69,13 @@ def test_bounds_bracket_small():
             assert pair.lower <= bw_hales(n, d) <= pair.upper
 
 
-def test_clt_estimate_examples():
-    est = clt_estimate(1, 9)
+def test_asymptotic_estimate_examples():
+    est = asymptotic_estimate(1, 9).estimate
     assert est == pytest.approx(1024 * math.sqrt(6 / (30 * math.pi)), rel=1e-12)
     assert round(est, 2) == 258.37
     assert max_coeff(1, 10) == 252
 
-    est = clt_estimate(2, 2)
+    est = asymptotic_estimate(2, 2).estimate
     assert est == pytest.approx(27 * math.sqrt(6 / (24 * math.pi)), rel=1e-12)
     assert round(est, 2) == 7.62
     assert max_coeff(2, 3) == 7
@@ -89,6 +88,14 @@ def test_asymptotic_estimate_fields():
     assert info.sqrt_factor == pytest.approx(
         math.sqrt(6 / (math.pi * 5 * 15)), rel=1e-12
     )
+
+
+def test_asymptotic_estimate_past_float_range_is_refused():
+    # 2^1023 is the largest power of two a float holds
+    assert asymptotic_estimate(1, 1022).estimate > 0
+    for n, d in ((1, 1023), (1, 2000), (999, 200)):
+        with pytest.raises(ValueError, match="float range"):
+            asymptotic_estimate(n, d)
 
 
 def test_ratio_table_examples():

@@ -328,6 +328,9 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
     assert main(["table", "--n", "2", "--d", "0"]) == 1
     capsys.readouterr()
+    # (n+1)^(d+1) past float range: a message, not an OverflowError
+    assert main(["estimate", "--n", "1", "--d", "2000"]) == 1
+    assert capsys.readouterr().err.startswith("gridband: error: (n+1)^(d+1)")
     assert main([]) == 1
     capsys.readouterr()
 
@@ -335,3 +338,151 @@ def test_usage_errors_exit_1(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+NOTE = (
+    "n=1 column: computed from the hypercube central-binomial sum (1, 2, 4, 7, "
+    "13, ...); tabulations listing 3, 6, 12, ... from d=3 on run one below this "
+    "formula; exhaustive search confirms the formula values 2 at (n=1, d=2) and "
+    "4 at (n=1, d=3)."
+)
+CERT = "# bandwidth 2\n# status proved\n# nodes 7\n0,0\t1\n0,1\t2\n1,0\t3\n1,1\t4\n"
+NO_OUTPUT = {"plain": "", "json": "", "csv": ""}
+
+# (arguments, exit code, stdout per format); every run starts in an empty
+# directory, and the files a run leaves there are pinned in GOLDEN_FILES
+GOLDEN = [
+    ("coeffs --n 2 --d 2", 0, {
+        "plain": "1 2 3 2 1\n",
+        "json": '{"d": 2, "n": 2, "values": [1, 2, 3, 2, 1]}\n',
+        "csv": "k,coefficient\n0,1\n1,2\n2,3\n3,2\n4,1\n",
+    }),
+    ("bw --n 2 --d 2", 0, {
+        "plain": "value 3\nmethod formula\n",
+        "json": '{"d": 2, "method": "formula", "n": 2, "value": 3}\n',
+        "csv": "n,d,value,method,witness,status,nodes\n2,2,3,formula,,,\n",
+    }),
+    ("bw --n 2 --d 2 --method hales-scan", 0, {
+        "plain": "value 3\nmethod edge-scan\nwitness 0,1 1,1\n",
+        "json": '{"d": 2, "method": "edge-scan", "n": 2, "value": 3, '
+                '"witness": ["0,1", "1,1"]}\n',
+        "csv": 'n,d,value,method,witness,status,nodes\n2,2,3,edge-scan,"0,1 1,1",,\n',
+    }),
+    ("bw --n 2 --d 3 --method lex", 0, {
+        "plain": "value 9\nmethod edge-scan\nwitness 0,0,0 1,0,0\n",
+        "json": '{"d": 3, "method": "edge-scan", "n": 2, "value": 9, '
+                '"witness": ["0,0,0", "1,0,0"]}\n',
+        "csv": 'n,d,value,method,witness,status,nodes\n2,3,9,edge-scan,"0,0,0 1,0,0",,\n',
+    }),
+    ("bw --n 1 --d 2 --method brute --out c.tsv", 0, {
+        "plain": "value 2\nmethod brute-force\nstatus proved\nnodes 7\n",
+        "json": '{"d": 2, "method": "brute-force", "n": 1, "nodes": 7, '
+                '"status": "proved", "value": 2}\n',
+        "csv": "n,d,value,method,witness,status,nodes\n1,2,2,brute-force,,proved,7\n",
+    }),
+    ("bw --n 2 --d 2 --method brute --budget 5", 2, {
+        "plain": "value 3\nmethod brute-force\nstatus budget-exhausted\nnodes 6\n",
+        "json": '{"d": 2, "method": "brute-force", "n": 2, "nodes": 6, '
+                '"status": "budget-exhausted", "value": 3}\n',
+        "csv": "n,d,value,method,witness,status,nodes\n"
+               "2,2,3,brute-force,,budget-exhausted,6\n",
+    }),
+    ("table --n 2 --d 3", 0, {
+        "plain": f"d\tn=1\tn=2\n1\t1\t1\n2\t2\t3\n3\t4\t8\nnote: {NOTE}\n",
+        "json": '{"d_max": 3, "n_max": 2, "note": "' + NOTE
+                + '", "rows": [[1, 1], [2, 3], [4, 8]]}\n',
+        "csv": f"d,n=1,n=2\n1,1,1\n2,2,3\n3,4,8\n# note: {NOTE}\n",
+    }),
+    ("label --n 1 --d 2", 0, {
+        "plain": "0,0\t1\n0,1\t2\n1,0\t3\n1,1\t4\n",
+        "json": '{"d": 2, "labels": [["0,0", 1], ["0,1", 2], ["1,0", 3], ["1,1", 4]], '
+                '"n": 1, "order": "hales"}\n',
+        "csv": 'vertex,label\n"0,0",1\n"0,1",2\n"1,0",3\n"1,1",4\n',
+    }),
+    ("label --n 1 --d 2 --order lex", 0, {
+        "plain": "0,0\t1\n0,1\t2\n1,0\t3\n1,1\t4\n",
+        "json": '{"d": 2, "labels": [["0,0", 1], ["0,1", 2], ["1,0", 3], ["1,1", 4]], '
+                '"n": 1, "order": "lex"}\n',
+        "csv": 'vertex,label\n"0,0",1\n"0,1",2\n"1,0",3\n"1,1",4\n',
+    }),
+    ("label --n 1 --d 2 --budget 3", 2, NO_OUTPUT),
+    ("rank --n 2 --d 2 1,1", 0, {
+        "plain": "5\n",
+        "json": '{"d": 2, "label": 5, "n": 2, "order": "hales", "vertex": "1,1"}\n',
+        "csv": 'vertex,label\n"1,1",5\n',
+    }),
+    ("rank --n 2 --d 2 --order lex 1,2", 0, {
+        "plain": "6\n",
+        "json": '{"d": 2, "label": 6, "n": 2, "order": "lex", "vertex": "1,2"}\n',
+        "csv": 'vertex,label\n"1,2",6\n',
+    }),
+    ("unrank --n 2 --d 2 1", 0, {
+        "plain": "0,1\n",
+        "json": '{"d": 2, "n": 2, "order": "hales", "rank": 1, "vertex": "0,1"}\n',
+        "csv": 'rank,vertex\n1,"0,1"\n',
+    }),
+    ("unrank --n 2 --d 2 --order lex 5", 0, {
+        "plain": "1,2\n",
+        "json": '{"d": 2, "n": 2, "order": "lex", "rank": 5, "vertex": "1,2"}\n',
+        "csv": 'rank,vertex\n5,"1,2"\n',
+    }),
+    ("bounds --n 2 --d 3", 0, {
+        "plain": "lower 7\nbandwidth 8\nupper 19\n",
+        "json": '{"bandwidth": 8, "d": 3, "lower": 7, "n": 2, "upper": 19}\n',
+        "csv": "lower,bandwidth,upper\n7,8,19\n",
+    }),
+    ("ratio --n 2 --d 3", 0, {
+        "plain": "1\t1\t1\t1\n2\t3\t3\t1\n3\t8\t9\t0.888889\n",
+        "json": '{"n": 2, "rows": [[1, 1, 1, 1.0], [2, 3, 3, 1.0], '
+                '[3, 8, 9, 0.888888888888889]]}\n',
+        "csv": "d,bw_hales,bw_lex,ratio\n1,1,1,1\n2,3,3,1\n3,8,9,0.888889\n",
+    }),
+    ("estimate --n 2 --d 2", 0, {
+        "plain": "estimate 7.61656\nexact 7\nratio 1.08808\n",
+        "json": '{"d": 2, "estimate": 7.61655937789471, "exact": 7, "n": 2, '
+                '"ratio": 1.08807991112782, "sqrt_factor": 0.282094791773878}\n',
+        "csv": "estimate,exact,ratio\n7.61656,7,1.08808\n",
+    }),
+    ("export-matrix --n 1 --d 2 --out m.mtx --self-test", 0, {
+        "plain": "path m.mtx\nkind laplacian\norder hales\nsize 4\nnnz 8\n"
+                 "half_bandwidth 2\n",
+        "json": '{"half_bandwidth": 2, "kind": "laplacian", "nnz": 8, '
+                '"order": "hales", "path": "m.mtx", "size": 4}\n',
+        "csv": "path,kind,order,size,nnz,half_bandwidth\nm.mtx,laplacian,hales,4,8,2\n",
+    }),
+    ("verify-optimal --n 1 --d 2 --out c.tsv", 0, {
+        "plain": "verdict verified\nformula 2\nbrute_force 2\nstatus proved\nnodes 7\n",
+        "json": '{"brute_force": 2, "d": 2, "formula": 2, "n": 1, "nodes": 7, '
+                '"status": "proved", "verdict": "verified"}\n',
+        "csv": "n,d,verdict,formula,brute_force,status,nodes\n1,2,verified,2,2,proved,7\n",
+    }),
+    ("verify-optimal --n 2 --d 2 --budget 5", 2, {
+        "plain": "verdict inconclusive\nformula 3\nbrute_force 3\n"
+                 "status budget-exhausted\nnodes 6\n",
+        "json": '{"brute_force": 3, "d": 2, "formula": 3, "n": 2, "nodes": 6, '
+                '"status": "budget-exhausted", "verdict": "inconclusive"}\n',
+        "csv": "n,d,verdict,formula,brute_force,status,nodes\n"
+               "2,2,inconclusive,3,3,budget-exhausted,6\n",
+    }),
+    ("table --n 2 --d 0", 1, NO_OUTPUT),
+]
+GOLDEN_FILES = {
+    "bw --n 1 --d 2 --method brute --out c.tsv": {"c.tsv": CERT},
+    "verify-optimal --n 1 --d 2 --out c.tsv": {"c.tsv": CERT},
+    "export-matrix --n 1 --d 2 --out m.mtx --self-test": {"m.mtx": (
+        "%%MatrixMarket matrix coordinate integer symmetric\n4 4 8\n"
+        "1 1 2\n2 1 -1\n2 2 2\n3 1 -1\n3 3 2\n4 2 -1\n4 3 -1\n4 4 2\n"
+    )},
+}
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize(
+    "args,exit_code,stdout", GOLDEN, ids=[case[0] for case in GOLDEN]
+)
+def test_golden_output(capsys, tmp_path, monkeypatch, args, exit_code, stdout, fmt):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *args.split(), "--format", fmt)
+    assert (code, out) == (exit_code, stdout[fmt])
+    written = {path.name: path.read_text(encoding="utf-8") for path in tmp_path.iterdir()}
+    assert written == GOLDEN_FILES.get(args, {})

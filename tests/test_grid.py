@@ -15,7 +15,6 @@ from gridband.grid import (
     lex_unrank,
     load_labeling_file,
     parse_vertex,
-    weight,
 )
 from gridband.hales import hales_enumerate, hales_rank
 
@@ -37,12 +36,6 @@ def test_vertex_text_form():
         parse_vertex("1,x")
 
 
-def test_weight():
-    assert weight((0, 0, 0)) == 0
-    assert weight((2, 2)) == 4
-    assert weight((1, 0, 2)) == 3
-
-
 def test_edge_counts():
     assert sum(1 for _ in edges(GridParams(2, 2))) == 12
     assert sum(1 for _ in edges(GridParams(5, 1))) == 5
@@ -51,7 +44,7 @@ def test_edge_counts():
 
 def test_edges_lighter_endpoint_first():
     for u, v in edges(GridParams(2, 3)):
-        assert weight(v) == weight(u) + 1
+        assert sum(v) == sum(u) + 1
 
 
 def test_edge_ranges_match_edges():
@@ -122,7 +115,7 @@ def test_witness_is_deterministic_minimum_rank_pair(tmp_path):
         hales = {u: i for i, u in enumerate(hales_enumerate(n, d))}
         cases = [("hales", hales), ("lex", {u: lex_rank(u, params) for u in hales})]
         if (n, d) == (2, 2):
-            cases.append((LabelingSpec.from_file(str(path)), tied))
+            cases.append((LabelingSpec("file", str(path)), tied))
         for spec, labels in cases:
             report = labeling_bandwidth(spec, params)
             maximizers = [
@@ -152,7 +145,7 @@ def test_labeling_file_round_trip(tmp_path):
     path = tmp_path / "hales.tsv"
     _write_labeling(path, mapping)
     assert load_labeling_file(str(path), params) == mapping
-    report = labeling_bandwidth(LabelingSpec.from_file(str(path)), params)
+    report = labeling_bandwidth(LabelingSpec("file", str(path)), params)
     assert report.value == 3
 
 

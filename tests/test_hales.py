@@ -18,7 +18,6 @@ from gridband.hales import (
     hales_rank,
     hales_sort_key,
     hales_unrank,
-    weight_class,
 )
 
 
@@ -186,11 +185,3 @@ def test_block_structure_invariants():
                 assert all(sum(u) == k for u in rows)
                 for a, b in zip(rows, rows[1:]):
                     assert hales_compare(a, b) == -1
-
-
-def test_weight_class_sizes():
-    wc = weight_class(2, 3, 3)
-    assert wc.size == 7
-    assert weight_class(1, 4, 2).size == 6
-    with pytest.raises(ValueError):
-        weight_class(2, 3, 9)

@@ -89,7 +89,7 @@ def test_witness_rescans_to_optimal_value(tmp_path):
         assert cert.optimal_value == value
         path = tmp_path / "certificate.tsv"
         path.write_text(certificate_to_text(cert), encoding="utf-8")
-        report = labeling_bandwidth(LabelingSpec.from_file(str(path)), params)
+        report = labeling_bandwidth(LabelingSpec("file", str(path)), params)
         assert report.value == value
 
 
