@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .coeffs import max_coeff, top_sum
+from .coeffs import _top_sums_by_rows, max_coeff, top_sum
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,24 @@ def bw_hales(n: int, d: int) -> int:
 
 
 def bw_hales_series(n: int, d_max: int) -> list[int]:
-    """[bw_hales(n, 1), ..., bw_hales(n, d_max)]: one running sum of top_sum."""
+    """[bw_hales(n, 1), ..., bw_hales(n, d_max)]: one running sum of top_sum.
+
+    Each top sum is a difference of two inclusion-exclusion counts, whose
+    terms grow with i / (n+1); when d_max is large against n, streaming the
+    rows is cheaper.
+    """
     if n < 1 or d_max < 1:
         raise ValueError(f"need n >= 1 and d_max >= 1, got n={n}, d_max={d_max}")
-    return list(accumulate(top_sum(n, i) for i in range(d_max)))
+    # CPU time of the row route over the counting route, best of 3 in
+    # process (Python 3.11.7, Xeon): 0.21 at (n, d_max) = (10, 200), 0.51 at
+    # (30, 200), 0.87 at (50, 200), 1.01 at (20, 80), 1.14 at (25, 100),
+    # 3.05 at (100, 100), 71 at (1000, 60).  The routes break even near
+    # 4n = d_max.
+    if 4 * n >= d_max:
+        tops = (top_sum(n, i) for i in range(d_max))
+    else:
+        tops = _top_sums_by_rows(n, d_max)
+    return list(accumulate(tops))
 
 
 def bw_hypercube(d: int) -> int:

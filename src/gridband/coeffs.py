@@ -3,19 +3,24 @@
 The row for parameters (n, d) holds the n*d + 1 coefficients
 C(d, k) = [x^k] (1 + x + ... + x^n)^d.  Every row is symmetric, log-concave
 and sums to (n + 1)^d.  All arithmetic is exact (Python big integers).
-Rows are cached per n in one list of rows 0, 1, 2, ..., which a loop
-extends from the highest row built so far; every sum below reads a slice
-of a cached row.
+Rows are cached for one n at a time, as a list of rows 0, 1, 2, ... that
+a loop extends from the highest row built so far; the row lookups and sums
+read a slice of a cached row.  The largest coefficient and the top sums
+need one coefficient or one window each, so they are differences of two
+counts by inclusion-exclusion and build no row; `_top_sums_by_rows`
+streams the top sums row by row for the bandwidth series, keeping only
+the previous row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import factorial
+from math import comb, factorial
 from operator import sub
+from typing import Iterator
 
-# n -> [row 0, row 1, ...]; grows only, for the life of the process
+# n -> [row 0, row 1, ...] for the most recent n only; a new n drops the old
 _ROWS: dict[int, list[tuple[int, ...]]] = {}
 
 
@@ -38,16 +43,51 @@ def _check_params(n: int, d: int) -> None:
         raise ValueError(f"d must be >= 0, got {d}")
 
 
+def _next_row(row: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The row after `row`: C(d, k) = sum_{j=0}^{n} C(d-1, k-j).
+
+    A sliding window over the previous row, the difference of two shifted
+    prefix sums.
+    """
+    acc = list(accumulate(row, initial=0))
+    upper = acc[1:] + [acc[-1]] * n
+    lower = [0] * n + acc[:-1]
+    return tuple(map(sub, upper, lower))
+
+
 def _row(n: int, d: int) -> tuple[int, ...]:
-    rows = _ROWS.setdefault(n, [(1,)])
+    rows = _ROWS.get(n)
+    if rows is None:
+        _ROWS.clear()
+        rows = _ROWS[n] = [(1,)]
     while len(rows) <= d:
-        # C(d, k) = sum_{j=0}^{n} C(d-1, k-j): a sliding window over the
-        # previous row, the difference of two shifted prefix sums.
-        acc = list(accumulate(rows[-1], initial=0))
-        upper = acc[1:] + [acc[-1]] * n
-        lower = [0] * n + acc[:-1]
-        rows.append(tuple(map(sub, upper, lower)))
+        rows.append(_next_row(rows[-1], n))
     return rows[d]
+
+
+def _count_below(n: int, i: int, k: int) -> int:
+    """Vertices of {0..n}^i with weight below k, by inclusion-exclusion.
+
+    C(k-1+i, i) counts the i-tuples of naturals with sum at most k-1; the
+    j-th term takes out (or puts back) those with a chosen j coordinates
+    above n, each shifted down by n+1.
+    """
+    total = 0
+    for j in range(min(i, (k - 1) // (n + 1)) + 1):  # empty for k <= 0
+        term = comb(i, j) * comb(k - 1 - j * (n + 1) + i, i)
+        total += -term if j & 1 else term
+    return total
+
+
+def _top_window(n: int, i: int) -> tuple[int, int]:
+    """Degrees [lo, stop) of the centred window of the n largest coefficients.
+
+    This is middle_window(n, i, width) before its slide over ties; sliding
+    over a tie never changes the sum, so the sum is the top sum.
+    """
+    width = min(n, n * i + 1)
+    lo = (n * i + 1) // 2 - width // 2
+    return lo, lo + width
 
 
 def coeff_row(n: int, d: int) -> CoeffRow:
@@ -79,7 +119,8 @@ def cumulative_below(n: int, d: int, k: int) -> int:
 def max_coeff(n: int, d: int) -> int:
     """Largest coefficient of the row; sits at the central degree floor(n*d/2)."""
     _check_params(n, d)
-    return _row(n, d)[(n * d) // 2]
+    centre = (n * d) // 2
+    return _count_below(n, d, centre + 1) - _count_below(n, d, centre)
 
 
 def top_sum(n: int, i: int) -> int:
@@ -89,8 +130,22 @@ def top_sum(n: int, i: int) -> int:
     the row has fewer than n entries (only i = 0) the whole row is summed,
     which gives 1.
     """
-    lo, hi = middle_window(n, i, min(n, n * i + 1))
-    return sum(_row(n, i)[lo : hi + 1])
+    _check_params(n, i)
+    lo, stop = _top_window(n, i)
+    return _count_below(n, i, stop) - _count_below(n, i, lo)
+
+
+def _top_sums_by_rows(n: int, d_max: int) -> Iterator[int]:
+    """top_sum(n, i) for i = 0..d_max-1, from rows built one after another.
+
+    Only the previous row is kept, and the cache is not touched.
+    """
+    row = (1,)
+    for i in range(d_max):
+        if i:
+            row = _next_row(row, n)
+        lo, stop = _top_window(n, i)
+        yield sum(row[lo:stop])
 
 
 def trinomial_coeff(d: int, k: int) -> int:
@@ -124,11 +179,8 @@ def middle_window(n: int, d: int, i: int) -> tuple[int, int]:
     _check_params(n, d)
     if i < 1 or i > n * d + 1:
         raise ValueError(f"window width must lie in [1, {n * d + 1}], got {i}")
-    peak = (n * d + 1) // 2
-    if i % 2 == 1:
-        lo, hi = peak - i // 2, peak + i // 2
-    else:
-        lo, hi = peak - i // 2, peak + i // 2 - 1
+    lo = (n * d + 1) // 2 - i // 2
+    hi = lo + i - 1
     row = _row(n, d)
     while lo > 0 and row[lo - 1] == row[hi]:
         lo -= 1

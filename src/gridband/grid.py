@@ -253,6 +253,11 @@ def labeling_bandwidth(
     return BandwidthReport(value=value, witness=witness, method="edge-scan")
 
 
+def _max_stretch(labels: Sequence[int], params: GridParams) -> int:
+    """The bandwidth of a label array: max |f(u) - f(v)| over all edges."""
+    return max(max(_stretches(labels, r, s)) for r, s in edge_ranges(params))
+
+
 def _stretches(labels: Sequence[int], r: range, s: int) -> Iterator[int]:
     """|f(i) - f(i + s)| for each i in r."""
     return map(abs, map(sub, *edge_labels(labels, r, s)))

@@ -51,11 +51,13 @@ from .grid import (
     BudgetExceededError,
     GridParams,
     InternalInvariantError,
+    LabelingSpec,
+    _max_stretch,
     edge_ranges,
     format_vertex,
-    labeling_bandwidth,
+    label_array,
 )
-from .hales import Vertex, hales_enumerate
+from .hales import Vertex
 
 PROVED = "proved"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -292,10 +294,11 @@ def brute_force_bw(
             "search exhausted without finding any labeling below the "
             "starting incumbent; initial upper bound was not valid"
         )
-    mapping = {u: i for i, u in enumerate(hales_enumerate(params.n, params.d), start=1)}
+    # one Hales label array gives both the witness and its scanned value
+    labels = label_array(LabelingSpec("hales"), params)
     return OptimalityCertificate(
-        optimal_value=labeling_bandwidth("hales", params, max_vertices=total).value,
-        witness_labeling=mapping,
+        optimal_value=_max_stretch(labels, params),
+        witness_labeling=dict(zip(search.verts, labels)),
         nodes_explored=search.nodes,
         status=BUDGET_EXHAUSTED,
     )

@@ -1,18 +1,21 @@
 """Closed-form values, bounds, and asymptotics."""
 
 import math
+from itertools import accumulate
 
 import pytest
 
+from gridband import coeffs
 from gridband.bandwidth import (
     asymptotic_estimate,
     bounds,
     bw_hales,
+    bw_hales_series,
     bw_hypercube,
     bw_lex,
     ratio_table,
 )
-from gridband.coeffs import max_coeff, top_sum, trinomial_coeff
+from gridband.coeffs import _top_sums_by_rows, max_coeff, top_sum, trinomial_coeff
 
 
 def test_bw_hales_examples():
@@ -27,6 +30,33 @@ def test_bw_hales_recurrence():
     for n in range(1, 9):
         for d in range(2, 21):
             assert bw_hales(n, d) == bw_hales(n, d - 1) + top_sum(n, d - 1)
+
+
+def test_series_routes_agree():
+    # the streamed rows against inclusion-exclusion, whichever route
+    # bw_hales_series picks
+    cases = [(n, d) for n in range(1, 13) for d in range(1, 25)]
+    for n, d in cases + [(200, 30), (100, 60), (30, 130)]:
+        by_rows = list(_top_sums_by_rows(n, d))
+        by_counts = [top_sum(n, i) for i in range(d)]
+        assert by_rows == by_counts, (n, d)
+        assert bw_hales_series(n, d) == list(accumulate(by_rows)), (n, d)
+
+
+def test_series_builds_no_cached_row(cold_rows):
+    # one route streams rows without the cache, the other builds none
+    bw_hales_series(6, 100)
+    bw_hales_series(100, 6)
+    bounds(6, 100)
+    assert coeffs._ROWS == {}
+
+
+def test_huge_n():
+    n = 10**9
+    assert bw_hales(n, 2) == n + 1
+    assert max_coeff(n, 2) == n + 1
+    pair = bounds(n, 12)
+    assert pair.lower <= bw_hales(n, 12) <= pair.upper
 
 
 def test_hypercube_formula():

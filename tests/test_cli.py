@@ -185,6 +185,13 @@ def test_bounds_output(capsys):
     assert out.splitlines() == ["lower 7", "bandwidth 8", "upper 19"]
 
 
+def test_bounds_at_huge_n(capsys):
+    code, out, _ = run(capsys, "bounds", "--n", "1000000000", "--d", "12", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lower"] <= doc["bandwidth"] <= doc["upper"]
+
+
 def test_ratio_csv(capsys):
     code, out, _ = run(capsys, "ratio", "--n", "2", "--d", "3", "--format", "csv")
     assert code == 0

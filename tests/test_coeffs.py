@@ -1,8 +1,12 @@
 """Coefficient rows: examples frozen against a direct convolution oracle."""
 
+from itertools import accumulate
+
 import pytest
 
+from gridband import coeffs
 from gridband.coeffs import (
+    _count_below,
     coeff,
     coeff_row,
     max_coeff,
@@ -151,3 +155,39 @@ def test_central_coefficient_identity():
             top = ranked(n, d - 1)
             extra = top[n] if n < len(top) else 0
             assert max_coeff(n, d) == top_sum(n, d - 1) + extra, (n, d)
+
+
+def test_count_below_matches_row_prefix_sums():
+    # inclusion-exclusion against the row's prefix sums, for every k below,
+    # inside and above the row
+    for n in range(1, 9):
+        for i in range(13):
+            prefix = list(accumulate(coeff_row(n, i).values, initial=0))
+            for k in range(-2, n * i + 4):
+                expected = prefix[min(max(k, 0), n * i + 1)]
+                assert _count_below(n, i, k) == expected, (n, i, k)
+
+
+def test_max_coeff_and_top_sum_match_rows():
+    for n in range(1, 13):
+        for d in range(25):
+            top = ranked(n, d)
+            assert max_coeff(n, d) == top[0], (n, d)
+            assert top_sum(n, d) == sum(top[:n]), (n, d)
+
+
+def test_huge_n_needs_no_row(cold_rows):
+    n = 10**9
+    assert top_sum(n, 1) == n
+    assert max_coeff(n, 12) < max_coeff(n, 13)
+    assert coeffs._ROWS == {}
+
+
+def test_row_cache_keeps_only_the_latest_n(cold_rows):
+    assert coeff(2, 5, 5) == 51
+    assert list(coeffs._ROWS) == [2]
+    assert coeff(3, 4, 6) == 44
+    assert list(coeffs._ROWS) == [3]
+    assert len(coeffs._ROWS[3]) == 5
+    assert coeff(2, 5, 5) == 51
+    assert list(coeffs._ROWS) == [2]
