@@ -16,7 +16,7 @@ import csv
 import json
 import sys
 from collections import Counter
-from itertools import chain, product, repeat, starmap
+from itertools import chain, count, repeat, starmap
 from operator import sub
 
 from .bandwidth import (
@@ -41,8 +41,9 @@ from .grid import (
     lex_rank,
     lex_unrank,
     parse_vertex,
+    position_texts,
 )
-from .hales import hales_enumerate, hales_rank, hales_unrank
+from .hales import hales_rank, hales_unrank
 from .oracle import (
     PROVED,
     SearchBudget,
@@ -234,12 +235,6 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _labeled_vertices(order: str, params: GridParams):
-    if order == "hales":
-        return hales_enumerate(params.n, params.d)
-    return product(range(params.n + 1), repeat=params.d)
-
-
 def cmd_label(args) -> int:
     params = _params(args)
     total = params.vertex_count
@@ -250,10 +245,13 @@ def cmd_label(args) -> int:
             budget=args.budget,
             required=total,
         )
-    pairs = (
-        (format_vertex(u), label)
-        for label, u in enumerate(_labeled_vertices(args.order, params), start=1)
-    )
+    positions = range(total)  # the lex position of each label, in label order
+    if args.order == "hales":
+        labels = label_array(LabelingSpec("hales"), params)
+        positions = labels[:]  # a compact array; the labels 1..total fill every slot
+        for position, label in enumerate(labels):
+            positions[label - 1] = position
+    pairs = zip(position_texts(params, positions), count(1))
     doc = {"order": args.order, "n": params.n, "d": params.d, "labels": pairs}
     _render(args, doc, ["vertex", "label"], pairs)
     return EXIT_OK
@@ -339,7 +337,8 @@ def _matrix_entries(
     params: GridParams, order: str, kind: str
 ) -> tuple[list[tuple[int, int, int]], int]:
     """Lower-triangle (row, col, value) triplets, sorted, and their half-bandwidth."""
-    labels = label_array(LabelingSpec(order), params)
+    # a list, so that the entries share one int object per label
+    labels = list(label_array(LabelingSpec(order), params))
     value = -1 if kind == "laplacian" else 1
     entries: list[tuple[int, int, int]] = []
     degree: Counter[int] = Counter()
@@ -381,26 +380,27 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
             raise ValueError(f"{path}: expected a square matrix")
         totals = [0] * (size + 1)
         found = 0
-        previous = (0, 0)
+        pi = pj = 0  # the previous entry
         half_bandwidth = 0
-        for raw in handle:
-            raw = raw.strip()
-            if not raw:
+        for line in handle:
+            parts = line.split()
+            if not parts:
                 continue
-            i, j, v = (int(tok) for tok in raw.split())
+            i, j, v = map(int, parts)
             if j > i:
                 raise InternalInvariantError(f"{path}: entry ({i},{j}) above the diagonal")
             # entries are written sorted, so strictly increasing pairs also
             # rule out duplicates
-            if (i, j) <= previous:
-                problem = "duplicate" if (i, j) == previous else "out-of-order"
+            if i < pi or i == pi and j <= pj:
+                problem = "duplicate" if i == pi and j == pj else "out-of-order"
                 raise InternalInvariantError(f"{path}: {problem} entry ({i},{j})")
-            previous = (i, j)
+            pi, pj = i, j
             found += 1
             totals[i] += v
             if i != j:
                 totals[j] += v  # symmetric storage: mirror into the upper half
-                half_bandwidth = max(half_bandwidth, i - j)
+                if i - j > half_bandwidth:
+                    half_bandwidth = i - j
     if found != nnz:
         raise ValueError(f"{path}: header says {nnz} entries, found {found}")
     if kind == "laplacian" and any(t != 0 for t in totals[1:]):

@@ -4,21 +4,32 @@ vectors differing by one in a single component.
 Provides an edge stream, the lexicographic labeling, labeling files and
 exact edge-scan bandwidths.  Only this module knows the lex-position
 layout, where the vertex at position i has its dimension-p neighbour at
-i + (n+1)^(d-1-p): scans, matrix export and the search's adjacency take it
-from `label_array`, a labeling indexed by lex position, and from the edge
-kernel `edge_ranges`, the edges as strided runs of positions.
+i + (n+1)^(d-1-p): scans, matrix export, listings and the search's
+adjacency take it from `label_array`, a labeling indexed by lex position,
+from the edge kernel `edge_ranges`, the edges as strided runs of at most
+RUN_CAP positions, and from `position_texts`, the text form of the vertex
+at each position.
+
+The Hales label array is built one coordinate at a time, with no walk of
+the order vertex by vertex: see `_hales_labels`.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import compress, product
-from operator import sub
-from typing import Iterator, Sequence
+from itertools import accumulate, compress, product, repeat
+from operator import add, sub
+from typing import Iterable, Iterator, Sequence
 
-from .hales import Vertex, hales_enumerate
+from .coeffs import coeff_row
+from .hales import Vertex
 
 DEFAULT_SCAN_BUDGET = 1_000_000
+
+# the longest run edge_ranges yields: a scan copies two label slices this
+# long, not two as long as n/(n+1) of the grid
+RUN_CAP = 1 << 16
 
 
 class BudgetExceededError(Exception):
@@ -82,7 +93,25 @@ def parse_vertex(text: str) -> Vertex:
 
 
 def format_vertex(u: Vertex) -> str:
-    return ",".join(str(c) for c in u)
+    return ",".join(map(str, u))
+
+
+def position_texts(params: GridParams, positions: Iterable[int]) -> Iterator[str]:
+    """format_vertex of the vertex at each lex position, in order.
+
+    Each text joins two precomputed strings, one for the leading ceil(d/2)
+    coordinates and one for the trailing floor(d/2), so the tables hold
+    O(sqrt((n+1)^(d+1))) strings and a position costs one divmod.
+    """
+    n, d = params.n, params.d
+    tail = d // 2
+
+    def texts(m: int) -> list[str]:
+        return [",".join(map(str, u)) for u in product(range(n + 1), repeat=m)]
+
+    lo = texts(tail)
+    hi = [f"{t}," for t in texts(d - tail)] if tail else texts(d)
+    return (hi[q] + lo[r] for q, r in map(divmod, positions, repeat((n + 1) ** tail)))
 
 
 def edges(params: GridParams) -> Iterator[tuple[Vertex, Vertex]]:
@@ -100,7 +129,10 @@ def edge_ranges(params: GridParams) -> Iterator[tuple[range, int]]:
     Each i in a range is the lighter endpoint of the edge (i, i + stride).
     Pairs come dimension by dimension, leftmost first.  A dimension with
     stride s is cut into its (n+1)^p blocks of n*s consecutive positions or
-    into its n*s residue classes modulo (n+1)*s, whichever are fewer.
+    into its n*s residue classes modulo (n+1)*s, whichever are fewer, and
+    a run longer than RUN_CAP into consecutive pieces of RUN_CAP positions.
+    The pieces keep the order of the positions, which the search's
+    adjacency lists follow.
     """
     n, d = params.n, params.d
     total = params.vertex_count
@@ -108,11 +140,13 @@ def edge_ranges(params: GridParams) -> Iterator[tuple[range, int]]:
         stride = (n + 1) ** (d - 1 - p)
         period = (n + 1) * stride
         if total // period <= n * stride:
-            for start in range(0, total, period):
-                yield range(start, start + n * stride), stride
+            starts = range(0, total, period)
+            runs = (range(start, start + n * stride) for start in starts)
         else:
-            for start in range(n * stride):
-                yield range(start, total, period), stride
+            runs = (range(start, total, period) for start in range(n * stride))
+        for run in runs:
+            for cut in range(0, len(run), RUN_CAP):
+                yield run[cut : cut + RUN_CAP], stride
 
 
 def edge_labels(
@@ -182,19 +216,68 @@ def load_labeling_file(path: str, params: GridParams) -> dict[Vertex, int]:
     return mapping
 
 
+def _typecode(top: int) -> str:
+    """The smallest array typecode that holds 0..top."""
+    if top < 1 << 8:
+        return "B"
+    if top < 1 << 16:
+        return "H"
+    return "i" if top < 1 << 31 else "q"
+
+
+def _hales_labels(n: int, d: int) -> array:
+    """Hales labels (rank + 1) by lex position, one coordinate at a time.
+
+    In m dimensions the weight-w class is stacked by last coordinate h,
+    descending, and the block of h lists the (m-1)-dimensional class of
+    weight w - h in Hales order.  The label of rest, the first m-1
+    coordinates of (rest, h), counts the (m-1)-dimensional vertices before
+    rest: those of weights max(0, w-n) .. w-h-1, which fill the blocks
+    h' > h and so also precede (rest, h); those before rest in its own
+    class, which precede it in its block; and those lighter than
+    max(0, w-n), which lie in no block of the class.  So the label of
+    (rest, h) is rest's label plus a shift that depends on w alone: the
+    m-dimensional vertices lighter than w, less the (m-1)-dimensional ones
+    lighter than max(0, w-n).  Class sizes are the coefficients of
+    (1 + x + ... + x^n)^m.  (rest, h) sits at lex position
+    (n+1)*position(rest) + h, so each h fills one stride-(n+1) slice.
+    """
+    digits = range(n + 1)
+    width = n + 1
+    size_code, weight_code = _typecode(width**d), _typecode(n * d)
+    labels = array(size_code, range(1, width + 1))
+    weights = array(weight_code, digits)
+    below = list(accumulate(coeff_row(n, 1).values, initial=0))
+    for m in range(2, d + 1):
+        below_m = list(accumulate(coeff_row(n, m).values, initial=0))
+        shifts = [below_m[w] - below[max(0, w - n)] for w in range(n * m + 1)]
+        grown = array(size_code, bytes(width**m * labels.itemsize))
+        for h in digits:
+            shift = shifts[h:]  # shift[w] is the shift for weight w + h
+            grown[h::width] = array(
+                size_code, map(add, labels, map(shift.__getitem__, weights))
+            )
+        if m < d:  # the last step needs no weights
+            grown_weights = array(weight_code, bytes(width**m * weights.itemsize))
+            for h in digits:
+                grown_weights[h::width] = array(weight_code, map(h.__add__, weights))
+            weights = grown_weights
+        labels, below = grown, below_m
+    return labels
+
+
 def label_array(spec: LabelingSpec, params: GridParams) -> Sequence[int]:
-    """The labeling as a sequence indexed by lex position."""
+    """The labeling as a sequence indexed by lex position.
+
+    lex is a range; hales is a compact array built by `_hales_labels`, with
+    no enumeration of the order; a file labeling is a list.
+    """
     n, d = params.n, params.d
     total = params.vertex_count
     if spec.kind == "lex":
         return range(1, total + 1)
     if spec.kind == "hales":
-        labels = [0] * total
-        label = 1
-        for u in hales_enumerate(n, d):
-            labels[lex_rank(u, params)] = label
-            label += 1
-        return labels
+        return _hales_labels(n, d)
     if spec.kind == "file":
         if spec.path is None:
             raise ValueError("file labeling requires a path")

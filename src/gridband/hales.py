@@ -108,6 +108,8 @@ def hales_enumerate(n: int, d: int) -> Iterator[Vertex]:
 
     Streams with O(d) working state (one generator frame per dimension plus
     the shared coordinate buffer); the full list is never materialized.
+    Whole-grid label arrays do not walk it (see grid.label_array); it is
+    the reference route that tests check them against.
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")

@@ -44,6 +44,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 from .bandwidth import bw_hales
 from .grid import (
@@ -334,6 +335,6 @@ def certificate_to_text(cert: OptimalityCertificate) -> str:
         f"# status {cert.status}",
         f"# nodes {cert.nodes_explored}",
     ]
-    for u, label in sorted(cert.witness_labeling.items(), key=lambda kv: kv[1]):
+    for u, label in sorted(cert.witness_labeling.items(), key=itemgetter(1)):
         lines.append(f"{format_vertex(u)}\t{label}")
     return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 
 import pytest
@@ -11,7 +12,7 @@ import gridband.hales as hales
 import gridband.oracle as oracle
 from gridband.cli import main
 from gridband.coeffs import trinomial_coeff
-from gridband.grid import InternalInvariantError
+from gridband.grid import InternalInvariantError, format_vertex
 
 
 def run(capsys, *argv):
@@ -155,6 +156,31 @@ def test_label_lex(capsys):
     assert out.splitlines()[:4] == ["0,0\t1", "0,1\t2", "0,2\t3", "1,0\t4"]
 
 
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 1), (1, 10)])
+def test_label_listing_matches_enumeration(capsys, n, d):
+    orders = {
+        "hales": hales.hales_enumerate(n, d),
+        "lex": itertools.product(range(n + 1), repeat=d),
+    }
+    for order, vertices in orders.items():
+        pairs = [(format_vertex(u), label) for label, u in enumerate(vertices, start=1)]
+        expected_csv = io.StringIO()
+        writer = csv.writer(expected_csv, lineterminator="\n")
+        writer.writerows([("vertex", "label"), *pairs])
+        expected = {
+            "plain": "".join(f"{text}\t{label}\n" for text, label in pairs),
+            "json": json.dumps(
+                {"d": d, "labels": pairs, "n": n, "order": order}, sort_keys=True
+            ) + "\n",
+            "csv": expected_csv.getvalue(),
+        }
+        for fmt, text in expected.items():
+            code, out, _ = run(capsys, "label", "--n", str(n), "--d", str(d),
+                               "--order", order, "--format", fmt)
+            assert code == 0
+            assert out == text, (order, fmt)
+
+
 def test_label_budget_exit(capsys):
     code, _, err = run(capsys, "label", "--n", "2", "--d", "8", "--budget", "100")
     assert code == 2
@@ -266,22 +292,37 @@ MM_HEADER = "%%MatrixMarket matrix coordinate integer symmetric\n"
 
 
 @pytest.mark.parametrize(
-    "body,error",
+    "body,error,message",
     [
-        ("2 2 4\n1 1 1\n2 1 -1\n2 1 -1\n2 2 1\n", InternalInvariantError),
-        ("2 2 3\n1 1 1\n1 2 -1\n2 2 1\n", InternalInvariantError),
-        ("2 2 4\n1 1 1\n2 1 -1\n2 2 1\n", ValueError),
-        ("2 2 3\n1 1 1\n2 1 -1\n2 2 2\n", InternalInvariantError),
-        ("2 2 3\n2 1 -1\n1 1 1\n2 2 1\n", InternalInvariantError),
+        ("2 2 4\n1 1 1\n2 1 -1\n2 1 -1\n2 2 1\n", InternalInvariantError, "duplicate"),
+        ("2 2 3\n1 1 1\n1 2 -1\n2 2 1\n", InternalInvariantError, "above the diagonal"),
+        ("2 2 4\n1 1 1\n2 1 -1\n2 2 1\n", ValueError, "header says"),
+        ("2 2 3\n1 1 1\n2 1 -1\n2 2 2\n", InternalInvariantError, "row sums"),
+        ("2 2 3\n2 1 -1\n1 1 1\n2 2 1\n", InternalInvariantError, "out-of-order"),
     ],
     ids=["duplicate", "above-diagonal", "wrong-nnz", "row-sum", "out-of-order"],
 )
-def test_self_test_rejects_bad_export(tmp_path, body, error):
-    # each file is the P_1^1 Laplacian (half-bandwidth 1) with one defect
+def test_self_test_rejects_bad_export(tmp_path, body, error, message):
+    # each file is the P_1^1 Laplacian (half-bandwidth 1) with one defect,
+    # and the check that names that defect must be the one to fire
     path = tmp_path / "bad.mtx"
     path.write_text(MM_HEADER + body, encoding="utf-8")
-    with pytest.raises(error):
+    with pytest.raises(error, match=message):
         cli._self_test_export(str(path), "laplacian", 1)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "2 2 3\n1 1 1\n\n2 1 -1\n2 2 1\n",
+        "% a comment line\n2 2 3\n1 1 1\n2 1 -1\n2 2 1\n",
+    ],
+    ids=["blank-line", "comment-line"],
+)
+def test_self_test_accepts_export(tmp_path, body):
+    path = tmp_path / "good.mtx"
+    path.write_text(MM_HEADER + body, encoding="utf-8")
+    cli._self_test_export(str(path), "laplacian", 1)
 
 
 def test_export_budget_exit(capsys, tmp_path):

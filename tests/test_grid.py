@@ -1,7 +1,11 @@
 """Graph model, labelings, and the edge-scan bandwidth evaluator."""
 
+import random
+from itertools import product
+
 import pytest
 
+import gridband.grid as grid
 from gridband.bandwidth import bw_hales, bw_lex
 from gridband.grid import (
     BudgetExceededError,
@@ -10,11 +14,13 @@ from gridband.grid import (
     edge_ranges,
     edges,
     format_vertex,
+    label_array,
     labeling_bandwidth,
     lex_rank,
     lex_unrank,
     load_labeling_file,
     parse_vertex,
+    position_texts,
 )
 from gridband.hales import hales_enumerate, hales_rank
 
@@ -62,6 +68,69 @@ def test_edge_ranges_match_edges():
         assert sorted(kernel) == sorted(edges(params)), (n, d)
         cuts |= {r.step == 1 for r, _ in edge_ranges(params)}
     assert cuts == {True, False}
+
+
+def _positions(runs):
+    return [(i, s) for r, s in runs for i in r]
+
+
+def test_edge_ranges_capped_pieces_concatenate(monkeypatch):
+    for n, d in [(2, 3), (3, 4), (1, 10), (255, 2), (6, 1)]:
+        params = GridParams(n, d)
+        monkeypatch.setattr(grid, "RUN_CAP", params.vertex_count)
+        uncapped = list(edge_ranges(params))
+        for cap in (1, 5, 64):
+            monkeypatch.setattr(grid, "RUN_CAP", cap)
+            capped = list(edge_ranges(params))
+            assert max(len(r) for r, _ in capped) <= cap
+            assert _positions(capped) == _positions(uncapped), (n, d, cap)
+
+
+def test_edge_ranges_cap_long_runs():
+    # dimension 0 of P_3^9 is three blocks of 3 * 4^8 = 196 608 positions
+    params = GridParams(3, 9)
+    lengths = [len(r) for r, _ in edge_ranges(params)]
+    assert max(lengths) == grid.RUN_CAP
+    assert sum(lengths) == params.edge_count
+
+
+def _hales_by_enumeration(params):
+    labels = [0] * params.vertex_count
+    for label, u in enumerate(hales_enumerate(params.n, params.d), start=1):
+        labels[lex_rank(u, params)] = label
+    return labels
+
+
+def test_hales_label_array_inverts_enumeration():
+    # the sweep crosses the array typecode switches at 255/256 and
+    # 65535/65536: n*d picks the weights' code, (n+1)^d the labels'
+    typecodes = set()
+    grids = [(1, 1), (4, 1), (9, 1), (2, 3), (3, 2), (1, 12), (255, 2), (5, 4),
+             (3, 6), (254, 1), (255, 1), (256, 1), (1, 8), (127, 2), (128, 2),
+             (65534, 1), (65535, 1), (65536, 1)]
+    for n, d in grids:
+        params = GridParams(n, d)
+        labels = label_array(LabelingSpec("hales"), params)
+        assert list(labels) == _hales_by_enumeration(params), (n, d)
+        typecodes.add(labels.typecode)
+    assert typecodes == {"B", "H", "i"}
+
+
+def test_hales_label_array_matches_rank():
+    rng = random.Random(7)
+    for n, d in [(3, 9), (31, 3), (2, 10), (999, 2)]:
+        params = GridParams(n, d)
+        labels = label_array(LabelingSpec("hales"), params)
+        for i in rng.sample(range(params.vertex_count), 200):
+            u = lex_unrank(i, params)
+            assert hales_rank(u, n, d) + 1 == labels[lex_rank(u, params)], (n, d, u)
+
+
+def test_position_texts_match_format_vertex():
+    for n, d in [(1, 1), (4, 1), (2, 3), (3, 2), (1, 10), (11, 2)]:
+        params = GridParams(n, d)
+        texts = list(position_texts(params, range(params.vertex_count)))
+        assert texts == [format_vertex(u) for u in product(range(n + 1), repeat=d)]
 
 
 def test_lex_rank_unrank():

@@ -103,6 +103,26 @@ def test_certificate_header_lines():
     assert len(lines) == 3 + 4
 
 
+def _certificate_by_format_vertex(cert):
+    """certificate_to_text as first written: a lambda sort key, str per coordinate."""
+    lines = [
+        f"# bandwidth {cert.optimal_value}",
+        f"# status {cert.status}",
+        f"# nodes {cert.nodes_explored}",
+    ]
+    for u, label in sorted(cert.witness_labeling.items(), key=lambda kv: kv[1]):
+        lines.append(",".join(str(c) for c in u) + f"\t{label}")
+    return "\n".join(lines) + "\n"
+
+
+def test_certificate_bytes_unchanged():
+    proved = brute_force_bw(GridParams(2, 2))
+    exhausted = brute_force_bw(GridParams(1, 6), SearchBudget(max_nodes=10))
+    assert (proved.status, exhausted.status) == (PROVED, BUDGET_EXHAUSTED)
+    for cert in (proved, exhausted):
+        assert certificate_to_text(cert) == _certificate_by_format_vertex(cert)
+
+
 def test_search_is_deterministic():
     first = brute_force_bw(GridParams(3, 2))
     second = brute_force_bw(GridParams(3, 2))
