@@ -3,13 +3,11 @@
 The row for parameters (n, d) holds the n*d + 1 coefficients
 C(d, k) = [x^k] (1 + x + ... + x^n)^d.  Every row is symmetric, log-concave
 and sums to (n + 1)^d.  All arithmetic is exact (Python big integers).
-Rows are cached for one n at a time, as a list of rows 0, 1, 2, ... that
-a loop extends from the highest row built so far; the row lookups and sums
-read a slice of a cached row.  The largest coefficient and the top sums
-need one coefficient or one window each, so they are differences of two
-counts by inclusion-exclusion and build no row; `_top_sums_by_rows`
-streams the top sums row by row for the bandwidth series, keeping only
-the previous row.
+Nothing is cached: `coeff_rows` streams rows 0..d, each built from the one
+before and only the latest kept, and refuses a row past ROW_BITS before it
+builds any; `_prev_row` steps back down exactly.  Single coefficients, the
+largest coefficient and the top sums are differences of two
+inclusion-exclusion counts and build no row.
 """
 
 from __future__ import annotations
@@ -20,8 +18,21 @@ from math import comb, factorial
 from operator import sub
 from typing import Iterator
 
-# n -> [row 0, row 1, ...] for the most recent n only; a new n drops the old
-_ROWS: dict[int, list[tuple[int, ...]]] = {}
+# the most bits coeff_rows lets a row hold, n*d+1 entries of d*bitlen(n+1)
+ROW_BITS = 1 << 28
+
+
+class BudgetExceededError(Exception):
+    """An operation would enumerate more vertices/lines than its budget allows."""
+
+    def __init__(self, message: str, budget: int, required: int):
+        super().__init__(message)
+        self.budget = budget
+        self.required = required
+
+
+class InternalInvariantError(Exception):
+    """A check that holds for correct code failed, such as two routes disagreeing."""
 
 
 @dataclass(frozen=True)
@@ -55,14 +66,41 @@ def _next_row(row: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(map(sub, upper, lower))
 
 
-def _row(n: int, d: int) -> tuple[int, ...]:
-    rows = _ROWS.get(n)
-    if rows is None:
-        _ROWS.clear()
-        rows = _ROWS[n] = [(1,)]
-    while len(rows) <= d:
-        rows.append(_next_row(rows[-1], n))
-    return rows[d]
+def _prev_row(row: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The row before `row` (of degree d >= 1), the inverse of _next_row.
+
+    (1 - x) P_d = (1 - x^(n+1)) P_(d-1), so
+    C(d-1, k) = C(d-1, k-n-1) + C(d, k) - C(d, k-1): within each residue
+    class of k modulo n+1, a running sum of the first differences of `row`.
+    """
+    size = len(row) - n
+    diffs = list(map(sub, row[:size], (0,) + row[: size - 1]))
+    prev = [0] * size
+    for r in range(n + 1):
+        prev[r :: n + 1] = accumulate(diffs[r :: n + 1])
+    return tuple(prev)
+
+
+def coeff_rows(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0, 1, ..., d one after another; only the latest is kept.
+
+    Raises BudgetExceededError, before any row is built, when row d would
+    hold more than ROW_BITS bits.
+    """
+    _check_params(n, d)
+    bits = (n * d + 1) * d * (n + 1).bit_length()
+    if bits > ROW_BITS:
+        raise BudgetExceededError(
+            f"coefficient row {d} for n = {n} would hold about {bits} bits; "
+            f"the row budget is {ROW_BITS} bits",
+            budget=ROW_BITS,
+            required=bits,
+        )
+    row = (1,)
+    yield row
+    for _ in range(d):
+        row = _next_row(row, n)
+        yield row
 
 
 def _count_below(n: int, i: int, k: int) -> int:
@@ -92,35 +130,20 @@ def _top_window(n: int, i: int) -> tuple[int, int]:
 
 def coeff_row(n: int, d: int) -> CoeffRow:
     """Full coefficient row of (1 + x + ... + x^n)^d, exact big integers."""
-    _check_params(n, d)
-    return CoeffRow(n, d, _row(n, d))
+    for row in coeff_rows(n, d):
+        pass
+    return CoeffRow(n, d, row)
 
 
 def coeff(n: int, d: int, k: int) -> int:
     """Coefficient of x^k; returns 0 for k outside [0, n*d]."""
     _check_params(n, d)
-    if k < 0 or k > n * d:
-        return 0
-    return _row(n, d)[k]
-
-
-def coeff_range_sum(n: int, d: int, a: int, b: int) -> int:
-    """Sum of coefficients of degrees a..b inclusive (degrees clamped to the row)."""
-    _check_params(n, d)
-    return sum(_row(n, d)[max(a, 0) : max(b + 1, 0)])
-
-
-def cumulative_below(n: int, d: int, k: int) -> int:
-    """Number of monomials of degree < k, i.e. sum of coefficients 0..k-1."""
-    _check_params(n, d)
-    return sum(_row(n, d)[: max(k, 0)])
+    return _count_below(n, d, k + 1) - _count_below(n, d, k)
 
 
 def max_coeff(n: int, d: int) -> int:
     """Largest coefficient of the row; sits at the central degree floor(n*d/2)."""
-    _check_params(n, d)
-    centre = (n * d) // 2
-    return _count_below(n, d, centre + 1) - _count_below(n, d, centre)
+    return coeff(n, d, (n * d) // 2)
 
 
 def top_sum(n: int, i: int) -> int:
@@ -136,14 +159,8 @@ def top_sum(n: int, i: int) -> int:
 
 
 def _top_sums_by_rows(n: int, d_max: int) -> Iterator[int]:
-    """top_sum(n, i) for i = 0..d_max-1, from rows built one after another.
-
-    Only the previous row is kept, and the cache is not touched.
-    """
-    row = (1,)
-    for i in range(d_max):
-        if i:
-            row = _next_row(row, n)
+    """top_sum(n, i) for i = 0..d_max-1, from the row stream."""
+    for i, row in enumerate(coeff_rows(n, d_max - 1)):
         lo, stop = _top_window(n, i)
         yield sum(row[lo:stop])
 
@@ -181,7 +198,7 @@ def middle_window(n: int, d: int, i: int) -> tuple[int, int]:
         raise ValueError(f"window width must lie in [1, {n * d + 1}], got {i}")
     lo = (n * d + 1) // 2 - i // 2
     hi = lo + i - 1
-    row = _row(n, d)
+    row = coeff_row(n, d).values
     while lo > 0 and row[lo - 1] == row[hi]:
         lo -= 1
         hi -= 1

@@ -10,39 +10,26 @@ from the edge kernel `edge_ranges`, the edges as strided runs of at most
 RUN_CAP positions, and from `position_texts`, the text form of the vertex
 at each position.
 
-The Hales label array is built one coordinate at a time, with no walk of
-the order vertex by vertex: see `_hales_labels`.
+The Hales label array is built one coordinate at a time by the recurrence
+of `hales.weight_shifts`, with no walk of the order: see `_hales_labels`.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, compress, product, repeat
+from itertools import compress, islice, product, repeat
 from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
-from .coeffs import coeff_row
-from .hales import Vertex
+from .coeffs import BudgetExceededError, InternalInvariantError  # re-exported
+from .hales import Vertex, weight_shifts
 
 DEFAULT_SCAN_BUDGET = 1_000_000
 
 # the longest run edge_ranges yields: a scan copies two label slices this
 # long, not two as long as n/(n+1) of the grid
 RUN_CAP = 1 << 16
-
-
-class BudgetExceededError(Exception):
-    """An operation would enumerate more vertices/lines than its budget allows."""
-
-    def __init__(self, message: str, budget: int, required: int):
-        super().__init__(message)
-        self.budget = budget
-        self.required = required
-
-
-class InternalInvariantError(Exception):
-    """A check that holds for correct code failed, such as two routes disagreeing."""
 
 
 @dataclass(frozen=True)
@@ -228,18 +215,8 @@ def _typecode(top: int) -> str:
 def _hales_labels(n: int, d: int) -> array:
     """Hales labels (rank + 1) by lex position, one coordinate at a time.
 
-    In m dimensions the weight-w class is stacked by last coordinate h,
-    descending, and the block of h lists the (m-1)-dimensional class of
-    weight w - h in Hales order.  The label of rest, the first m-1
-    coordinates of (rest, h), counts the (m-1)-dimensional vertices before
-    rest: those of weights max(0, w-n) .. w-h-1, which fill the blocks
-    h' > h and so also precede (rest, h); those before rest in its own
-    class, which precede it in its block; and those lighter than
-    max(0, w-n), which lie in no block of the class.  So the label of
-    (rest, h) is rest's label plus a shift that depends on w alone: the
-    m-dimensional vertices lighter than w, less the (m-1)-dimensional ones
-    lighter than max(0, w-n).  Class sizes are the coefficients of
-    (1 + x + ... + x^n)^m.  (rest, h) sits at lex position
+    The label of (rest, h) is rest's label plus the shift of its weight w,
+    from `hales.weight_shifts`.  (rest, h) sits at lex position
     (n+1)*position(rest) + h, so each h fills one stride-(n+1) slice.
     """
     digits = range(n + 1)
@@ -247,10 +224,9 @@ def _hales_labels(n: int, d: int) -> array:
     size_code, weight_code = _typecode(width**d), _typecode(n * d)
     labels = array(size_code, range(1, width + 1))
     weights = array(weight_code, digits)
-    below = list(accumulate(coeff_row(n, 1).values, initial=0))
-    for m in range(2, d + 1):
-        below_m = list(accumulate(coeff_row(n, m).values, initial=0))
-        shifts = [below_m[w] - below[max(0, w - n)] for w in range(n * m + 1)]
+    # in one dimension the shift of w is w; the steps start at m = 2
+    for m, shift_of in enumerate(islice(weight_shifts(n, d), 1, None), start=2):
+        shifts = list(map(shift_of, range(n * m + 1)))
         grown = array(size_code, bytes(width**m * labels.itemsize))
         for h in digits:
             shift = shifts[h:]  # shift[w] is the shift for weight w + h
@@ -262,7 +238,7 @@ def _hales_labels(n: int, d: int) -> array:
             for h in digits:
                 grown_weights[h::width] = array(weight_code, map(h.__add__, weights))
             weights = grown_weights
-        labels, below = grown, below_m
+        labels = grown
     return labels
 
 

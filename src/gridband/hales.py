@@ -4,15 +4,29 @@ Vertices compare first by weight (coordinate sum); ties are broken by
 scanning coordinates right to left, the first difference deciding with the
 larger coordinate sorting earlier (so within a weight class 2 < 1 < 0 at
 the deciding position).  Ranks are 0-based; user-facing labels are rank + 1.
+
+The order is counted one coordinate at a time, from the one vertex of
+dimension 0 at rank 0.  In m dimensions the weight-w class is stacked by
+last coordinate h, descending, and the block of h lists the
+(m-1)-dimensional class of weight w - h in Hales order.  The rank of rest,
+the first m-1 coordinates of (rest, h), counts the (m-1)-dimensional
+vertices before rest: those of weights max(0, w-n) .. w-h-1, which fill
+the blocks h' > h and so also precede (rest, h); those before rest in its
+own class, which precede it in its block; and those lighter than
+max(0, w-n), which lie in no block of the class.  So the rank of (rest, h)
+is rest's rank plus a shift that depends on w alone: the m-dimensional
+vertices lighter than w, less the (m-1)-dimensional ones lighter than
+max(0, w-n).  Class sizes are the coefficients of (1 + x + ... + x^n)^m.
+`weight_shifts` reads the shifts from their prefix sums; `hales_rank` and
+the label array of `grid` add them up.
 """
 
 from __future__ import annotations
 
-import bisect
 from itertools import accumulate
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .coeffs import coeff, coeff_range_sum, coeff_row, cumulative_below
+from .coeffs import InternalInvariantError, _prev_row, coeff_row, coeff_rows
 
 Vertex = tuple[int, ...]
 
@@ -43,50 +57,55 @@ def hales_sort_key(u: Vertex) -> tuple:
     return (sum(u), tuple(-c for c in reversed(u)))
 
 
+def weight_shifts(n: int, d: int) -> Iterator[Callable[[int], int]]:
+    """For m = 1..d, the map from a weight w = 0..n*m to its shift.
+
+    Holds two rows of prefix sums at a time, read from `coeff_rows`.
+    """
+    below: list[int] = []
+    for row in coeff_rows(n, d):
+        below_m = list(accumulate(row, initial=0))
+        if below:
+            yield lambda w, now=below_m, last=below: now[w] - last[max(0, w - n)]
+        below = below_m
+
+
 def hales_rank(u: Vertex, n: int, d: int) -> int:
     """0-based position of u in the Hales order on {0,...,n}^d.
 
-    All vertices of smaller weight come first; within the weight class the
-    blocks are ordered by last coordinate descending, so the offset of u is
-    the total size of the blocks with last coordinate above u's, recursively
-    down to one dimension.
+    Each coordinate adds the shift of the weight of the coordinates so far.
     """
     _check_vertex(u, n, d)
-    k = sum(u)
-    rank = cumulative_below(n, d, k)
-    for pos in range(d - 1, 0, -1):
-        b = u[pos]
-        h_max = min(k, n)
-        if b < h_max:
-            # blocks h = b+1..h_max hold degrees k-h_max..k-b-1 of the
-            # (pos)-dimensional row
-            rank += coeff_range_sum(n, pos, k - h_max, k - b - 1)
-        k -= b
+    rank = weight = 0
+    for c, shift in zip(u, weight_shifts(n, d)):
+        weight += c
+        rank += shift(weight)
     return rank
 
 
 def hales_unrank(r: int, n: int, d: int) -> Vertex:
-    """Inverse of hales_rank: the vertex at 0-based position r."""
+    """Inverse of hales_rank; steps from row d down one row per coordinate."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if r < 0 or r >= (n + 1) ** d:
         raise ValueError(f"rank {r} outside [0, {(n + 1) ** d - 1}]")
-    acc = list(accumulate(coeff_row(n, d).values, initial=0))
-    k = bisect.bisect_right(acc, r) - 1
-    r -= acc[k]
+    row = coeff_row(n, d).values
+    for k, size in enumerate(row):
+        if r < size:
+            break
+        r -= size
     coords = [0] * d
     for pos in range(d - 1, 0, -1):
+        row = _prev_row(row, n)
         h_lo = max(0, k - n * pos)
         for h in range(min(k, n), h_lo - 1, -1):
-            size = coeff(n, pos, k - h)
+            size = row[k - h]
             if r < size:
                 coords[pos] = h
                 k -= h
                 break
             r -= size
         else:  # unreachable for valid ranks
-            from .grid import InternalInvariantError  # grid imports this module
-
             raise InternalInvariantError("rank decoding failed")
     coords[0] = k
     return tuple(coords)

@@ -7,6 +7,7 @@ import pytest
 
 from gridband import coeffs
 from gridband.bandwidth import (
+    BoundsPair,
     asymptotic_estimate,
     bounds,
     bw_hales,
@@ -15,7 +16,13 @@ from gridband.bandwidth import (
     bw_lex,
     ratio_table,
 )
-from gridband.coeffs import _top_sums_by_rows, max_coeff, top_sum, trinomial_coeff
+from gridband.coeffs import (
+    _top_sums_by_rows,
+    coeff_row,
+    max_coeff,
+    top_sum,
+    trinomial_coeff,
+)
 
 
 def test_bw_hales_examples():
@@ -43,12 +50,18 @@ def test_series_routes_agree():
         assert bw_hales_series(n, d) == list(accumulate(by_rows)), (n, d)
 
 
-def test_series_builds_no_cached_row(cold_rows):
-    # one route streams rows without the cache, the other builds none
-    bw_hales_series(6, 100)
-    bw_hales_series(100, 6)
-    bounds(6, 100)
-    assert coeffs._ROWS == {}
+def test_series_builds_no_cached_row(monkeypatch):
+    # the counting route and the bounds build no row: they give the rows'
+    # answers with the row step broken
+    series = list(accumulate(_top_sums_by_rows(100, 6)))
+    pair = BoundsPair(max(coeff_row(6, 100).values), max(coeff_row(6, 101).values))
+
+    def no_row(row, n):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(coeffs, "_next_row", no_row)
+    assert bw_hales_series(100, 6) == series
+    assert bounds(6, 100) == pair
 
 
 def test_huge_n():
@@ -86,7 +99,7 @@ def test_bounds_examples():
         assert bounds(n, 1).lower == 1
 
 
-def test_bounds_on_deep_cold_rows(cold_rows):
+def test_bounds_on_deep_cold_rows():
     # for n = 2 the largest coefficient of row d is the trinomial C(d, d)
     pair = bounds(2, 620)
     assert (pair.lower, pair.upper) == (trinomial_coeff(620, 620), trinomial_coeff(621, 621))

@@ -27,7 +27,7 @@ def test_coeffs_plain(capsys):
     assert out == "1 3 6 7 6 3 1\n"
 
 
-def test_coeffs_on_deep_cold_rows(capsys, cold_rows):
+def test_coeffs_on_deep_cold_rows(capsys):
     code, out, _ = run(capsys, "coeffs", "--n", "2", "--d", "600")
     assert code == 0
     values = [int(tok) for tok in out.split()]
@@ -116,10 +116,20 @@ def test_invariant_failures_exit_3(capsys, monkeypatch):
     assert code == 3
     assert "internal error" in err
     # weight classes too small to hold the rank leave unrank without a vertex
-    monkeypatch.setattr(hales, "coeff", lambda n, d, k: 0)
+    monkeypatch.setattr(hales, "_prev_row", lambda row, n: (0,) * (len(row) - n))
     code, _, err = run(capsys, "unrank", "--n", "2", "--d", "2", "4")
     assert code == 3
     assert "internal error" in err
+
+
+@pytest.mark.parametrize("cmd,arg", [("rank", "0,0"), ("unrank", "0"), ("coeffs", None)])
+def test_rows_past_the_row_budget_exit_2(capsys, cmd, arg):
+    argv = [cmd, "--n", "100000000", "--d", "2", *([arg] if arg else [])]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("gridband: error: coefficient row 2 for n = 100000000 ")
+    assert err.count("\n") == 1
 
 
 def test_table_plain_and_note(capsys):

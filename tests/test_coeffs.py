@@ -5,10 +5,15 @@ from itertools import accumulate
 import pytest
 
 from gridband import coeffs
+from gridband.bandwidth import BoundsPair, bounds, bw_hales_series
 from gridband.coeffs import (
+    BudgetExceededError,
     _count_below,
+    _next_row,
+    _prev_row,
     coeff,
     coeff_row,
+    coeff_rows,
     max_coeff,
     middle_window,
     top_sum,
@@ -35,7 +40,7 @@ def test_coeff_row_examples():
     assert coeff_row(2, 3).values == tuple(conv_row(2, 3))
 
 
-def test_deep_cold_row_matches_closed_form(cold_rows):
+def test_deep_cold_row_matches_closed_form():
     row = coeff_row(2, 600).values
     assert len(row) == 1201
     assert sum(row) == 3**600
@@ -176,18 +181,30 @@ def test_max_coeff_and_top_sum_match_rows():
             assert top_sum(n, d) == sum(top[:n]), (n, d)
 
 
-def test_huge_n_needs_no_row(cold_rows):
+def _no_row(row, n):
+    raise AssertionError("a row was built")
+
+
+def test_huge_n_needs_no_row(monkeypatch):
+    monkeypatch.setattr(coeffs, "_next_row", _no_row)
     n = 10**9
     assert top_sum(n, 1) == n
     assert max_coeff(n, 12) < max_coeff(n, 13)
-    assert coeffs._ROWS == {}
+    assert coeff(n, 2, n) == n + 1
+    assert bw_hales_series(n, 3) == [1, n + 1, n + 1 + top_sum(n, 2)]
+    assert bounds(n, 12) == BoundsPair(max_coeff(n, 12), max_coeff(n, 13))
 
 
-def test_row_cache_keeps_only_the_latest_n(cold_rows):
-    assert coeff(2, 5, 5) == 51
-    assert list(coeffs._ROWS) == [2]
-    assert coeff(3, 4, 6) == 44
-    assert list(coeffs._ROWS) == [3]
-    assert len(coeffs._ROWS[3]) == 5
-    assert coeff(2, 5, 5) == 51
-    assert list(coeffs._ROWS) == [2]
+def test_prev_row_inverts_next_row():
+    for n in range(1, 9):
+        for row in coeff_rows(n, 30):
+            assert _prev_row(_next_row(row, n), n) == row, (n, len(row))
+
+
+def test_row_budget_refuses_before_building(monkeypatch):
+    monkeypatch.setattr(coeffs, "_next_row", _no_row)
+    with pytest.raises(BudgetExceededError) as refused:
+        next(coeff_rows(10**8, 2))
+    assert refused.value.budget == coeffs.ROW_BITS < refused.value.required
+    monkeypatch.undo()
+    assert len(coeff_row(6, 450)) == 2701  # about 3.6e6 bits: inside the budget

@@ -5,12 +5,13 @@ output under the key (weight, right-to-left coordinates negated).
 """
 
 import random
+import tracemalloc
 from functools import cmp_to_key
 from itertools import product
 
 import pytest
 
-from gridband.coeffs import coeff
+from gridband.coeffs import coeff, coeff_row
 from gridband.hales import (
     block_matrix,
     hales_compare,
@@ -90,10 +91,31 @@ def test_unrank_rejects_out_of_range():
 
 @pytest.mark.parametrize("n,d", [(1, 7), (2, 5), (3, 4), (7, 2), (99, 1)])
 def test_round_trips_exhaustive(n, d):
-    total = (n + 1) ** d
-    for r in range(total):
-        u = hales_unrank(r, n, d)
+    # rank adds up weight_shifts, unrank steps rows down: both against
+    # the enumeration, which counts nothing
+    for r, u in enumerate(hales_enumerate(n, d)):
+        assert hales_unrank(r, n, d) == u
         assert hales_rank(u, n, d) == r
+    assert r == (n + 1) ** d - 1
+
+
+@pytest.mark.parametrize("call", ["coeff_row", "hales_rank", "hales_unrank"])
+def test_rows_stream_in_bounded_memory(call):
+    # one row of (6, 360) is about 0.3 MiB; all 361 of them are 38 MiB
+    n, d = 6, 360
+    u = tuple(random.Random(360).randint(0, n) for _ in range(d))
+    calls = {
+        "coeff_row": lambda: coeff_row(n, d),
+        "hales_rank": lambda: hales_rank(u, n, d),
+        "hales_unrank": lambda: hales_unrank((n + 1) ** d // 3, n, d),
+    }
+    tracemalloc.start()
+    try:
+        calls[call]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 @pytest.mark.parametrize("n,d", [(1, 64), (2, 64), (5, 48), (8, 40)])
@@ -108,7 +130,7 @@ def test_round_trips_random_large(n, d):
 
 
 @pytest.mark.parametrize("n,d", [(1, 1000), (2, 600)])
-def test_round_trips_on_deep_cold_rows(cold_rows, n, d):
+def test_round_trips_on_deep_cold_rows(n, d):
     total = (n + 1) ** d
     assert hales_rank((0,) * d, n, d) == 0
     assert hales_rank((0,) * (d - 1) + (1,), n, d) == 1
