@@ -22,7 +22,6 @@ from .coeffs import (
     coeff,
     coeff_row,
     max_coeff,
-    middle_window,
     top_sum,
     trinomial_coeff,
 )

@@ -103,7 +103,10 @@ def asymptotic_estimate(n: int, d: int) -> AsymptoticEstimate:
     return AsymptoticEstimate(n=n, d=d, estimate=estimate, sqrt_factor=factor)
 
 
-def ratio_table(n: int, d_max: int) -> list[tuple[int, float]]:
-    """(d, bw_hales/bw_lex) for d = 1..d_max; exact integers divided last."""
-    hales = bw_hales_series(n, d_max)
-    return [(d, h / bw_lex(n, d)) for d, h in enumerate(hales, start=1)]
+def ratio_table(n: int, d_max: int) -> list[tuple[int, int, int, float]]:
+    """(d, bw_hales, bw_lex, ratio) for d = 1..d_max; the integers are divided last."""
+    rows = []
+    for d, hales in enumerate(bw_hales_series(n, d_max), start=1):
+        lex = bw_lex(n, d)
+        rows.append((d, hales, lex, hales / lex))
+    return rows

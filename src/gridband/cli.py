@@ -16,7 +16,7 @@ import csv
 import json
 import sys
 from collections import Counter
-from itertools import chain, count, repeat, starmap
+from itertools import chain, repeat, starmap
 from operator import sub
 
 from .bandwidth import (
@@ -25,6 +25,7 @@ from .bandwidth import (
     bw_hales,
     bw_hales_series,
     bw_lex,
+    ratio_table,
 )
 from .coeffs import coeff_row, max_coeff
 from .grid import (
@@ -37,11 +38,11 @@ from .grid import (
     edge_ranges,
     format_vertex,
     label_array,
+    label_listing,
     labeling_bandwidth,
     lex_rank,
     lex_unrank,
     parse_vertex,
-    position_texts,
 )
 from .hales import hales_rank, hales_unrank
 from .oracle import (
@@ -237,21 +238,8 @@ def cmd_table(args) -> int:
 
 def cmd_label(args) -> int:
     params = _params(args)
-    total = params.vertex_count
-    if total > args.budget:
-        raise BudgetExceededError(
-            f"P_{params.n}^{params.d} needs {total} lines; "
-            f"over the output budget ({args.budget} lines)",
-            budget=args.budget,
-            required=total,
-        )
-    positions = range(total)  # the lex position of each label, in label order
-    if args.order == "hales":
-        labels = label_array(LabelingSpec("hales"), params)
-        positions = labels[:]  # a compact array; the labels 1..total fill every slot
-        for position, label in enumerate(labels):
-            positions[label - 1] = position
-    pairs = zip(position_texts(params, positions), count(1))
+    params.check_budget(args.budget, "output")
+    pairs = label_listing(params, label_array(LabelingSpec(args.order), params))
     doc = {"order": args.order, "n": params.n, "d": params.d, "labels": pairs}
     _render(args, doc, ["vertex", "label"], pairs)
     return EXIT_OK
@@ -307,10 +295,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    rows = []
-    for d, h in enumerate(bw_hales_series(args.n, args.d), start=1):
-        lex = bw_lex(args.n, d)
-        rows.append((d, h, lex, h / lex))
+    rows = ratio_table(args.n, args.d)
     _render(args, {"n": args.n, "rows": rows}, ["d", "bw_hales", "bw_lex", "ratio"], rows)
     return EXIT_OK
 
@@ -414,14 +399,8 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
 
 def cmd_export_matrix(args) -> int:
     params = _params(args)
+    params.check_budget(args.budget, "export")
     total = params.vertex_count
-    if total > args.budget:
-        raise BudgetExceededError(
-            f"P_{params.n}^{params.d} has {total} vertices; "
-            f"over the export budget ({args.budget} vertices)",
-            budget=args.budget,
-            required=total,
-        )
     entries, half_bandwidth = _matrix_entries(params, args.order, args.kind)
     nnz = len(entries)
     _write_matrix_market(args.out, total, entries)

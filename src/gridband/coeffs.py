@@ -120,8 +120,8 @@ def _count_below(n: int, i: int, k: int) -> int:
 def _top_window(n: int, i: int) -> tuple[int, int]:
     """Degrees [lo, stop) of the centred window of the n largest coefficients.
 
-    This is middle_window(n, i, width) before its slide over ties; sliding
-    over a tie never changes the sum, so the sum is the top sum.
+    Rows are symmetric and unimodal, so the centred window holds them;
+    where ties let another window hold them too, both have the same sum.
     """
     width = min(n, n * i + 1)
     lo = (n * i + 1) // 2 - width // 2
@@ -184,22 +184,3 @@ def trinomial_coeff(d: int, k: int) -> int:
         total += fact_d // (factorial(a) * factorial(k - 2 * ell) * factorial(ell))
     return total
 
-
-def middle_window(n: int, d: int, i: int) -> tuple[int, int]:
-    """Degrees [lo, hi] holding the i largest coefficients of the row.
-
-    The window of width i is centered on the peak degree floor((n*d+1)/2)
-    (shifted half-open to the left for even i), then slid left over exact
-    ties so the leftmost admissible interval is returned.  The coefficient
-    sum over the window always equals the sum of the i largest entries.
-    """
-    _check_params(n, d)
-    if i < 1 or i > n * d + 1:
-        raise ValueError(f"window width must lie in [1, {n * d + 1}], got {i}")
-    lo = (n * d + 1) // 2 - i // 2
-    hi = lo + i - 1
-    row = coeff_row(n, d).values
-    while lo > 0 and row[lo - 1] == row[hi]:
-        lo -= 1
-        hi -= 1
-    return lo, hi

@@ -7,8 +7,8 @@ layout, where the vertex at position i has its dimension-p neighbour at
 i + (n+1)^(d-1-p): scans, matrix export, listings and the search's
 adjacency take it from `label_array`, a labeling indexed by lex position,
 from the edge kernel `edge_ranges`, the edges as strided runs of at most
-RUN_CAP positions, and from `position_texts`, the text form of the vertex
-at each position.
+RUN_CAP positions, and from `label_listing`, which lists a labeling in
+label order.  Loaded files and certificates keep labels by lex position.
 
 The Hales label array is built one coordinate at a time by the recurrence
 of `hales.weight_shifts`, with no walk of the order: see `_hales_labels`.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress, islice, product, repeat
+from itertools import compress, count, product, repeat
 from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -52,6 +52,17 @@ class GridParams:
     @property
     def edge_count(self) -> int:
         return self.d * self.n * (self.n + 1) ** (self.d - 1)
+
+    def check_budget(self, budget: int, what: str) -> None:
+        """Refuse with BudgetExceededError a grid of more than budget vertices."""
+        total = self.vertex_count
+        if total > budget:
+            raise BudgetExceededError(
+                f"P_{self.n}^{self.d} has {total} vertices; "
+                f"over the {what} budget ({budget} vertices)",
+                budget=budget,
+                required=total,
+            )
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,22 @@ def position_texts(params: GridParams, positions: Iterable[int]) -> Iterator[str
     lo = texts(tail)
     hi = [f"{t}," for t in texts(d - tail)] if tail else texts(d)
     return (hi[q] + lo[r] for q, r in map(divmod, positions, repeat((n + 1) ** tail)))
+
+
+def label_listing(
+    params: GridParams, labels: Sequence[int]
+) -> Iterator[tuple[str, int]]:
+    """(vertex text, label) for every vertex of a labeling, in label order.
+
+    labels is indexed by lex position.  A range, the lex labeling, is its
+    own inverse; any other labeling is inverted into a copy of itself.
+    """
+    positions = range(params.vertex_count)  # the lex position of each label
+    if not isinstance(labels, range):
+        positions = labels[:]  # the positions 0..total-1 fit where 1..total do
+        for position, label in enumerate(labels):
+            positions[label - 1] = position
+    return zip(position_texts(params, positions), count(1))
 
 
 def edges(params: GridParams) -> Iterator[tuple[Vertex, Vertex]]:
@@ -167,15 +194,15 @@ def lex_unrank(r: int, params: GridParams) -> Vertex:
     return tuple(coords)
 
 
-def load_labeling_file(path: str, params: GridParams) -> dict[Vertex, int]:
+def load_labeling_file(path: str, params: GridParams) -> list[int]:
     """Read an explicit labeling: one `<coords><TAB><label>` line per vertex.
 
-    Lines starting with '#' and blank lines are ignored.  The mapping must be
-    a bijection onto {1,...,(n+1)^d}; duplicates or gaps raise ValueError.
+    Returns the labels by lex position.  '#' lines and blank lines are
+    ignored; duplicates or gaps (not a bijection onto 1..(n+1)^d) raise ValueError.
     """
-    mapping: dict[Vertex, int] = {}
-    seen_labels: set[int] = set()
     total = params.vertex_count
+    labels = [0] * total
+    seen: set[int] = set()
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -187,20 +214,21 @@ def load_labeling_file(path: str, params: GridParams) -> dict[Vertex, int]:
             u = parse_vertex(parts[0])
             if len(u) != params.d or any(c < 0 or c > params.n for c in u):
                 raise ValueError(f"{path}:{lineno}: vertex {parts[0]} not in the grid")
+            position = lex_rank(u, params)
             label = int(parts[1])
             if label < 1 or label > total:
                 raise ValueError(f"{path}:{lineno}: label {label} outside 1..{total}")
-            if u in mapping:
+            if labels[position]:
                 raise ValueError(f"{path}:{lineno}: duplicate vertex {parts[0]}")
-            if label in seen_labels:
+            if label in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate label {label}")
-            mapping[u] = label
-            seen_labels.add(label)
-    if len(mapping) != total:
+            labels[position] = label
+            seen.add(label)
+    if len(seen) != total:
         raise ValueError(
-            f"{path}: {len(mapping)} vertices labeled, expected {total} (not a bijection)"
+            f"{path}: {len(seen)} vertices labeled, expected {total} (not a bijection)"
         )
-    return mapping
+    return labels
 
 
 def _typecode(top: int) -> str:
@@ -224,8 +252,7 @@ def _hales_labels(n: int, d: int) -> array:
     size_code, weight_code = _typecode(width**d), _typecode(n * d)
     labels = array(size_code, range(1, width + 1))
     weights = array(weight_code, digits)
-    # in one dimension the shift of w is w; the steps start at m = 2
-    for m, shift_of in enumerate(islice(weight_shifts(n, d), 1, None), start=2):
+    for m, shift_of in enumerate(weight_shifts(n, d), start=2):
         shifts = list(map(shift_of, range(n * m + 1)))
         grown = array(size_code, bytes(width**m * labels.itemsize))
         for h in digits:
@@ -246,22 +273,16 @@ def label_array(spec: LabelingSpec, params: GridParams) -> Sequence[int]:
     """The labeling as a sequence indexed by lex position.
 
     lex is a range; hales is a compact array built by `_hales_labels`, with
-    no enumeration of the order; a file labeling is a list.
+    no enumeration of the order; a file labeling is the loader's list.
     """
-    n, d = params.n, params.d
-    total = params.vertex_count
     if spec.kind == "lex":
-        return range(1, total + 1)
+        return range(1, params.vertex_count + 1)
     if spec.kind == "hales":
-        return _hales_labels(n, d)
+        return _hales_labels(params.n, params.d)
     if spec.kind == "file":
         if spec.path is None:
             raise ValueError("file labeling requires a path")
-        mapping = load_labeling_file(spec.path, params)
-        labels = [0] * total
-        for u, label in mapping.items():
-            labels[lex_rank(u, params)] = label
-        return labels
+        return load_labeling_file(spec.path, params)
     raise ValueError(f"unknown labeling kind {spec.kind!r}")
 
 
@@ -285,15 +306,7 @@ def labeling_bandwidth(
     refused outright rather than scanned for hours.
     """
     spec = _coerce_spec(spec)
-    n, d = params.n, params.d
-    total = params.vertex_count
-    if total > max_vertices:
-        raise BudgetExceededError(
-            f"P_{n}^{d} has {total} vertices; too large for edge scan "
-            f"(budget {max_vertices} vertices)",
-            budget=max_vertices,
-            required=total,
-        )
+    params.check_budget(max_vertices, "edge-scan")
     labels = label_array(spec, params)
     runs = list(edge_ranges(params))
     stretches = [max(_stretches(labels, r, s)) for r, s in runs]

@@ -32,6 +32,8 @@ Vertex = tuple[int, ...]
 
 
 def _check_vertex(u: Vertex, n: int, d: int) -> None:
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if len(u) != d:
         raise ValueError(f"vertex has {len(u)} coordinates, expected {d}")
     for c in u:
@@ -58,14 +60,16 @@ def hales_sort_key(u: Vertex) -> tuple:
 
 
 def weight_shifts(n: int, d: int) -> Iterator[Callable[[int], int]]:
-    """For m = 1..d, the map from a weight w = 0..n*m to its shift.
+    """For m = 2..d, the map from a weight w = 0..n*m to its shift.
 
-    Holds two rows of prefix sums at a time, read from `coeff_rows`.
+    The shift of m = 1 is the identity, so d < 2 builds no row.  Holds two
+    rows of prefix sums at a time, read from `coeff_rows`.
     """
-    below: list[int] = []
-    for row in coeff_rows(n, d):
+    if d < 2:
+        return
+    for m, row in enumerate(coeff_rows(n, d)):
         below_m = list(accumulate(row, initial=0))
-        if below:
+        if m >= 2:
             yield lambda w, now=below_m, last=below: now[w] - last[max(0, w - n)]
         below = below_m
 
@@ -73,11 +77,11 @@ def weight_shifts(n: int, d: int) -> Iterator[Callable[[int], int]]:
 def hales_rank(u: Vertex, n: int, d: int) -> int:
     """0-based position of u in the Hales order on {0,...,n}^d.
 
-    Each coordinate adds the shift of the weight of the coordinates so far.
+    Each coordinate after the first adds the shift of the weight so far.
     """
     _check_vertex(u, n, d)
-    rank = weight = 0
-    for c, shift in zip(u, weight_shifts(n, d)):
+    rank = weight = u[0]
+    for c, shift in zip(u[1:], weight_shifts(n, d)):
         weight += c
         rank += shift(weight)
     return rank
@@ -89,6 +93,8 @@ def hales_unrank(r: int, n: int, d: int) -> Vertex:
         raise ValueError(f"d must be >= 1, got {d}")
     if r < 0 or r >= (n + 1) ** d:
         raise ValueError(f"rank {r} outside [0, {(n + 1) ** d - 1}]")
+    if d == 1:
+        return (r,)
     row = coeff_row(n, d).values
     for k, size in enumerate(row):
         if r < size:

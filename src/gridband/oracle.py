@@ -43,20 +43,19 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
-from itertools import product
-from operator import itemgetter
+from itertools import chain, product, starmap
+from typing import Sequence
 
 from .bandwidth import bw_hales
 from .grid import (
     DEFAULT_SCAN_BUDGET,
-    BudgetExceededError,
     GridParams,
     InternalInvariantError,
     LabelingSpec,
     _max_stretch,
     edge_ranges,
-    format_vertex,
     label_array,
+    label_listing,
 )
 from .hales import Vertex
 
@@ -127,8 +126,9 @@ class SearchBudget:
 
 @dataclass
 class OptimalityCertificate:
+    params: GridParams
     optimal_value: int
-    witness_labeling: dict[Vertex, int]
+    labels: Sequence[int]  # the witness labeling, indexed by lex position
     nodes_explored: int
     status: str  # PROVED or BUDGET_EXHAUSTED
 
@@ -265,43 +265,29 @@ def brute_force_bw(
     refused with BudgetExceededError before anything is built, since an
     exhausted search falls back to a Hales scan of the whole grid.
     """
+    params.check_budget(DEFAULT_SCAN_BUDGET, "exhaustive-search")
     total = params.vertex_count
-    if total > DEFAULT_SCAN_BUDGET:
-        raise BudgetExceededError(
-            f"P_{params.n}^{params.d} has {total} vertices; too large for "
-            f"exhaustive search (budget {DEFAULT_SCAN_BUDGET} vertices)",
-            budget=DEFAULT_SCAN_BUDGET,
-            required=total,
-        )
     threshold = bw_hales(params.n, params.d) + 1 if use_formula_bound else total
     search = _Search(params, budget, threshold)
     search.run()
-    if search.best_labels is not None:
-        mapping = {
-            search.verts[i]: label
-            for i, label in enumerate(search.best_labels)
-        }
-        assert search.best_value is not None
-        return OptimalityCertificate(
-            optimal_value=search.best_value,
-            witness_labeling=mapping,
-            nodes_explored=search.nodes,
-            status=BUDGET_EXHAUSTED if search.out_of_budget else PROVED,
-        )
-    if not search.out_of_budget:
-        # the Hales labeling beats the starting incumbent, so an exhausted
-        # search that found nothing means the incumbent was wrong
-        raise InternalInvariantError(
-            "search exhausted without finding any labeling below the "
-            "starting incumbent; initial upper bound was not valid"
-        )
-    # one Hales label array gives both the witness and its scanned value
-    labels = label_array(LabelingSpec("hales"), params)
+    labels, value = search.best_labels, search.best_value
+    if labels is None:
+        if not search.out_of_budget:
+            # the Hales labeling beats the starting incumbent, so an exhausted
+            # search that found nothing means the incumbent was wrong
+            raise InternalInvariantError(
+                "search exhausted without finding any labeling below the "
+                "starting incumbent; initial upper bound was not valid"
+            )
+        # one Hales label array gives both the witness and its scanned value
+        labels = label_array(LabelingSpec("hales"), params)
+        value = _max_stretch(labels, params)
     return OptimalityCertificate(
-        optimal_value=_max_stretch(labels, params),
-        witness_labeling=dict(zip(search.verts, labels)),
+        params=params,
+        optimal_value=value,
+        labels=labels,
         nodes_explored=search.nodes,
-        status=BUDGET_EXHAUSTED,
+        status=BUDGET_EXHAUSTED if search.out_of_budget else PROVED,
     )
 
 
@@ -327,14 +313,13 @@ def verify_optimal(
 def certificate_to_text(cert: OptimalityCertificate) -> str:
     """Serialize as a labeling file with a '#' metadata header.
 
-    The body is loadable by grid.load_labeling_file; lines are sorted by
-    label so identical certificates serialize identically.
+    The body is the `gridband label` listing of the witness labeling: in
+    label order, and loadable by grid.load_labeling_file.
     """
-    lines = [
+    header = [
         f"# bandwidth {cert.optimal_value}",
         f"# status {cert.status}",
         f"# nodes {cert.nodes_explored}",
     ]
-    for u, label in sorted(cert.witness_labeling.items(), key=itemgetter(1)):
-        lines.append(f"{format_vertex(u)}\t{label}")
-    return "\n".join(lines) + "\n"
+    body = starmap("{}\t{}".format, label_listing(cert.params, cert.labels))
+    return "\n".join(chain(header, body)) + "\n"

@@ -225,7 +225,7 @@ def test_criterion_8_asymptotics():
             assert ratios[d] <= ratios[d - 2], (n, d)
 
     for n in range(1, 5):
-        ratios = [r for _, r in ratio_table(n, 30)]
+        ratios = [r for _, _, _, r in ratio_table(n, 30)]
         tail = ratios[2:]  # d >= 3
         assert all(a > b for a, b in zip(tail, tail[1:])), n
     elapsed = time.monotonic() - start

@@ -142,7 +142,7 @@ def test_asymptotic_estimate_past_float_range_is_refused():
 
 
 def test_ratio_table_examples():
-    rows = dict(ratio_table(2, 11))
+    rows = {d: ratio for d, _, _, ratio in ratio_table(2, 11)}
     assert rows[2] == pytest.approx(1.0)
     assert rows[11] == pytest.approx(26641 / 59049, rel=1e-15)
     assert rows[11] == pytest.approx(0.451, abs=5e-4)
@@ -150,7 +150,7 @@ def test_ratio_table_examples():
 
 def test_ratio_eventually_strictly_decreasing():
     for n in range(1, 9):
-        ratios = [r for _, r in ratio_table(n, 20)]
+        ratios = [r for _, _, _, r in ratio_table(n, 20)]
         tail = ratios[2:]  # d >= 3
         assert all(a > b for a, b in zip(tail, tail[1:])), n
 

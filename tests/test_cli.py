@@ -132,6 +132,11 @@ def test_rows_past_the_row_budget_exit_2(capsys, cmd, arg):
     assert err.count("\n") == 1
 
 
+def test_one_dimension_needs_no_row_at_huge_n(capsys):
+    assert run(capsys, "rank", "--n", "20000000", "--d", "1", "5") == (0, "6\n", "")
+    assert run(capsys, "unrank", "--n", "20000000", "--d", "1", "5") == (0, "5\n", "")
+
+
 def test_table_plain_and_note(capsys):
     code, out, _ = run(capsys, "table", "--n", "2", "--d", "5")
     assert code == 0

@@ -15,7 +15,6 @@ from gridband.coeffs import (
     coeff_row,
     coeff_rows,
     max_coeff,
-    middle_window,
     top_sum,
     trinomial_coeff,
 )
@@ -97,42 +96,9 @@ def test_trinomial_rejects_out_of_range():
         trinomial_coeff(3, -1)
 
 
-def test_middle_window_examples():
-    assert middle_window(2, 2, 1) == (2, 2)
-    assert middle_window(1, 1, 2) == (0, 1)
-    lo, hi = middle_window(2, 3, 2)
-    row = coeff_row(2, 3).values
-    assert sum(row[lo : hi + 1]) == 13  # ties at 6,7,6 allow [2,3] or [3,4]
-
-
-def test_middle_window_rejects_bad_width():
-    with pytest.raises(ValueError):
-        middle_window(2, 2, 0)
-    with pytest.raises(ValueError):
-        middle_window(2, 2, 6)
-
-
-def test_middle_window_is_leftmost_admissible():
-    # two equal peaks: the window slides onto the left one
-    assert middle_window(1, 3, 1) == (1, 1)
-    assert middle_window(1, 3, 2) == (1, 2)
-
-
 def ranked(n, d):
     """Reference for "the largest coefficients": the row sorted, largest first."""
     return tuple(sorted(coeff_row(n, d).values, reverse=True))
-
-
-def test_middle_window_sums_match_sorted_prefixes():
-    for n in range(1, 7):
-        for d in range(13):
-            row = coeff_row(n, d).values
-            top = ranked(n, d)
-            for i in range(1, n * d + 2):
-                lo, hi = middle_window(n, d, i)
-                assert hi - lo + 1 == i
-                assert sum(row[lo : hi + 1]) == sum(top[:i]), (n, d, i)
-            assert top_sum(n, d) == sum(top[:n]), (n, d)
 
 
 def test_row_invariants_small():

@@ -213,7 +213,8 @@ def test_labeling_file_round_trip(tmp_path):
     mapping = {u: i for i, u in enumerate(hales_enumerate(2, 2), start=1)}
     path = tmp_path / "hales.tsv"
     _write_labeling(path, mapping)
-    assert load_labeling_file(str(path), params) == mapping
+    by_position = [mapping[u] for u in product(range(3), repeat=2)]
+    assert load_labeling_file(str(path), params) == by_position
     report = labeling_bandwidth(LabelingSpec("file", str(path)), params)
     assert report.value == 3
 
@@ -247,4 +248,4 @@ def test_labeling_file_skips_comments_and_blanks(tmp_path):
     params = GridParams(1, 1)
     path = tmp_path / "commented.tsv"
     path.write_text("# header\n\n0\t1\n1\t2\n", encoding="utf-8")
-    assert load_labeling_file(str(path), params) == {(0,): 1, (1,): 2}
+    assert load_labeling_file(str(path), params) == [1, 2]

@@ -11,7 +11,9 @@ from itertools import product
 
 import pytest
 
+from gridband import coeffs
 from gridband.coeffs import coeff, coeff_row
+from gridband.grid import GridParams, LabelingSpec, label_array
 from gridband.hales import (
     block_matrix,
     hales_compare,
@@ -97,6 +99,17 @@ def test_round_trips_exhaustive(n, d):
         assert hales_unrank(r, n, d) == u
         assert hales_rank(u, n, d) == r
     assert r == (n + 1) ** d - 1
+
+
+def test_one_dimension_builds_no_row(monkeypatch):
+    # in one dimension the rank is the coordinate
+    def no_row(row, n):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(coeffs, "_next_row", no_row)
+    assert hales_rank((5,), 20_000_000, 1) == 5
+    assert hales_unrank(5, 20_000_000, 1) == (5,)
+    assert list(label_array(LabelingSpec("hales"), GridParams(4, 1))) == [1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("call", ["coeff_row", "hales_rank", "hales_unrank"])

@@ -8,6 +8,7 @@ from itertools import permutations, product
 import pytest
 
 from gridband.bandwidth import bw_hales
+from gridband.cli import main
 from gridband.grid import GridParams, LabelingSpec, labeling_bandwidth
 from gridband.oracle import (
     BUDGET_EXHAUSTED,
@@ -110,7 +111,9 @@ def _certificate_by_format_vertex(cert):
         f"# status {cert.status}",
         f"# nodes {cert.nodes_explored}",
     ]
-    for u, label in sorted(cert.witness_labeling.items(), key=lambda kv: kv[1]):
+    n, d = cert.params.n, cert.params.d
+    pairs = zip(product(range(n + 1), repeat=d), cert.labels)
+    for u, label in sorted(pairs, key=lambda kv: kv[1]):
         lines.append(",".join(str(c) for c in u) + f"\t{label}")
     return "\n".join(lines) + "\n"
 
@@ -121,6 +124,16 @@ def test_certificate_bytes_unchanged():
     assert (proved.status, exhausted.status) == (PROVED, BUDGET_EXHAUSTED)
     for cert in (proved, exhausted):
         assert certificate_to_text(cert) == _certificate_by_format_vertex(cert)
+
+
+def test_fallback_certificate_body_is_the_label_listing(capsys):
+    # a search cut off before any full labeling falls back to the Hales order
+    cert = brute_force_bw(GridParams(2, 3), SearchBudget(max_nodes=10))
+    assert cert.status == BUDGET_EXHAUSTED
+    assert main(["label", "--n", "2", "--d", "3"]) == 0
+    listing = capsys.readouterr().out
+    body = certificate_to_text(cert).split("\n", 3)[3]
+    assert body == listing
 
 
 def test_search_is_deterministic():
@@ -144,8 +157,7 @@ def test_node_budget_exhaustion():
     cert = brute_force_bw(GridParams(2, 2), SearchBudget(max_nodes=5))
     assert cert.status == BUDGET_EXHAUSTED
     # the fallback witness is still a genuine labeling achieving the value
-    mapping = cert.witness_labeling
-    assert sorted(mapping.values()) == list(range(1, 10))
+    assert sorted(cert.labels) == list(range(1, 10))
 
 
 def test_time_limit_exhaustion():
