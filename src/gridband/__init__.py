@@ -18,7 +18,6 @@ from .bandwidth import (
     ratio_table,
 )
 from .coeffs import (
-    CoeffRow,
     coeff,
     coeff_row,
     max_coeff,
@@ -30,7 +29,6 @@ from .grid import (
     BudgetExceededError,
     GridParams,
     InternalInvariantError,
-    LabelingSpec,
     edges,
     format_vertex,
     labeling_bandwidth,
@@ -45,7 +43,6 @@ from .hales import (
     hales_compare,
     hales_enumerate,
     hales_rank,
-    hales_sort_key,
     hales_unrank,
 )
 from .oracle import (

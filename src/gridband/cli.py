@@ -33,7 +33,6 @@ from .grid import (
     BudgetExceededError,
     GridParams,
     InternalInvariantError,
-    LabelingSpec,
     edge_labels,
     edge_ranges,
     format_vertex,
@@ -159,10 +158,9 @@ def _render(args, doc: dict, columns: list[str], rows=None, plain=None) -> None:
 
 
 def cmd_coeffs(args) -> int:
-    row = coeff_row(args.n, args.d)
-    values = list(row.values)
+    values = list(coeff_row(args.n, args.d))
     _render(
-        args, {"n": row.n, "d": row.d, "values": values}, ["k", "coefficient"],
+        args, {"n": args.n, "d": args.d, "values": values}, ["k", "coefficient"],
         enumerate(values), plain=[values],
     )
     return EXIT_OK
@@ -202,7 +200,7 @@ def cmd_bw(args) -> int:
             )
         doc.update(
             value=report.value,
-            method=report.method,
+            method="edge-scan",
             witness=[format_vertex(u) for u in report.witness],
         )
     else:
@@ -239,7 +237,7 @@ def cmd_table(args) -> int:
 def cmd_label(args) -> int:
     params = _params(args)
     params.check_budget(args.budget, "output")
-    pairs = label_listing(params, label_array(LabelingSpec(args.order), params))
+    pairs = label_listing(params, label_array(args.order, params))
     doc = {"order": args.order, "n": params.n, "d": params.d, "labels": pairs}
     _render(args, doc, ["vertex", "label"], pairs)
     return EXIT_OK
@@ -323,7 +321,7 @@ def _matrix_entries(
 ) -> tuple[list[tuple[int, int, int]], int]:
     """Lower-triangle (row, col, value) triplets, sorted, and their half-bandwidth."""
     # a list, so that the entries share one int object per label
-    labels = list(label_array(LabelingSpec(order), params))
+    labels = list(label_array(order, params))
     value = -1 if kind == "laplacian" else 1
     entries: list[tuple[int, int, int]] = []
     degree: Counter[int] = Counter()

@@ -12,7 +12,6 @@ inclusion-exclusion counts and build no row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb, factorial
 from operator import sub
@@ -33,18 +32,6 @@ class BudgetExceededError(Exception):
 
 class InternalInvariantError(Exception):
     """A check that holds for correct code failed, such as two routes disagreeing."""
-
-
-@dataclass(frozen=True)
-class CoeffRow:
-    """One row of the extended Pascal triangle: values[k] = [x^k](1+x+...+x^n)^d."""
-
-    n: int
-    d: int
-    values: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _check_params(n: int, d: int) -> None:
@@ -128,11 +115,11 @@ def _top_window(n: int, i: int) -> tuple[int, int]:
     return lo, lo + width
 
 
-def coeff_row(n: int, d: int) -> CoeffRow:
-    """Full coefficient row of (1 + x + ... + x^n)^d, exact big integers."""
+def coeff_row(n: int, d: int) -> tuple[int, ...]:
+    """Full coefficient row of (1 + x + ... + x^n)^d: entry k is [x^k], exact."""
     for row in coeff_rows(n, d):
         pass
-    return CoeffRow(n, d, row)
+    return row
 
 
 def coeff(n: int, d: int, k: int) -> int:

@@ -49,10 +49,6 @@ class GridParams:
     def vertex_count(self) -> int:
         return (self.n + 1) ** self.d
 
-    @property
-    def edge_count(self) -> int:
-        return self.d * self.n * (self.n + 1) ** (self.d - 1)
-
     def check_budget(self, budget: int, what: str) -> None:
         """Refuse with BudgetExceededError a grid of more than budget vertices."""
         total = self.vertex_count
@@ -66,20 +62,11 @@ class GridParams:
 
 
 @dataclass(frozen=True)
-class LabelingSpec:
-    """Which bijection V -> {1,...,(n+1)^d} to evaluate."""
-
-    kind: str  # "hales" | "lex" | "file"
-    path: str | None = None
-
-
-@dataclass(frozen=True)
 class BandwidthReport:
-    """A bandwidth value, a witness edge achieving it, and how it was obtained."""
+    """A scanned bandwidth value and a witness edge achieving it."""
 
     value: int
-    witness: tuple[Vertex, Vertex] | None
-    method: str  # "formula" | "edge-scan" | "brute-force" | "bound"
+    witness: tuple[Vertex, Vertex]
 
 
 def parse_vertex(text: str) -> Vertex:
@@ -198,8 +185,11 @@ def load_labeling_file(path: str, params: GridParams) -> list[int]:
     """Read an explicit labeling: one `<coords><TAB><label>` line per vertex.
 
     Returns the labels by lex position.  '#' lines and blank lines are
-    ignored; duplicates or gaps (not a bijection onto 1..(n+1)^d) raise ValueError.
+    ignored; duplicates or gaps (not a bijection onto 1..(n+1)^d) raise
+    ValueError.  A grid over DEFAULT_SCAN_BUDGET vertices raises
+    BudgetExceededError before any list is allocated.
     """
+    params.check_budget(DEFAULT_SCAN_BUDGET, "labeling-file")
     total = params.vertex_count
     labels = [0] * total
     seen: set[int] = set()
@@ -211,11 +201,14 @@ def load_labeling_file(path: str, params: GridParams) -> list[int]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected '<coords>\\t<label>'")
-            u = parse_vertex(parts[0])
+            try:
+                u = parse_vertex(parts[0])
+                label = int(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if len(u) != params.d or any(c < 0 or c > params.n for c in u):
                 raise ValueError(f"{path}:{lineno}: vertex {parts[0]} not in the grid")
             position = lex_rank(u, params)
-            label = int(parts[1])
             if label < 1 or label > total:
                 raise ValueError(f"{path}:{lineno}: label {label} outside 1..{total}")
             if labels[position]:
@@ -269,52 +262,48 @@ def _hales_labels(n: int, d: int) -> array:
     return labels
 
 
-def label_array(spec: LabelingSpec, params: GridParams) -> Sequence[int]:
-    """The labeling as a sequence indexed by lex position.
+def label_array(order: str, params: GridParams) -> Sequence[int]:
+    """The labeling of an order, "hales" or "lex", indexed by lex position.
 
     lex is a range; hales is a compact array built by `_hales_labels`, with
-    no enumeration of the order; a file labeling is the loader's list.
+    no enumeration of the order.
     """
-    if spec.kind == "lex":
+    if order == "lex":
         return range(1, params.vertex_count + 1)
-    if spec.kind == "hales":
+    if order == "hales":
         return _hales_labels(params.n, params.d)
-    if spec.kind == "file":
-        if spec.path is None:
-            raise ValueError("file labeling requires a path")
-        return load_labeling_file(spec.path, params)
-    raise ValueError(f"unknown labeling kind {spec.kind!r}")
-
-
-def _coerce_spec(spec: LabelingSpec | str) -> LabelingSpec:
-    if isinstance(spec, str):
-        if spec not in ("hales", "lex"):
-            raise ValueError(f"unknown labeling {spec!r} (use 'hales' or 'lex')")
-        return LabelingSpec(spec)
-    return spec
+    raise ValueError(f"unknown labeling {order!r} (use 'hales' or 'lex')")
 
 
 def labeling_bandwidth(
-    spec: LabelingSpec | str,
+    labeling: str | Sequence[int],
     params: GridParams,
     max_vertices: int = DEFAULT_SCAN_BUDGET,
 ) -> BandwidthReport:
     """Exact max |f(u) - f(v)| over all edges, with a deterministic witness.
 
-    The witness is the maximizing edge whose (hales rank, hales rank) pair is
-    smallest, independent of scan order.  Grids larger than max_vertices are
-    refused outright rather than scanned for hours.
+    labeling is an order name for `label_array`, or the labels by lex
+    position, such as `load_labeling_file` returns.  The witness is the
+    maximizing edge whose (hales rank, hales rank) pair is smallest,
+    independent of scan order.  Grids larger than max_vertices are refused
+    outright rather than scanned for hours.
     """
-    spec = _coerce_spec(spec)
     params.check_budget(max_vertices, "edge-scan")
-    labels = label_array(spec, params)
+    if isinstance(labeling, str):
+        labels = label_array(labeling, params)
+    elif len(labeling) == params.vertex_count:
+        labels = labeling
+    else:
+        raise ValueError(
+            f"{len(labeling)} labels for the {params.vertex_count} vertices of "
+            f"P_{params.n}^{params.d}"
+        )
     runs = list(edge_ranges(params))
     stretches = [max(_stretches(labels, r, s)) for r, s in runs]
     value = max(stretches)
     # the witness is the edge with the smallest pair of Hales ranks among
     # those reaching the value; ranks are distinct, so i and s never decide
-    hales = LabelingSpec("hales")
-    ranks = labels if spec.kind == "hales" else label_array(hales, params)
+    ranks = labels if labeling == "hales" else label_array("hales", params)
     _, _, i, s = min(
         (ranks[i], ranks[i + s], i, s)
         for (r, s), stretch in zip(runs, stretches)
@@ -322,7 +311,7 @@ def labeling_bandwidth(
         for i in compress(r, map(value.__eq__, _stretches(labels, r, s)))
     )
     witness = (lex_unrank(i, params), lex_unrank(i + s, params))
-    return BandwidthReport(value=value, witness=witness, method="edge-scan")
+    return BandwidthReport(value=value, witness=witness)
 
 
 def _max_stretch(labels: Sequence[int], params: GridParams) -> int:

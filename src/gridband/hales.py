@@ -54,11 +54,6 @@ def hales_compare(u: Vertex, v: Vertex) -> int:
     return 0
 
 
-def hales_sort_key(u: Vertex) -> tuple:
-    """Key function equivalent to hales_compare, for use with sorted()."""
-    return (sum(u), tuple(-c for c in reversed(u)))
-
-
 def weight_shifts(n: int, d: int) -> Iterator[Callable[[int], int]]:
     """For m = 2..d, the map from a weight w = 0..n*m to its shift.
 
@@ -95,7 +90,7 @@ def hales_unrank(r: int, n: int, d: int) -> Vertex:
         raise ValueError(f"rank {r} outside [0, {(n + 1) ** d - 1}]")
     if d == 1:
         return (r,)
-    row = coeff_row(n, d).values
+    row = coeff_row(n, d)
     for k, size in enumerate(row):
         if r < size:
             break
@@ -117,31 +112,18 @@ def hales_unrank(r: int, n: int, d: int) -> Vertex:
     return tuple(coords)
 
 
-def _fill_weight_class(n: int, dd: int, k: int, buf: list[int]) -> Iterator[None]:
-    if dd == 1:
-        buf[0] = k
-        yield
-        return
-    h_lo = max(0, k - n * (dd - 1))
-    for h in range(min(k, n), h_lo - 1, -1):
-        buf[dd - 1] = h
-        yield from _fill_weight_class(n, dd - 1, k - h, buf)
-
-
 def hales_enumerate(n: int, d: int) -> Iterator[Vertex]:
     """Yield all (n+1)^d vertices in increasing Hales order.
 
-    Streams with O(d) working state (one generator frame per dimension plus
-    the shared coordinate buffer); the full list is never materialized.
-    Whole-grid label arrays do not walk it (see grid.label_array); it is
-    the reference route that tests check them against.
+    The order is the weight blocks `block_matrix(n, d, k)` for k = 0..n*d,
+    one after another.  Whole-grid label arrays do not walk it (see
+    grid.label_array); it is the reference route that tests check them
+    against.
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    buf = [0] * d
     for k in range(n * d + 1):
-        for _ in _fill_weight_class(n, d, k, buf):
-            yield tuple(buf)
+        yield from block_matrix(n, d, k)
 
 
 def block_matrix(n: int, d: int, k: int) -> list[Vertex]:
@@ -149,7 +131,7 @@ def block_matrix(n: int, d: int, k: int) -> list[Vertex]:
 
     Sub-blocks of dimension d-1 are stacked with a constant last coordinate
     h running from min(k, n) down to max(0, k - n*(d-1)).  Intended as a
-    testing surface at small sizes; use hales_enumerate for streaming.
+    testing surface at small sizes.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")

@@ -51,7 +51,6 @@ from .grid import (
     DEFAULT_SCAN_BUDGET,
     GridParams,
     InternalInvariantError,
-    LabelingSpec,
     _max_stretch,
     edge_ranges,
     label_array,
@@ -280,7 +279,7 @@ def brute_force_bw(
                 "starting incumbent; initial upper bound was not valid"
             )
         # one Hales label array gives both the witness and its scanned value
-        labels = label_array(LabelingSpec("hales"), params)
+        labels = label_array("hales", params)
         value = _max_stretch(labels, params)
     return OptimalityCertificate(
         params=params,

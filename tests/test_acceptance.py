@@ -178,7 +178,7 @@ def test_criterion_6_coefficient_identities():
     start = time.monotonic()
     for n in range(1, 9):
         for d in range(41):
-            row = coeff_row(n, d).values
+            row = coeff_row(n, d)
             assert len(row) == n * d + 1
             assert sum(row) == (n + 1) ** d
             assert row == row[::-1]
@@ -187,7 +187,7 @@ def test_criterion_6_coefficient_identities():
 
     for n in range(1, 7):
         for d in range(21):
-            assert list(coeff_row(n, d).values) == conv_row(n, d), (n, d)
+            assert list(coeff_row(n, d)) == conv_row(n, d), (n, d)
 
     for d in range(21):
         for k in range(2 * d + 1):
@@ -195,7 +195,7 @@ def test_criterion_6_coefficient_identities():
 
     for n in range(1, 7):
         for d in range(2, 21):
-            ranked = tuple(sorted(coeff_row(n, d - 1).values, reverse=True))
+            ranked = tuple(sorted(coeff_row(n, d - 1), reverse=True))
             assert max_coeff(n, d) == top_sum(n, d - 1) + ranked[n], (n, d)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"identities took {elapsed:.2f}s"

@@ -54,7 +54,7 @@ def test_series_builds_no_cached_row(monkeypatch):
     # the counting route and the bounds build no row: they give the rows'
     # answers with the row step broken
     series = list(accumulate(_top_sums_by_rows(100, 6)))
-    pair = BoundsPair(max(coeff_row(6, 100).values), max(coeff_row(6, 101).values))
+    pair = BoundsPair(max(coeff_row(6, 100)), max(coeff_row(6, 101)))
 
     def no_row(row, n):
         raise AssertionError("a row was built")

@@ -10,7 +10,6 @@ from gridband.bandwidth import bw_hales, bw_lex
 from gridband.grid import (
     BudgetExceededError,
     GridParams,
-    LabelingSpec,
     edge_ranges,
     edges,
     format_vertex,
@@ -28,7 +27,6 @@ from gridband.hales import hales_enumerate, hales_rank
 def test_params_validation_and_counts():
     params = GridParams(2, 2)
     assert params.vertex_count == 9
-    assert params.edge_count == 12
     with pytest.raises(ValueError):
         GridParams(0, 2)
     with pytest.raises(ValueError):
@@ -42,7 +40,7 @@ def test_vertex_text_form():
         parse_vertex("1,x")
 
 
-def test_edge_counts():
+def test_edges_yields_each_edge_once():
     assert sum(1 for _ in edges(GridParams(2, 2))) == 12
     assert sum(1 for _ in edges(GridParams(5, 1))) == 5
     assert sum(1 for _ in edges(GridParams(1, 3))) == 12
@@ -64,7 +62,7 @@ def test_edge_ranges_match_edges():
             for r, s in edge_ranges(params)
             for i in r
         ]
-        assert len(kernel) == params.edge_count, (n, d)
+        assert len(kernel) == d * n * (n + 1) ** (d - 1), (n, d)
         assert sorted(kernel) == sorted(edges(params)), (n, d)
         cuts |= {r.step == 1 for r, _ in edge_ranges(params)}
     assert cuts == {True, False}
@@ -91,7 +89,7 @@ def test_edge_ranges_cap_long_runs():
     params = GridParams(3, 9)
     lengths = [len(r) for r, _ in edge_ranges(params)]
     assert max(lengths) == grid.RUN_CAP
-    assert sum(lengths) == params.edge_count
+    assert sum(lengths) == 9 * 3 * 4**8
 
 
 def _hales_by_enumeration(params):
@@ -110,7 +108,7 @@ def test_hales_label_array_inverts_enumeration():
              (65534, 1), (65535, 1), (65536, 1)]
     for n, d in grids:
         params = GridParams(n, d)
-        labels = label_array(LabelingSpec("hales"), params)
+        labels = label_array("hales", params)
         assert list(labels) == _hales_by_enumeration(params), (n, d)
         typecodes.add(labels.typecode)
     assert typecodes == {"B", "H", "i"}
@@ -120,7 +118,7 @@ def test_hales_label_array_matches_rank():
     rng = random.Random(7)
     for n, d in [(3, 9), (31, 3), (2, 10), (999, 2)]:
         params = GridParams(n, d)
-        labels = label_array(LabelingSpec("hales"), params)
+        labels = label_array("hales", params)
         for i in rng.sample(range(params.vertex_count), 200):
             u = lex_unrank(i, params)
             assert hales_rank(u, n, d) + 1 == labels[lex_rank(u, params)], (n, d, u)
@@ -184,15 +182,15 @@ def test_witness_is_deterministic_minimum_rank_pair(tmp_path):
         hales = {u: i for i, u in enumerate(hales_enumerate(n, d))}
         cases = [("hales", hales), ("lex", {u: lex_rank(u, params) for u in hales})]
         if (n, d) == (2, 2):
-            cases.append((LabelingSpec("file", str(path)), tied))
-        for spec, labels in cases:
-            report = labeling_bandwidth(spec, params)
+            cases.append((load_labeling_file(str(path), params), tied))
+        for labeling, labels in cases:
+            report = labeling_bandwidth(labeling, params)
             maximizers = [
                 (hales[u], hales[v], (u, v))
                 for u, v in edges(params)
                 if abs(labels[u] - labels[v]) == report.value
             ]
-            assert report.witness == min(maximizers)[2], (spec, n, d)
+            assert report.witness == min(maximizers)[2], (labeling, n, d)
 
 
 def test_scan_budget_error_names_budget():
@@ -200,6 +198,17 @@ def test_scan_budget_error_names_budget():
         labeling_bandwidth("hales", GridParams(2, 10), max_vertices=1000)
     assert "1000" in str(err.value)
     assert err.value.required == 3 ** 10
+
+
+def test_labeling_bandwidth_takes_an_order_or_a_full_label_array():
+    params = GridParams(2, 2)
+    with pytest.raises(ValueError, match="unknown labeling 'file'"):
+        labeling_bandwidth("file", params)
+    with pytest.raises(ValueError, match="unknown labeling 'file'"):
+        label_array("file", params)
+    with pytest.raises(ValueError, match="8 labels for the 9 vertices"):
+        labeling_bandwidth(list(range(1, 9)), params)
+    assert labeling_bandwidth(list(range(1, 10)), params).value == 3
 
 
 def _write_labeling(path, mapping):
@@ -215,7 +224,7 @@ def test_labeling_file_round_trip(tmp_path):
     _write_labeling(path, mapping)
     by_position = [mapping[u] for u in product(range(3), repeat=2)]
     assert load_labeling_file(str(path), params) == by_position
-    report = labeling_bandwidth(LabelingSpec("file", str(path)), params)
+    report = labeling_bandwidth(load_labeling_file(str(path), params), params)
     assert report.value == 3
 
 
@@ -242,6 +251,23 @@ def test_labeling_file_rejects_duplicates_and_gaps(tmp_path):
     path.write_text("5\t1\n1\t2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="not in the grid"):
         load_labeling_file(str(path), params)
+
+    path.write_text("0\t1\n1\tx\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.tsv:2: invalid literal for int"):
+        load_labeling_file(str(path), params)
+
+    path.write_text("0\t1\n0;1\t2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.tsv:2: bad vertex '0;1'"):
+        load_labeling_file(str(path), params)
+
+
+def test_labeling_file_refuses_a_grid_over_the_scan_budget(tmp_path):
+    # 2^40 vertices: refused before the label list is allocated or the file read
+    path = tmp_path / "missing.tsv"
+    with pytest.raises(BudgetExceededError) as err:
+        load_labeling_file(str(path), GridParams(1, 40))
+    assert err.value.budget == grid.DEFAULT_SCAN_BUDGET
+    assert err.value.required == 2**40
 
 
 def test_labeling_file_skips_comments_and_blanks(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from gridband.bandwidth import bw_hales
 from gridband.cli import main
-from gridband.grid import GridParams, LabelingSpec, labeling_bandwidth
+from gridband.grid import GridParams, labeling_bandwidth, load_labeling_file
 from gridband.oracle import (
     BUDGET_EXHAUSTED,
     PROVED,
@@ -90,7 +90,7 @@ def test_witness_rescans_to_optimal_value(tmp_path):
         assert cert.optimal_value == value
         path = tmp_path / "certificate.tsv"
         path.write_text(certificate_to_text(cert), encoding="utf-8")
-        report = labeling_bandwidth(LabelingSpec("file", str(path)), params)
+        report = labeling_bandwidth(load_labeling_file(str(path), params), params)
         assert report.value == value
 
 
