@@ -29,7 +29,6 @@ from .grid import (
     BudgetExceededError,
     GridParams,
     InternalInvariantError,
-    edges,
     format_vertex,
     labeling_bandwidth,
     lex_rank,

@@ -15,9 +15,9 @@ import argparse
 import csv
 import json
 import sys
-from collections import Counter
-from itertools import chain, repeat, starmap
-from operator import sub
+from array import array
+from itertools import accumulate, chain, islice, pairwise, starmap
+from operator import add, sub
 
 from .bandwidth import (
     asymptotic_estimate,
@@ -33,6 +33,7 @@ from .grid import (
     BudgetExceededError,
     GridParams,
     InternalInvariantError,
+    _typecode,
     edge_labels,
     edge_ranges,
     format_vertex,
@@ -57,8 +58,6 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_INTERNAL = 3
 
-DEFAULT_LABEL_BUDGET = 100_000
-DEFAULT_EXPORT_BUDGET = 100_000
 DEFAULT_NODE_BUDGET = 100_000_000
 
 TABLE_NOTE = (
@@ -316,37 +315,65 @@ def cmd_estimate(args) -> int:
 # ------------------------------------------------------- matrix export
 
 
-def _matrix_entries(
+def _matrix_rows(
     params: GridParams, order: str, kind: str
-) -> tuple[list[tuple[int, int, int]], int]:
-    """Lower-triangle (row, col, value) triplets, sorted, and their half-bandwidth."""
-    # a list, so that the entries share one int object per label
-    labels = list(label_array(order, params))
-    value = -1 if kind == "laplacian" else 1
-    entries: list[tuple[int, int, int]] = []
-    degree: Counter[int] = Counter()
+) -> tuple[array, array, array | None, int]:
+    """The lower triangle by rows, in flat arrays, and its half-bandwidth.
+
+    Returns (starts, cols, degree, half_bandwidth).  The off-diagonal
+    columns of row `label` are cols[starts[label]:starts[label + 1]], in no
+    order; degree[label] is the Laplacian's diagonal, and None for an
+    adjacency matrix.
+    """
+    labels = label_array(order, params)
+    total = params.vertex_count
+    # both orders give the lighter endpoint the smaller label, so the upper
+    # label of an edge is its row and the lower one its column
+    small = _typecode(2 * params.d)  # a row's entries, a label's degree
+    counts = array(small, [0]) * (total + 2)
+    degree = array(small, [0]) * (total + 1) if kind == "laplacian" else None
     half_bandwidth = 0
     for r, s in edge_ranges(params):
         lower, upper = edge_labels(labels, r, s)
-        # both orders give the lighter endpoint the smaller label, so every
-        # (upper, lower) entry lies below the diagonal
-        entries.extend(zip(upper, lower, repeat(value)))
         half_bandwidth = max(half_bandwidth, max(map(sub, upper, lower)))
-        if kind == "laplacian":
-            degree.update(lower)
-            degree.update(upper)
-    if kind == "laplacian":
-        entries.extend((label, label, k) for label, k in degree.items())
-    entries.sort()
-    return entries, half_bandwidth
+        for label in upper:
+            counts[label] += 1
+        if degree is not None:
+            for label in lower:
+                degree[label] += 1
+    if degree is not None:  # entries in a label's column plus its row's
+        degree = array(small, map(add, degree, counts))
+    # starts[label] ends row label; filling each row from its end leaves it
+    # at the row's start
+    starts = array(_typecode(params.d * total), accumulate(counts))
+    cols = array(_typecode(total), [0]) * starts[-1]
+    for r, s in edge_ranges(params):
+        for low, label in zip(*edge_labels(labels, r, s)):
+            k = starts[label] - 1
+            starts[label] = k
+            cols[k] = low
+    return starts, cols, degree, half_bandwidth
 
 
-def _write_matrix_market(path: str, size: int, entries) -> None:
+def _write_matrix_market(path: str, starts, cols, degree) -> int:
+    """Write the rows of `_matrix_rows` in MatrixMarket format; return nnz.
+
+    Each row's columns go out sorted, and its Laplacian diagonal last.  A
+    Laplacian (a degree array) has -1 off the diagonal, adjacency 1.
+    """
+    size = len(starts) - 2
+    nnz = len(cols) + (size if degree is not None else 0)
+    tail = " -1\n" if degree is not None else " 1\n"
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("%%MatrixMarket matrix coordinate integer symmetric\n")
-        handle.write(f"{size} {size} {len(entries)}\n")
-        for i, j, v in entries:
-            handle.write(f"{i} {j} {v}\n")
+        write = handle.write
+        write("%%MatrixMarket matrix coordinate integer symmetric\n")
+        write(f"{size} {size} {nnz}\n")
+        for row, (lo, hi) in enumerate(pairwise(islice(starts, 1, None)), start=1):
+            for col in sorted(cols[lo:hi]):
+                write(f"{row} {col}{tail}")
+            if degree is not None:
+                write(f"{row} {row} {degree[row]}\n")
+    return nnz
 
 
 def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> None:
@@ -398,18 +425,16 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
 def cmd_export_matrix(args) -> int:
     params = _params(args)
     params.check_budget(args.budget, "export")
-    total = params.vertex_count
-    entries, half_bandwidth = _matrix_entries(params, args.order, args.kind)
-    nnz = len(entries)
-    _write_matrix_market(args.out, total, entries)
-    del entries  # the self-test reads the file back; do not hold both copies
+    starts, cols, degree, half_bandwidth = _matrix_rows(params, args.order, args.kind)
+    nnz = _write_matrix_market(args.out, starts, cols, degree)
+    del starts, cols, degree  # the self-test reads the file back on its own
     if args.self_test:
         _self_test_export(args.out, args.kind, half_bandwidth)
     doc = {
         "path": args.out,
         "kind": args.kind,
         "order": args.order,
-        "size": total,
+        "size": params.vertex_count,
         "nnz": nnz,
         "half_bandwidth": half_bandwidth,
     }
@@ -500,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("label", help="full labeling listing in label order")
     _add_common(sub)
     sub.add_argument("--order", choices=["hales", "lex"], default="hales")
-    sub.add_argument("--budget", type=int, default=DEFAULT_LABEL_BUDGET,
-                     help=f"max output lines (default {DEFAULT_LABEL_BUDGET})")
+    sub.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET,
+                     help=f"max vertices (default {DEFAULT_SCAN_BUDGET})")
     sub.set_defaults(func=cmd_label)
 
     sub = subparsers.add_parser("rank", help="1-based label of a vertex")
@@ -534,8 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--order", choices=["hales", "lex"], default="hales")
     sub.add_argument("--kind", choices=["adjacency", "laplacian"], default="laplacian")
     sub.add_argument("--out", required=True, help="output path")
-    sub.add_argument("--budget", type=int, default=DEFAULT_EXPORT_BUDGET,
-                     help=f"max vertices (default {DEFAULT_EXPORT_BUDGET})")
+    sub.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET,
+                     help=f"max vertices (default {DEFAULT_SCAN_BUDGET})")
     sub.add_argument("--self-test", action="store_true",
                      help="re-read the file and verify row sums, symmetry, half-bandwidth")
     sub.set_defaults(func=cmd_export_matrix)

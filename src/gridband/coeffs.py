@@ -44,13 +44,10 @@ def _check_params(n: int, d: int) -> None:
 def _next_row(row: tuple[int, ...], n: int) -> tuple[int, ...]:
     """The row after `row`: C(d, k) = sum_{j=0}^{n} C(d-1, k-j).
 
-    A sliding window over the previous row, the difference of two shifted
-    prefix sums.
+    A sliding window over the previous row, built in one pass as the
+    running sum of its steps C(d, k) - C(d, k-1) = C(d-1, k) - C(d-1, k-n-1).
     """
-    acc = list(accumulate(row, initial=0))
-    upper = acc[1:] + [acc[-1]] * n
-    lower = [0] * n + acc[:-1]
-    return tuple(map(sub, upper, lower))
+    return tuple(accumulate(map(sub, row + (0,) * n, (0,) * (n + 1) + row)))
 
 
 def _prev_row(row: tuple[int, ...], n: int) -> tuple[int, ...]:

@@ -1,14 +1,14 @@
 """The graph P_n^d: vertices {0,...,n}^d with edges between coordinate
 vectors differing by one in a single component.
 
-Provides an edge stream, the lexicographic labeling, labeling files and
-exact edge-scan bandwidths.  Only this module knows the lex-position
-layout, where the vertex at position i has its dimension-p neighbour at
-i + (n+1)^(d-1-p): scans, matrix export, listings and the search's
-adjacency take it from `label_array`, a labeling indexed by lex position,
-from the edge kernel `edge_ranges`, the edges as strided runs of at most
-RUN_CAP positions, and from `label_listing`, which lists a labeling in
-label order.  Loaded files and certificates keep labels by lex position.
+Provides the lexicographic labeling, labeling files and exact edge-scan
+bandwidths.  Only this module knows the lex-position layout, where the
+vertex at position i has its dimension-p neighbour at i + (n+1)^(d-1-p):
+scans, matrix export, listings and the search's adjacency take it from
+`label_array`, a labeling indexed by lex position, from the edge kernel
+`edge_ranges`, the edges as strided runs of at most RUN_CAP positions,
+and from `label_listing`, which lists a labeling in label order.  Loaded
+files and certificates keep labels by lex position.
 
 The Hales label array is built one coordinate at a time by the recurrence
 of `hales.weight_shifts`, with no walk of the order: see `_hales_labels`.
@@ -113,15 +113,6 @@ def label_listing(
         for position, label in enumerate(labels):
             positions[label - 1] = position
     return zip(position_texts(params, positions), count(1))
-
-
-def edges(params: GridParams) -> Iterator[tuple[Vertex, Vertex]]:
-    """Each undirected edge exactly once, lighter (Hales-smaller) endpoint first."""
-    n, d = params.n, params.d
-    for u in product(range(n + 1), repeat=d):
-        for p, c in enumerate(u):
-            if c < n:
-                yield u, u[:p] + (c + 1,) + u[p + 1 :]
 
 
 def edge_ranges(params: GridParams) -> Iterator[tuple[range, int]]:

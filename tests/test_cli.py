@@ -4,6 +4,8 @@ import csv
 import io
 import itertools
 import json
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -12,7 +14,9 @@ import gridband.hales as hales
 import gridband.oracle as oracle
 from gridband.cli import main
 from gridband.coeffs import trinomial_coeff
-from gridband.grid import InternalInvariantError, format_vertex
+from gridband.grid import GridParams, InternalInvariantError, format_vertex
+
+from conftest import edges
 
 
 def run(capsys, *argv):
@@ -196,6 +200,17 @@ def test_label_listing_matches_enumeration(capsys, n, d):
             assert out == text, (order, fmt)
 
 
+@pytest.mark.parametrize("command", [["label"], ["export-matrix", "--out", "m.mtx"]])
+def test_default_budget_is_the_scan_budget(capsys, tmp_path, monkeypatch, command):
+    # 317^2 = 100 489 vertices fit the default budget of 10^6; 2^20 do not
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, *command, "--n", "316", "--d", "2")
+    assert code == 0
+    code, _, err = run(capsys, *command, "--n", "1", "--d", "20")
+    assert code == 2
+    assert "(1000000 vertices)" in err
+
+
 def test_label_budget_exit(capsys):
     code, _, err = run(capsys, "label", "--n", "2", "--d", "8", "--budget", "100")
     assert code == 2
@@ -304,6 +319,66 @@ def test_export_lex_laplacian(capsys, tmp_path):
 
 
 MM_HEADER = "%%MatrixMarket matrix coordinate integer symmetric\n"
+
+
+def _reference_export(n, d, kind, order):
+    """An export's file text and half-bandwidth, from edges() and a tuple sort."""
+    vertices = (
+        hales.hales_enumerate(n, d)
+        if order == "hales"
+        else itertools.product(range(n + 1), repeat=d)
+    )
+    label = {u: i for i, u in enumerate(vertices, start=1)}
+    value = -1 if kind == "laplacian" else 1
+    entries = []
+    degree = Counter()
+    for u, v in edges(GridParams(n, d)):
+        low, high = sorted((label[u], label[v]))
+        entries.append((high, low, value))
+        degree.update((low, high))
+    half_bandwidth = max(high - low for high, low, _ in entries)
+    if kind == "laplacian":
+        entries += [(x, x, k) for x, k in degree.items()]
+    entries.sort()
+    size = len(label)
+    lines = [f"{size} {size} {len(entries)}\n"]
+    lines += [f"{i} {j} {v}\n" for i, j, v in entries]
+    return MM_HEADER + "".join(lines), half_bandwidth
+
+
+# labels pass typecode B at (1,8), with 256 vertices, and columns at (16,2)
+@pytest.mark.parametrize("n,d", [(2, 3), (1, 5), (3, 2), (1, 8), (16, 2)])
+def test_export_matches_reference(capsys, tmp_path, n, d):
+    for kind, order in itertools.product(["adjacency", "laplacian"], ["hales", "lex"]):
+        path = tmp_path / f"{kind}-{order}.mtx"
+        code, out, _ = run(
+            capsys, "export-matrix", "--n", str(n), "--d", str(d), "--kind", kind,
+            "--order", order, "--out", str(path), "--self-test", "--format", "json",
+        )
+        assert code == 0
+        text, half_bandwidth = _reference_export(n, d, kind, order)
+        assert path.read_text(encoding="utf-8") == text, (kind, order)
+        doc = json.loads(out)
+        assert doc["nnz"] == text.count("\n") - 2
+        assert doc["half_bandwidth"] == half_bandwidth
+
+
+def test_export_peak_memory(capsys, tmp_path):
+    # a sorted list of (row, col, value) tuples took this export's traced
+    # peak to 1.06 MiB; the flat arrays must stay under a quarter of that.
+    # A first, untraced export pays the one-time costs of any export.
+    run(capsys, "export-matrix", "--n", "1", "--d", "3", "--out", str(tmp_path / "a.mtx"))
+    tracemalloc.start()
+    try:
+        code, _, _ = run(
+            capsys, "export-matrix", "--n", "1", "--d", "11", "--kind", "laplacian",
+            "--order", "hales", "--out", str(tmp_path / "b.mtx"),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < (1 << 20) // 4, peak
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from gridband.grid import (
     BudgetExceededError,
     GridParams,
     edge_ranges,
-    edges,
     format_vertex,
     label_array,
     labeling_bandwidth,
@@ -22,6 +21,8 @@ from gridband.grid import (
     position_texts,
 )
 from gridband.hales import hales_enumerate, hales_rank
+
+from conftest import edges
 
 
 def test_params_validation_and_counts():
