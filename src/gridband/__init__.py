@@ -27,7 +27,6 @@ from .coeffs import (
 from .grid import (
     BandwidthReport,
     BudgetExceededError,
-    GridParams,
     InternalInvariantError,
     format_vertex,
     labeling_bandwidth,

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .coeffs import _top_sums_by_rows, max_coeff, top_sum
+from .coeffs import _top_sums_by_rows, check_grid, max_coeff, top_sum
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,6 @@ class AsymptoticEstimate:
 
 def bw_hales(n: int, d: int) -> int:
     """Exact bandwidth of P_n^d: sum of top_sum(n, i) for i = 0..d-1."""
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     return bw_hales_series(n, d)[-1]
 
 
@@ -47,8 +45,7 @@ def bw_hales_series(n: int, d_max: int) -> list[int]:
     terms grow with i / (n+1); when d_max is large against n, streaming the
     rows is cheaper.
     """
-    if n < 1 or d_max < 1:
-        raise ValueError(f"need n >= 1 and d_max >= 1, got n={n}, d_max={d_max}")
+    check_grid(n, d_max)
     # CPU time of the row route over the counting route, best of 3 in
     # process (Python 3.11.7, Xeon): 0.21 at (n, d_max) = (10, 200), 0.51 at
     # (30, 200), 0.87 at (50, 200), 1.01 at (20, 80), 1.14 at (25, 100),
@@ -63,22 +60,19 @@ def bw_hales_series(n: int, d_max: int) -> list[int]:
 
 def bw_hypercube(d: int) -> int:
     """Bandwidth of the d-cube: sum of binom(i, floor(i/2)) for i = 0..d-1."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    check_grid(1, d)
     return sum(math.comb(i, i // 2) for i in range(d))
 
 
 def bw_lex(n: int, d: int) -> int:
     """Bandwidth of the left-to-right lexicographic labeling: (n+1)^(d-1)."""
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    check_grid(n, d)
     return (n + 1) ** (d - 1)
 
 
 def bounds(n: int, d: int) -> BoundsPair:
     """max_coeff(n, d) <= bw(P_n^d) <= max_coeff(n, d+1)."""
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    check_grid(n, d)
     return BoundsPair(lower=max_coeff(n, d), upper=max_coeff(n, d + 1))
 
 
@@ -90,8 +84,7 @@ def asymptotic_estimate(n: int, d: int) -> AsymptoticEstimate:
     the central coefficient share, so the ratio to the exact value tends to
     1 from above.  Raises ValueError when (n+1)^(d+1) does not fit in a float.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    check_grid(n, d)
     factor = math.sqrt(6.0 / (math.pi * (d + 1) * (n * n + 2 * n)))
     try:
         estimate = (n + 1) ** (d + 1) * factor

@@ -31,9 +31,10 @@ from .coeffs import coeff_row, max_coeff
 from .grid import (
     DEFAULT_SCAN_BUDGET,
     BudgetExceededError,
-    GridParams,
     InternalInvariantError,
     _typecode,
+    check_budget,
+    check_grid,
     edge_labels,
     edge_ranges,
     format_vertex,
@@ -46,6 +47,7 @@ from .grid import (
 )
 from .hales import hales_rank, hales_unrank
 from .oracle import (
+    DEFAULT_NODE_BUDGET,
     PROVED,
     SearchBudget,
     brute_force_bw,
@@ -57,8 +59,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_INTERNAL = 3
-
-DEFAULT_NODE_BUDGET = 100_000_000
 
 TABLE_NOTE = (
     "n=1 column: computed from the hypercube central-binomial sum "
@@ -72,10 +72,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _params(args) -> GridParams:
-    return GridParams(args.n, args.d)
 
 
 # ---------------------------------------------------------------- output
@@ -166,10 +162,7 @@ def cmd_coeffs(args) -> int:
 
 
 def _search_budget(args) -> SearchBudget:
-    return SearchBudget(
-        max_nodes=args.budget if args.budget is not None else DEFAULT_NODE_BUDGET,
-        time_limit=args.time_limit,
-    )
+    return SearchBudget(args.budget or DEFAULT_NODE_BUDGET, args.time_limit)
 
 
 def _write_certificate(args, cert) -> None:
@@ -179,20 +172,16 @@ def _write_certificate(args, cert) -> None:
 
 
 def cmd_bw(args) -> int:
-    params = _params(args)
-    doc: dict = {"n": params.n, "d": params.d}
+    n, d = args.n, args.d
+    doc: dict = {"n": n, "d": d}
     exit_code = EXIT_OK
     if args.method == "formula":
-        doc.update(value=bw_hales(params.n, params.d), method="formula")
+        doc.update(value=bw_hales(n, d), method="formula")
     elif args.method in ("hales-scan", "lex"):
-        budget = args.budget if args.budget is not None else DEFAULT_SCAN_BUDGET
+        budget = args.budget or DEFAULT_SCAN_BUDGET
         spec = "hales" if args.method == "hales-scan" else "lex"
-        report = labeling_bandwidth(spec, params, max_vertices=budget)
-        expected = (
-            bw_hales(params.n, params.d)
-            if spec == "hales"
-            else bw_lex(params.n, params.d)
-        )
+        report = labeling_bandwidth(spec, n, d, max_vertices=budget)
+        expected = bw_hales(n, d) if spec == "hales" else bw_lex(n, d)
         if report.value != expected:
             raise InternalInvariantError(
                 f"{spec} edge scan gave {report.value}, formula gives {expected}"
@@ -204,7 +193,7 @@ def cmd_bw(args) -> int:
         )
     else:
         cert = brute_force_bw(
-            params, _search_budget(args), use_formula_bound=not args.no_accelerate
+            n, d, _search_budget(args), use_formula_bound=not args.no_accelerate
         )
         doc.update(
             value=cert.optimal_value,
@@ -221,8 +210,7 @@ def cmd_bw(args) -> int:
 
 def cmd_table(args) -> int:
     n_max, d_max = args.n, args.d
-    if n_max < 1 or d_max < 1:
-        raise ValueError("table needs --n >= 1 and --d >= 1")
+    check_grid(n_max, d_max)  # no grid at all would make an empty table
     series = [bw_hales_series(n, d_max) for n in range(1, n_max + 1)]
     rows = [list(row) for row in zip(*series)]
     header = ["d"] + [f"n={n}" for n in range(1, n_max + 1)]
@@ -234,25 +222,22 @@ def cmd_table(args) -> int:
 
 
 def cmd_label(args) -> int:
-    params = _params(args)
-    params.check_budget(args.budget, "output")
-    pairs = label_listing(params, label_array(args.order, params))
-    doc = {"order": args.order, "n": params.n, "d": params.d, "labels": pairs}
+    n, d = args.n, args.d
+    check_budget(n, d, args.budget, "output")
+    pairs = label_listing(n, d, label_array(args.order, n, d))
+    doc = {"order": args.order, "n": n, "d": d, "labels": pairs}
     _render(args, doc, ["vertex", "label"], pairs)
     return EXIT_OK
 
 
 def cmd_rank(args) -> int:
-    params = _params(args)
     u = parse_vertex(args.vertex)
-    if args.order == "hales":
-        label = hales_rank(u, params.n, params.d) + 1
-    else:
-        label = lex_rank(u, params) + 1
+    rank = hales_rank if args.order == "hales" else lex_rank
+    label = rank(u, args.n, args.d) + 1
     doc = {
         "order": args.order,
-        "n": params.n,
-        "d": params.d,
+        "n": args.n,
+        "d": args.d,
         "vertex": args.vertex,
         "label": label,
     }
@@ -261,16 +246,12 @@ def cmd_rank(args) -> int:
 
 
 def cmd_unrank(args) -> int:
-    params = _params(args)
-    if args.order == "hales":
-        u = hales_unrank(args.rank, params.n, params.d)
-    else:
-        u = lex_unrank(args.rank, params)
-    text = format_vertex(u)
+    unrank = hales_unrank if args.order == "hales" else lex_unrank
+    text = format_vertex(unrank(args.rank, args.n, args.d))
     doc = {
         "order": args.order,
-        "n": params.n,
-        "d": params.d,
+        "n": args.n,
+        "d": args.d,
         "rank": args.rank,
         "vertex": text,
     }
@@ -316,7 +297,7 @@ def cmd_estimate(args) -> int:
 
 
 def _matrix_rows(
-    params: GridParams, order: str, kind: str
+    n: int, d: int, order: str, kind: str
 ) -> tuple[array, array, array | None, int]:
     """The lower triangle by rows, in flat arrays, and its half-bandwidth.
 
@@ -325,15 +306,15 @@ def _matrix_rows(
     order; degree[label] is the Laplacian's diagonal, and None for an
     adjacency matrix.
     """
-    labels = label_array(order, params)
-    total = params.vertex_count
+    labels = label_array(order, n, d)
+    total = (n + 1) ** d
     # both orders give the lighter endpoint the smaller label, so the upper
     # label of an edge is its row and the lower one its column
-    small = _typecode(2 * params.d)  # a row's entries, a label's degree
+    small = _typecode(2 * d)  # a row's entries, a label's degree
     counts = array(small, [0]) * (total + 2)
     degree = array(small, [0]) * (total + 1) if kind == "laplacian" else None
     half_bandwidth = 0
-    for r, s in edge_ranges(params):
+    for r, s in edge_ranges(n, d):
         lower, upper = edge_labels(labels, r, s)
         half_bandwidth = max(half_bandwidth, max(map(sub, upper, lower)))
         for label in upper:
@@ -345,9 +326,9 @@ def _matrix_rows(
         degree = array(small, map(add, degree, counts))
     # starts[label] ends row label; filling each row from its end leaves it
     # at the row's start
-    starts = array(_typecode(params.d * total), accumulate(counts))
+    starts = array(_typecode(d * total), accumulate(counts))
     cols = array(_typecode(total), [0]) * starts[-1]
-    for r, s in edge_ranges(params):
+    for r, s in edge_ranges(n, d):
         for low, label in zip(*edge_labels(labels, r, s)):
             k = starts[label] - 1
             starts[label] = k
@@ -399,6 +380,8 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
             i, j, v = map(int, parts)
             if j > i:
                 raise InternalInvariantError(f"{path}: entry ({i},{j}) above the diagonal")
+            if j < 1 or i > size:
+                raise InternalInvariantError(f"{path}: entry ({i},{j}) outside 1..{size}")
             # entries are written sorted, so strictly increasing pairs also
             # rule out duplicates
             if i < pi or i == pi and j <= pj:
@@ -423,9 +406,10 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
 
 
 def cmd_export_matrix(args) -> int:
-    params = _params(args)
-    params.check_budget(args.budget, "export")
-    starts, cols, degree, half_bandwidth = _matrix_rows(params, args.order, args.kind)
+    check_budget(args.n, args.d, args.budget, "export")
+    starts, cols, degree, half_bandwidth = _matrix_rows(
+        args.n, args.d, args.order, args.kind
+    )
     nnz = _write_matrix_market(args.out, starts, cols, degree)
     del starts, cols, degree  # the self-test reads the file back on its own
     if args.self_test:
@@ -434,7 +418,7 @@ def cmd_export_matrix(args) -> int:
         "path": args.out,
         "kind": args.kind,
         "order": args.order,
-        "size": params.vertex_count,
+        "size": (args.n + 1) ** args.d,
         "nnz": nnz,
         "half_bandwidth": half_bandwidth,
     }
@@ -443,9 +427,8 @@ def cmd_export_matrix(args) -> int:
 
 
 def cmd_verify_optimal(args) -> int:
-    params = _params(args)
     check = verify_optimal(
-        params, _search_budget(args), use_formula_bound=not args.no_accelerate
+        args.n, args.d, _search_budget(args), use_formula_bound=not args.no_accelerate
     )
     cert = check.certificate
     if check.result is None:
@@ -459,8 +442,8 @@ def cmd_verify_optimal(args) -> int:
         exit_code = EXIT_INTERNAL
     _write_certificate(args, cert)
     doc = {
-        "n": params.n,
-        "d": params.d,
+        "n": args.n,
+        "d": args.d,
         "verdict": verdict,
         "formula": check.formula_value,
         "brute_force": cert.optimal_value,
@@ -474,6 +457,14 @@ def cmd_verify_optimal(args) -> int:
 # ------------------------------------------------------------- parser
 
 
+def positive_int(text: str) -> int:
+    """A --budget value: an integer of at least 1, else a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("--n", type=int, required=True, help="edges per path factor")
     sub.add_argument("--d", type=int, required=True, help="number of factors")
@@ -485,7 +476,7 @@ def _add_common(sub):
 
 def _add_search(sub, budget_help: str) -> None:
     """The options of bw --method brute and verify-optimal."""
-    sub.add_argument("--budget", type=int, default=None, help=budget_help)
+    sub.add_argument("--budget", type=positive_int, default=None, help=budget_help)
     sub.add_argument("--time-limit", type=float, default=None,
                      help="wall-clock limit in seconds for the search")
     sub.add_argument("--no-accelerate", action="store_true",
@@ -525,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("label", help="full labeling listing in label order")
     _add_common(sub)
     sub.add_argument("--order", choices=["hales", "lex"], default="hales")
-    sub.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET,
+    sub.add_argument("--budget", type=positive_int, default=DEFAULT_SCAN_BUDGET,
                      help=f"max vertices (default {DEFAULT_SCAN_BUDGET})")
     sub.set_defaults(func=cmd_label)
 
@@ -559,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--order", choices=["hales", "lex"], default="hales")
     sub.add_argument("--kind", choices=["adjacency", "laplacian"], default="laplacian")
     sub.add_argument("--out", required=True, help="output path")
-    sub.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET,
+    sub.add_argument("--budget", type=positive_int, default=DEFAULT_SCAN_BUDGET,
                      help=f"max vertices (default {DEFAULT_SCAN_BUDGET})")
     sub.add_argument("--self-test", action="store_true",
                      help="re-read the file and verify row sums, symmetry, half-bandwidth")

@@ -34,11 +34,27 @@ class InternalInvariantError(Exception):
     """A check that holds for correct code failed, such as two routes disagreeing."""
 
 
-def _check_params(n: int, d: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
+def check_grid(n: int, d: int, least_d: int = 1) -> None:
+    """Refuse with ValueError an n below 1 or a d below least_d.
+
+    A grid P_n^d needs d >= 1; a coefficient row exists from d = 0 on.
+    """
+    if n < 1 or d < least_d:
+        raise ValueError(f"need n >= 1 and d >= {least_d}, got n={n}, d={d}")
+
+
+def check_budget(n: int, d: int, budget: int, what: str) -> None:
+    """Refuse as check_grid does, and with BudgetExceededError a grid of
+    more than budget vertices."""
+    check_grid(n, d)
+    total = (n + 1) ** d
+    if total > budget:
+        raise BudgetExceededError(
+            f"P_{n}^{d} has {total} vertices; "
+            f"over the {what} budget ({budget} vertices)",
+            budget=budget,
+            required=total,
+        )
 
 
 def _next_row(row: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -71,7 +87,7 @@ def coeff_rows(n: int, d: int) -> Iterator[tuple[int, ...]]:
     Raises BudgetExceededError, before any row is built, when row d would
     hold more than ROW_BITS bits.
     """
-    _check_params(n, d)
+    check_grid(n, d, least_d=0)
     bits = (n * d + 1) * d * (n + 1).bit_length()
     if bits > ROW_BITS:
         raise BudgetExceededError(
@@ -121,7 +137,7 @@ def coeff_row(n: int, d: int) -> tuple[int, ...]:
 
 def coeff(n: int, d: int, k: int) -> int:
     """Coefficient of x^k; returns 0 for k outside [0, n*d]."""
-    _check_params(n, d)
+    check_grid(n, d, least_d=0)
     return _count_below(n, d, k + 1) - _count_below(n, d, k)
 
 
@@ -137,7 +153,7 @@ def top_sum(n: int, i: int) -> int:
     the row has fewer than n entries (only i = 0) the whole row is summed,
     which gives 1.
     """
-    _check_params(n, i)
+    check_grid(n, i, least_d=0)
     lo, stop = _top_window(n, i)
     return _count_below(n, i, stop) - _count_below(n, i, lo)
 
@@ -155,8 +171,7 @@ def trinomial_coeff(d: int, k: int) -> int:
     Sums d! / ((d-k+l)! (k-2l)! l!) over l = 0..floor(k/2), skipping terms
     with a negative first part; equals coeff(2, d, k).
     """
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
+    check_grid(2, d, least_d=0)
     if k < 0 or k > 2 * d:
         raise ValueError(f"k must lie in [0, {2 * d}], got {k}")
     fact_d = factorial(d)

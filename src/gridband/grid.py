@@ -1,14 +1,18 @@
 """The graph P_n^d: vertices {0,...,n}^d with edges between coordinate
 vectors differing by one in a single component.
 
-Provides the lexicographic labeling, labeling files and exact edge-scan
-bandwidths.  Only this module knows the lex-position layout, where the
-vertex at position i has its dimension-p neighbour at i + (n+1)^(d-1-p):
-scans, matrix export, listings and the search's adjacency take it from
-`label_array`, a labeling indexed by lex position, from the edge kernel
-`edge_ranges`, the edges as strided runs of at most RUN_CAP positions,
-and from `label_listing`, which lists a labeling in label order.  Loaded
-files and certificates keep labels by lex position.
+A grid is named by the pair (n, d), which every function takes as two
+integers.  Provides the lexicographic labeling, labeling files and exact
+edge-scan bandwidths.  This module knows the lex-position layout, where
+the vertex at position i has its dimension-p neighbour at
+i + (n+1)^(d-1-p): scans, matrix export, listings and the search's
+adjacency take it from `label_array`, a labeling indexed by lex position,
+from the edge kernel `edge_ranges`, the edges as strided runs of at most
+RUN_CAP positions, and from `label_listing`, which lists a labeling in
+label order.  Loaded files and certificates keep labels by lex position.
+The one other place that lists the grid by lex position is the search
+(`oracle._Search`), whose vertex list `itertools.product` builds in the
+same order.
 
 The Hales label array is built one coordinate at a time by the recurrence
 of `hales.weight_shifts`, with no walk of the order: see `_hales_labels`.
@@ -23,42 +27,14 @@ from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from .coeffs import BudgetExceededError, InternalInvariantError  # re-exported
-from .hales import Vertex, weight_shifts
+from .coeffs import check_budget, check_grid
+from .hales import Vertex, check_vertex, weight_shifts
 
 DEFAULT_SCAN_BUDGET = 1_000_000
 
 # the longest run edge_ranges yields: a scan copies two label slices this
 # long, not two as long as n/(n+1) of the grid
 RUN_CAP = 1 << 16
-
-
-@dataclass(frozen=True)
-class GridParams:
-    """The pair (n, d): paths with n edges, d-fold product."""
-
-    n: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-
-    @property
-    def vertex_count(self) -> int:
-        return (self.n + 1) ** self.d
-
-    def check_budget(self, budget: int, what: str) -> None:
-        """Refuse with BudgetExceededError a grid of more than budget vertices."""
-        total = self.vertex_count
-        if total > budget:
-            raise BudgetExceededError(
-                f"P_{self.n}^{self.d} has {total} vertices; "
-                f"over the {what} budget ({budget} vertices)",
-                budget=budget,
-                required=total,
-            )
 
 
 @dataclass(frozen=True)
@@ -81,14 +57,13 @@ def format_vertex(u: Vertex) -> str:
     return ",".join(map(str, u))
 
 
-def position_texts(params: GridParams, positions: Iterable[int]) -> Iterator[str]:
+def position_texts(n: int, d: int, positions: Iterable[int]) -> Iterator[str]:
     """format_vertex of the vertex at each lex position, in order.
 
     Each text joins two precomputed strings, one for the leading ceil(d/2)
     coordinates and one for the trailing floor(d/2), so the tables hold
     O(sqrt((n+1)^(d+1))) strings and a position costs one divmod.
     """
-    n, d = params.n, params.d
     tail = d // 2
 
     def texts(m: int) -> list[str]:
@@ -99,23 +74,21 @@ def position_texts(params: GridParams, positions: Iterable[int]) -> Iterator[str
     return (hi[q] + lo[r] for q, r in map(divmod, positions, repeat((n + 1) ** tail)))
 
 
-def label_listing(
-    params: GridParams, labels: Sequence[int]
-) -> Iterator[tuple[str, int]]:
+def label_listing(n: int, d: int, labels: Sequence[int]) -> Iterator[tuple[str, int]]:
     """(vertex text, label) for every vertex of a labeling, in label order.
 
     labels is indexed by lex position.  A range, the lex labeling, is its
     own inverse; any other labeling is inverted into a copy of itself.
     """
-    positions = range(params.vertex_count)  # the lex position of each label
+    positions = range((n + 1) ** d)  # the lex position of each label
     if not isinstance(labels, range):
         positions = labels[:]  # the positions 0..total-1 fit where 1..total do
         for position, label in enumerate(labels):
             positions[label - 1] = position
-    return zip(position_texts(params, positions), count(1))
+    return zip(position_texts(n, d, positions), count(1))
 
 
-def edge_ranges(params: GridParams) -> Iterator[tuple[range, int]]:
+def edge_ranges(n: int, d: int) -> Iterator[tuple[range, int]]:
     """Every edge once, as (range, stride) pairs over lex positions.
 
     Each i in a range is the lighter endpoint of the edge (i, i + stride).
@@ -126,8 +99,7 @@ def edge_ranges(params: GridParams) -> Iterator[tuple[range, int]]:
     The pieces keep the order of the positions, which the search's
     adjacency lists follow.
     """
-    n, d = params.n, params.d
-    total = params.vertex_count
+    total = (n + 1) ** d
     for p in range(d):
         stride = (n + 1) ** (d - 1 - p)
         period = (n + 1) * stride
@@ -149,30 +121,26 @@ def edge_labels(
     return labels[lo:hi:step], labels[lo + s : hi + s : step]
 
 
-def lex_rank(u: Vertex, params: GridParams) -> int:
+def lex_rank(u: Vertex, n: int, d: int) -> int:
     """Base-(n+1) value of the coordinates, leftmost most significant."""
-    n, d = params.n, params.d
-    if len(u) != d:
-        raise ValueError(f"vertex has {len(u)} coordinates, expected {d}")
+    check_vertex(u, n, d)
     r = 0
     for c in u:
-        if c < 0 or c > n:
-            raise ValueError(f"coordinate {c} outside [0, {n}] in {u}")
         r = r * (n + 1) + c
     return r
 
 
-def lex_unrank(r: int, params: GridParams) -> Vertex:
-    n, d = params.n, params.d
-    if r < 0 or r >= params.vertex_count:
-        raise ValueError(f"rank {r} outside [0, {params.vertex_count - 1}]")
+def lex_unrank(r: int, n: int, d: int) -> Vertex:
+    check_grid(n, d)
+    if r < 0 or r >= (n + 1) ** d:
+        raise ValueError(f"rank {r} outside [0, {(n + 1) ** d - 1}]")
     coords = [0] * d
     for p in range(d - 1, -1, -1):
         r, coords[p] = divmod(r, n + 1)
     return tuple(coords)
 
 
-def load_labeling_file(path: str, params: GridParams) -> list[int]:
+def load_labeling_file(path: str, n: int, d: int) -> list[int]:
     """Read an explicit labeling: one `<coords><TAB><label>` line per vertex.
 
     Returns the labels by lex position.  '#' lines and blank lines are
@@ -180,8 +148,8 @@ def load_labeling_file(path: str, params: GridParams) -> list[int]:
     ValueError.  A grid over DEFAULT_SCAN_BUDGET vertices raises
     BudgetExceededError before any list is allocated.
     """
-    params.check_budget(DEFAULT_SCAN_BUDGET, "labeling-file")
-    total = params.vertex_count
+    check_budget(n, d, DEFAULT_SCAN_BUDGET, "labeling-file")
+    total = (n + 1) ** d
     labels = [0] * total
     seen: set[int] = set()
     with open(path, encoding="utf-8") as handle:
@@ -197,9 +165,12 @@ def load_labeling_file(path: str, params: GridParams) -> list[int]:
                 label = int(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if len(u) != params.d or any(c < 0 or c > params.n for c in u):
-                raise ValueError(f"{path}:{lineno}: vertex {parts[0]} not in the grid")
-            position = lex_rank(u, params)
+            try:
+                position = lex_rank(u, n, d)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: vertex {parts[0]} not in the grid"
+                ) from None
             if label < 1 or label > total:
                 raise ValueError(f"{path}:{lineno}: label {label} outside 1..{total}")
             if labels[position]:
@@ -253,22 +224,23 @@ def _hales_labels(n: int, d: int) -> array:
     return labels
 
 
-def label_array(order: str, params: GridParams) -> Sequence[int]:
+def label_array(order: str, n: int, d: int) -> Sequence[int]:
     """The labeling of an order, "hales" or "lex", indexed by lex position.
 
     lex is a range; hales is a compact array built by `_hales_labels`, with
     no enumeration of the order.
     """
     if order == "lex":
-        return range(1, params.vertex_count + 1)
+        return range(1, (n + 1) ** d + 1)
     if order == "hales":
-        return _hales_labels(params.n, params.d)
+        return _hales_labels(n, d)
     raise ValueError(f"unknown labeling {order!r} (use 'hales' or 'lex')")
 
 
 def labeling_bandwidth(
     labeling: str | Sequence[int],
-    params: GridParams,
+    n: int,
+    d: int,
     max_vertices: int = DEFAULT_SCAN_BUDGET,
 ) -> BandwidthReport:
     """Exact max |f(u) - f(v)| over all edges, with a deterministic witness.
@@ -279,35 +251,34 @@ def labeling_bandwidth(
     independent of scan order.  Grids larger than max_vertices are refused
     outright rather than scanned for hours.
     """
-    params.check_budget(max_vertices, "edge-scan")
+    check_budget(n, d, max_vertices, "edge-scan")
     if isinstance(labeling, str):
-        labels = label_array(labeling, params)
-    elif len(labeling) == params.vertex_count:
+        labels = label_array(labeling, n, d)
+    elif len(labeling) == (n + 1) ** d:
         labels = labeling
     else:
         raise ValueError(
-            f"{len(labeling)} labels for the {params.vertex_count} vertices of "
-            f"P_{params.n}^{params.d}"
+            f"{len(labeling)} labels for the {(n + 1) ** d} vertices of P_{n}^{d}"
         )
-    runs = list(edge_ranges(params))
+    runs = list(edge_ranges(n, d))
     stretches = [max(_stretches(labels, r, s)) for r, s in runs]
     value = max(stretches)
     # the witness is the edge with the smallest pair of Hales ranks among
     # those reaching the value; ranks are distinct, so i and s never decide
-    ranks = labels if labeling == "hales" else label_array("hales", params)
+    ranks = labels if labeling == "hales" else label_array("hales", n, d)
     _, _, i, s = min(
         (ranks[i], ranks[i + s], i, s)
         for (r, s), stretch in zip(runs, stretches)
         if stretch == value
         for i in compress(r, map(value.__eq__, _stretches(labels, r, s)))
     )
-    witness = (lex_unrank(i, params), lex_unrank(i + s, params))
+    witness = (lex_unrank(i, n, d), lex_unrank(i + s, n, d))
     return BandwidthReport(value=value, witness=witness)
 
 
-def _max_stretch(labels: Sequence[int], params: GridParams) -> int:
+def _max_stretch(labels: Sequence[int], n: int, d: int) -> int:
     """The bandwidth of a label array: max |f(u) - f(v)| over all edges."""
-    return max(max(_stretches(labels, r, s)) for r, s in edge_ranges(params))
+    return max(max(_stretches(labels, r, s)) for r, s in edge_ranges(n, d))
 
 
 def _stretches(labels: Sequence[int], r: range, s: int) -> Iterator[int]:

@@ -26,14 +26,14 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Callable, Iterator
 
-from .coeffs import InternalInvariantError, _prev_row, coeff_row, coeff_rows
+from .coeffs import InternalInvariantError, _prev_row, check_grid, coeff_row, coeff_rows
 
 Vertex = tuple[int, ...]
 
 
-def _check_vertex(u: Vertex, n: int, d: int) -> None:
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+def check_vertex(u: Vertex, n: int, d: int) -> None:
+    """Refuse with ValueError a vertex that is not in the grid P_n^d."""
+    check_grid(n, d)
     if len(u) != d:
         raise ValueError(f"vertex has {len(u)} coordinates, expected {d}")
     for c in u:
@@ -74,7 +74,7 @@ def hales_rank(u: Vertex, n: int, d: int) -> int:
 
     Each coordinate after the first adds the shift of the weight so far.
     """
-    _check_vertex(u, n, d)
+    check_vertex(u, n, d)
     rank = weight = u[0]
     for c, shift in zip(u[1:], weight_shifts(n, d)):
         weight += c
@@ -84,8 +84,7 @@ def hales_rank(u: Vertex, n: int, d: int) -> int:
 
 def hales_unrank(r: int, n: int, d: int) -> Vertex:
     """Inverse of hales_rank; steps from row d down one row per coordinate."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    check_grid(n, d)
     if r < 0 or r >= (n + 1) ** d:
         raise ValueError(f"rank {r} outside [0, {(n + 1) ** d - 1}]")
     if d == 1:
@@ -120,8 +119,7 @@ def hales_enumerate(n: int, d: int) -> Iterator[Vertex]:
     grid.label_array); it is the reference route that tests check them
     against.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    check_grid(n, d)
     for k in range(n * d + 1):
         yield from block_matrix(n, d, k)
 
@@ -133,8 +131,7 @@ def block_matrix(n: int, d: int, k: int) -> list[Vertex]:
     h running from min(k, n) down to max(0, k - n*(d-1)).  Intended as a
     testing surface at small sizes.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    check_grid(n, d)
     if k < 0 or k > n * d:
         raise ValueError(f"weight must lie in [0, {n * d}], got {k}")
     if d == 1:

@@ -49,9 +49,9 @@ from typing import Sequence
 from .bandwidth import bw_hales
 from .grid import (
     DEFAULT_SCAN_BUDGET,
-    GridParams,
     InternalInvariantError,
     _max_stretch,
+    check_budget,
     edge_ranges,
     label_array,
     label_listing,
@@ -60,6 +60,8 @@ from .hales import Vertex
 
 PROVED = "proved"
 BUDGET_EXHAUSTED = "budget-exhausted"
+
+DEFAULT_NODE_BUDGET = 100_000_000
 
 # how a coordinate's value is aligned inside its class
 _KEEP, _REFLECT, _FOLD = 0, 1, 2
@@ -113,7 +115,7 @@ def _refine(classes: Classes, x: Vertex, n: int) -> Classes:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    max_nodes: int = 100_000_000
+    max_nodes: int = DEFAULT_NODE_BUDGET
     time_limit: float | None = None
 
     def __post_init__(self) -> None:
@@ -125,7 +127,8 @@ class SearchBudget:
 
 @dataclass
 class OptimalityCertificate:
-    params: GridParams
+    n: int
+    d: int
     optimal_value: int
     labels: Sequence[int]  # the witness labeling, indexed by lex position
     nodes_explored: int
@@ -142,11 +145,12 @@ class OptimalityCheck:
 
 
 class _Search:
-    def __init__(self, params: GridParams, budget: SearchBudget, threshold: int):
-        total = params.vertex_count
-        # product lists the grid in lex order: verts[i] sits at lex position i
-        verts = list(product(range(params.n + 1), repeat=params.d))
-        runs = list(edge_ranges(params))
+    def __init__(self, n: int, d: int, budget: SearchBudget, threshold: int):
+        total = (n + 1) ** d
+        # product lists the grid in lex order, the layout grid.py uses:
+        # verts[i] sits at lex position i
+        verts = list(product(range(n + 1), repeat=d))
+        runs = list(edge_ranges(n, d))
         adj: list[list[int]] = [[] for _ in range(total)]
         # lower neighbours in dimension order, then upper ones
         for r, s in runs:
@@ -155,8 +159,8 @@ class _Search:
         for r, s in runs:
             for i in r:
                 adj[i].append(i + s)
-        self.n = params.n
-        self.d = params.d
+        self.n = n
+        self.d = d
         self.total = total
         self.verts = verts
         self.adj = adj
@@ -174,10 +178,14 @@ class _Search:
         self.best_labels: list[int] | None = None
 
     def run(self) -> None:
-        depth_needed = self.total + 64
-        if sys.getrecursionlimit() < depth_needed:
-            sys.setrecursionlimit(depth_needed)
-        self._dfs(0, 0, 1, _root_classes(self.d))
+        """Search to the end or the budget; the recursion limit is raised for
+        the search only."""
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, self.total + 64))
+        try:
+            self._dfs(0, 0, 1, _root_classes(self.d))
+        finally:
+            sys.setrecursionlimit(limit)
 
     def _dfs(self, t: int, cur_max: int, front: int, classes: Classes) -> None:
         self.nodes += 1
@@ -251,7 +259,8 @@ class _Search:
 
 
 def brute_force_bw(
-    params: GridParams,
+    n: int,
+    d: int,
     budget: SearchBudget = SearchBudget(),
     use_formula_bound: bool = True,
 ) -> OptimalityCertificate:
@@ -264,10 +273,9 @@ def brute_force_bw(
     refused with BudgetExceededError before anything is built, since an
     exhausted search falls back to a Hales scan of the whole grid.
     """
-    params.check_budget(DEFAULT_SCAN_BUDGET, "exhaustive-search")
-    total = params.vertex_count
-    threshold = bw_hales(params.n, params.d) + 1 if use_formula_bound else total
-    search = _Search(params, budget, threshold)
+    check_budget(n, d, DEFAULT_SCAN_BUDGET, "exhaustive-search")
+    threshold = bw_hales(n, d) + 1 if use_formula_bound else (n + 1) ** d
+    search = _Search(n, d, budget, threshold)
     search.run()
     labels, value = search.best_labels, search.best_value
     if labels is None:
@@ -279,10 +287,11 @@ def brute_force_bw(
                 "starting incumbent; initial upper bound was not valid"
             )
         # one Hales label array gives both the witness and its scanned value
-        labels = label_array("hales", params)
-        value = _max_stretch(labels, params)
+        labels = label_array("hales", n, d)
+        value = _max_stretch(labels, n, d)
     return OptimalityCertificate(
-        params=params,
+        n=n,
+        d=d,
         optimal_value=value,
         labels=labels,
         nodes_explored=search.nodes,
@@ -291,7 +300,8 @@ def brute_force_bw(
 
 
 def verify_optimal(
-    params: GridParams,
+    n: int,
+    d: int,
     budget: SearchBudget = SearchBudget(),
     use_formula_bound: bool = True,
 ) -> OptimalityCheck:
@@ -300,8 +310,8 @@ def verify_optimal(
     result is True/False only when the search ran to completion; a
     budget-exhausted search yields result None (inconclusive), never False.
     """
-    formula = bw_hales(params.n, params.d)
-    cert = brute_force_bw(params, budget, use_formula_bound)
+    formula = bw_hales(n, d)
+    cert = brute_force_bw(n, d, budget, use_formula_bound)
     if cert.status != PROVED:
         return OptimalityCheck(result=None, formula_value=formula, certificate=cert)
     return OptimalityCheck(
@@ -320,5 +330,5 @@ def certificate_to_text(cert: OptimalityCertificate) -> str:
         f"# status {cert.status}",
         f"# nodes {cert.nodes_explored}",
     ]
-    body = starmap("{}\t{}".format, label_listing(cert.params, cert.labels))
+    body = starmap("{}\t{}".format, label_listing(cert.n, cert.d, cert.labels))
     return "\n".join(chain(header, body)) + "\n"

@@ -3,13 +3,12 @@
 from itertools import product
 
 
-def edges(params):
+def edges(n, d):
     """Each undirected edge of P_n^d exactly once, lighter endpoint first.
 
     The reference for `grid.edge_ranges` and the matrix export: one vertex
     tuple per endpoint, built with no lex-position arithmetic.
     """
-    n, d = params.n, params.d
     for u in product(range(n + 1), repeat=d):
         for p, c in enumerate(u):
             if c < n:

@@ -19,7 +19,7 @@ from gridband.coeffs import (
     top_sum,
     trinomial_coeff,
 )
-from gridband.grid import GridParams, labeling_bandwidth
+from gridband.grid import labeling_bandwidth
 from gridband.hales import (
     block_matrix,
     hales_compare,
@@ -116,7 +116,7 @@ def test_criterion_2_hypercube_column_erratum(capsys):
     assert "4 at (n=1, d=3)" in note  # the d=3 arbitration outcome is recorded
 
     for d, expected in [(2, 2), (3, 4)]:
-        check = verify_optimal(GridParams(1, d), SearchBudget(max_nodes=10 ** 8))
+        check = verify_optimal(1, d, SearchBudget(max_nodes=10 ** 8))
         assert check.result is True
         assert check.certificate.optimal_value == expected == bw_hales(1, d)
     elapsed = time.monotonic() - start
@@ -128,7 +128,7 @@ def test_criterion_3_optimality_certification():
     budget = SearchBudget(max_nodes=10 ** 8)
     for n, d in [(1, 1), (1, 2), (1, 3), (2, 2), (3, 2)]:
         start = time.monotonic()
-        check = verify_optimal(GridParams(n, d), budget)
+        check = verify_optimal(n, d, budget)
         elapsed = time.monotonic() - start
         assert check.result is True, (n, d)
         assert check.certificate.status == PROVED
@@ -143,9 +143,8 @@ def test_criterion_4_labeling_formula_consistency():
     for n in range(1, 5):
         d = 1
         while (n + 1) ** d <= 10 ** 5:
-            params = GridParams(n, d)
-            assert labeling_bandwidth("hales", params).value == bw_hales(n, d), (n, d)
-            assert labeling_bandwidth("lex", params).value == (n + 1) ** (d - 1), (n, d)
+            assert labeling_bandwidth("hales", n, d).value == bw_hales(n, d), (n, d)
+            assert labeling_bandwidth("lex", n, d).value == (n + 1) ** (d - 1), (n, d)
             checked += 1
             d += 1
     assert checked == 16 + 10 + 8 + 7
@@ -255,8 +254,7 @@ def test_criterion_9_matrix_export(capsys, tmp_path):
         capsys.readouterr()
         assert code == 0
         size, entries = _read_matrix_market(path)
-        params = GridParams(n, d)
-        assert size == params.vertex_count
+        assert size == (n + 1) ** d
 
         seen = set()
         row_sums = [0] * (size + 1)
@@ -270,5 +268,5 @@ def test_criterion_9_matrix_export(capsys, tmp_path):
                 row_sums[j] += v  # mirror of the symmetric half
                 half_bandwidth = max(half_bandwidth, i - j)
         assert all(s == 0 for s in row_sums[1:]), (n, d)
-        assert half_bandwidth == labeling_bandwidth("hales", params).value == bw_hales(n, d)
+        assert half_bandwidth == labeling_bandwidth("hales", n, d).value == bw_hales(n, d)
     _pass(9, "matrix export")

@@ -14,7 +14,7 @@ import gridband.hales as hales
 import gridband.oracle as oracle
 from gridband.cli import main
 from gridband.coeffs import trinomial_coeff
-from gridband.grid import GridParams, InternalInvariantError, format_vertex
+from gridband.grid import InternalInvariantError, format_vertex
 
 from conftest import edges
 
@@ -332,7 +332,7 @@ def _reference_export(n, d, kind, order):
     value = -1 if kind == "laplacian" else 1
     entries = []
     degree = Counter()
-    for u, v in edges(GridParams(n, d)):
+    for u, v in edges(n, d):
         low, high = sorted((label[u], label[v]))
         entries.append((high, low, value))
         degree.update((low, high))
@@ -382,23 +382,30 @@ def test_export_peak_memory(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "body,error,message",
+    "kind,body,error,message",
     [
-        ("2 2 4\n1 1 1\n2 1 -1\n2 1 -1\n2 2 1\n", InternalInvariantError, "duplicate"),
-        ("2 2 3\n1 1 1\n1 2 -1\n2 2 1\n", InternalInvariantError, "above the diagonal"),
-        ("2 2 4\n1 1 1\n2 1 -1\n2 2 1\n", ValueError, "header says"),
-        ("2 2 3\n1 1 1\n2 1 -1\n2 2 2\n", InternalInvariantError, "row sums"),
-        ("2 2 3\n2 1 -1\n1 1 1\n2 2 1\n", InternalInvariantError, "out-of-order"),
+        ("laplacian", "2 2 4\n1 1 1\n2 1 -1\n2 1 -1\n2 2 1\n",
+         InternalInvariantError, "duplicate"),
+        ("laplacian", "2 2 3\n1 1 1\n1 2 -1\n2 2 1\n",
+         InternalInvariantError, "above the diagonal"),
+        ("laplacian", "2 2 4\n1 1 1\n2 1 -1\n2 2 1\n", ValueError, "header says"),
+        ("laplacian", "2 2 3\n1 1 1\n2 1 -1\n2 2 2\n", InternalInvariantError, "row sums"),
+        ("laplacian", "2 2 3\n2 1 -1\n1 1 1\n2 2 1\n",
+         InternalInvariantError, "out-of-order"),
+        ("adjacency", "2 2 1\n1 0 1\n", InternalInvariantError, r"\(1,0\) outside 1\.\.2"),
+        ("laplacian", "2 2 4\n1 1 1\n2 1 -1\n2 2 1\n3 2 -1\n",
+         InternalInvariantError, r"\(3,2\) outside 1\.\.2"),
     ],
-    ids=["duplicate", "above-diagonal", "wrong-nnz", "row-sum", "out-of-order"],
+    ids=["duplicate", "above-diagonal", "wrong-nnz", "row-sum", "out-of-order",
+         "zero-based-column", "row-past-size"],
 )
-def test_self_test_rejects_bad_export(tmp_path, body, error, message):
-    # each file is the P_1^1 Laplacian (half-bandwidth 1) with one defect,
-    # and the check that names that defect must be the one to fire
+def test_self_test_rejects_bad_export(tmp_path, kind, body, error, message):
+    # each file is the P_1^1 Laplacian or adjacency (half-bandwidth 1) with
+    # one defect, and the check that names that defect must be the one to fire
     path = tmp_path / "bad.mtx"
     path.write_text(MM_HEADER + body, encoding="utf-8")
     with pytest.raises(error, match=message):
-        cli._self_test_export(str(path), "laplacian", 1)
+        cli._self_test_export(str(path), kind, 1)
 
 
 @pytest.mark.parametrize(
@@ -466,9 +473,21 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
     assert main(["table", "--n", "2", "--d", "0"]) == 1
     capsys.readouterr()
+    assert main(["table", "--n", "0", "--d", "2"]) == 1
+    capsys.readouterr()
     # (n+1)^(d+1) past float range: a message, not an OverflowError
     assert main(["estimate", "--n", "1", "--d", "2000"]) == 1
     assert capsys.readouterr().err.startswith("gridband: error: (n+1)^(d+1)")
+    # a budget below 1 is refused by the parser on every command, before
+    # any file is written
+    for command in [
+        "bw --method brute", "bw --method hales-scan", "bw --method lex",
+        "verify-optimal", "label", "export-matrix --out unused.mtx",
+    ]:
+        for budget in ("0", "-3"):
+            argv = [*command.split(), "--n", "2", "--d", "2", "--budget", budget]
+            assert main(argv) == 1, argv
+            assert "argument --budget: must be >= 1" in capsys.readouterr().err
     assert main([]) == 1
     capsys.readouterr()
 

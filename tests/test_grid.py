@@ -1,15 +1,21 @@
 """Graph model, labelings, and the edge-scan bandwidth evaluator."""
 
 import random
+import re
 from itertools import product
 
 import pytest
 
 import gridband.grid as grid
-from gridband.bandwidth import bw_hales, bw_lex
+from gridband.bandwidth import (
+    asymptotic_estimate,
+    bounds,
+    bw_hales,
+    bw_hypercube,
+    bw_lex,
+)
 from gridband.grid import (
     BudgetExceededError,
-    GridParams,
     edge_ranges,
     format_vertex,
     label_array,
@@ -20,18 +26,42 @@ from gridband.grid import (
     parse_vertex,
     position_texts,
 )
-from gridband.hales import hales_enumerate, hales_rank
+from gridband.hales import hales_enumerate, hales_rank, hales_unrank
+from gridband.oracle import brute_force_bw
 
 from conftest import edges
 
 
-def test_params_validation_and_counts():
-    params = GridParams(2, 2)
-    assert params.vertex_count == 9
-    with pytest.raises(ValueError):
-        GridParams(0, 2)
-    with pytest.raises(ValueError):
-        GridParams(2, 0)
+# every public function that takes a grid, called on (n, d)
+GRID_CALLS = {
+    "bw_hales": bw_hales,
+    "bw_lex": bw_lex,
+    "bounds": bounds,
+    "asymptotic_estimate": asymptotic_estimate,
+    "bw_hypercube": lambda n, d: bw_hypercube(d),  # the grid P_1^d
+    "hales_rank": lambda n, d: hales_rank((0,) * d, n, d),
+    "hales_unrank": lambda n, d: hales_unrank(0, n, d),
+    "hales_enumerate": lambda n, d: next(hales_enumerate(n, d)),
+    "lex_rank": lambda n, d: lex_rank((0,) * d, n, d),
+    "lex_unrank": lambda n, d: lex_unrank(0, n, d),
+    "labeling_bandwidth": lambda n, d: labeling_bandwidth("hales", n, d),
+    "load_labeling_file": lambda n, d: load_labeling_file("missing.tsv", n, d),
+    "brute_force_bw": brute_force_bw,
+}
+
+
+@pytest.mark.parametrize(
+    "name,n,d",
+    [(name, n, d) for name in GRID_CALLS for n, d in [(0, 1), (0, 3), (2, 0)]
+     if n > 0 or name != "bw_hypercube"],  # bw_hypercube takes no n
+)
+def test_grid_functions_refuse_a_grid_that_does_not_exist(name, n, d):
+    # P_0^1 is a single vertex with no path, so n = 0 is refused even where
+    # the answer needs no row; the vertex (0,) * d lies in P_n^d
+    shown = 1 if name == "bw_hypercube" else n
+    message = f"need n >= 1 and d >= 1, got n={shown}, d={d}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GRID_CALLS[name](n, d)
 
 
 def test_vertex_text_form():
@@ -42,13 +72,13 @@ def test_vertex_text_form():
 
 
 def test_edges_yields_each_edge_once():
-    assert sum(1 for _ in edges(GridParams(2, 2))) == 12
-    assert sum(1 for _ in edges(GridParams(5, 1))) == 5
-    assert sum(1 for _ in edges(GridParams(1, 3))) == 12
+    assert sum(1 for _ in edges(2, 2)) == 12
+    assert sum(1 for _ in edges(5, 1)) == 5
+    assert sum(1 for _ in edges(1, 3)) == 12
 
 
 def test_edges_lighter_endpoint_first():
-    for u, v in edges(GridParams(2, 3)):
+    for u, v in edges(2, 3):
         assert sum(v) == sum(u) + 1
 
 
@@ -57,15 +87,14 @@ def test_edge_ranges_match_edges():
     # step; these grids use both cuts
     cuts = set()
     for n, d in [(2, 3), (3, 4), (1, 10), (255, 2)]:
-        params = GridParams(n, d)
         kernel = [
-            (lex_unrank(i, params), lex_unrank(i + s, params))
-            for r, s in edge_ranges(params)
+            (lex_unrank(i, n, d), lex_unrank(i + s, n, d))
+            for r, s in edge_ranges(n, d)
             for i in r
         ]
         assert len(kernel) == d * n * (n + 1) ** (d - 1), (n, d)
-        assert sorted(kernel) == sorted(edges(params)), (n, d)
-        cuts |= {r.step == 1 for r, _ in edge_ranges(params)}
+        assert sorted(kernel) == sorted(edges(n, d)), (n, d)
+        cuts |= {r.step == 1 for r, _ in edge_ranges(n, d)}
     assert cuts == {True, False}
 
 
@@ -75,28 +104,27 @@ def _positions(runs):
 
 def test_edge_ranges_capped_pieces_concatenate(monkeypatch):
     for n, d in [(2, 3), (3, 4), (1, 10), (255, 2), (6, 1)]:
-        params = GridParams(n, d)
-        monkeypatch.setattr(grid, "RUN_CAP", params.vertex_count)
-        uncapped = list(edge_ranges(params))
+        monkeypatch.setattr(grid, "RUN_CAP", (n + 1) ** d)
+        uncapped = list(edge_ranges(n, d))
         for cap in (1, 5, 64):
             monkeypatch.setattr(grid, "RUN_CAP", cap)
-            capped = list(edge_ranges(params))
+            capped = list(edge_ranges(n, d))
             assert max(len(r) for r, _ in capped) <= cap
             assert _positions(capped) == _positions(uncapped), (n, d, cap)
 
 
 def test_edge_ranges_cap_long_runs():
     # dimension 0 of P_3^9 is three blocks of 3 * 4^8 = 196 608 positions
-    params = GridParams(3, 9)
-    lengths = [len(r) for r, _ in edge_ranges(params)]
+    n, d = 3, 9
+    lengths = [len(r) for r, _ in edge_ranges(n, d)]
     assert max(lengths) == grid.RUN_CAP
     assert sum(lengths) == 9 * 3 * 4**8
 
 
-def _hales_by_enumeration(params):
-    labels = [0] * params.vertex_count
-    for label, u in enumerate(hales_enumerate(params.n, params.d), start=1):
-        labels[lex_rank(u, params)] = label
+def _hales_by_enumeration(n, d):
+    labels = [0] * (n + 1) ** d
+    for label, u in enumerate(hales_enumerate(n, d), start=1):
+        labels[lex_rank(u, n, d)] = label
     return labels
 
 
@@ -108,9 +136,8 @@ def test_hales_label_array_inverts_enumeration():
              (3, 6), (254, 1), (255, 1), (256, 1), (1, 8), (127, 2), (128, 2),
              (65534, 1), (65535, 1), (65536, 1)]
     for n, d in grids:
-        params = GridParams(n, d)
-        labels = label_array("hales", params)
-        assert list(labels) == _hales_by_enumeration(params), (n, d)
+        labels = label_array("hales", n, d)
+        assert list(labels) == _hales_by_enumeration(n, d), (n, d)
         typecodes.add(labels.typecode)
     assert typecodes == {"B", "H", "i"}
 
@@ -118,54 +145,51 @@ def test_hales_label_array_inverts_enumeration():
 def test_hales_label_array_matches_rank():
     rng = random.Random(7)
     for n, d in [(3, 9), (31, 3), (2, 10), (999, 2)]:
-        params = GridParams(n, d)
-        labels = label_array("hales", params)
-        for i in rng.sample(range(params.vertex_count), 200):
-            u = lex_unrank(i, params)
-            assert hales_rank(u, n, d) + 1 == labels[lex_rank(u, params)], (n, d, u)
+        labels = label_array("hales", n, d)
+        for i in rng.sample(range((n + 1) ** d), 200):
+            u = lex_unrank(i, n, d)
+            assert hales_rank(u, n, d) + 1 == labels[lex_rank(u, n, d)], (n, d, u)
 
 
 def test_position_texts_match_format_vertex():
     for n, d in [(1, 1), (4, 1), (2, 3), (3, 2), (1, 10), (11, 2)]:
-        params = GridParams(n, d)
-        texts = list(position_texts(params, range(params.vertex_count)))
+        texts = list(position_texts(n, d, range((n + 1) ** d)))
         assert texts == [format_vertex(u) for u in product(range(n + 1), repeat=d)]
 
 
 def test_lex_rank_unrank():
-    params = GridParams(2, 2)
-    assert lex_rank((1, 1), params) == 4
-    assert lex_rank((0, 0), params) == 0
-    assert lex_unrank(8, params) == (2, 2)
+    n, d = 2, 2
+    assert lex_rank((1, 1), n, d) == 4
+    assert lex_rank((0, 0), n, d) == 0
+    assert lex_unrank(8, n, d) == (2, 2)
     for r in range(9):
-        assert lex_rank(lex_unrank(r, params), params) == r
+        assert lex_rank(lex_unrank(r, n, d), n, d) == r
     with pytest.raises(ValueError):
-        lex_unrank(9, params)
+        lex_unrank(9, n, d)
 
 
 def test_labeling_bandwidth_examples():
-    assert labeling_bandwidth("hales", GridParams(2, 2)).value == 3
-    assert labeling_bandwidth("lex", GridParams(2, 3)).value == 9
+    assert labeling_bandwidth("hales", 2, 2).value == 3
+    assert labeling_bandwidth("lex", 2, 3).value == 9
     for n in (1, 3, 7):
-        assert labeling_bandwidth("hales", GridParams(n, 1)).value == 1
+        assert labeling_bandwidth("hales", n, 1).value == 1
 
 
 def test_labeling_bandwidth_matches_formulas_small():
     for n in range(1, 4):
         d = 1
         while (n + 1) ** d <= 3000:
-            params = GridParams(n, d)
-            assert labeling_bandwidth("hales", params).value == bw_hales(n, d)
-            assert labeling_bandwidth("lex", params).value == bw_lex(n, d)
+            assert labeling_bandwidth("hales", n, d).value == bw_hales(n, d)
+            assert labeling_bandwidth("lex", n, d).value == bw_lex(n, d)
             d += 1
 
 
 def test_witness_is_an_edge_achieving_the_value():
-    params = GridParams(2, 3)
-    report = labeling_bandwidth("hales", params)
+    n, d = 2, 3
+    report = labeling_bandwidth("hales", n, d)
     u, v = report.witness
     diffs = [abs(a - b) for a, b in zip(u, v)]
-    assert sorted(diffs) == [0] * (params.d - 1) + [1]
+    assert sorted(diffs) == [0] * (d - 1) + [1]
     ranks = {w: hales_rank(w, 2, 3) + 1 for w in (u, v)}
     assert abs(ranks[u] - ranks[v]) == report.value
 
@@ -179,16 +203,15 @@ def test_witness_is_deterministic_minimum_rank_pair(tmp_path):
     path = tmp_path / "tied.tsv"
     _write_labeling(path, tied)
     for n, d in [(2, 2), (1, 4), (2, 3), (3, 3), (5, 2), (1, 7)]:
-        params = GridParams(n, d)
         hales = {u: i for i, u in enumerate(hales_enumerate(n, d))}
-        cases = [("hales", hales), ("lex", {u: lex_rank(u, params) for u in hales})]
+        cases = [("hales", hales), ("lex", {u: lex_rank(u, n, d) for u in hales})]
         if (n, d) == (2, 2):
-            cases.append((load_labeling_file(str(path), params), tied))
+            cases.append((load_labeling_file(str(path), n, d), tied))
         for labeling, labels in cases:
-            report = labeling_bandwidth(labeling, params)
+            report = labeling_bandwidth(labeling, n, d)
             maximizers = [
                 (hales[u], hales[v], (u, v))
-                for u, v in edges(params)
+                for u, v in edges(n, d)
                 if abs(labels[u] - labels[v]) == report.value
             ]
             assert report.witness == min(maximizers)[2], (labeling, n, d)
@@ -196,20 +219,20 @@ def test_witness_is_deterministic_minimum_rank_pair(tmp_path):
 
 def test_scan_budget_error_names_budget():
     with pytest.raises(BudgetExceededError) as err:
-        labeling_bandwidth("hales", GridParams(2, 10), max_vertices=1000)
+        labeling_bandwidth("hales", 2, 10, max_vertices=1000)
     assert "1000" in str(err.value)
     assert err.value.required == 3 ** 10
 
 
 def test_labeling_bandwidth_takes_an_order_or_a_full_label_array():
-    params = GridParams(2, 2)
+    n, d = 2, 2
     with pytest.raises(ValueError, match="unknown labeling 'file'"):
-        labeling_bandwidth("file", params)
+        labeling_bandwidth("file", n, d)
     with pytest.raises(ValueError, match="unknown labeling 'file'"):
-        label_array("file", params)
+        label_array("file", n, d)
     with pytest.raises(ValueError, match="8 labels for the 9 vertices"):
-        labeling_bandwidth(list(range(1, 9)), params)
-    assert labeling_bandwidth(list(range(1, 10)), params).value == 3
+        labeling_bandwidth(list(range(1, 9)), n, d)
+    assert labeling_bandwidth(list(range(1, 10)), n, d).value == 3
 
 
 def _write_labeling(path, mapping):
@@ -219,60 +242,60 @@ def _write_labeling(path, mapping):
 
 
 def test_labeling_file_round_trip(tmp_path):
-    params = GridParams(2, 2)
+    n, d = 2, 2
     mapping = {u: i for i, u in enumerate(hales_enumerate(2, 2), start=1)}
     path = tmp_path / "hales.tsv"
     _write_labeling(path, mapping)
     by_position = [mapping[u] for u in product(range(3), repeat=2)]
-    assert load_labeling_file(str(path), params) == by_position
-    report = labeling_bandwidth(load_labeling_file(str(path), params), params)
+    assert load_labeling_file(str(path), n, d) == by_position
+    report = labeling_bandwidth(load_labeling_file(str(path), n, d), n, d)
     assert report.value == 3
 
 
 def test_labeling_file_rejects_duplicates_and_gaps(tmp_path):
-    params = GridParams(1, 1)
+    n, d = 1, 1
     path = tmp_path / "bad.tsv"
 
     path.write_text("0\t1\n0\t2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate vertex"):
-        load_labeling_file(str(path), params)
+        load_labeling_file(str(path), n, d)
 
     path.write_text("0\t1\n1\t1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate label"):
-        load_labeling_file(str(path), params)
+        load_labeling_file(str(path), n, d)
 
     path.write_text("0\t1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bijection"):
-        load_labeling_file(str(path), params)
+        load_labeling_file(str(path), n, d)
 
     path.write_text("0\t3\n1\t1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="outside"):
-        load_labeling_file(str(path), params)
+        load_labeling_file(str(path), n, d)
 
     path.write_text("5\t1\n1\t2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="not in the grid"):
-        load_labeling_file(str(path), params)
+        load_labeling_file(str(path), n, d)
 
     path.write_text("0\t1\n1\tx\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad\.tsv:2: invalid literal for int"):
-        load_labeling_file(str(path), params)
+        load_labeling_file(str(path), n, d)
 
     path.write_text("0\t1\n0;1\t2\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad\.tsv:2: bad vertex '0;1'"):
-        load_labeling_file(str(path), params)
+        load_labeling_file(str(path), n, d)
 
 
 def test_labeling_file_refuses_a_grid_over_the_scan_budget(tmp_path):
     # 2^40 vertices: refused before the label list is allocated or the file read
     path = tmp_path / "missing.tsv"
     with pytest.raises(BudgetExceededError) as err:
-        load_labeling_file(str(path), GridParams(1, 40))
+        load_labeling_file(str(path), 1, 40)
     assert err.value.budget == grid.DEFAULT_SCAN_BUDGET
     assert err.value.required == 2**40
 
 
 def test_labeling_file_skips_comments_and_blanks(tmp_path):
-    params = GridParams(1, 1)
+    n, d = 1, 1
     path = tmp_path / "commented.tsv"
     path.write_text("# header\n\n0\t1\n1\t2\n", encoding="utf-8")
-    assert load_labeling_file(str(path), params) == [1, 2]
+    assert load_labeling_file(str(path), n, d) == [1, 2]

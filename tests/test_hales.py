@@ -13,7 +13,7 @@ import pytest
 
 from gridband import coeffs
 from gridband.coeffs import coeff, coeff_row
-from gridband.grid import GridParams, label_array
+from gridband.grid import label_array
 from gridband.hales import (
     block_matrix,
     hales_compare,
@@ -108,7 +108,7 @@ def test_one_dimension_builds_no_row(monkeypatch):
     monkeypatch.setattr(coeffs, "_next_row", no_row)
     assert hales_rank((5,), 20_000_000, 1) == 5
     assert hales_unrank(5, 20_000_000, 1) == (5,)
-    assert list(label_array("hales", GridParams(4, 1))) == [1, 2, 3, 4, 5]
+    assert list(label_array("hales", 4, 1)) == [1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("call", ["coeff_row", "hales_rank", "hales_unrank"])

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from collections import defaultdict
 from itertools import permutations, product
 
@@ -9,7 +10,7 @@ import pytest
 
 from gridband.bandwidth import bw_hales
 from gridband.cli import main
-from gridband.grid import GridParams, labeling_bandwidth, load_labeling_file
+from gridband.grid import labeling_bandwidth, load_labeling_file
 from gridband.oracle import (
     BUDGET_EXHAUSTED,
     PROVED,
@@ -59,43 +60,43 @@ def test_orbit_keys_match_enumerated_stabilizer():
 
 
 def test_small_grids_proved():
-    cert = brute_force_bw(GridParams(2, 2))
+    cert = brute_force_bw(2, 2)
     assert cert.optimal_value == 3 and cert.status == PROVED
 
-    cert = brute_force_bw(GridParams(1, 2))
+    cert = brute_force_bw(1, 2)
     assert cert.optimal_value == 2 and cert.status == PROVED
 
-    cert = brute_force_bw(GridParams(1, 3))
+    cert = brute_force_bw(1, 3)
     assert cert.optimal_value == bw_hales(1, 3) == 4 and cert.status == PROVED
 
 
 def test_hypercube_dimension_four_arbitration():
     # 16 vertices: the exhaustive optimum settles the d=4 value at 7, one
     # above the 6 that circulates in older tabulations
-    cert = brute_force_bw(GridParams(1, 4), SearchBudget(max_nodes=100_000))
+    cert = brute_force_bw(1, 4, SearchBudget(max_nodes=100_000))
     assert cert.status == PROVED
     assert cert.optimal_value == 7 == bw_hales(1, 4)
 
 
 def test_value_never_exceeds_hales_labeling():
     for n, d in [(1, 2), (1, 3), (2, 2), (3, 2)]:
-        cert = brute_force_bw(GridParams(n, d))
-        scanned = labeling_bandwidth("hales", GridParams(n, d)).value
+        cert = brute_force_bw(n, d)
+        scanned = labeling_bandwidth("hales", n, d).value
         assert cert.optimal_value <= scanned
 
 
 def test_witness_rescans_to_optimal_value(tmp_path):
-    for params, value in [(GridParams(2, 2), 3), (GridParams(4, 2), 5)]:
-        cert = brute_force_bw(params)
+    for n, d, value in [(2, 2, 3), (4, 2, 5)]:
+        cert = brute_force_bw(n, d)
         assert cert.optimal_value == value
         path = tmp_path / "certificate.tsv"
         path.write_text(certificate_to_text(cert), encoding="utf-8")
-        report = labeling_bandwidth(load_labeling_file(str(path), params), params)
+        report = labeling_bandwidth(load_labeling_file(str(path), n, d), n, d)
         assert report.value == value
 
 
 def test_certificate_header_lines():
-    cert = brute_force_bw(GridParams(1, 2))
+    cert = brute_force_bw(1, 2)
     text = certificate_to_text(cert)
     lines = text.splitlines()
     assert lines[0] == f"# bandwidth {cert.optimal_value}"
@@ -111,7 +112,7 @@ def _certificate_by_format_vertex(cert):
         f"# status {cert.status}",
         f"# nodes {cert.nodes_explored}",
     ]
-    n, d = cert.params.n, cert.params.d
+    n, d = cert.n, cert.d
     pairs = zip(product(range(n + 1), repeat=d), cert.labels)
     for u, label in sorted(pairs, key=lambda kv: kv[1]):
         lines.append(",".join(str(c) for c in u) + f"\t{label}")
@@ -119,8 +120,8 @@ def _certificate_by_format_vertex(cert):
 
 
 def test_certificate_bytes_unchanged():
-    proved = brute_force_bw(GridParams(2, 2))
-    exhausted = brute_force_bw(GridParams(1, 6), SearchBudget(max_nodes=10))
+    proved = brute_force_bw(2, 2)
+    exhausted = brute_force_bw(1, 6, SearchBudget(max_nodes=10))
     assert (proved.status, exhausted.status) == (PROVED, BUDGET_EXHAUSTED)
     for cert in (proved, exhausted):
         assert certificate_to_text(cert) == _certificate_by_format_vertex(cert)
@@ -128,7 +129,7 @@ def test_certificate_bytes_unchanged():
 
 def test_fallback_certificate_body_is_the_label_listing(capsys):
     # a search cut off before any full labeling falls back to the Hales order
-    cert = brute_force_bw(GridParams(2, 3), SearchBudget(max_nodes=10))
+    cert = brute_force_bw(2, 3, SearchBudget(max_nodes=10))
     assert cert.status == BUDGET_EXHAUSTED
     assert main(["label", "--n", "2", "--d", "3"]) == 0
     listing = capsys.readouterr().out
@@ -137,8 +138,8 @@ def test_fallback_certificate_body_is_the_label_listing(capsys):
 
 
 def test_search_is_deterministic():
-    first = brute_force_bw(GridParams(3, 2))
-    second = brute_force_bw(GridParams(3, 2))
+    first = brute_force_bw(3, 2)
+    second = brute_force_bw(3, 2)
     assert first == second
 
 
@@ -147,39 +148,50 @@ def test_trivial_bound_start_agrees():
     grids = [(n, 1) for n in range(1, 25)] + [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (1, 4)]
     budget = SearchBudget(max_nodes=100_000)
     for n, d in grids:
-        accel = brute_force_bw(GridParams(n, d), budget)
-        plain = brute_force_bw(GridParams(n, d), budget, use_formula_bound=False)
+        accel = brute_force_bw(n, d, budget)
+        plain = brute_force_bw(n, d, budget, use_formula_bound=False)
         assert accel.status == plain.status == PROVED, (n, d)
         assert accel.optimal_value == plain.optimal_value == bw_hales(n, d), (n, d)
 
 
 def test_node_budget_exhaustion():
-    cert = brute_force_bw(GridParams(2, 2), SearchBudget(max_nodes=5))
+    cert = brute_force_bw(2, 2, SearchBudget(max_nodes=5))
     assert cert.status == BUDGET_EXHAUSTED
     # the fallback witness is still a genuine labeling achieving the value
     assert sorted(cert.labels) == list(range(1, 10))
 
 
 def test_time_limit_exhaustion():
-    cert = brute_force_bw(GridParams(1, 4), SearchBudget(time_limit=1e-9))
+    cert = brute_force_bw(1, 4, SearchBudget(time_limit=1e-9))
     assert cert.status == BUDGET_EXHAUSTED
 
 
 def test_verify_optimal_results():
-    check = verify_optimal(GridParams(1, 2))
+    check = verify_optimal(1, 2)
     assert check.result is True and check.formula_value == 2
 
-    check = verify_optimal(GridParams(2, 2))
+    check = verify_optimal(2, 2)
     assert check.result is True and check.formula_value == 3
 
-    check = verify_optimal(GridParams(3, 2))
+    check = verify_optimal(3, 2)
     assert check.result is True and check.formula_value == 4
 
 
 def test_verify_optimal_inconclusive_is_not_false():
-    check = verify_optimal(GridParams(2, 2), SearchBudget(max_nodes=5))
+    check = verify_optimal(2, 2, SearchBudget(max_nodes=5))
     assert check.result is None
     assert check.certificate.status == BUDGET_EXHAUSTED
+
+
+def test_search_restores_the_recursion_limit():
+    # 1024 vertices need a deeper limit than 1000 while the search runs
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        brute_force_bw(1, 10, SearchBudget(max_nodes=10))
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_budget_validation():
