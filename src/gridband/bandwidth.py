@@ -3,28 +3,27 @@
 The exact bandwidth is the sum over i < d of the n largest coefficients of
 (1 + x + ... + x^n)^i; the hypercube case n = 1 reduces to a sum of central
 binomials.  The largest coefficients of consecutive rows bracket the value,
-and a local-CLT estimate approximates the upper bracket for large d.
+and a local-CLT estimate approximates the upper bracket for large d.  The
+records returned are named tuples: bounds(2, 3) == (7, 19).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .coeffs import _top_sums_by_rows, check_grid, max_coeff, top_sum
 
 
-@dataclass(frozen=True)
-class BoundsPair:
+class BoundsPair(NamedTuple):
     """Central-coefficient bracket: lower <= bw(P_n^d) <= upper."""
 
     lower: int
     upper: int
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(NamedTuple):
     """Normal-density approximation of the largest coefficient of row d+1."""
 
     n: int

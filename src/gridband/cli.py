@@ -12,8 +12,6 @@ exceeded, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from array import array
 from itertools import accumulate, chain, islice, pairwise, starmap
@@ -111,9 +109,11 @@ def _render(args, doc: dict, columns: list[str], rows=None, plain=None) -> None:
 
     Cells print as _text prints them.  The first row's cell types fix each
     column's format, so a long listing costs one str.format call per row
-    and no per-cell dispatch.
+    and no per-cell dispatch.  json and csv are imported by their own
+    format only, so a plain run starts without them.
     """
     if args.format == "json":
+        import json
         doc = {key: _json(value) for key, value in doc.items()}
         print(json.dumps(doc, sort_keys=True, default=list))
         return
@@ -125,6 +125,7 @@ def _render(args, doc: dict, columns: list[str], rows=None, plain=None) -> None:
     rows = chain([first], rows)
     floats = [isinstance(v, float) for v in first]
     if args.format == "csv":
+        import csv
         if any(floats):
             rows = ([_text(v) for v in row] for row in rows)
         writer = csv.writer(sys.stdout, lineterminator="\n")

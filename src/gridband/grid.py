@@ -21,10 +21,9 @@ of `hales.weight_shifts`, with no walk of the order: see `_hales_labels`.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import compress, count, product, repeat
 from operator import add, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .coeffs import BudgetExceededError, InternalInvariantError  # re-exported
 from .coeffs import check_budget, check_grid
@@ -37,9 +36,8 @@ DEFAULT_SCAN_BUDGET = 1_000_000
 RUN_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
-class BandwidthReport:
-    """A scanned bandwidth value and a witness edge achieving it."""
+class BandwidthReport(NamedTuple):
+    """A scanned bandwidth value and a witness edge achieving it, a named tuple."""
 
     value: int
     witness: tuple[Vertex, Vertex]

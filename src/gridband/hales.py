@@ -23,7 +23,7 @@ the label array of `grid` add them up.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterator
 
 from .coeffs import InternalInvariantError, _prev_row, check_grid, coeff_row, coeff_rows
@@ -112,7 +112,7 @@ def hales_unrank(r: int, n: int, d: int) -> Vertex:
 
 
 def hales_enumerate(n: int, d: int) -> Iterator[Vertex]:
-    """Yield all (n+1)^d vertices in increasing Hales order.
+    """All (n+1)^d vertices in increasing Hales order, as an iterator.
 
     The order is the weight blocks `block_matrix(n, d, k)` for k = 0..n*d,
     one after another.  Whole-grid label arrays do not walk it (see
@@ -120,8 +120,7 @@ def hales_enumerate(n: int, d: int) -> Iterator[Vertex]:
     against.
     """
     check_grid(n, d)
-    for k in range(n * d + 1):
-        yield from block_matrix(n, d, k)
+    return chain.from_iterable(block_matrix(n, d, k) for k in range(n * d + 1))
 
 
 def block_matrix(n: int, d: int, k: int) -> list[Vertex]:

@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 from itertools import chain, product, starmap
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bandwidth import bw_hales
 from .grid import (
@@ -113,20 +112,25 @@ def _refine(classes: Classes, x: Vertex, n: int) -> Classes:
     return tuple(refined)
 
 
-@dataclass(frozen=True)
 class SearchBudget:
-    max_nodes: int = DEFAULT_NODE_BUDGET
-    time_limit: float | None = None
+    """Limits on one search: a node count and an optional time in seconds."""
 
-    def __post_init__(self) -> None:
-        if self.max_nodes < 1:
+    __slots__ = ("max_nodes", "time_limit")
+
+    def __init__(
+        self, max_nodes: int = DEFAULT_NODE_BUDGET, time_limit: float | None = None
+    ) -> None:
+        if max_nodes < 1:
             raise ValueError("max_nodes must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if time_limit is not None and time_limit <= 0:
             raise ValueError("time_limit must be positive")
+        self.max_nodes = max_nodes
+        self.time_limit = time_limit
 
 
-@dataclass
-class OptimalityCertificate:
+class OptimalityCertificate(NamedTuple):
+    """brute_force_bw outcome, a named tuple like every result record."""
+
     n: int
     d: int
     optimal_value: int
@@ -135,8 +139,7 @@ class OptimalityCertificate:
     status: str  # PROVED or BUDGET_EXHAUSTED
 
 
-@dataclass(frozen=True)
-class OptimalityCheck:
+class OptimalityCheck(NamedTuple):
     """verify_optimal outcome: result None means the budget ran out (inconclusive)."""
 
     result: bool | None

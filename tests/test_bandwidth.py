@@ -7,6 +7,7 @@ import pytest
 
 from gridband import coeffs
 from gridband.bandwidth import (
+    AsymptoticEstimate,
     BoundsPair,
     asymptotic_estimate,
     bounds,
@@ -99,6 +100,14 @@ def test_bounds_examples():
         assert bounds(n, 1).lower == 1
 
 
+def test_bounds_pair_is_a_named_tuple():
+    assert BoundsPair._fields == ("lower", "upper")
+    assert bounds(2, 3) == (7, 19)
+    lower, upper = bounds(2, 3)
+    assert (lower, upper) == (7, 19)
+    assert repr(bounds(2, 3)) == "BoundsPair(lower=7, upper=19)"
+
+
 def test_bounds_on_deep_cold_rows():
     # for n = 2 the largest coefficient of row d is the trinomial C(d, d)
     pair = bounds(2, 620)
@@ -131,6 +140,14 @@ def test_asymptotic_estimate_fields():
     assert info.sqrt_factor == pytest.approx(
         math.sqrt(6 / (math.pi * 5 * 15)), rel=1e-12
     )
+
+
+def test_asymptotic_estimate_is_a_named_tuple():
+    assert AsymptoticEstimate._fields == ("n", "d", "estimate", "sqrt_factor")
+    info = asymptotic_estimate(3, 4)
+    n, d, estimate, sqrt_factor = info
+    assert (n, d) == (3, 4)
+    assert (estimate, sqrt_factor) == (info.estimate, info.sqrt_factor)
 
 
 def test_asymptotic_estimate_past_float_range_is_refused():

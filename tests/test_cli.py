@@ -4,8 +4,12 @@ import csv
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -280,6 +284,32 @@ def test_outputs_are_deterministic(capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+# The child runs one command, then prints which of these modules the run
+# imported: dataclasses (which brings inspect), json and csv each cost a
+# fresh process time, and only the format that prints with json or csv needs it.
+STARTUP_CHILD = """
+import sys
+before = set(sys.modules)
+from gridband.cli import main
+main(sys.argv[1:])
+new = set(sys.modules) - before
+print(" ".join(sorted(new & {"dataclasses", "inspect", "json", "csv"})))
+"""
+
+
+@pytest.mark.parametrize("fmt,imported", [("plain", ""), ("json", "json"), ("csv", "csv")])
+def test_startup_imports_only_what_the_format_needs(fmt, imported):
+    src = Path(cli.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHILD, "bw", "--n", "2", "--d", "3", "--format", fmt],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert child.stdout.splitlines()[-1] == imported
 
 
 def test_export_adjacency_tiny(capsys, tmp_path):

@@ -15,6 +15,7 @@ from gridband.bandwidth import (
     bw_lex,
 )
 from gridband.grid import (
+    BandwidthReport,
     BudgetExceededError,
     edge_ranges,
     format_vertex,
@@ -41,7 +42,7 @@ GRID_CALLS = {
     "bw_hypercube": lambda n, d: bw_hypercube(d),  # the grid P_1^d
     "hales_rank": lambda n, d: hales_rank((0,) * d, n, d),
     "hales_unrank": lambda n, d: hales_unrank(0, n, d),
-    "hales_enumerate": lambda n, d: next(hales_enumerate(n, d)),
+    "hales_enumerate": hales_enumerate,
     "lex_rank": lambda n, d: lex_rank((0,) * d, n, d),
     "lex_unrank": lambda n, d: lex_unrank(0, n, d),
     "labeling_bandwidth": lambda n, d: labeling_bandwidth("hales", n, d),
@@ -173,6 +174,13 @@ def test_labeling_bandwidth_examples():
     assert labeling_bandwidth("lex", 2, 3).value == 9
     for n in (1, 3, 7):
         assert labeling_bandwidth("hales", n, 1).value == 1
+
+
+def test_bandwidth_report_is_a_named_tuple():
+    assert BandwidthReport._fields == ("value", "witness")
+    value, witness = labeling_bandwidth("lex", 2, 3)
+    assert value == 9
+    assert witness == labeling_bandwidth("lex", 2, 3).witness == ((0, 0, 0), (1, 0, 0))
 
 
 def test_labeling_bandwidth_matches_formulas_small():

@@ -14,6 +14,8 @@ from gridband.grid import labeling_bandwidth, load_labeling_file
 from gridband.oracle import (
     BUDGET_EXHAUSTED,
     PROVED,
+    OptimalityCertificate,
+    OptimalityCheck,
     SearchBudget,
     _orbit_key,
     _refine,
@@ -181,6 +183,22 @@ def test_verify_optimal_inconclusive_is_not_false():
     check = verify_optimal(2, 2, SearchBudget(max_nodes=5))
     assert check.result is None
     assert check.certificate.status == BUDGET_EXHAUSTED
+
+
+def test_certificate_is_a_named_tuple():
+    assert OptimalityCertificate._fields == (
+        "n", "d", "optimal_value", "labels", "nodes_explored", "status"
+    )
+    n, d, value, labels, nodes, status = brute_force_bw(1, 2)
+    assert (n, d, value, status) == (1, 2, 2, PROVED)
+    assert sorted(labels) == [1, 2, 3, 4] and nodes > 0
+
+
+def test_optimality_check_is_a_named_tuple():
+    assert OptimalityCheck._fields == ("result", "formula_value", "certificate")
+    result, formula, cert = verify_optimal(1, 2)
+    assert (result, formula) == (True, 2)
+    assert cert == brute_force_bw(1, 2)
 
 
 def test_search_restores_the_recursion_limit():
