@@ -1,11 +1,14 @@
 """Exact minimum bandwidth over all labelings, by depth-first branch and bound.
 
 Labels 1, 2, 3, ... are placed one at a time onto unlabeled vertices.  A
-branch dies when the gap to the earliest-labeled vertex that still has an
-unlabeled neighbor reaches the incumbent, when such a vertex has more
-unlabeled neighbors than labels left inside its reach, or when a placement
-would stretch an edge to the incumbent.  Candidates are tried in lex-position
-order, making every certificate reproducible.
+placement that would stretch an edge to the incumbent thr is never made.  A
+branch with labels 1..t placed dies by prefix Hall: the unlabeled neighbors
+of the vertices labeled 1..lab must all take labels in t+1..lab+thr-1, so
+once their union is non-empty it may hold at most lab+thr-1-t vertices.  At
+the earliest-labeled vertex that still has an unlabeled neighbor this is the
+gap bound t+1-lab < thr, and since each vertex's own unlabeled neighbors lie
+in the union it also bounds them one vertex at a time.  Candidates are tried
+in lex-position order, making every certificate reproducible.
 
 Symmetry.  The grid's automorphisms permute the d coordinates and reflect
 any of them (c -> n - c): the hyperoctahedral group, of order 2^d d!.  At
@@ -168,7 +171,6 @@ class _Search:
         self.verts = verts
         self.adj = adj
         self.label_of = [0] * total
-        self.unlabeled_nbrs = [len(a) for a in adj]
         self.placed: list[int] = []
         self.threshold = threshold
         self.max_nodes = budget.max_nodes
@@ -186,40 +188,39 @@ class _Search:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, self.total + 64))
         try:
-            self._dfs(0, 0, 1, _root_classes(self.d))
+            self._dfs(0, 0, _root_classes(self.d))
         finally:
             sys.setrecursionlimit(limit)
 
-    def _dfs(self, t: int, cur_max: int, front: int, classes: Classes) -> None:
+    def _dfs(self, t: int, cur_max: int, classes: Classes) -> None:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             self.out_of_budget = True
             return
-        if self.deadline is not None and self.nodes % 4096 == 0:
+        # the first node polls too, so a search shorter than 4096 nodes
+        # still reads the clock
+        if self.deadline is not None and self.nodes % 4096 == 1:
             if time.monotonic() > self.deadline:
                 self.out_of_budget = True
                 return
         label_of = self.label_of
         placed = self.placed
-        unl = self.unlabeled_nbrs
         if t == self.total:
             self.best_value = cur_max
             self.best_labels = label_of.copy()
             self.threshold = cur_max
             return
-        while front <= t and unl[placed[front - 1]] == 0:
-            front += 1
-        thr = self.threshold
-        if front <= t:
-            if (t + 1) - front >= thr:
-                return
-            # pigeonhole: every unlabeled neighbor of the vertex holding
-            # label `lab` must receive one of the lab+thr-1-t labels left
-            # within reach
-            for lab in range(front, t + 1):
-                if unl[placed[lab - 1]] > lab + thr - 1 - t:
-                    return
         adj = self.adj
+        # prefix Hall: the unlabeled neighbors of the vertices labeled 1..lab
+        # must all receive one of the labels t+1..lab+thr-1 left within reach
+        slack = self.threshold - 1 - t
+        reach: set[int] = set()
+        for lab, u in enumerate(placed, 1):
+            for w in adj[u]:
+                if not label_of[w]:
+                    reach.add(w)
+            if reach and len(reach) > lab + slack:
+                return
         verts = self.verts
         n = self.n
         tried: set[tuple] = set()
@@ -250,11 +251,7 @@ class _Search:
                 sub_classes = _refine(classes, verts[v], n)
             label_of[v] = next_label
             placed.append(v)
-            for w in adj[v]:
-                unl[w] -= 1
-            self._dfs(next_label, new_max, front, sub_classes)
-            for w in adj[v]:
-                unl[w] += 1
+            self._dfs(next_label, new_max, sub_classes)
             placed.pop()
             label_of[v] = 0
             if self.out_of_budget:

@@ -146,14 +146,20 @@ def test_search_is_deterministic():
 
 
 def test_trivial_bound_start_agrees():
-    # every grid with at most 25 vertices
+    # every grid with at most 25 vertices, then 27, 32 and 36 vertices
     grids = [(n, 1) for n in range(1, 25)] + [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (1, 4)]
+    grids += [(2, 3), (1, 5), (5, 2)]
+    # node counts from the trivial bound: a prune rule loosened by one still
+    # finds every optimum, and only these counts show it
+    nodes = {(3, 2): 160, (4, 2): 1647, (1, 4): 180, (2, 3): 10144, (1, 5): 5005}
     budget = SearchBudget(max_nodes=100_000)
     for n, d in grids:
         accel = brute_force_bw(n, d, budget)
         plain = brute_force_bw(n, d, budget, use_formula_bound=False)
         assert accel.status == plain.status == PROVED, (n, d)
         assert accel.optimal_value == plain.optimal_value == bw_hales(n, d), (n, d)
+        if (n, d) in nodes:
+            assert plain.nodes_explored == nodes[n, d], (n, d)
 
 
 def test_node_budget_exhaustion():
@@ -164,8 +170,10 @@ def test_node_budget_exhaustion():
 
 
 def test_time_limit_exhaustion():
-    cert = brute_force_bw(1, 4, SearchBudget(time_limit=1e-9))
-    assert cert.status == BUDGET_EXHAUSTED
+    # (3, 2) is proved in fewer nodes than the clock-polling interval
+    for n, d in [(1, 4), (3, 2)]:
+        cert = brute_force_bw(n, d, SearchBudget(time_limit=1e-9))
+        assert cert.status == BUDGET_EXHAUSTED, (n, d)
 
 
 def test_verify_optimal_results():
