@@ -45,12 +45,14 @@ def bw_hales_series(n: int, d_max: int) -> list[int]:
     rows is cheaper.
     """
     check_grid(n, d_max)
-    # CPU time of the row route over the counting route, best of 3 in
-    # process (Python 3.11.7, Xeon): 0.21 at (n, d_max) = (10, 200), 0.51 at
-    # (30, 200), 0.87 at (50, 200), 1.01 at (20, 80), 1.14 at (25, 100),
-    # 3.05 at (100, 100), 71 at (1000, 60).  The routes break even near
-    # 4n = d_max.
-    if 4 * n >= d_max:
+    # CPU time of the (half) row route over the counting route, best of 5
+    # in process (Python 3.11.7, Xeon): 0.13 at (n, d_max) = (10, 200), 0.25
+    # at (30, 200), 0.34 at (50, 200), 0.72 at (100, 200), 0.86 at
+    # (125, 200), 0.68 at (20, 80), 0.57 at (25, 100), 0.87 at (50, 100),
+    # 1.00 at (62, 100), 1.54 at (100, 100), 1.05 at (30, 60), 1.38 at
+    # (20, 40), 22 at (1000, 60).  The break-even drifts from 4n/d_max near
+    # 1.5 at d_max = 40 to near 3 at 200; the rule takes 2n = d_max.
+    if 2 * n >= d_max:
         tops = (top_sum(n, i) for i in range(d_max))
     else:
         tops = _top_sums_by_rows(n, d_max)

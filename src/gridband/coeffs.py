@@ -1,9 +1,12 @@
 """Coefficient rows of (1 + x + ... + x^n)^d and quantities derived from them.
 
 The row for parameters (n, d) holds the n*d + 1 coefficients
-C(d, k) = [x^k] (1 + x + ... + x^n)^d.  Every row is symmetric, log-concave
-and sums to (n + 1)^d.  All arithmetic is exact (Python big integers).
-Nothing is cached: `coeff_rows` streams rows 0..d, each built from the one
+C(d, k) = [x^k] (1 + x + ... + x^n)^d.  Every row is symmetric,
+C(d, k) = C(d, n*d - k), log-concave and sums to (n + 1)^d.  All arithmetic
+is exact (Python big integers).  Rows are held as halves, the degrees
+0..floor(n*d/2), and read past the middle by symmetry; only `coeff_row`
+mirrors a half into the full row, for output.  Nothing is cached:
+`coeff_rows` streams the halves of rows 0..d, each built from the one
 before and only the latest kept, and refuses a row past ROW_BITS before it
 builds any; `_prev_row` steps back down exactly.  Single coefficients, the
 largest coefficient and the top sums are differences of two
@@ -57,24 +60,32 @@ def check_budget(n: int, d: int, budget: int, what: str) -> None:
         )
 
 
-def _next_row(row: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The row after `row`: C(d, k) = sum_{j=0}^{n} C(d-1, k-j).
+def _next_row(half: tuple[int, ...], n: int, d: int) -> tuple[int, ...]:
+    """The half of row d+1 from `half`, the half of row d.
 
-    A sliding window over the previous row, built in one pass as the
-    running sum of its steps C(d, k) - C(d, k-1) = C(d-1, k) - C(d-1, k-n-1).
+    C(d+1, k) = sum_{j=0}^{n} C(d, k-j), a sliding window over row d, built
+    in one pass as the running sum of its steps
+    C(d+1, k) - C(d+1, k-1) = C(d, k) - C(d, k-n-1).  Degrees up to
+    floor(n(d+1)/2) need row d at most ceil(n/2) entries past its own half;
+    they are read by symmetry, as zero past n*d.
     """
-    return tuple(accumulate(map(sub, row + (0,) * n, (0,) * (n + 1) + row)))
+    top, size = n * d, n * (d + 1) // 2 + 1
+    past = half[max(0, top + 1 - size) : top + 1 - len(half)][::-1]
+    row = half + past + (0,) * (size - top - 1)
+    return tuple(accumulate(map(sub, row, (0,) * (n + 1) + row)))
 
 
-def _prev_row(row: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The row before `row` (of degree d >= 1), the inverse of _next_row.
+def _prev_row(half: tuple[int, ...], n: int, d: int) -> tuple[int, ...]:
+    """The half of row d-1 from `half`, the half of row d >= 1; the inverse
+    of _next_row.
 
     (1 - x) P_d = (1 - x^(n+1)) P_(d-1), so
     C(d-1, k) = C(d-1, k-n-1) + C(d, k) - C(d, k-1): within each residue
-    class of k modulo n+1, a running sum of the first differences of `row`.
+    class of k modulo n+1, a running sum of the first differences of row d.
+    Degree k reads row d at degrees <= k alone, so a half is enough.
     """
-    size = len(row) - n
-    diffs = list(map(sub, row[:size], (0,) + row[: size - 1]))
+    size = n * (d - 1) // 2 + 1
+    diffs = list(map(sub, half[:size], (0,) + half[: size - 1]))
     prev = [0] * size
     for r in range(n + 1):
         prev[r :: n + 1] = accumulate(diffs[r :: n + 1])
@@ -82,7 +93,8 @@ def _prev_row(row: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 def coeff_rows(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """Rows 0, 1, ..., d one after another; only the latest is kept.
+    """The halves of rows 0, 1, ..., d one after another; only the latest
+    is kept.  The half of row m holds degrees 0..floor(n*m/2).
 
     Raises BudgetExceededError, before any row is built, when row d would
     hold more than ROW_BITS bits.
@@ -96,11 +108,11 @@ def coeff_rows(n: int, d: int) -> Iterator[tuple[int, ...]]:
             budget=ROW_BITS,
             required=bits,
         )
-    row = (1,)
-    yield row
-    for _ in range(d):
-        row = _next_row(row, n)
-        yield row
+    half = (1,)
+    yield half
+    for m in range(d):
+        half = _next_row(half, n, m)
+        yield half
 
 
 def _count_below(n: int, i: int, k: int) -> int:
@@ -128,11 +140,20 @@ def _top_window(n: int, i: int) -> tuple[int, int]:
     return lo, lo + width
 
 
-def coeff_row(n: int, d: int) -> tuple[int, ...]:
-    """Full coefficient row of (1 + x + ... + x^n)^d: entry k is [x^k], exact."""
-    for row in coeff_rows(n, d):
+def _half_row(n: int, d: int) -> tuple[int, ...]:
+    """The half of row d, the last that `coeff_rows` streams."""
+    for half in coeff_rows(n, d):
         pass
-    return row
+    return half
+
+
+def coeff_row(n: int, d: int) -> tuple[int, ...]:
+    """Full coefficient row of (1 + x + ... + x^n)^d: entry k is [x^k], exact.
+
+    The one place a half row is mirrored into a full one.
+    """
+    half = _half_row(n, d)
+    return half + half[: n * d + 1 - len(half)][::-1]
 
 
 def coeff(n: int, d: int, k: int) -> int:
@@ -159,10 +180,15 @@ def top_sum(n: int, i: int) -> int:
 
 
 def _top_sums_by_rows(n: int, d_max: int) -> Iterator[int]:
-    """top_sum(n, i) for i = 0..d_max-1, from the row stream."""
-    for i, row in enumerate(coeff_rows(n, d_max - 1)):
+    """top_sum(n, i) for i = 0..d_max-1, from the row stream.
+
+    Window degrees past the half of row i are read by symmetry, degree k
+    as n*i - k.
+    """
+    for i, half in enumerate(coeff_rows(n, d_max - 1)):
         lo, stop = _top_window(n, i)
-        yield sum(row[lo:stop])
+        mirror = n * i + 1
+        yield sum(half[lo:stop]) + sum(half[mirror - stop : mirror - len(half)])
 
 
 def trinomial_coeff(d: int, k: int) -> int:

@@ -16,7 +16,8 @@ own class, which precede it in its block; and those lighter than
 max(0, w-n), which lie in no block of the class.  So the rank of (rest, h)
 is rest's rank plus a shift that depends on w alone: the m-dimensional
 vertices lighter than w, less the (m-1)-dimensional ones lighter than
-max(0, w-n).  Class sizes are the coefficients of (1 + x + ... + x^n)^m.
+max(0, w-n).  Class sizes are the coefficients of (1 + x + ... + x^n)^m,
+streamed as half rows (see `coeffs`) and read past the middle by symmetry.
 `weight_shifts` reads the shifts from their prefix sums; `hales_rank` and
 the label array of `grid` add them up.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 from itertools import accumulate, chain
 from typing import Callable, Iterator
 
-from .coeffs import InternalInvariantError, _prev_row, check_grid, coeff_row, coeff_rows
+from .coeffs import InternalInvariantError, _half_row, _prev_row, check_grid, coeff_rows
 
 Vertex = tuple[int, ...]
 
@@ -54,19 +55,31 @@ def hales_compare(u: Vertex, v: Vertex) -> int:
     return 0
 
 
+def _lighter(half: tuple[int, ...], n: int, m: int) -> Callable[[int], int]:
+    """The map from w = 0..n*m+1 to the number of m-dimensional vertices
+    of weight below w, from the prefix sums of `half`, the half of row m.
+
+    Past the middle it counts by symmetry: the vertices of weight at least
+    w mirror those of weight at most n*m - w.
+    """
+    below = list(accumulate(half, initial=0))
+    total, mirror, size = (n + 1) ** m, n * m + 1, len(below)
+    return lambda w: below[w] if w < size else total - below[mirror - w]
+
+
 def weight_shifts(n: int, d: int) -> Iterator[Callable[[int], int]]:
     """For m = 2..d, the map from a weight w = 0..n*m to its shift.
 
-    The shift of m = 1 is the identity, so d < 2 builds no row.  Holds two
-    rows of prefix sums at a time, read from `coeff_rows`.
+    The shift of m = 1 is the identity, so d < 2 builds no row.  Holds the
+    prefix sums of two half rows at a time, read from `coeff_rows`.
     """
     if d < 2:
         return
-    for m, row in enumerate(coeff_rows(n, d)):
-        below_m = list(accumulate(row, initial=0))
+    for m, half in enumerate(coeff_rows(n, d)):
+        lighter = _lighter(half, n, m)
         if m >= 2:
-            yield lambda w, now=below_m, last=below: now[w] - last[max(0, w - n)]
-        below = below_m
+            yield lambda w, now=lighter, prev=prev: now(w) - prev(max(0, w - n))
+        prev = lighter
 
 
 def hales_rank(u: Vertex, n: int, d: int) -> int:
@@ -83,23 +96,30 @@ def hales_rank(u: Vertex, n: int, d: int) -> int:
 
 
 def hales_unrank(r: int, n: int, d: int) -> Vertex:
-    """Inverse of hales_rank; steps from row d down one row per coordinate."""
+    """Inverse of hales_rank; steps from row d down one row per coordinate.
+
+    Each row is a half row; a class size past its middle, at weight k of
+    row m, is read at weight n*m - k.
+    """
     check_grid(n, d)
     if r < 0 or r >= (n + 1) ** d:
         raise ValueError(f"rank {r} outside [0, {(n + 1) ** d - 1}]")
     if d == 1:
         return (r,)
-    row = coeff_row(n, d)
-    for k, size in enumerate(row):
+    half = _half_row(n, d)
+    top = n * d
+    for k in range(top + 1):
+        size = half[min(k, top - k)]
         if r < size:
             break
         r -= size
     coords = [0] * d
     for pos in range(d - 1, 0, -1):
-        row = _prev_row(row, n)
-        h_lo = max(0, k - n * pos)
+        half = _prev_row(half, n, pos + 1)
+        top = n * pos
+        h_lo = max(0, k - top)
         for h in range(min(k, n), h_lo - 1, -1):
-            size = row[k - h]
+            size = half[min(k - h, top - k + h)]
             if r < size:
                 coords[pos] = h
                 k -= h

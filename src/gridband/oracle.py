@@ -125,7 +125,7 @@ class SearchBudget:
     ) -> None:
         if max_nodes < 1:
             raise ValueError("max_nodes must be positive")
-        if time_limit is not None and time_limit <= 0:
+        if time_limit is not None and not time_limit > 0:  # NaN too
             raise ValueError("time_limit must be positive")
         self.max_nodes = max_nodes
         self.time_limit = time_limit

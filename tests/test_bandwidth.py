@@ -57,7 +57,7 @@ def test_series_builds_no_cached_row(monkeypatch):
     series = list(accumulate(_top_sums_by_rows(100, 6)))
     pair = BoundsPair(max(coeff_row(6, 100)), max(coeff_row(6, 101)))
 
-    def no_row(row, n):
+    def no_row(*step):
         raise AssertionError("a row was built")
 
     monkeypatch.setattr(coeffs, "_next_row", no_row)

@@ -124,7 +124,9 @@ def test_invariant_failures_exit_3(capsys, monkeypatch):
     assert code == 3
     assert "internal error" in err
     # weight classes too small to hold the rank leave unrank without a vertex
-    monkeypatch.setattr(hales, "_prev_row", lambda row, n: (0,) * (len(row) - n))
+    monkeypatch.setattr(
+        hales, "_prev_row", lambda half, n, d: (0,) * (n * (d - 1) // 2 + 1)
+    )
     code, _, err = run(capsys, "unrank", "--n", "2", "--d", "2", "4")
     assert code == 3
     assert "internal error" in err
@@ -518,6 +520,11 @@ def test_usage_errors_exit_1(capsys):
             argv = [*command.split(), "--n", "2", "--d", "2", "--budget", budget]
             assert main(argv) == 1, argv
             assert "argument --budget: must be >= 1" in capsys.readouterr().err
+    # a time limit that is not positive, NaN included, would never expire
+    for limit in ("0", "-1", "nan"):
+        argv = ["bw", "--n", "2", "--d", "2", "--method", "brute", "--time-limit", limit]
+        assert main(argv) == 1, argv
+        assert "time_limit must be positive" in capsys.readouterr().err
     assert main([]) == 1
     capsys.readouterr()
 

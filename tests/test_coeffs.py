@@ -113,9 +113,13 @@ def test_row_invariants_small():
 
 
 def test_recurrence_matches_convolution_small():
-    for n in range(1, 5):
-        for d in range(10):
-            assert list(coeff_row(n, d)) == conv_row(n, d)
+    # both parities of n*d; the streamed half of row d holds the degrees
+    # 0..floor(n*d/2), and coeff_row mirrors it into the full row
+    for n in range(1, 9):
+        for d, half in enumerate(coeff_rows(n, 30)):
+            full = conv_row(n, d)
+            assert half == tuple(full[: n * d // 2 + 1]), (n, d)
+            assert list(coeff_row(n, d)) == full, (n, d)
 
 
 def test_central_coefficient_identity():
@@ -147,7 +151,7 @@ def test_max_coeff_and_top_sum_match_rows():
             assert top_sum(n, d) == sum(top[:n]), (n, d)
 
 
-def _no_row(row, n):
+def _no_row(*step):
     raise AssertionError("a row was built")
 
 
@@ -163,8 +167,8 @@ def test_huge_n_needs_no_row(monkeypatch):
 
 def test_prev_row_inverts_next_row():
     for n in range(1, 9):
-        for row in coeff_rows(n, 30):
-            assert _prev_row(_next_row(row, n), n) == row, (n, len(row))
+        for m, half in enumerate(coeff_rows(n, 30)):
+            assert _prev_row(_next_row(half, n, m), n, m + 1) == half, (n, m)
 
 
 def test_row_budget_refuses_before_building(monkeypatch):

@@ -90,10 +90,15 @@ def test_unrank_rejects_out_of_range():
         hales_unrank(9, 2, 2)
 
 
-@pytest.mark.parametrize("n,d", [(1, 7), (2, 5), (3, 4), (7, 2), (99, 1)])
+@pytest.mark.parametrize(
+    "n,d",
+    [(1, 7), (2, 5), (3, 4), (7, 2), (99, 1), (1, 8), (3, 3), (4, 3), (5, 3),
+     (6, 3), (7, 3), (8, 3)],
+)
 def test_round_trips_exhaustive(n, d):
     # rank adds up weight_shifts, unrank steps rows down: both against
-    # the enumeration, which counts nothing
+    # the enumeration, which counts nothing.  Every n up to 8 and both
+    # parities of n*d, so weights past the middle of the half rows too
     for r, u in enumerate(hales_enumerate(n, d)):
         assert hales_unrank(r, n, d) == u
         assert hales_rank(u, n, d) == r
@@ -102,7 +107,7 @@ def test_round_trips_exhaustive(n, d):
 
 def test_one_dimension_builds_no_row(monkeypatch):
     # in one dimension the rank is the coordinate
-    def no_row(row, n):
+    def no_row(*step):
         raise AssertionError("a row was built")
 
     monkeypatch.setattr(coeffs, "_next_row", no_row)
@@ -113,7 +118,11 @@ def test_one_dimension_builds_no_row(monkeypatch):
 
 @pytest.mark.parametrize("call", ["coeff_row", "hales_rank", "hales_unrank"])
 def test_rows_stream_in_bounded_memory(call):
-    # one row of (6, 360) is about 0.3 MiB; all 361 of them are 38 MiB
+    # one full row of (6, 360) is about 0.3 MiB, and all 361 of them are
+    # 38 MiB.  Streaming half rows, the calls peak near 0.31, 0.60 and
+    # 0.44 MiB; streaming full rows they peaked near 0.60, 1.25 and
+    # 0.86 MiB, above each bound (Python 3.10 and 3.11 alike)
+    bound = {"coeff_row": 0.45, "hales_rank": 0.9, "hales_unrank": 0.65}[call]
     n, d = 6, 360
     u = tuple(random.Random(360).randint(0, n) for _ in range(d))
     calls = {
@@ -127,7 +136,7 @@ def test_rows_stream_in_bounded_memory(call):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 << 20, peak
+    assert peak < bound * (1 << 20), peak
 
 
 @pytest.mark.parametrize("n,d", [(1, 64), (2, 64), (5, 48), (8, 40)])

@@ -225,3 +225,5 @@ def test_budget_validation():
         SearchBudget(max_nodes=0)
     with pytest.raises(ValueError):
         SearchBudget(time_limit=0.0)
+    with pytest.raises(ValueError):
+        SearchBudget(time_limit=float("nan"))
