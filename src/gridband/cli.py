@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from array import array
-from itertools import accumulate, chain, islice, pairwise, starmap
-from operator import add, sub
+from itertools import chain, count, starmap
 
 from .bandwidth import (
     asymptotic_estimate,
@@ -30,17 +28,16 @@ from .grid import (
     DEFAULT_SCAN_BUDGET,
     BudgetExceededError,
     InternalInvariantError,
-    _typecode,
+    _max_stretch,
     check_budget,
     check_grid,
-    edge_labels,
-    edge_ranges,
     format_vertex,
     label_array,
     label_listing,
     labeling_bandwidth,
     lex_rank,
     lex_unrank,
+    lower_neighbours,
     parse_vertex,
 )
 from .hales import hales_rank, hales_unrank
@@ -297,64 +294,30 @@ def cmd_estimate(args) -> int:
 # ------------------------------------------------------- matrix export
 
 
-def _matrix_rows(
-    n: int, d: int, order: str, kind: str
-) -> tuple[array, array, array | None, int]:
-    """The lower triangle by rows, in flat arrays, and its half-bandwidth.
+def _write_matrix_market(path: str, n: int, d: int, labels, kind: str) -> int:
+    """Write the lower triangle of the Hales or lex labels' matrix; return nnz.
 
-    Returns (starts, cols, degree, half_bandwidth).  The off-diagonal
-    columns of row `label` are cols[starts[label]:starts[label + 1]], in no
-    order; degree[label] is the Laplacian's diagonal, and None for an
-    adjacency matrix.
+    Rows go out in label order, one write each: the labels of the vertex's
+    lighter neighbours, then a Laplacian's diagonal.  Both orders rank a
+    vertex's lighter neighbours below it, and u - e_p below u - e_p' for
+    p < p', the order `lower_neighbours` gives them in, so each row is
+    sorted.  Off the diagonal a Laplacian has -1, adjacency 1.  nnz counts
+    the d*n*(n+1)^(d-1) edges, plus the diagonal.
     """
-    labels = label_array(order, n, d)
-    total = (n + 1) ** d
-    # both orders give the lighter endpoint the smaller label, so the upper
-    # label of an edge is its row and the lower one its column
-    small = _typecode(2 * d)  # a row's entries, a label's degree
-    counts = array(small, [0]) * (total + 2)
-    degree = array(small, [0]) * (total + 1) if kind == "laplacian" else None
-    half_bandwidth = 0
-    for r, s in edge_ranges(n, d):
-        lower, upper = edge_labels(labels, r, s)
-        half_bandwidth = max(half_bandwidth, max(map(sub, upper, lower)))
-        for label in upper:
-            counts[label] += 1
-        if degree is not None:
-            for label in lower:
-                degree[label] += 1
-    if degree is not None:  # entries in a label's column plus its row's
-        degree = array(small, map(add, degree, counts))
-    # starts[label] ends row label; filling each row from its end leaves it
-    # at the row's start
-    starts = array(_typecode(d * total), accumulate(counts))
-    cols = array(_typecode(total), [0]) * starts[-1]
-    for r, s in edge_ranges(n, d):
-        for low, label in zip(*edge_labels(labels, r, s)):
-            k = starts[label] - 1
-            starts[label] = k
-            cols[k] = low
-    return starts, cols, degree, half_bandwidth
-
-
-def _write_matrix_market(path: str, starts, cols, degree) -> int:
-    """Write the rows of `_matrix_rows` in MatrixMarket format; return nnz.
-
-    Each row's columns go out sorted, and its Laplacian diagonal last.  A
-    Laplacian (a degree array) has -1 off the diagonal, adjacency 1.
-    """
-    size = len(starts) - 2
-    nnz = len(cols) + (size if degree is not None else 0)
-    tail = " -1\n" if degree is not None else " 1\n"
+    size = (n + 1) ** d
+    laplacian = kind == "laplacian"
+    nnz = d * n * (n + 1) ** (d - 1) + (size if laplacian else 0)
+    tail = " -1\n" if laplacian else " 1\n"
+    rows = lower_neighbours(n, d, labels)
     with open(path, "w", encoding="utf-8") as handle:
         write = handle.write
         write("%%MatrixMarket matrix coordinate integer symmetric\n")
         write(f"{size} {size} {nnz}\n")
-        for row, (lo, hi) in enumerate(pairwise(islice(starts, 1, None)), start=1):
-            for col in sorted(cols[lo:hi]):
-                write(f"{row} {col}{tail}")
-            if degree is not None:
-                write(f"{row} {row} {degree[row]}\n")
+        for head, (lower, degree) in zip(map("{} ".format, count(1)), rows):
+            text = f"{tail}{head}".join(map(str, lower))
+            if text:
+                text = f"{head}{text}{tail}"
+            write(f"{text}{head}{head}{degree}\n" if laplacian else text)
     return nnz
 
 
@@ -364,21 +327,34 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
         header = handle.readline()
         if not header.startswith("%%MatrixMarket matrix coordinate"):
             raise ValueError(f"{path}: not a coordinate MatrixMarket file")
-        line = handle.readline()
-        while line.startswith("%"):
-            line = handle.readline()
+        lineno = 2
+        while (line := handle.readline()).startswith("%"):
+            lineno += 1
         size, cols, nnz = (int(tok) for tok in line.split())
         if size != cols:
             raise ValueError(f"{path}: expected a square matrix")
         totals = [0] * (size + 1)
         found = 0
-        pi = pj = 0  # the previous entry
+        i = v = pi = pj = 0  # this entry and (pi, pj), the previous one
+        row_text = value_text = ""  # its row and value, as written
         half_bandwidth = 0
-        for line in handle:
-            parts = line.split()
-            if not parts:
-                continue
-            i, j, v = map(int, parts)
+        for lineno, line in enumerate(handle, start=lineno + 1):
+            try:
+                text, j, value = line.split()
+                if text != row_text:  # a row's index is read once
+                    i = int(text)
+                    row_text = text
+                if value != value_text:
+                    v = int(value)
+                    value_text = value
+                j = int(j)
+            except ValueError:
+                if not line.split():
+                    continue
+                raise ValueError(
+                    f"{path}:{lineno}: expected three integers 'row col value', "
+                    f"got {line.strip()!r}"
+                ) from None
             if j > i:
                 raise InternalInvariantError(f"{path}: entry ({i},{j}) above the diagonal")
             if j < 1 or i > size:
@@ -397,7 +373,7 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
                     half_bandwidth = i - j
     if found != nnz:
         raise ValueError(f"{path}: header says {nnz} entries, found {found}")
-    if kind == "laplacian" and any(t != 0 for t in totals[1:]):
+    if kind == "laplacian" and any(totals):
         raise InternalInvariantError(f"{path}: laplacian row sums are not all zero")
     if half_bandwidth != expected_half_bandwidth:
         raise InternalInvariantError(
@@ -408,11 +384,11 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
 
 def cmd_export_matrix(args) -> int:
     check_budget(args.n, args.d, args.budget, "export")
-    starts, cols, degree, half_bandwidth = _matrix_rows(
-        args.n, args.d, args.order, args.kind
-    )
-    nnz = _write_matrix_market(args.out, starts, cols, degree)
-    del starts, cols, degree  # the self-test reads the file back on its own
+    labels = label_array(args.order, args.n, args.d)
+    # the edge kernel's bandwidth, which the self-test checks the file against
+    half_bandwidth = _max_stretch(labels, args.n, args.d)
+    nnz = _write_matrix_market(args.out, args.n, args.d, labels, args.kind)
+    del labels  # the self-test reads the file back on its own
     if args.self_test:
         _self_test_export(args.out, args.kind, half_bandwidth)
     doc = {

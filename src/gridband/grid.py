@@ -7,9 +7,11 @@ edge-scan bandwidths.  This module knows the lex-position layout, where
 the vertex at position i has its dimension-p neighbour at
 i + (n+1)^(d-1-p): scans, matrix export, listings and the search's
 adjacency take it from `label_array`, a labeling indexed by lex position,
-from the edge kernel `edge_ranges`, the edges as strided runs of at most
-RUN_CAP positions, and from `label_listing`, which lists a labeling in
-label order.  Loaded files and certificates keep labels by lex position.
+and its inverse `label_positions`; from the edge kernel `edge_ranges`, the
+edges as strided runs of at most RUN_CAP positions, whose bandwidth the
+export's self-test checks the file against; and from the per-vertex
+tables of `position_texts` and of `lower_neighbours`, which give export
+rows.  Loaded files and certificates keep labels by lex position.
 The one other place that lists the grid by lex position is the search
 (`oracle._Search`), whose vertex list `itertools.product` builds in the
 same order.
@@ -72,18 +74,47 @@ def position_texts(n: int, d: int, positions: Iterable[int]) -> Iterator[str]:
     return (hi[q] + lo[r] for q, r in map(divmod, positions, repeat((n + 1) ** tail)))
 
 
-def label_listing(n: int, d: int, labels: Sequence[int]) -> Iterator[tuple[str, int]]:
-    """(vertex text, label) for every vertex of a labeling, in label order.
+def label_positions(labels: Sequence[int]) -> Sequence[int]:
+    """The lex position of each label, the inverse of a labeling: a range
+    (lex) is its own, and any other is inverted into a copy of itself."""
+    if isinstance(labels, range):
+        return range(len(labels))
+    positions = labels[:]  # the positions 0..total-1 fit where 1..total do
+    for position, label in enumerate(labels):
+        positions[label - 1] = position
+    return positions
 
-    labels is indexed by lex position.  A range, the lex labeling, is its
-    own inverse; any other labeling is inverted into a copy of itself.
+
+def lower_neighbours(
+    n: int, d: int, labels: Sequence[int]
+) -> Iterator[tuple[Iterator[int], int]]:
+    """(lighter neighbours' labels, degree) of each vertex, in label order.
+
+    The lighter neighbours of u at position q are at q - (n+1)^(d-1-p) for
+    each u_p >= 1, in that order.  Tables split as in position_texts hold
+    these strides and the degrees.
     """
-    positions = range((n + 1) ** d)  # the lex position of each label
-    if not isinstance(labels, range):
-        positions = labels[:]  # the positions 0..total-1 fit where 1..total do
-        for position, label in enumerate(labels):
-            positions[label - 1] = position
-    return zip(position_texts(n, d, positions), count(1))
+    lead, width = d - d // 2, (n + 1) ** (d // 2)
+    strides = [(n + 1) ** (d - 1 - p) for p in range(d)]
+
+    def table(part: list[int]) -> list[tuple[tuple[int, ...], int]]:
+        return [
+            (tuple(compress(part, u)), sum((c > 0) + (c < n) for c in u))
+            for u in product(range(n + 1), repeat=len(part))
+        ]
+
+    hi, lo = table(strides[:lead]), table(strides[lead:])
+    label_at = labels.__getitem__
+    for q in label_positions(labels):
+        h, r = divmod(q, width)
+        (hi_strides, hi_degree), (lo_strides, lo_degree) = hi[h], lo[r]
+        lower = map(q.__sub__, hi_strides + lo_strides)
+        yield map(label_at, lower), hi_degree + lo_degree
+
+
+def label_listing(n: int, d: int, labels: Sequence[int]) -> Iterator[tuple[str, int]]:
+    """(vertex text, label) for every vertex of a labeling, in label order."""
+    return zip(position_texts(n, d, label_positions(labels)), count(1))
 
 
 def edge_ranges(n: int, d: int) -> Iterator[tuple[range, int]]:
@@ -109,14 +140,6 @@ def edge_ranges(n: int, d: int) -> Iterator[tuple[range, int]]:
         for run in runs:
             for cut in range(0, len(run), RUN_CAP):
                 yield run[cut : cut + RUN_CAP], stride
-
-
-def edge_labels(
-    labels: Sequence[int], r: range, s: int
-) -> tuple[Sequence[int], Sequence[int]]:
-    """The labels at both ends of the edges of one edge_ranges pair (r, s)."""
-    lo, hi, step = r.start, r.stop, r.step
-    return labels[lo:hi:step], labels[lo + s : hi + s : step]
 
 
 def lex_rank(u: Vertex, n: int, d: int) -> int:
@@ -280,5 +303,6 @@ def _max_stretch(labels: Sequence[int], n: int, d: int) -> int:
 
 
 def _stretches(labels: Sequence[int], r: range, s: int) -> Iterator[int]:
-    """|f(i) - f(i + s)| for each i in r."""
-    return map(abs, map(sub, *edge_labels(labels, r, s)))
+    """|f(i) - f(i + s)| for each i in r, an edge_ranges pair (r, s)."""
+    lo, hi, step = r.start, r.stop, r.step
+    return map(abs, map(sub, labels[lo:hi:step], labels[lo + s : hi + s : step]))

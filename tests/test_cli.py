@@ -378,8 +378,11 @@ def _reference_export(n, d, kind, order):
     return MM_HEADER + "".join(lines), half_bandwidth
 
 
-# labels pass typecode B at (1,8), with 256 vertices, and columns at (16,2)
-@pytest.mark.parametrize("n,d", [(2, 3), (1, 5), (3, 2), (1, 8), (16, 2)])
+# labels pass typecode B at (1,8), with 256 vertices, and columns at (16,2);
+# d = 1 has no trailing half in the neighbour tables, and (2,4) has an even d
+@pytest.mark.parametrize(
+    "n,d", [(2, 3), (1, 5), (3, 2), (1, 8), (16, 2), (1, 1), (5, 1), (2, 4)]
+)
 def test_export_matches_reference(capsys, tmp_path, n, d):
     for kind, order in itertools.product(["adjacency", "laplacian"], ["hales", "lex"]):
         path = tmp_path / f"{kind}-{order}.mtx"
@@ -396,21 +399,24 @@ def test_export_matches_reference(capsys, tmp_path, n, d):
 
 
 def test_export_peak_memory(capsys, tmp_path):
-    # a sorted list of (row, col, value) tuples took this export's traced
-    # peak to 1.06 MiB; the flat arrays must stay under a quarter of that.
-    # A first, untraced export pays the one-time costs of any export.
-    run(capsys, "export-matrix", "--n", "1", "--d", "3", "--out", str(tmp_path / "a.mtx"))
-    tracemalloc.start()
-    try:
-        code, _, _ = run(
-            capsys, "export-matrix", "--n", "1", "--d", "11", "--kind", "laplacian",
-            "--order", "hales", "--out", str(tmp_path / "b.mtx"),
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak < (1 << 20) // 4, peak
+    # a sorted list of (row, col, value) tuples took the (1,11) Laplacian
+    # export's traced peak to 1.06 MiB; with its self-test, each kind and
+    # order must stay under a quarter of that.  A first, untraced export
+    # pays the one-time costs of any export.
+    run(capsys, "export-matrix", "--n", "1", "--d", "3", "--out", str(tmp_path / "a.mtx"),
+        "--self-test")
+    for kind, order in itertools.product(["adjacency", "laplacian"], ["hales", "lex"]):
+        tracemalloc.start()
+        try:
+            code, _, _ = run(
+                capsys, "export-matrix", "--n", "1", "--d", "11", "--kind", kind,
+                "--order", order, "--out", str(tmp_path / "b.mtx"), "--self-test",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < (1 << 20) // 4, (kind, order, peak)
 
 
 @pytest.mark.parametrize(
@@ -427,9 +433,13 @@ def test_export_peak_memory(capsys, tmp_path):
         ("adjacency", "2 2 1\n1 0 1\n", InternalInvariantError, r"\(1,0\) outside 1\.\.2"),
         ("laplacian", "2 2 4\n1 1 1\n2 1 -1\n2 2 1\n3 2 -1\n",
          InternalInvariantError, r"\(3,2\) outside 1\.\.2"),
+        ("laplacian", "2 2 3\n1 1 1\n2 1\n2 2 1\n", ValueError, r"bad\.mtx:4: expected three"),
+        ("laplacian", "2 2 3\n1 1 1\n2 1 -1 0\n2 2 1\n", ValueError, r"bad\.mtx:4: expected three"),
+        ("laplacian", "2 2 3\n1 1 1\n2 1 -1\n2 2 1.5\n", ValueError, r"bad\.mtx:5: expected three"),
     ],
     ids=["duplicate", "above-diagonal", "wrong-nnz", "row-sum", "out-of-order",
-         "zero-based-column", "row-past-size"],
+         "zero-based-column", "row-past-size", "two-fields", "four-fields",
+         "fractional-value"],
 )
 def test_self_test_rejects_bad_export(tmp_path, kind, body, error, message):
     # each file is the P_1^1 Laplacian or adjacency (half-bandwidth 1) with
