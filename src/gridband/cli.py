@@ -330,7 +330,12 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
         lineno = 2
         while (line := handle.readline()).startswith("%"):
             lineno += 1
-        size, cols, nnz = (int(tok) for tok in line.split())
+        try:
+            size, cols, nnz = (int(tok) for tok in line.split())
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: expected 'rows cols entries', got {line.strip()!r}"
+            ) from None
         if size != cols:
             raise ValueError(f"{path}: expected a square matrix")
         totals = [0] * (size + 1)

@@ -4,13 +4,13 @@ The row for parameters (n, d) holds the n*d + 1 coefficients
 C(d, k) = [x^k] (1 + x + ... + x^n)^d.  Every row is symmetric,
 C(d, k) = C(d, n*d - k), log-concave and sums to (n + 1)^d.  All arithmetic
 is exact (Python big integers).  Rows are held as halves, the degrees
-0..floor(n*d/2), and read past the middle by symmetry; only `coeff_row`
-mirrors a half into the full row, for output.  Nothing is cached:
-`coeff_rows` streams the halves of rows 0..d, each built from the one
-before and only the latest kept, and refuses a row past ROW_BITS before it
-builds any; `_prev_row` steps back down exactly.  Single coefficients, the
-largest coefficient and the top sums are differences of two
-inclusion-exclusion counts and build no row.
+0..floor(n*d/2), and read past the middle by symmetry, in this module alone;
+only `coeff_row` mirrors a half into the full row, for output.  Nothing is
+cached: `coeff_rows` streams the halves of rows 0..d, each built from the
+one before and only the latest kept, and refuses a row past ROW_BITS before
+it builds any; `lighter_up` and `lighter_down` stream their prefix sums.
+Single coefficients, the largest coefficient and the top sums are
+differences of two inclusion-exclusion counts and build no row.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import comb, factorial
 from operator import sub
-from typing import Iterator
+from typing import Callable, Iterator
 
 # the most bits coeff_rows lets a row hold, n*d+1 entries of d*bitlen(n+1)
 ROW_BITS = 1 << 28
@@ -75,23 +75,6 @@ def _next_row(half: tuple[int, ...], n: int, d: int) -> tuple[int, ...]:
     return tuple(accumulate(map(sub, row, (0,) * (n + 1) + row)))
 
 
-def _prev_row(half: tuple[int, ...], n: int, d: int) -> tuple[int, ...]:
-    """The half of row d-1 from `half`, the half of row d >= 1; the inverse
-    of _next_row.
-
-    (1 - x) P_d = (1 - x^(n+1)) P_(d-1), so
-    C(d-1, k) = C(d-1, k-n-1) + C(d, k) - C(d, k-1): within each residue
-    class of k modulo n+1, a running sum of the first differences of row d.
-    Degree k reads row d at degrees <= k alone, so a half is enough.
-    """
-    size = n * (d - 1) // 2 + 1
-    diffs = list(map(sub, half[:size], (0,) + half[: size - 1]))
-    prev = [0] * size
-    for r in range(n + 1):
-        prev[r :: n + 1] = accumulate(diffs[r :: n + 1])
-    return tuple(prev)
-
-
 def coeff_rows(n: int, d: int) -> Iterator[tuple[int, ...]]:
     """The halves of rows 0, 1, ..., d one after another; only the latest
     is kept.  The half of row m holds degrees 0..floor(n*m/2).
@@ -113,6 +96,41 @@ def coeff_rows(n: int, d: int) -> Iterator[tuple[int, ...]]:
     for m in range(d):
         half = _next_row(half, n, m)
         yield half
+
+
+def _lighter(below: list[int], n: int, m: int) -> Callable[[int], int]:
+    """L_m: for w = 0..n*m+1, the m-dimensional vertices lighter than w, from
+    `below`, the prefix sums of the half of row m, and by symmetry past it."""
+    total, mirror, size = (n + 1) ** m, n * m + 1, len(below)
+    return lambda w: below[w] if w < size else total - below[mirror - w]
+
+
+def _step_down(below: list[int], n: int, m: int) -> list[int]:
+    """The prefix sums of the half of row m-1 from `below`, those of row m:
+    C(m, k) = L_(m-1)(k+1) - L_(m-1)(k-n), so within each residue class of
+    w mod n+1, L_(m-1)(w) = L_(m-1)(w-n-1) + L_m(w) - L_m(w-1) is a running
+    sum of the first differences of L_m, read from a half alone."""
+    size = n * (m - 1) // 2 + 2
+    prev = list(map(sub, below[:size], [0] + below[: size - 1]))
+    for r in range(min(n + 1, size)):
+        prev[r :: n + 1] = accumulate(prev[r :: n + 1])
+    return prev
+
+
+def lighter_up(n: int, d: int) -> Iterator[Callable[[int], int]]:
+    """L_0, L_1, ..., L_d (see `_lighter`), from `coeff_rows`."""
+    for m, half in enumerate(coeff_rows(n, d)):
+        yield _lighter(list(accumulate(half, initial=0)), n, m)
+
+
+def lighter_down(n: int, d: int) -> Iterator[Callable[[int], int]]:
+    """L_d, L_(d-1), ..., L_1: the prefix sums of row d, then `_step_down`."""
+    below = [0, *_half_row(n, d)]
+    for w in range(2, len(below)):  # in place: the row is not held beside them
+        below[w] += below[w - 1]
+    for m in range(d, 0, -1):
+        yield _lighter(below, n, m)
+        below = _step_down(below, n, m)  # after L_1, row 0's two sums, unread
 
 
 def _count_below(n: int, i: int, k: int) -> int:

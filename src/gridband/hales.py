@@ -14,20 +14,19 @@ vertices before rest: those of weights max(0, w-n) .. w-h-1, which fill
 the blocks h' > h and so also precede (rest, h); those before rest in its
 own class, which precede it in its block; and those lighter than
 max(0, w-n), which lie in no block of the class.  So the rank of (rest, h)
-is rest's rank plus a shift that depends on w alone: the m-dimensional
-vertices lighter than w, less the (m-1)-dimensional ones lighter than
-max(0, w-n).  Class sizes are the coefficients of (1 + x + ... + x^n)^m,
-streamed as half rows (see `coeffs`) and read past the middle by symmetry.
-`weight_shifts` reads the shifts from their prefix sums; `hales_rank` and
-the label array of `grid` add them up.
+is rest's rank plus a shift of w alone, L_m(w) - L_(m-1)(max(0, w-n)),
+L_m(w) being the m-dimensional vertices lighter than w.  `hales_rank` and
+the label array of `grid` add the shifts up; `hales_unrank` takes them off.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from bisect import bisect_right
+from functools import partial
+from itertools import chain, islice, pairwise
 from typing import Callable, Iterator
 
-from .coeffs import InternalInvariantError, _half_row, _prev_row, check_grid, coeff_rows
+from .coeffs import InternalInvariantError, check_grid, lighter_down, lighter_up
 
 Vertex = tuple[int, ...]
 
@@ -55,31 +54,18 @@ def hales_compare(u: Vertex, v: Vertex) -> int:
     return 0
 
 
-def _lighter(half: tuple[int, ...], n: int, m: int) -> Callable[[int], int]:
-    """The map from w = 0..n*m+1 to the number of m-dimensional vertices
-    of weight below w, from the prefix sums of `half`, the half of row m.
-
-    Past the middle it counts by symmetry: the vertices of weight at least
-    w mirror those of weight at most n*m - w.
-    """
-    below = list(accumulate(half, initial=0))
-    total, mirror, size = (n + 1) ** m, n * m + 1, len(below)
-    return lambda w: below[w] if w < size else total - below[mirror - w]
+def _shift(now: Callable, prev: Callable, n: int, w: int) -> int:
+    """The shift at weight w, from now = L_m and prev = L_(m-1)."""
+    return now(w) - prev(max(0, w - n))
 
 
 def weight_shifts(n: int, d: int) -> Iterator[Callable[[int], int]]:
-    """For m = 2..d, the map from a weight w = 0..n*m to its shift.
-
-    The shift of m = 1 is the identity, so d < 2 builds no row.  Holds the
-    prefix sums of two half rows at a time, read from `coeff_rows`.
-    """
+    """For m = 2..d, the map from a weight w = 0..n*m to its shift, from
+    `lighter_up`; the shift of m = 1 is the identity, so d < 2 builds no row."""
     if d < 2:
         return
-    for m, half in enumerate(coeff_rows(n, d)):
-        lighter = _lighter(half, n, m)
-        if m >= 2:
-            yield lambda w, now=lighter, prev=prev: now(w) - prev(max(0, w - n))
-        prev = lighter
+    for prev, now in islice(pairwise(lighter_up(n, d)), 1, None):  # from m = 2
+        yield partial(_shift, now, prev, n)
 
 
 def hales_rank(u: Vertex, n: int, d: int) -> int:
@@ -96,39 +82,27 @@ def hales_rank(u: Vertex, n: int, d: int) -> int:
 
 
 def hales_unrank(r: int, n: int, d: int) -> Vertex:
-    """Inverse of hales_rank; steps from row d down one row per coordinate.
-
-    Each row is a half row; a class size past its middle, at weight k of
-    row m, is read at weight n*m - k.
-    """
+    """Inverse of hales_rank, run backwards: the weight w of the vertex is
+    the last with L_d(w) <= r; each coordinate from the last to the second
+    takes off its shift, bisects L_pos for the weight j of the coordinates
+    before it, and is w - j.  The rank left is the first coordinate."""
     check_grid(n, d)
     if r < 0 or r >= (n + 1) ** d:
         raise ValueError(f"rank {r} outside [0, {(n + 1) ** d - 1}]")
     if d == 1:
         return (r,)
-    half = _half_row(n, d)
-    top = n * d
-    for k in range(top + 1):
-        size = half[min(k, top - k)]
-        if r < size:
-            break
-        r -= size
-    coords = [0] * d
-    for pos in range(d - 1, 0, -1):
-        half = _prev_row(half, n, pos + 1)
-        top = n * pos
-        h_lo = max(0, k - top)
-        for h in range(min(k, n), h_lo - 1, -1):
-            size = half[min(k - h, top - k + h)]
-            if r < size:
-                coords[pos] = h
-                k -= h
-                break
-            r -= size
-        else:  # unreachable for valid ranks
-            raise InternalInvariantError("rank decoding failed")
-    coords[0] = k
-    return tuple(coords)
+    counts = lighter_down(n, d)
+    now, weights = next(counts), range(n * d + 1)
+    w = bisect_right(weights, r, key=now) - 1
+    coords = []
+    for pos, prev in zip(range(d - 1, 0, -1), counts):
+        r -= _shift(now, prev, n, w)
+        j = bisect_right(weights, r, max(0, w - n), min(w, n * pos) + 1, key=prev) - 1
+        coords.append(w - j)
+        w, now = j, prev
+    if r != w:  # unreachable for valid counts
+        raise InternalInvariantError("rank decoding failed")
+    return (w, *reversed(coords))
 
 
 def hales_enumerate(n: int, d: int) -> Iterator[Vertex]:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import gridband.cli as cli
+import gridband.coeffs as coeffs
 import gridband.hales as hales
 import gridband.oracle as oracle
 from gridband.cli import main
@@ -125,7 +126,7 @@ def test_invariant_failures_exit_3(capsys, monkeypatch):
     assert "internal error" in err
     # weight classes too small to hold the rank leave unrank without a vertex
     monkeypatch.setattr(
-        hales, "_prev_row", lambda half, n, d: (0,) * (n * (d - 1) // 2 + 1)
+        coeffs, "_step_down", lambda below, n, m: [0] * (n * (m - 1) // 2 + 2)
     )
     code, _, err = run(capsys, "unrank", "--n", "2", "--d", "2", "4")
     assert code == 3
@@ -436,10 +437,14 @@ def test_export_peak_memory(capsys, tmp_path):
         ("laplacian", "2 2 3\n1 1 1\n2 1\n2 2 1\n", ValueError, r"bad\.mtx:4: expected three"),
         ("laplacian", "2 2 3\n1 1 1\n2 1 -1 0\n2 2 1\n", ValueError, r"bad\.mtx:4: expected three"),
         ("laplacian", "2 2 3\n1 1 1\n2 1 -1\n2 2 1.5\n", ValueError, r"bad\.mtx:5: expected three"),
+        ("laplacian", "2 2\n1 1 1\n2 1 -1\n2 2 1\n", ValueError, r"bad\.mtx:2: expected 'rows"),
+        ("laplacian", "", ValueError, r"bad\.mtx:2: expected 'rows.*got ''"),
+        ("laplacian", "% a comment line\n2 2 x\n1 1 1\n2 1 -1\n2 2 1\n",
+         ValueError, r"bad\.mtx:3: expected 'rows"),
     ],
     ids=["duplicate", "above-diagonal", "wrong-nnz", "row-sum", "out-of-order",
          "zero-based-column", "row-past-size", "two-fields", "four-fields",
-         "fractional-value"],
+         "fractional-value", "two-field-size", "no-size-line", "bad-size-token"],
 )
 def test_self_test_rejects_bad_export(tmp_path, kind, body, error, message):
     # each file is the P_1^1 Laplacian or adjacency (half-bandwidth 1) with

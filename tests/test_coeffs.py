@@ -10,7 +10,7 @@ from gridband.coeffs import (
     BudgetExceededError,
     _count_below,
     _next_row,
-    _prev_row,
+    _step_down,
     coeff,
     coeff_row,
     coeff_rows,
@@ -165,10 +165,12 @@ def test_huge_n_needs_no_row(monkeypatch):
     assert bounds(n, 12) == BoundsPair(max_coeff(n, 12), max_coeff(n, 13))
 
 
-def test_prev_row_inverts_next_row():
+def test_step_down_inverts_next_row():
+    # on prefix sums: the counts of row m+1 step down to those of row m
     for n in range(1, 9):
         for m, half in enumerate(coeff_rows(n, 30)):
-            assert _prev_row(_next_row(half, n, m), n, m + 1) == half, (n, m)
+            below = list(accumulate(_next_row(half, n, m), initial=0))
+            assert _step_down(below, n, m + 1) == list(accumulate(half, initial=0)), (n, m)
 
 
 def test_row_budget_refuses_before_building(monkeypatch):
