@@ -13,7 +13,7 @@ import math
 from itertools import accumulate
 from typing import NamedTuple
 
-from .coeffs import _top_sums_by_rows, check_grid, max_coeff, top_sum
+from .coeffs import _top_sums_by_walk, check_grid, max_coeff, top_sum
 
 
 class BoundsPair(NamedTuple):
@@ -41,21 +41,22 @@ def bw_hales_series(n: int, d_max: int) -> list[int]:
     """[bw_hales(n, 1), ..., bw_hales(n, d_max)]: one running sum of top_sum.
 
     Each top sum is a difference of two inclusion-exclusion counts, whose
-    terms grow with i / (n+1); when d_max is large against n, streaming the
-    rows is cheaper.
+    terms grow with i / (n+1); when d_max is large against n, the window walk
+    of `_top_sums_by_walk` is cheaper.
     """
     check_grid(n, d_max)
-    # CPU time of the (half) row route over the counting route, best of 5
-    # in process (Python 3.11.7, Xeon): 0.13 at (n, d_max) = (10, 200), 0.25
-    # at (30, 200), 0.34 at (50, 200), 0.72 at (100, 200), 0.86 at
-    # (125, 200), 0.68 at (20, 80), 0.57 at (25, 100), 0.87 at (50, 100),
-    # 1.00 at (62, 100), 1.54 at (100, 100), 1.05 at (30, 60), 1.38 at
-    # (20, 40), 22 at (1000, 60).  The break-even drifts from 4n/d_max near
-    # 1.5 at d_max = 40 to near 3 at 200; the rule takes 2n = d_max.
+    # CPU time of the walk over the counting route, best of 5 in process
+    # (Python 3.11.7, Xeon): 0.02 at (n, d_max) = (10, 200) and (30, 200),
+    # 0.06 at (50, 200), 0.10 at (100, 200), 0.08 at (125, 200), 0.20 at
+    # (20, 80), 0.21 at (50, 100), 0.31 at (100, 100), 0.46 at (30, 60),
+    # 0.84 at (20, 40), 1.3 to 2.1 at d_max <= 20 (0.3 ms or less either
+    # way), 4.3 at (1000, 60).  The walk wins well past 2n = d_max, but the
+    # rule stays there: the walk refuses a row past ROW_BITS as the row
+    # stream it replaced did, and counting refuses nothing.
     if 2 * n >= d_max:
         tops = (top_sum(n, i) for i in range(d_max))
     else:
-        tops = _top_sums_by_rows(n, d_max)
+        tops = _top_sums_by_walk(n, d_max)
     return list(accumulate(tops))
 
 
@@ -86,8 +87,8 @@ def asymptotic_estimate(n: int, d: int) -> AsymptoticEstimate:
     1 from above.  Raises ValueError when (n+1)^(d+1) does not fit in a float.
     """
     check_grid(n, d)
-    factor = math.sqrt(6.0 / (math.pi * (d + 1) * (n * n + 2 * n)))
-    try:
+    try:  # n or d past float range puts (n+1)^(d+1) past it too
+        factor = math.sqrt(6.0 / (math.pi * (d + 1) * (n * n + 2 * n)))
         estimate = (n + 1) ** (d + 1) * factor
     except OverflowError:
         raise ValueError(

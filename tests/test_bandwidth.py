@@ -18,8 +18,9 @@ from gridband.bandwidth import (
     ratio_table,
 )
 from gridband.coeffs import (
-    _top_sums_by_rows,
+    _top_sums_by_walk,
     coeff_row,
+    coeff_rows,
     max_coeff,
     top_sum,
     trinomial_coeff,
@@ -40,29 +41,41 @@ def test_bw_hales_recurrence():
             assert bw_hales(n, d) == bw_hales(n, d - 1) + top_sum(n, d - 1)
 
 
+def top_sums_by_rows(n, d_max):
+    """Reference: the n largest coefficients of each streamed row, summed."""
+    return [
+        sum(sorted(half + half[: n * i + 1 - len(half)], reverse=True)[:n])
+        for i, half in enumerate(coeff_rows(n, d_max - 1))
+    ]
+
+
 def test_series_routes_agree():
-    # the streamed rows against inclusion-exclusion, whichever route
-    # bw_hales_series picks
+    # the walk and inclusion-exclusion against the streamed rows, whichever
+    # route bw_hales_series picks; (n, 2n) is the last point that counts and
+    # (n, 2n+1) the first that walks
     cases = [(n, d) for n in range(1, 13) for d in range(1, 25)]
+    cases += [(n, d) for n in range(1, 13) for d in (2 * n, 2 * n + 1)]
     for n, d in cases + [(200, 30), (100, 60), (30, 130)]:
-        by_rows = list(_top_sums_by_rows(n, d))
-        by_counts = [top_sum(n, i) for i in range(d)]
-        assert by_rows == by_counts, (n, d)
+        by_rows = top_sums_by_rows(n, d)
+        assert list(_top_sums_by_walk(n, d)) == by_rows, (n, d)
+        assert [top_sum(n, i) for i in range(d)] == by_rows, (n, d)
         assert bw_hales_series(n, d) == list(accumulate(by_rows)), (n, d)
 
 
 def test_series_builds_no_cached_row(monkeypatch):
-    # the counting route and the bounds build no row: they give the rows'
-    # answers with the row step broken
-    series = list(accumulate(_top_sums_by_rows(100, 6)))
+    # the counting route builds no row and runs no recurrence: it gives the
+    # rows' answers with both steps broken.  The bounds build no row: at
+    # (6, 100) max_coeff takes the recurrence, which holds n+2 terms
+    series = list(accumulate(top_sums_by_rows(100, 6)))
     pair = BoundsPair(max(coeff_row(6, 100)), max(coeff_row(6, 101)))
 
     def no_row(*step):
         raise AssertionError("a row was built")
 
     monkeypatch.setattr(coeffs, "_next_row", no_row)
-    assert bw_hales_series(100, 6) == series
     assert bounds(6, 100) == pair
+    monkeypatch.setattr(coeffs, "_miller", no_row)
+    assert bw_hales_series(100, 6) == series
 
 
 def test_huge_n():
@@ -82,6 +95,7 @@ def test_hypercube_formula():
     for d in range(1, 41):
         assert bw_hypercube(d) == bw_hales(1, d)
         assert bw_hypercube(d) == sum(math.comb(i, i // 2) for i in range(d))
+    assert bw_hales(1, 1500) == bw_hypercube(1500)  # a deep walk
 
 
 def test_bw_lex():

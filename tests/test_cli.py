@@ -523,8 +523,11 @@ def test_usage_errors_exit_1(capsys):
     assert main(["table", "--n", "0", "--d", "2"]) == 1
     capsys.readouterr()
     # (n+1)^(d+1) past float range: a message, not an OverflowError
-    assert main(["estimate", "--n", "1", "--d", "2000"]) == 1
-    assert capsys.readouterr().err.startswith("gridband: error: (n+1)^(d+1)")
+    for n, d in ((1, 2000), (10**200, 1), (1, 10**400)):
+        assert main(["estimate", "--n", str(n), "--d", str(d)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gridband: error: (n+1)^(d+1)"), err
+        assert "Traceback" not in err
     # a budget below 1 is refused by the parser on every command, before
     # any file is written
     for command in [

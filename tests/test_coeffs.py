@@ -9,8 +9,10 @@ from gridband.bandwidth import BoundsPair, bounds, bw_hales_series
 from gridband.coeffs import (
     BudgetExceededError,
     _count_below,
+    _half_row,
     _next_row,
     _step_down,
+    _top_sums_by_walk,
     coeff,
     coeff_row,
     coeff_rows,
@@ -155,8 +157,15 @@ def _no_row(*step):
     raise AssertionError("a row was built")
 
 
-def test_huge_n_needs_no_row(monkeypatch):
+def _break_row_steps(monkeypatch):
+    # the row stream's step and the recurrence's: a route that reaches either
+    # at n = 10^9 fails here instead of allocating n-sized windows
     monkeypatch.setattr(coeffs, "_next_row", _no_row)
+    monkeypatch.setattr(coeffs, "_miller", _no_row)
+
+
+def test_huge_n_needs_no_row(monkeypatch):
+    _break_row_steps(monkeypatch)
     n = 10**9
     assert top_sum(n, 1) == n
     assert max_coeff(n, 12) < max_coeff(n, 13)
@@ -174,9 +183,49 @@ def test_step_down_inverts_next_row():
 
 
 def test_row_budget_refuses_before_building(monkeypatch):
-    monkeypatch.setattr(coeffs, "_next_row", _no_row)
+    _break_row_steps(monkeypatch)
     with pytest.raises(BudgetExceededError) as refused:
         next(coeff_rows(10**8, 2))
     assert refused.value.budget == coeffs.ROW_BITS < refused.value.required
+    # the recurrence's half row and the walk refuse the same row, alike
+    for call in (lambda: _half_row(10**8, 2), lambda: next(_top_sums_by_walk(10**8, 3))):
+        with pytest.raises(BudgetExceededError) as also:
+            call()
+        assert str(also.value) == str(refused.value)
+        assert (also.value.budget, also.value.required) == (
+            refused.value.budget, refused.value.required)
     monkeypatch.undo()
     assert len(coeff_row(6, 450)) == 2701  # about 3.6e6 bits: inside the budget
+
+
+def test_recurrence_half_rows_match_the_stream():
+    # Miller's recurrence against the row stream, both parities of n*d
+    for n in range(1, 13):
+        for d, half in enumerate(coeff_rows(n, 60)):
+            assert _half_row(n, d) == half, (n, d)
+
+
+def test_walk_matches_counting():
+    # the window walk, called directly, at every d_max on both sides of the
+    # series route rule 2n = d_max
+    for n in range(1, 13):
+        tops = [top_sum(n, i) for i in range(80)]
+        for d in range(1, 81):
+            assert list(_top_sums_by_walk(n, d)) == tops[:d], (n, d)
+
+
+@pytest.mark.parametrize(
+    "n,d", [(1, 54), (1, 55), (1, 56), (6, 79), (6, 80), (6, 81), (12, 109),
+            (12, 110), (12, 111), (100, 549), (100, 550), (100, 551)]
+)
+def test_max_coeff_routes_agree_at_break_even(monkeypatch, n, d):
+    # the counts give coeff's central value and the recurrence gives the
+    # last entry of the half row; max_coeff takes the counts up to
+    # d = 5(n + 10) and the recurrence past it, and works with the other
+    # route broken
+    centre = n * d // 2
+    by_counts, by_terms = coeff(n, d, centre), _half_row(n, d)[-1]
+    assert by_counts == by_terms
+    unused = "_miller" if d <= 5 * (n + 10) else "_count_below"
+    monkeypatch.setattr(coeffs, unused, _no_row)
+    assert max_coeff(n, d) == by_counts

@@ -111,6 +111,7 @@ def test_one_dimension_builds_no_row(monkeypatch):
         raise AssertionError("a row was built")
 
     monkeypatch.setattr(coeffs, "_next_row", no_row)
+    monkeypatch.setattr(coeffs, "_miller", no_row)
     assert hales_rank((5,), 20_000_000, 1) == 5
     assert hales_unrank(5, 20_000_000, 1) == (5,)
     assert list(label_array("hales", 4, 1)) == [1, 2, 3, 4, 5]
