@@ -10,11 +10,11 @@ cached.  Coefficients follow one another along a row by J.C.P. Miller's
 three-term recurrence (`_miller`): `_half_row` builds a half row in
 O(n*d) terms, `max_coeff` runs the recurrence up to the centre holding n+2
 terms, and `_top_sums_by_walk` carries a window of n+2 coefficients around
-each row's centre from row to row.  `coeff_rows` streams the halves of rows
-0..d, each built from the one before, for the prefix sums that `lighter_up`
-streams to the label array and `hales_rank`; `lighter_down` steps the sums
-of the last half row down.  Every route that holds a row, a half row or a
-walk refuses one past ROW_BITS before it builds any.  Single coefficients,
+each row's centre from row to row.  `lighter_down` turns the half of row d
+into its prefix sums and steps them down one row at a time: the one source
+of the counts that `hales_rank`, `hales_unrank` and the label array read.
+Every route that holds a row, a half row or a walk refuses one past
+ROW_BITS before it builds any.  Single coefficients,
 the largest coefficient at small d and the top sums at small d are
 differences of two inclusion-exclusion counts and build no row.
 """
@@ -27,7 +27,8 @@ from math import comb, factorial
 from operator import sub
 from typing import Callable, Iterable, Iterator
 
-# the most bits coeff_rows lets a row hold, n*d+1 entries of d*bitlen(n+1)
+# the most bits a row, a half row or a walk may reach; row d holds n*d+1
+# entries of up to d*bitlen(n+1) bits
 ROW_BITS = 1 << 28
 
 
@@ -87,33 +88,6 @@ def _slide(seq: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(accumulate(map(sub, seq, (0,) * (n + 1) + seq)))
 
 
-def _next_row(half: tuple[int, ...], n: int, d: int) -> tuple[int, ...]:
-    """The half of row d+1 from `half`, the half of row d.
-
-    C(d+1, k) = sum_{j=0}^{n} C(d, k-j), a sliding window over row d (see
-    `_slide`).  Degrees up to floor(n(d+1)/2) need row d at most ceil(n/2)
-    entries past its own half; they are read by symmetry, as zero past n*d.
-    """
-    top, size = n * d, n * (d + 1) // 2 + 1
-    past = half[max(0, top + 1 - size) : top + 1 - len(half)][::-1]
-    return _slide(half + past + (0,) * (size - top - 1), n)
-
-
-def coeff_rows(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """The halves of rows 0, 1, ..., d one after another; only the latest
-    is kept.  The half of row m holds degrees 0..floor(n*m/2).
-
-    Raises BudgetExceededError, before any row is built, when row d would
-    hold more than ROW_BITS bits.
-    """
-    _check_row_bits(n, d)
-    half = (1,)
-    yield half
-    for m in range(d):
-        half = _next_row(half, n, m)
-        yield half
-
-
 def _lighter(below: list[int], n: int, m: int) -> Callable[[int], int]:
     """L_m: for w = 0..n*m+1, the m-dimensional vertices lighter than w, from
     `below`, the prefix sums of the half of row m, and by symmetry past it."""
@@ -131,12 +105,6 @@ def _step_down(below: list[int], n: int, m: int) -> list[int]:
     for r in range(min(n + 1, size)):
         prev[r :: n + 1] = accumulate(prev[r :: n + 1])
     return prev
-
-
-def lighter_up(n: int, d: int) -> Iterator[Callable[[int], int]]:
-    """L_0, L_1, ..., L_d (see `_lighter`), from `coeff_rows`."""
-    for m, half in enumerate(coeff_rows(n, d)):
-        yield _lighter(list(accumulate(half, initial=0)), n, m)
 
 
 def lighter_down(n: int, d: int) -> Iterator[Callable[[int], int]]:
@@ -201,7 +169,7 @@ def _row_terms(n: int, d: int) -> Iterator[int]:
 
 def _half_row(n: int, d: int) -> tuple[int, ...]:
     """The half of row d, degrees 0..floor(n*d/2), by `_row_terms`; refused
-    past ROW_BITS before any work, as `coeff_rows(n, d)` refuses."""
+    past ROW_BITS before any work."""
     _check_row_bits(n, d)
     return tuple(islice(_row_terms(n, d), n * d // 2 + 1))
 
@@ -269,7 +237,7 @@ def _top_sums_by_walk(n: int, d_max: int) -> Iterator[int]:
     up give row i+1's window but for its top s entries, which `_miller` of
     row i+1 refills from the n+2 before them.  A row costs O(n) operations
     instead of the O(n*i) of a half row.  Refused past ROW_BITS before any
-    work, as `coeff_rows(n, d_max - 1)` is.
+    work, as `_half_row(n, d_max - 1)` is.
     """
     _check_row_bits(n, d_max - 1)
     # the refill's n+2 terms reach s below the centre, read at up to

@@ -15,18 +15,22 @@ the blocks h' > h and so also precede (rest, h); those before rest in its
 own class, which precede it in its block; and those lighter than
 max(0, w-n), which lie in no block of the class.  So the rank of (rest, h)
 is rest's rank plus a shift of w alone, L_m(w) - L_(m-1)(max(0, w-n)),
-L_m(w) being the m-dimensional vertices lighter than w.  `hales_rank` and
-the label array of `grid` add the shifts up; `hales_unrank` takes them off.
+L_m(w) being the m-dimensional vertices lighter than w.  `hales_rank`,
+`hales_unrank` and the label array of `grid` read these counts from one
+stream, `coeffs.lighter_down`, L_d first: rank adds the shifts up from the
+last coordinate down, unrank takes them off in the same order, and the
+label array holds all d counts and adds the shifts up from the second
+coordinate on.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import partial
-from itertools import chain, islice, pairwise
+from itertools import accumulate, chain, pairwise
 from typing import Callable, Iterator
 
-from .coeffs import InternalInvariantError, check_grid, lighter_down, lighter_up
+from .coeffs import InternalInvariantError, check_grid, lighter_down
 
 Vertex = tuple[int, ...]
 
@@ -60,24 +64,31 @@ def _shift(now: Callable, prev: Callable, n: int, w: int) -> int:
 
 
 def weight_shifts(n: int, d: int) -> Iterator[Callable[[int], int]]:
-    """For m = 2..d, the map from a weight w = 0..n*m to its shift, from
-    `lighter_up`; the shift of m = 1 is the identity, so d < 2 builds no row."""
+    """For m = 2..d, the map from a weight w = 0..n*m to its shift, from all
+    of `lighter_down`'s counts held at once, L_1 first; the shift of m = 1
+    is the identity, so d < 2 builds no row."""
     if d < 2:
         return
-    for prev, now in islice(pairwise(lighter_up(n, d)), 1, None):  # from m = 2
+    for prev, now in pairwise(list(lighter_down(n, d))[::-1]):
         yield partial(_shift, now, prev, n)
 
 
 def hales_rank(u: Vertex, n: int, d: int) -> int:
     """0-based position of u in the Hales order on {0,...,n}^d.
 
-    Each coordinate after the first adds the shift of the weight so far.
+    The mirror of hales_unrank: the first coordinate plus, for each
+    coordinate from the last to the second, the shift of the weight of the
+    coordinates up to it.
     """
     check_vertex(u, n, d)
-    rank = weight = u[0]
-    for c, shift in zip(u[1:], weight_shifts(n, d)):
-        weight += c
-        rank += shift(weight)
+    if d == 1:
+        return u[0]
+    weights = list(accumulate(u))
+    counts = lighter_down(n, d)
+    now, rank = next(counts), u[0]
+    for w, prev in zip(weights[:0:-1], counts):
+        rank += _shift(now, prev, n, w)
+        now = prev
     return rank
 
 

@@ -20,7 +20,6 @@ from gridband.bandwidth import (
 from gridband.coeffs import (
     _top_sums_by_walk,
     coeff_row,
-    coeff_rows,
     max_coeff,
     top_sum,
     trinomial_coeff,
@@ -42,15 +41,12 @@ def test_bw_hales_recurrence():
 
 
 def top_sums_by_rows(n, d_max):
-    """Reference: the n largest coefficients of each streamed row, summed."""
-    return [
-        sum(sorted(half + half[: n * i + 1 - len(half)], reverse=True)[:n])
-        for i, half in enumerate(coeff_rows(n, d_max - 1))
-    ]
+    """Reference: the n largest coefficients of each row, summed."""
+    return [sum(sorted(coeff_row(n, i), reverse=True)[:n]) for i in range(d_max)]
 
 
 def test_series_routes_agree():
-    # the walk and inclusion-exclusion against the streamed rows, whichever
+    # the walk and inclusion-exclusion against the sorted rows, whichever
     # route bw_hales_series picks; (n, 2n) is the last point that counts and
     # (n, 2n+1) the first that walks
     cases = [(n, d) for n in range(1, 13) for d in range(1, 25)]
@@ -72,7 +68,7 @@ def test_series_builds_no_cached_row(monkeypatch):
     def no_row(*step):
         raise AssertionError("a row was built")
 
-    monkeypatch.setattr(coeffs, "_next_row", no_row)
+    monkeypatch.setattr(coeffs, "_half_row", no_row)
     assert bounds(6, 100) == pair
     monkeypatch.setattr(coeffs, "_miller", no_row)
     assert bw_hales_series(100, 6) == series

@@ -1,6 +1,7 @@
 """Coefficient rows: examples frozen against a direct convolution oracle."""
 
-from itertools import accumulate
+from collections import deque
+from itertools import accumulate, pairwise
 
 import pytest
 
@@ -10,28 +11,34 @@ from gridband.coeffs import (
     BudgetExceededError,
     _count_below,
     _half_row,
-    _next_row,
     _step_down,
     _top_sums_by_walk,
     coeff,
     coeff_row,
-    coeff_rows,
     max_coeff,
     top_sum,
     trinomial_coeff,
 )
+from gridband.hales import hales_rank, hales_unrank
 
 
-def conv_row(n, d):
-    """Oracle: multiply out (1 + x + ... + x^n)^d term by term."""
+def conv_rows(n, d_max):
+    """Oracle: rows 0..d_max of (1 + x + ... + x^n)^d, each multiplied out
+    from the one before, term by term."""
     row = [1]
-    for _ in range(d):
+    yield row
+    for _ in range(d_max):
         out = [0] * (len(row) + n)
         for i, a in enumerate(row):
             for j in range(n + 1):
                 out[i + j] += a
         row = out
-    return row
+        yield row
+
+
+def conv_row(n, d):
+    """Oracle: multiply out (1 + x + ... + x^n)^d term by term."""
+    return deque(conv_rows(n, d), 1)[0]
 
 
 def test_coeff_row_examples():
@@ -115,12 +122,12 @@ def test_row_invariants_small():
 
 
 def test_recurrence_matches_convolution_small():
-    # both parities of n*d; the streamed half of row d holds the degrees
-    # 0..floor(n*d/2), and coeff_row mirrors it into the full row
-    for n in range(1, 9):
-        for d, half in enumerate(coeff_rows(n, 30)):
-            full = conv_row(n, d)
-            assert half == tuple(full[: n * d // 2 + 1]), (n, d)
+    # Miller's recurrence against the oracle, both parities of n*d; the half
+    # of row d holds the degrees 0..floor(n*d/2), and coeff_row mirrors it
+    # into the full row
+    for n in range(1, 13):
+        for d, full in enumerate(conv_rows(n, 60)):
+            assert _half_row(n, d) == tuple(full[: n * d // 2 + 1]), (n, d)
             assert list(coeff_row(n, d)) == full, (n, d)
 
 
@@ -158,9 +165,8 @@ def _no_row(*step):
 
 
 def _break_row_steps(monkeypatch):
-    # the row stream's step and the recurrence's: a route that reaches either
-    # at n = 10^9 fails here instead of allocating n-sized windows
-    monkeypatch.setattr(coeffs, "_next_row", _no_row)
+    # the recurrence's step: a route that reaches it at n = 10^9 fails here
+    # instead of allocating n-sized windows
     monkeypatch.setattr(coeffs, "_miller", _no_row)
 
 
@@ -174,21 +180,27 @@ def test_huge_n_needs_no_row(monkeypatch):
     assert bounds(n, 12) == BoundsPair(max_coeff(n, 12), max_coeff(n, 13))
 
 
-def test_step_down_inverts_next_row():
-    # on prefix sums: the counts of row m+1 step down to those of row m
+def test_step_down_inverts_one_convolution_step():
+    # on prefix sums of half rows: the counts of row m+1 step down to those
+    # of row m
     for n in range(1, 9):
-        for m, half in enumerate(coeff_rows(n, 30)):
-            below = list(accumulate(_next_row(half, n, m), initial=0))
+        for m, (row, up) in enumerate(pairwise(conv_rows(n, 31))):
+            below = list(accumulate(up[: n * (m + 1) // 2 + 1], initial=0))
+            half = row[: n * m // 2 + 1]
             assert _step_down(below, n, m + 1) == list(accumulate(half, initial=0)), (n, m)
 
 
 def test_row_budget_refuses_before_building(monkeypatch):
     _break_row_steps(monkeypatch)
     with pytest.raises(BudgetExceededError) as refused:
-        next(coeff_rows(10**8, 2))
+        _half_row(10**8, 2)
     assert refused.value.budget == coeffs.ROW_BITS < refused.value.required
-    # the recurrence's half row and the walk refuse the same row, alike
-    for call in (lambda: _half_row(10**8, 2), lambda: next(_top_sums_by_walk(10**8, 3))):
+    # the walk, rank and unrank refuse the same row, alike
+    for call in (
+        lambda: next(_top_sums_by_walk(10**8, 3)),
+        lambda: hales_rank((0, 0), 10**8, 2),
+        lambda: hales_unrank(0, 10**8, 2),
+    ):
         with pytest.raises(BudgetExceededError) as also:
             call()
         assert str(also.value) == str(refused.value)
@@ -196,13 +208,6 @@ def test_row_budget_refuses_before_building(monkeypatch):
             refused.value.budget, refused.value.required)
     monkeypatch.undo()
     assert len(coeff_row(6, 450)) == 2701  # about 3.6e6 bits: inside the budget
-
-
-def test_recurrence_half_rows_match_the_stream():
-    # Miller's recurrence against the row stream, both parities of n*d
-    for n in range(1, 13):
-        for d, half in enumerate(coeff_rows(n, 60)):
-            assert _half_row(n, d) == half, (n, d)
 
 
 def test_walk_matches_counting():

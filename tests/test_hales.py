@@ -96,7 +96,7 @@ def test_unrank_rejects_out_of_range():
      (6, 3), (7, 3), (8, 3)],
 )
 def test_round_trips_exhaustive(n, d):
-    # rank adds up weight_shifts, unrank takes them off: both against
+    # rank adds up the shifts, unrank takes them off: both against
     # the enumeration, which counts nothing.  Every n up to 8 and both
     # parities of n*d, so weights past the middle of the half rows too
     for r, u in enumerate(hales_enumerate(n, d)):
@@ -110,7 +110,6 @@ def test_one_dimension_builds_no_row(monkeypatch):
     def no_row(*step):
         raise AssertionError("a row was built")
 
-    monkeypatch.setattr(coeffs, "_next_row", no_row)
     monkeypatch.setattr(coeffs, "_miller", no_row)
     assert hales_rank((5,), 20_000_000, 1) == 5
     assert hales_unrank(5, 20_000_000, 1) == (5,)
@@ -120,11 +119,12 @@ def test_one_dimension_builds_no_row(monkeypatch):
 @pytest.mark.parametrize("call", ["coeff_row", "hales_rank", "hales_unrank"])
 def test_rows_stream_in_bounded_memory(call):
     # one full row of (6, 360) is about 0.3 MiB, and all 361 of them are
-    # 38 MiB.  Streaming half rows, the calls peak near 0.31, 0.60 and
-    # 0.31 MiB; streaming full rows they peaked near 0.60, 1.25 and
-    # 0.86 MiB, above each bound (Python 3.10 and 3.11 alike, but for the
-    # second 0.31, measured on 3.11 only)
-    bound = {"coeff_row": 0.45, "hales_rank": 0.9, "hales_unrank": 0.65}[call]
+    # 38 MiB.  By half rows and one count stream, the calls peak near 0.17,
+    # 0.32 and 0.31 MiB on Python 3.11; rank peaked near 0.60 MiB while it
+    # held the prefix sums of rows 0..360 built up one from another, and
+    # streaming full rows the calls peaked near 0.60, 1.25 and 0.86 MiB,
+    # above each bound
+    bound = {"coeff_row": 0.45, "hales_rank": 0.65, "hales_unrank": 0.65}[call]
     n, d = 6, 360
     u = tuple(random.Random(360).randint(0, n) for _ in range(d))
     calls = {
