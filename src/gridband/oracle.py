@@ -1,7 +1,6 @@
 """Exact minimum bandwidth over all labelings, by depth-first branch and bound.
 
 Labels 1, 2, 3, ... are placed one at a time onto unlabeled vertices.  A
-placement that would stretch an edge to the incumbent thr is never made.  A
 branch with labels 1..t placed dies by prefix Hall: the unlabeled neighbors
 of the vertices labeled 1..lab must all take labels in t+1..lab+thr-1, so
 once their union is non-empty it may hold at most lab+thr-1-t vertices.  At
@@ -9,6 +8,14 @@ the earliest-labeled vertex that still has an unlabeled neighbor this is the
 gap bound t+1-lab < thr, and since each vertex's own unlabeled neighbors lie
 in the union it also bounds them one vertex at a time.  Candidates are tried
 in lex-position order, making every certificate reproducible.
+
+No placement stretches an edge to the incumbent thr, and nothing but prefix
+Hall checks it.  At a node that passed prefix Hall, a labeled neighbor w of
+an unlabeled v has t+1-f(w) < thr by the gap bound.  The incumbent falls in
+the node's candidate loop only at a full labeling found below an earlier
+candidate, which took label t+1; there v took t+2 or more, so t+1-f(w) is
+below the new incumbent too.  A full labeling's value is read by the edge
+scan.
 
 Symmetry.  The grid's automorphisms permute the d coordinates and reflect
 any of them (c -> n - c): the hyperoctahedral group, of order 2^d d!.  At
@@ -156,15 +163,11 @@ class _Search:
         # product lists the grid in lex order, the layout grid.py uses:
         # verts[i] sits at lex position i
         verts = list(product(range(n + 1), repeat=d))
-        runs = list(edge_ranges(n, d))
         adj: list[list[int]] = [[] for _ in range(total)]
-        # lower neighbours in dimension order, then upper ones
-        for r, s in runs:
-            for i in r:
-                adj[i + s].append(i)
-        for r, s in runs:
+        for r, s in edge_ranges(n, d):
             for i in r:
                 adj[i].append(i + s)
+                adj[i + s].append(i)
         self.n = n
         self.d = d
         self.total = total
@@ -179,7 +182,6 @@ class _Search:
         )
         self.nodes = 0
         self.out_of_budget = False
-        self.best_value: int | None = None
         self.best_labels: list[int] | None = None
 
     def run(self) -> None:
@@ -188,29 +190,25 @@ class _Search:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, self.total + 64))
         try:
-            self._dfs(0, 0, _root_classes(self.d))
+            self._dfs(0, _root_classes(self.d))
         finally:
             sys.setrecursionlimit(limit)
 
-    def _dfs(self, t: int, cur_max: int, classes: Classes) -> None:
+    def _dfs(self, t: int, classes: Classes) -> None:
         self.nodes += 1
-        if self.nodes > self.max_nodes:
+        if self.nodes > self.max_nodes or (
+            self.deadline is not None and time.monotonic() > self.deadline
+        ):
             self.out_of_budget = True
             return
-        # the first node polls too, so a search shorter than 4096 nodes
-        # still reads the clock
-        if self.deadline is not None and self.nodes % 4096 == 1:
-            if time.monotonic() > self.deadline:
-                self.out_of_budget = True
-                return
         label_of = self.label_of
-        placed = self.placed
         if t == self.total:
-            self.best_value = cur_max
+            # a full labeling: its bandwidth, at most thr, is the new incumbent
+            self.threshold = _max_stretch(label_of, self.n, self.d)
             self.best_labels = label_of.copy()
-            self.threshold = cur_max
             return
         adj = self.adj
+        placed = self.placed
         # prefix Hall: the unlabeled neighbors of the vertices labeled 1..lab
         # must all receive one of the labels t+1..lab+thr-1 left within reach
         slack = self.threshold - 1 - t
@@ -221,26 +219,14 @@ class _Search:
                     reach.add(w)
             if reach and len(reach) > lab + slack:
                 return
+        # freed before the recursion, or every frame on the stack keeps one
+        del reach
         verts = self.verts
         n = self.n
         tried: set[tuple] = set()
         next_label = t + 1
         for v in range(self.total):
             if label_of[v]:
-                continue
-            thr = self.threshold
-            new_max = cur_max
-            feasible = True
-            for w in adj[v]:
-                lw = label_of[w]
-                if lw:
-                    stretch = next_label - lw
-                    if stretch >= thr:
-                        feasible = False
-                        break
-                    if stretch > new_max:
-                        new_max = stretch
-            if not feasible:
                 continue
             sub_classes = None
             if classes is not None:
@@ -251,7 +237,7 @@ class _Search:
                 sub_classes = _refine(classes, verts[v], n)
             label_of[v] = next_label
             placed.append(v)
-            self._dfs(next_label, new_max, sub_classes)
+            self._dfs(next_label, sub_classes)
             placed.pop()
             label_of[v] = 0
             if self.out_of_budget:
@@ -277,7 +263,7 @@ def brute_force_bw(
     threshold = bw_hales(n, d) + 1 if use_formula_bound else (n + 1) ** d
     search = _Search(n, d, budget, threshold)
     search.run()
-    labels, value = search.best_labels, search.best_value
+    labels, value = search.best_labels, search.threshold
     if labels is None:
         if not search.out_of_budget:
             # the Hales labeling beats the starting incumbent, so an exhausted

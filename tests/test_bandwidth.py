@@ -182,6 +182,20 @@ def test_ratio_eventually_strictly_decreasing():
         assert all(a > b for a, b in zip(tail, tail[1:])), n
 
 
+def test_ratio_to_lex_tends_to_the_normal_peak_limit():
+    # the paper's last claim: bw_hales / bw_lex * sqrt(d) tends to
+    # (n+1) sqrt(6 / (pi n (n+2))), and the relative error falls as 1/d
+    for n in range(1, 11):
+        limit = (n + 1) * math.sqrt(6 / (math.pi * n * (n + 2)))
+        scaled = {}
+        for d in (100, 300, 1000):
+            # int / int rounds once, so nothing overflows
+            err = bw_hales(n, d) / bw_lex(n, d) * math.sqrt(d) / limit - 1
+            scaled[d] = err * d
+            assert abs(scaled[d]) <= 0.5, (n, d, scaled[d])
+        assert abs(scaled[1000] - scaled[300]) < 0.01, (n, scaled)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         bw_hales(2, 0)

@@ -3,11 +3,14 @@
 import math
 import random
 import sys
+import tracemalloc
 from collections import defaultdict
-from itertools import permutations, product
+from itertools import count, permutations, product
+from types import SimpleNamespace
 
 import pytest
 
+from gridband import oracle
 from gridband.bandwidth import bw_hales
 from gridband.cli import main
 from gridband.grid import labeling_bandwidth, load_labeling_file
@@ -170,10 +173,35 @@ def test_node_budget_exhaustion():
 
 
 def test_time_limit_exhaustion():
-    # (3, 2) is proved in fewer nodes than the clock-polling interval
+    # (3, 2) is proved in 160 nodes, and a spent time limit still stops it
     for n, d in [(1, 4), (3, 2)]:
         cert = brute_force_bw(n, d, SearchBudget(time_limit=1e-9))
         assert cert.status == BUDGET_EXHAUSTED, (n, d)
+
+
+def test_deadline_is_read_at_every_node(monkeypatch):
+    # a clock that advances one second per read: the deadline is 0 + 2.5, the
+    # first two nodes read 1 and 2, and the third reads 3
+    monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=count().__next__))
+    cert = brute_force_bw(1, 6, SearchBudget(time_limit=2.5))
+    assert cert.status == BUDGET_EXHAUSTED
+    assert cert.nodes_explored == 3
+
+
+def test_search_memory_does_not_grow_with_depth():
+    # 300 nodes into a (1, 12) search the stack is about 250 frames deep;
+    # prefix Hall's set is freed before each recursive call, so those frames
+    # cost little more than the first 10
+    def peak(max_nodes):
+        tracemalloc.start()
+        try:
+            brute_force_bw(1, 12, SearchBudget(max_nodes=max_nodes))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    shallow, deep = peak(10), peak(300)
+    assert deep <= 1.5 * shallow, (shallow, deep)
 
 
 def test_verify_optimal_results():
