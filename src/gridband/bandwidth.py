@@ -1,8 +1,9 @@
 """Closed-form bandwidth values for P_n^d, bounds, and asymptotics.
 
 The exact bandwidth is the sum over i < d of the n largest coefficients of
-(1 + x + ... + x^n)^i; the hypercube case n = 1 reduces to a sum of central
-binomials.  The largest coefficients of consecutive rows bracket the value,
+(1 + x + ... + x^n)^i, the series of `coeffs.top_sums`, which also holds the
+rule that picks its route; the hypercube case n = 1 reduces to a sum of
+central binomials.  The largest coefficients of consecutive rows bracket the value,
 and a local-CLT estimate approximates the upper bracket for large d.  The
 records returned are named tuples: bounds(2, 3) == (7, 19).
 """
@@ -13,7 +14,7 @@ import math
 from itertools import accumulate
 from typing import NamedTuple
 
-from .coeffs import _top_sums_by_walk, check_grid, max_coeff, top_sum
+from .coeffs import check_grid, max_coeff, top_sums
 
 
 class BoundsPair(NamedTuple):
@@ -38,26 +39,10 @@ def bw_hales(n: int, d: int) -> int:
 
 
 def bw_hales_series(n: int, d_max: int) -> list[int]:
-    """[bw_hales(n, 1), ..., bw_hales(n, d_max)]: one running sum of top_sum.
-
-    Each top sum is a difference of two inclusion-exclusion counts, whose
-    terms grow with i / (n+1); when d_max is large against n, the window walk
-    of `_top_sums_by_walk` is cheaper.
-    """
+    """[bw_hales(n, 1), ..., bw_hales(n, d_max)]: one running sum of the top
+    sums, which `coeffs.top_sums` gives by counting or by the window walk."""
     check_grid(n, d_max)
-    # CPU time of the walk over the counting route, best of 5 in process
-    # (Python 3.11.7, Xeon): 0.02 at (n, d_max) = (10, 200) and (30, 200),
-    # 0.06 at (50, 200), 0.10 at (100, 200), 0.08 at (125, 200), 0.20 at
-    # (20, 80), 0.21 at (50, 100), 0.31 at (100, 100), 0.46 at (30, 60),
-    # 0.84 at (20, 40), 1.3 to 2.1 at d_max <= 20 (0.3 ms or less either
-    # way), 4.3 at (1000, 60).  The walk wins well past 2n = d_max, but the
-    # rule stays there: the walk refuses a row past ROW_BITS as the row
-    # stream it replaced did, and counting refuses nothing.
-    if 2 * n >= d_max:
-        tops = (top_sum(n, i) for i in range(d_max))
-    else:
-        tops = _top_sums_by_walk(n, d_max)
-    return list(accumulate(tops))
+    return list(accumulate(top_sums(n, d_max)))
 
 
 def bw_hypercube(d: int) -> int:

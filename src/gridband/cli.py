@@ -447,15 +447,6 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _add_common(sub):
-    sub.add_argument("--n", type=int, required=True, help="edges per path factor")
-    sub.add_argument("--d", type=int, required=True, help="number of factors")
-    sub.add_argument(
-        "--format", choices=["plain", "json", "csv"], default="plain",
-        help="output format (default plain)",
-    )
-
-
 def _add_search(sub, budget_help: str) -> None:
     """The options of bw --method brute and verify-optimal."""
     sub.add_argument("--budget", type=positive_int, default=None, help=budget_help)
@@ -475,12 +466,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    sub = subparsers.add_parser("coeffs", help="coefficient row of (1+x+...+x^n)^d")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_coeffs)
+    def command(name: str, func, summary: str, order: bool = False):
+        """A subcommand running func, with --n, --d, --format and, if order,
+        --order."""
+        sub = subparsers.add_parser(name, help=summary)
+        sub.add_argument("--n", type=int, required=True, help="edges per path factor")
+        sub.add_argument("--d", type=int, required=True, help="number of factors")
+        sub.add_argument(
+            "--format", choices=["plain", "json", "csv"], default="plain",
+            help="output format (default plain)",
+        )
+        if order:
+            sub.add_argument("--order", choices=["hales", "lex"], default="hales")
+        sub.set_defaults(func=func)
+        return sub
 
-    sub = subparsers.add_parser("bw", help="bandwidth by formula, edge scan, or search")
-    _add_common(sub)
+    def vertex_budget(sub) -> None:
+        sub.add_argument("--budget", type=positive_int, default=DEFAULT_SCAN_BUDGET,
+                         help=f"max vertices (default {DEFAULT_SCAN_BUDGET})")
+
+    command("coeffs", cmd_coeffs, "coefficient row of (1+x+...+x^n)^d")
+    sub = command("bw", cmd_bw, "bandwidth by formula, edge scan, or search")
     sub.add_argument(
         "--method",
         choices=["formula", "hales-scan", "lex", "brute"],
@@ -489,61 +495,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search(
         sub, "scan budget in vertices, or search budget in nodes for --method brute"
     )
-    sub.set_defaults(func=cmd_bw)
-
-    sub = subparsers.add_parser("table", help="bandwidth table for n=1..N, d=1..D")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_table)
-
-    sub = subparsers.add_parser("label", help="full labeling listing in label order")
-    _add_common(sub)
-    sub.add_argument("--order", choices=["hales", "lex"], default="hales")
-    sub.add_argument("--budget", type=positive_int, default=DEFAULT_SCAN_BUDGET,
-                     help=f"max vertices (default {DEFAULT_SCAN_BUDGET})")
-    sub.set_defaults(func=cmd_label)
-
-    sub = subparsers.add_parser("rank", help="1-based label of a vertex")
-    _add_common(sub)
-    sub.add_argument("--order", choices=["hales", "lex"], default="hales")
+    command("table", cmd_table, "bandwidth table for n=1..N, d=1..D")
+    sub = command("label", cmd_label, "full labeling listing in label order", order=True)
+    vertex_budget(sub)
+    sub = command("rank", cmd_rank, "1-based label of a vertex", order=True)
     sub.add_argument("vertex", help="comma-separated coordinates, e.g. 1,0,2")
-    sub.set_defaults(func=cmd_rank)
-
-    sub = subparsers.add_parser("unrank", help="vertex at a 0-based rank")
-    _add_common(sub)
-    sub.add_argument("--order", choices=["hales", "lex"], default="hales")
+    sub = command("unrank", cmd_unrank, "vertex at a 0-based rank", order=True)
     sub.add_argument("rank", type=int, help="0-based rank (label minus one)")
-    sub.set_defaults(func=cmd_unrank)
-
-    sub = subparsers.add_parser("bounds", help="central-coefficient bracket")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_bounds)
-
-    sub = subparsers.add_parser("ratio", help="bw_hales/bw_lex for d = 1..D")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_ratio)
-
-    sub = subparsers.add_parser("estimate", help="normal-peak estimate of the upper bound")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_estimate)
-
-    sub = subparsers.add_parser("export-matrix", help="write adjacency or Laplacian "
-                                "in MatrixMarket coordinate format")
-    _add_common(sub)
-    sub.add_argument("--order", choices=["hales", "lex"], default="hales")
+    command("bounds", cmd_bounds, "central-coefficient bracket")
+    command("ratio", cmd_ratio, "bw_hales/bw_lex for d = 1..D")
+    command("estimate", cmd_estimate, "normal-peak estimate of the upper bound")
+    sub = command("export-matrix", cmd_export_matrix, "write adjacency or Laplacian "
+                  "in MatrixMarket coordinate format", order=True)
     sub.add_argument("--kind", choices=["adjacency", "laplacian"], default="laplacian")
     sub.add_argument("--out", required=True, help="output path")
-    sub.add_argument("--budget", type=positive_int, default=DEFAULT_SCAN_BUDGET,
-                     help=f"max vertices (default {DEFAULT_SCAN_BUDGET})")
+    vertex_budget(sub)
     sub.add_argument("--self-test", action="store_true",
                      help="re-read the file and verify row sums, symmetry, half-bandwidth")
-    sub.set_defaults(func=cmd_export_matrix)
-
-    sub = subparsers.add_parser("verify-optimal",
-                                help="prove the formula optimal by exhaustive search")
-    _add_common(sub)
+    sub = command("verify-optimal", cmd_verify_optimal,
+                  "prove the formula optimal by exhaustive search")
     _add_search(sub, f"search budget in nodes (default {DEFAULT_NODE_BUDGET})")
-    sub.set_defaults(func=cmd_verify_optimal)
-
     return parser
 
 

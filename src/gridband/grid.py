@@ -268,9 +268,10 @@ def labeling_bandwidth(
 
     labeling is an order name for `label_array`, or the labels by lex
     position, such as `load_labeling_file` returns.  The witness is the
-    maximizing edge whose (hales rank, hales rank) pair is smallest,
-    independent of scan order.  Grids larger than max_vertices are refused
-    outright rather than scanned for hours.
+    maximizing edge whose pair (label of its lex-lighter end, label of its
+    other end) is least, so it is read from the scanned labels alone and
+    does not depend on scan order.  Grids larger than max_vertices are
+    refused outright rather than scanned for hours.
     """
     check_budget(n, d, max_vertices, "edge-scan")
     if isinstance(labeling, str):
@@ -284,15 +285,16 @@ def labeling_bandwidth(
     runs = list(edge_ranges(n, d))
     stretches = [max(_stretches(labels, r, s)) for r, s in runs]
     value = max(stretches)
-    # the witness is the edge with the smallest pair of Hales ranks among
-    # those reaching the value; ranks are distinct, so i and s never decide
-    ranks = labels if labeling == "hales" else label_array("hales", n, d)
-    _, _, i, s = min(
-        (ranks[i], ranks[i + s], i, s)
+    # each run that reaches the value offers the edge of its least-labelled
+    # lighter end, as (lighter end, stride), whose sum is the other end: a
+    # run holds one edge per lighter end, and labels are distinct
+    label_at = labels.__getitem__
+    candidates = (
+        (min(compress(r, map(value.__eq__, _stretches(labels, r, s))), key=label_at), s)
         for (r, s), stretch in zip(runs, stretches)
         if stretch == value
-        for i in compress(r, map(value.__eq__, _stretches(labels, r, s)))
     )
+    i, s = min(candidates, key=lambda edge: (label_at(edge[0]), label_at(sum(edge))))
     witness = (lex_unrank(i, n, d), lex_unrank(i + s, n, d))
     return BandwidthReport(value=value, witness=witness)
 

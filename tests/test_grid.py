@@ -14,6 +14,7 @@ from gridband.bandwidth import (
     bw_hypercube,
     bw_lex,
 )
+from gridband.cli import main
 from gridband.grid import (
     BandwidthReport,
     BudgetExceededError,
@@ -202,27 +203,63 @@ def test_witness_is_an_edge_achieving_the_value():
     assert abs(ranks[u] - ranks[v]) == report.value
 
 
-def test_witness_is_deterministic_minimum_rank_pair(tmp_path):
-    # on P_2^2 this labeling reaches its bandwidth 7 on two edges, whose
-    # lighter endpoints (0,2) and (1,0) come in one order by lex position and
-    # by label, and in the other by Hales rank
+def test_witness_is_the_least_label_pair(tmp_path):
+    # on P_2^2 each of these labelings reaches its bandwidth 7 on two edges.
+    # In `tied` and `crossed` they are ((0,2),(1,2)) and ((1,0),(2,0)).  In
+    # `tied` the lighter ends (0,2) and (1,0) come in the same order by lex
+    # position and by label, and in the other by Hales rank; in `crossed`
+    # they come in one order by lex position and in the other by label,
+    # which a witness that follows scan order gets wrong.  In `split` they
+    # are ((0,1),(0,2)), labels 1 and 8, and ((2,0),(2,1)), labels 9 and 2:
+    # they lie in two runs of edge_ranges, and the heavier ends' labels come
+    # in the other order from the lighter ends'
     tied = {(0, 2): 1, (1, 2): 8, (1, 0): 2, (2, 0): 9, (0, 0): 3, (0, 1): 4,
             (1, 1): 5, (2, 1): 6, (2, 2): 7}
-    path = tmp_path / "tied.tsv"
-    _write_labeling(path, tied)
+    crossed = {(1, 0): 1, (0, 2): 2, (0, 0): 3, (0, 1): 4, (1, 1): 5, (2, 1): 6,
+               (2, 2): 7, (2, 0): 8, (1, 2): 9}
+    split = {(0, 1): 1, (0, 2): 8, (2, 0): 9, (2, 1): 2, (0, 0): 3, (1, 0): 4,
+             (1, 1): 5, (1, 2): 6, (2, 2): 7}
+    labelings = {"tied": tied, "crossed": crossed, "split": split}
+    files = {name: tmp_path / f"{name}.tsv" for name in labelings}
+    for name, mapping in labelings.items():
+        _write_labeling(files[name], mapping)
     for n, d in [(2, 2), (1, 4), (2, 3), (3, 3), (5, 2), (1, 7)]:
         hales = {u: i for i, u in enumerate(hales_enumerate(n, d))}
         cases = [("hales", hales), ("lex", {u: lex_rank(u, n, d) for u in hales})]
         if (n, d) == (2, 2):
-            cases.append((load_labeling_file(str(path), n, d), tied))
+            cases += [(load_labeling_file(str(files[name]), n, d), mapping)
+                      for name, mapping in labelings.items()]
         for labeling, labels in cases:
             report = labeling_bandwidth(labeling, n, d)
             maximizers = [
-                (hales[u], hales[v], (u, v))
+                (labels[u], labels[v], (u, v))
                 for u, v in edges(n, d)
                 if abs(labels[u] - labels[v]) == report.value
             ]
             assert report.witness == min(maximizers)[2], (labeling, n, d)
+    witnesses = {"tied": ((0, 2), (1, 2)), "crossed": ((1, 0), (2, 0)),
+                 "split": ((0, 1), (0, 2))}
+    for name, witness in witnesses.items():
+        report = labeling_bandwidth(load_labeling_file(str(files[name]), 2, 2), 2, 2)
+        assert report == (7, witness), name
+
+
+def test_scans_do_not_build_the_hales_labels(monkeypatch, tmp_path, capsys):
+    # a lex scan and the re-scan of a loaded labeling read only the labels
+    # they scan; the hales-scan call shows that the patch is live
+    def refuse(n, d):
+        raise AssertionError("Hales label array built")
+
+    path = tmp_path / "lex.tsv"
+    _write_labeling(path, {u: lex_rank(u, 2, 2) + 1 for u in product(range(3), repeat=2)})
+    monkeypatch.setattr(grid, "_hales_labels", refuse)
+    assert labeling_bandwidth("lex", 3, 4) == (64, ((0,) * 4, (1, 0, 0, 0)))
+    loaded = load_labeling_file(str(path), 2, 2)
+    assert labeling_bandwidth(loaded, 2, 2) == (3, ((0, 0), (1, 0)))
+    assert main(["bw", "--n", "2", "--d", "3", "--method", "lex"]) == 0
+    assert capsys.readouterr().out == "value 9\nmethod edge-scan\nwitness 0,0,0 1,0,0\n"
+    with pytest.raises(AssertionError, match="Hales label array built"):
+        main(["bw", "--n", "2", "--d", "3", "--method", "hales-scan"])
 
 
 def test_scan_budget_error_names_budget():
