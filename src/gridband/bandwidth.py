@@ -3,9 +3,9 @@
 The exact bandwidth is the sum over i < d of the n largest coefficients of
 (1 + x + ... + x^n)^i, the series of `coeffs.top_sums`, which also holds the
 rule that picks its route; the hypercube case n = 1 reduces to a sum of
-central binomials.  The largest coefficients of consecutive rows bracket the value,
-and a local-CLT estimate approximates the upper bracket for large d.  The
-records returned are named tuples: bounds(2, 3) == (7, 19).
+central binomials.  The largest coefficients of consecutive rows bracket
+the value, and a local-CLT estimate approximates the upper bracket for
+large d.  The records returned are named tuples: bounds(2, 3) == (7, 19).
 """
 
 from __future__ import annotations

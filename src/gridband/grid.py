@@ -285,7 +285,7 @@ def labeling_bandwidth(
     runs = list(edge_ranges(n, d))
     stretches = [max(_stretches(labels, r, s)) for r, s in runs]
     value = max(stretches)
-    # each run that reaches the value offers the edge of its least-labelled
+    # each run that reaches the value offers the edge of its least-labeled
     # lighter end, as (lighter end, stride), whose sum is the other end: a
     # run holds one edge per lighter end, and labels are distinct
     label_at = labels.__getitem__
