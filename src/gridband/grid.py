@@ -11,7 +11,9 @@ and its inverse `label_positions`; from the edge kernel `edge_ranges`, the
 edges as strided runs of at most RUN_CAP positions, whose bandwidth the
 export's self-test checks the file against; and from the per-vertex
 tables of `position_texts` and of `lower_neighbours`, which give export
-rows.  Loaded files and certificates keep labels by lex position.
+rows.  A scan of a range labeling, such as lex, costs one subtraction
+per run, since every edge of a run stretches alike.  Loaded files and
+certificates keep labels by lex position.
 The one other place that lists the grid by lex position is the search
 (`oracle._Search`), whose vertex list `itertools.product` builds in the
 same order.
@@ -283,17 +285,30 @@ def labeling_bandwidth(
             f"{len(labeling)} labels for the {(n + 1) ** d} vertices of P_{n}^{d}"
         )
     runs = list(edge_ranges(n, d))
-    stretches = [max(_stretches(labels, r, s)) for r, s in runs]
+    stretches = [_run_stretch(labels, r, s) for r, s in runs]
     value = max(stretches)
     # each run that reaches the value offers the edge of its least-labeled
     # lighter end, as (lighter end, stride), whose sum is the other end: a
-    # run holds one edge per lighter end, and labels are distinct
-    label_at = labels.__getitem__
+    # run holds one edge per lighter end, and labels are distinct.  The
+    # least hit label is found first and then placed by .index, so no key
+    # is called per candidate.  Every edge of a range run hits, and its
+    # least label is at one end.
+
+    def least_hit(r: range, s: int) -> int:
+        lighter, other = _ends(labels, r, s)
+        if isinstance(lighter, range):
+            hits = (lighter[0], lighter[-1])
+        else:
+            reaches = map(value.__eq__, map(abs, map(sub, lighter, other)))
+            hits = compress(lighter, reaches)
+        return r[lighter.index(min(hits))]
+
     candidates = (
-        (min(compress(r, map(value.__eq__, _stretches(labels, r, s))), key=label_at), s)
+        (least_hit(r, s), s)
         for (r, s), stretch in zip(runs, stretches)
         if stretch == value
     )
+    label_at = labels.__getitem__
     i, s = min(candidates, key=lambda edge: (label_at(edge[0]), label_at(sum(edge))))
     witness = (lex_unrank(i, n, d), lex_unrank(i + s, n, d))
     return BandwidthReport(value=value, witness=witness)
@@ -301,10 +316,23 @@ def labeling_bandwidth(
 
 def _max_stretch(labels: Sequence[int], n: int, d: int) -> int:
     """The bandwidth of a label array: max |f(u) - f(v)| over all edges."""
-    return max(max(_stretches(labels, r, s)) for r, s in edge_ranges(n, d))
+    return max(_run_stretch(labels, r, s) for r, s in edge_ranges(n, d))
 
 
-def _stretches(labels: Sequence[int], r: range, s: int) -> Iterator[int]:
-    """|f(i) - f(i + s)| for each i in r, an edge_ranges pair (r, s)."""
+def _run_stretch(labels: Sequence[int], r: range, s: int) -> int:
+    """max |f(i) - f(i + s)| over i in r, an edge_ranges pair (r, s).
+
+    Range labels, such as lex, stretch every edge of the run alike, by the
+    difference of the two slices' starts, so their run costs one
+    subtraction.
+    """
+    lighter, other = _ends(labels, r, s)
+    if isinstance(lighter, range):
+        return abs(other.start - lighter.start)
+    return max(map(abs, map(sub, lighter, other)))
+
+
+def _ends(labels: Sequence[int], r: range, s: int) -> tuple[Sequence[int], ...]:
+    """The labels at the lighter ends of r's edges, and at their other ends."""
     lo, hi, step = r.start, r.stop, r.step
-    return map(abs, map(sub, labels[lo:hi:step], labels[lo + s : hi + s : step]))
+    return labels[lo:hi:step], labels[lo + s : hi + s : step]

@@ -207,6 +207,50 @@ def test_label_listing_matches_enumeration(capsys, n, d):
             assert out == text, (order, fmt)
 
 
+class CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_listing_goes_out_in_blocks(monkeypatch, fmt):
+    # P_1^12 lists 4 096 lines; any block size, or a character budget that
+    # ends blocks early, gives the same bytes, so a block boundary neither
+    # drops nor repeats a line
+    n, d = 1, 12
+    pairs = [(format_vertex(u), label)
+             for label, u in enumerate(hales.hales_enumerate(n, d), start=1)]
+    if fmt == "plain":
+        lines = [f"{text}\t{label}\n" for text, label in pairs]
+    else:
+        lines = []
+        for row in [("vertex", "label"), *pairs]:
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\n").writerow(row)
+            lines.append(line.getvalue())
+    most_lines, most_chars = cli.BLOCK_LINES, cli.BLOCK_CHARS
+    blocks = [(most_lines, most_chars), (1, most_chars), (2, most_chars),
+              (3, most_chars), (most_lines, 1), (most_lines, 100)]
+    for block_lines, block_chars in blocks:
+        monkeypatch.setattr(cli, "BLOCK_LINES", block_lines)
+        monkeypatch.setattr(cli, "BLOCK_CHARS", block_chars)
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["label", "--n", str(n), "--d", str(d), "--format", fmt]) == 0
+        assert stdout.getvalue() == "".join(lines), (block_lines, block_chars)
+        if block_chars == most_chars:
+            assert stdout.writes <= -(-len(lines) // block_lines) + 2, block_lines
+        elif block_chars == 1:  # every block is one line
+            assert stdout.writes == len(lines)
+
+
 @pytest.mark.parametrize("command", [["label"], ["export-matrix", "--out", "m.mtx"]])
 def test_default_budget_is_the_scan_budget(capsys, tmp_path, monkeypatch, command):
     # 317^2 = 100 489 vertices fit the default budget of 10^6; 2^20 do not

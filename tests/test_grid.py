@@ -262,6 +262,19 @@ def test_scans_do_not_build_the_hales_labels(monkeypatch, tmp_path, capsys):
         main(["bw", "--n", "2", "--d", "3", "--method", "hales-scan"])
 
 
+def test_range_labels_scan_as_their_list():
+    # a run of range labels stretches every edge by one difference; a list
+    # of the same labels is scanned edge by edge.  The descending range's
+    # differences are negative, so only their absolute value is a stretch
+    grids = [(n, d) for d in range(1, 13) for n in range(1, 4096) if (n + 1) ** d <= 4096]
+    for n, d in grids:
+        total = (n + 1) ** d
+        for labels in (range(1, total + 1), range(total, 0, -1)):
+            expected = labeling_bandwidth(list(labels), n, d)
+            assert labeling_bandwidth(labels, n, d) == expected, (n, d, labels)
+            assert grid._max_stretch(labels, n, d) == expected.value, (n, d, labels)
+
+
 def test_scan_budget_error_names_budget():
     with pytest.raises(BudgetExceededError) as err:
         labeling_bandwidth("hales", 2, 10, max_vertices=1000)
