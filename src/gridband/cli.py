@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import chain, count, islice, starmap
-from typing import Iterator
 
 from .bandwidth import (
     asymptotic_estimate,
@@ -56,10 +55,8 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_INTERNAL = 3
 
-# the most lines, and about the most characters, that one write to stdout
-# carries in a listing
+# the most lines that one write to stdout carries in a listing
 BLOCK_LINES = 1024
-BLOCK_CHARS = 1 << 16
 
 TABLE_NOTE = (
     "n=1 column: computed from the hypercube central-binomial sum "
@@ -112,10 +109,10 @@ def _render(args, doc: dict, columns: list[str], rows=None, plain=None) -> None:
 
     Cells print as _text prints them.  The first row's cell types fix each
     column's format, so a long listing costs one str.format call per row
-    and no per-cell dispatch.  Plain and csv lines go to stdout in blocks
-    (_write_blocks), so a listing costs a few dozen writes whether or not
-    stdout is buffered (python -u).  json and csv are imported by their own
-    format only, so a plain run starts without them.
+    and no per-cell dispatch.  Plain and csv lines go to stdout BLOCK_LINES
+    to a write, so a listing costs a few dozen writes whether or not stdout
+    is buffered (python -u).  json and csv are imported by their own format
+    only, so a plain run starts without them.
     """
     if args.format == "json":
         import json
@@ -151,23 +148,10 @@ def _render(args, doc: dict, columns: list[str], rows=None, plain=None) -> None:
             line = "\t".join("{:.6g}" if f else "{}" for f in floats)
             lines = starmap(f"{line}\n".format, rows)
         prefix = ""
-    _write_blocks(lines)
+    while block := "".join(islice(lines, BLOCK_LINES)):
+        sys.stdout.write(block)
     if "note" in doc:
         print(f"{prefix}note: {doc['note']}")
-
-
-def _write_blocks(lines: Iterator[str]) -> None:
-    """Write lines to stdout, many to a write.
-
-    The first block is one line.  Each next block holds as many lines as
-    fill BLOCK_CHARS at the mean length of the last, at least one and at
-    most BLOCK_LINES, so a listing of short lines takes one write per
-    BLOCK_LINES lines and one of long lines is never held whole.
-    """
-    write, size = sys.stdout.write, 1
-    while block := "".join(islice(lines, size)):
-        write(block)
-        size = max(1, min(BLOCK_LINES, size * BLOCK_CHARS // len(block)))
 
 
 # ---------------------------------------------------------------- commands

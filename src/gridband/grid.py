@@ -284,55 +284,46 @@ def labeling_bandwidth(
         raise ValueError(
             f"{len(labeling)} labels for the {(n + 1) ** d} vertices of P_{n}^{d}"
         )
-    runs = list(edge_ranges(n, d))
-    stretches = [_run_stretch(labels, r, s) for r, s in runs]
-    value = max(stretches)
-    # each run that reaches the value offers the edge of its least-labeled
-    # lighter end, as (lighter end, stride), whose sum is the other end: a
-    # run holds one edge per lighter end, and labels are distinct.  The
-    # least hit label is found first and then placed by .index, so no key
-    # is called per candidate.  Every edge of a range run hits, and its
-    # least label is at one end.
-
-    def least_hit(r: range, s: int) -> int:
-        lighter, other = _ends(labels, r, s)
-        if isinstance(lighter, range):
-            hits = (lighter[0], lighter[-1])
-        else:
-            reaches = map(value.__eq__, map(abs, map(sub, lighter, other)))
-            hits = compress(lighter, reaches)
-        return r[lighter.index(min(hits))]
-
-    candidates = (
-        (least_hit(r, s), s)
-        for (r, s), stretch in zip(runs, stretches)
-        if stretch == value
-    )
-    label_at = labels.__getitem__
-    i, s = min(candidates, key=lambda edge: (label_at(edge[0]), label_at(sum(edge))))
-    witness = (lex_unrank(i, n, d), lex_unrank(i + s, n, d))
+    # a run whose stretch is at least the value so far offers its least
+    # hit, the edge of its least lighter label, as a run holds one edge per
+    # lighter end.  Only a strictly less pair of labels replaces the
+    # incumbent, so with repeated labels the first such edge stays.
+    value, least, edge = -1, None, None
+    for r, s in edge_ranges(n, d):
+        stretch, hit = _scan_run(labels, r, s, value)
+        if hit is None:
+            continue
+        label, i = hit
+        pair = (label, labels[i + s])
+        if stretch > value or pair < least:
+            value, least, edge = stretch, pair, (i, i + s)
+    witness = (lex_unrank(edge[0], n, d), lex_unrank(edge[1], n, d))
     return BandwidthReport(value=value, witness=witness)
 
 
 def _max_stretch(labels: Sequence[int], n: int, d: int) -> int:
     """The bandwidth of a label array: max |f(u) - f(v)| over all edges."""
-    return max(_run_stretch(labels, r, s) for r, s in edge_ranges(n, d))
+    return max(_scan_run(labels, r, s)[0] for r, s in edge_ranges(n, d))
 
 
-def _run_stretch(labels: Sequence[int], r: range, s: int) -> int:
-    """max |f(i) - f(i + s)| over i in r, an edge_ranges pair (r, s).
+def _scan_run(
+    labels: Sequence[int], r: range, s: int, value: float = float("inf")
+) -> tuple[int, tuple[int, int] | None]:
+    """An edge_ranges pair (r, s)'s stretch, max |f(i) - f(i + s)| over i in
+    r, and, if that is at least value, its least hit: the least (f(i), i)
+    over the i whose edges stretch that much; else None.
 
     Range labels, such as lex, stretch every edge of the run alike, by the
     difference of the two slices' starts, so their run costs one
-    subtraction.
+    subtraction and its least hit is at one of its two ends.
     """
-    lighter, other = _ends(labels, r, s)
-    if isinstance(lighter, range):
-        return abs(other.start - lighter.start)
-    return max(map(abs, map(sub, lighter, other)))
-
-
-def _ends(labels: Sequence[int], r: range, s: int) -> tuple[Sequence[int], ...]:
-    """The labels at the lighter ends of r's edges, and at their other ends."""
     lo, hi, step = r.start, r.stop, r.step
-    return labels[lo:hi:step], labels[lo + s : hi + s : step]
+    lighter, other = labels[lo:hi:step], labels[lo + s : hi + s : step]
+    if isinstance(lighter, range):
+        stretch = abs(other.start - lighter.start)
+        hits = ((lighter[0], r[0]), (lighter[-1], r[-1]))
+    else:
+        stretch = max(map(abs, map(sub, lighter, other)))
+        reaches = map(stretch.__eq__, map(abs, map(sub, lighter, other)))
+        hits = compress(zip(lighter, r), reaches)
+    return stretch, (min(hits) if stretch >= value else None)

@@ -221,9 +221,8 @@ class CountingStdout(io.StringIO):
 
 @pytest.mark.parametrize("fmt", ["plain", "csv"])
 def test_listing_goes_out_in_blocks(monkeypatch, fmt):
-    # P_1^12 lists 4 096 lines; any block size, or a character budget that
-    # ends blocks early, gives the same bytes, so a block boundary neither
-    # drops nor repeats a line
+    # P_1^12 lists 4 096 lines; any block size gives the same bytes, so a
+    # block boundary neither drops nor repeats a line
     n, d = 1, 12
     pairs = [(format_vertex(u), label)
              for label, u in enumerate(hales.hales_enumerate(n, d), start=1)]
@@ -235,20 +234,13 @@ def test_listing_goes_out_in_blocks(monkeypatch, fmt):
             line = io.StringIO()
             csv.writer(line, lineterminator="\n").writerow(row)
             lines.append(line.getvalue())
-    most_lines, most_chars = cli.BLOCK_LINES, cli.BLOCK_CHARS
-    blocks = [(most_lines, most_chars), (1, most_chars), (2, most_chars),
-              (3, most_chars), (most_lines, 1), (most_lines, 100)]
-    for block_lines, block_chars in blocks:
+    for block_lines in (cli.BLOCK_LINES, 1, 2, 3):
         monkeypatch.setattr(cli, "BLOCK_LINES", block_lines)
-        monkeypatch.setattr(cli, "BLOCK_CHARS", block_chars)
         stdout = CountingStdout()
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["label", "--n", str(n), "--d", str(d), "--format", fmt]) == 0
-        assert stdout.getvalue() == "".join(lines), (block_lines, block_chars)
-        if block_chars == most_chars:
-            assert stdout.writes <= -(-len(lines) // block_lines) + 2, block_lines
-        elif block_chars == 1:  # every block is one line
-            assert stdout.writes == len(lines)
+        assert stdout.getvalue() == "".join(lines), block_lines
+        assert stdout.writes <= -(-len(lines) // block_lines) + 2, block_lines
 
 
 @pytest.mark.parametrize("command", [["label"], ["export-matrix", "--out", "m.mtx"]])

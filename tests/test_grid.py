@@ -244,6 +244,16 @@ def test_witness_is_the_least_label_pair(tmp_path):
         assert report == (7, witness), name
 
 
+def test_witness_reaches_the_value_with_repeated_labels():
+    # labeling_bandwidth takes any labels; where two ends share a label,
+    # the witness is still an edge that reaches the value, the first in
+    # scan order among those of least label pair
+    assert labeling_bandwidth([5, 5, 1], 2, 1) == (4, ((1,), (2,)))
+    assert labeling_bandwidth([1, 5, 5, 1], 3, 1) == (4, ((0,), (1,)))
+    assert labeling_bandwidth([2, 2, 2, 2], 1, 2) == (0, ((0, 0), (1, 0)))
+    assert labeling_bandwidth([1, 1, 3, 3], 1, 2) == (2, ((0, 0), (1, 0)))
+
+
 def test_scans_do_not_build_the_hales_labels(monkeypatch, tmp_path, capsys):
     # a lex scan and the re-scan of a loaded labeling read only the labels
     # they scan; the hales-scan call shows that the patch is live
@@ -265,8 +275,11 @@ def test_scans_do_not_build_the_hales_labels(monkeypatch, tmp_path, capsys):
 def test_range_labels_scan_as_their_list():
     # a run of range labels stretches every edge by one difference; a list
     # of the same labels is scanned edge by edge.  The descending range's
-    # differences are negative, so only their absolute value is a stretch
-    grids = [(n, d) for d in range(1, 13) for n in range(1, 4096) if (n + 1) ** d <= 4096]
+    # differences are negative, so only their absolute value is a stretch.
+    # Every grid of at most 4 096 vertices with d >= 2, and paths on either
+    # side of RUN_CAP, where the one run is cut in two
+    grids = [(n, d) for d in range(2, 13) for n in range(1, 64) if (n + 1) ** d <= 4096]
+    grids += [(n, 1) for n in (1, 2, 3, 4095, grid.RUN_CAP, grid.RUN_CAP + 1)]
     for n, d in grids:
         total = (n + 1) ** d
         for labels in (range(1, total + 1), range(total, 0, -1)):
