@@ -46,7 +46,7 @@ from .oracle import (
     PROVED,
     SearchBudget,
     brute_force_bw,
-    certificate_to_text,
+    certificate_lines,
     verify_optimal,
 )
 
@@ -173,7 +173,7 @@ def _search_budget(args) -> SearchBudget:
 def _write_certificate(args, cert) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(certificate_to_text(cert))
+            handle.writelines(certificate_lines(cert))
 
 
 def cmd_bw(args) -> int:

@@ -3,20 +3,19 @@ vectors differing by one in a single component.
 
 A grid is named by the pair (n, d), which every function takes as two
 integers.  Provides the lexicographic labeling, labeling files and exact
-edge-scan bandwidths.  This module knows the lex-position layout, where
-the vertex at position i has its dimension-p neighbour at
-i + (n+1)^(d-1-p): scans, matrix export, listings and the search's
-adjacency take it from `label_array`, a labeling indexed by lex position,
-and its inverse `label_positions`; from the edge kernel `edge_ranges`, the
-edges as strided runs of at most RUN_CAP positions, whose bandwidth the
-export's self-test checks the file against; and from the per-vertex
-tables of `position_texts` and of `lower_neighbours`, which give export
-rows.  A scan of a range labeling, such as lex, costs one subtraction
-per run, since every edge of a run stretches alike.  Loaded files and
-certificates keep labels by lex position.
-The one other place that lists the grid by lex position is the search
-(`oracle._Search`), whose vertex list `itertools.product` builds in the
-same order.
+edge-scan bandwidths.  This module alone knows the lex-position layout,
+where the vertex at position i has its dimension-p neighbour at
+i + (n+1)^(d-1-p).  Scans, matrix export and listings take it from
+`label_array`, a labeling indexed by lex position, and its inverse
+`label_positions`; from the edge kernel `edge_ranges`, the edges as
+strided runs of at most RUN_CAP positions, whose bandwidth the export's
+self-test checks the file against; and from the per-vertex tables of
+`position_texts` and of `lower_neighbours`, which give export rows.  The
+search takes one vertex at a time, as it reaches it: its coordinates
+from `lex_unrank` and its neighbours' positions from
+`neighbour_positions`.  A scan of a range labeling, such as lex, costs
+one subtraction per run, since every edge of a run stretches alike.
+Loaded files and certificates keep labels by lex position.
 
 The Hales label array is built one coordinate at a time by the recurrence
 of `hales.weight_shifts`, with no walk of the order: see `_hales_labels`.
@@ -127,8 +126,6 @@ def edge_ranges(n: int, d: int) -> Iterator[tuple[range, int]]:
     stride s is cut into its (n+1)^p blocks of n*s consecutive positions or
     into its n*s residue classes modulo (n+1)*s, whichever are fewer, and
     a run longer than RUN_CAP into consecutive pieces of RUN_CAP positions.
-    The pieces keep the order of the positions, which the search's
-    adjacency lists follow.
     """
     total = (n + 1) ** d
     for p in range(d):
@@ -161,6 +158,18 @@ def lex_unrank(r: int, n: int, d: int) -> Vertex:
     for p in range(d - 1, -1, -1):
         r, coords[p] = divmod(r, n + 1)
     return tuple(coords)
+
+
+def neighbour_positions(q: int, n: int, d: int) -> list[int]:
+    """The lex positions of the neighbours of the vertex at position q.
+
+    Its dimension-p neighbours sit at q -/+ (n+1)^(d-1-p): the lower one
+    when its coordinate p is above 0, the upper one when it is below n.
+    The lower ones come first, each half dimension by dimension, leftmost
+    first.
+    """
+    strides = [(c, (n + 1) ** (d - 1 - p)) for p, c in enumerate(lex_unrank(q, n, d))]
+    return [q - s for c, s in strides if c] + [q + s for c, s in strides if c < n]
 
 
 def load_labeling_file(path: str, n: int, d: int) -> list[int]:

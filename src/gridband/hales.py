@@ -129,20 +129,28 @@ def hales_enumerate(n: int, d: int) -> Iterator[Vertex]:
 
 
 def block_matrix(n: int, d: int, k: int) -> list[Vertex]:
-    """Rows of the weight-k block, built by the literal recursive stacking.
+    """Rows of the weight-k block, built by the literal stacking.
 
     Sub-blocks of dimension d-1 are stacked with a constant last coordinate
-    h running from min(k, n) down to max(0, k - n*(d-1)).  Intended as a
-    testing surface at small sizes.
+    h running from min(k, n) down to max(0, k - n*(d-1)).  The stacking is
+    unrolled into a loop over a stack, one coordinate at a time from the
+    last, so no d is too deep for it.  Intended as a testing surface at
+    small sizes.
     """
     check_grid(n, d)
     if k < 0 or k > n * d:
         raise ValueError(f"weight must lie in [0, {n * d}], got {k}")
-    if d == 1:
-        return [(k,)]
     rows: list[Vertex] = []
-    h_lo = max(0, k - n * (d - 1))
-    for h in range(min(k, n), h_lo - 1, -1):
-        for prefix in block_matrix(n, d - 1, k - h):
-            rows.append(prefix + (h,))
+    row = [0] * d
+    # (coordinate p, weight w left to coordinates 0..p, value h of p), popped
+    # in stacking order: h descending, each followed by its sub-block
+    stack = [(d - 1, k, h) for h in range(max(0, k - n * (d - 1)), min(k, n) + 1)]
+    while stack:
+        p, w, h = stack.pop()
+        row[p], w = h, w - h
+        if w:
+            lo, hi = max(0, w - n * (p - 1)), min(w, n)
+            stack.extend((p - 1, w, c) for c in range(lo, hi + 1))
+        else:  # a sub-block of weight 0 is its one row of zeros
+            rows.append((0,) * p + tuple(row[p:]))
     return rows

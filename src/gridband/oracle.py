@@ -35,6 +35,13 @@ order.  This loses no value:
 No theorem about the grid's bandwidth is used, so a search started from the
 trivial bound stays independent of the formula.
 
+The search keeps no copy of the grid: `grid` alone knows the lex layout.
+The first time the candidate loop reaches a vertex, it fills the vertex's
+slot with its coordinates, from `grid.lex_unrank`, and its neighbours' lex
+positions, from `grid.neighbour_positions`; prefix Hall reads the slots of
+the placed vertices.  So a search stopped by its budget holds only the
+vertices it reached, beyond one label and one slot reference per vertex.
+
 The stabilizer is read from the placed vertices' coordinate columns; the
 group itself is never enumerated.  Coordinates whose columns are equal up to
 reflection form a class, and the stabilizer permutes each class freely.  A
@@ -52,8 +59,8 @@ from __future__ import annotations
 
 import sys
 import time
-from itertools import chain, product, starmap
-from typing import NamedTuple, Sequence
+from itertools import starmap
+from typing import Iterator, NamedTuple, Sequence
 
 from .bandwidth import bw_hales
 from .grid import (
@@ -61,9 +68,10 @@ from .grid import (
     InternalInvariantError,
     _max_stretch,
     check_budget,
-    edge_ranges,
     label_array,
     label_listing,
+    lex_unrank,
+    neighbour_positions,
 )
 from .hales import Vertex
 
@@ -160,21 +168,14 @@ class OptimalityCheck(NamedTuple):
 class _Search:
     def __init__(self, n: int, d: int, budget: SearchBudget, threshold: int):
         total = (n + 1) ** d
-        # product lists the grid in lex order, the layout grid.py uses:
-        # verts[i] sits at lex position i
-        verts = list(product(range(n + 1), repeat=d))
-        adj: list[list[int]] = [[] for _ in range(total)]
-        for r, s in edge_ranges(n, d):
-            for i in r:
-                adj[i].append(i + s)
-                adj[i + s].append(i)
         self.n = n
         self.d = d
         self.total = total
-        self.verts = verts
-        self.adj = adj
+        # by lex position: (coordinates, neighbour positions), filled the
+        # first time the candidate loop reaches the vertex
+        self.slots: list[tuple[Vertex, list[int]] | None] = [None] * total
         self.label_of = [0] * total
-        self.placed: list[int] = []
+        self.placed: list[tuple[Vertex, list[int]]] = []  # slots, in label order
         self.threshold = threshold
         self.max_nodes = budget.max_nodes
         self.deadline = (
@@ -207,36 +208,36 @@ class _Search:
             self.threshold = _max_stretch(label_of, self.n, self.d)
             self.best_labels = label_of.copy()
             return
-        adj = self.adj
         placed = self.placed
         # prefix Hall: the unlabeled neighbors of the vertices labeled 1..lab
         # must all receive one of the labels t+1..lab+thr-1 left within reach
         slack = self.threshold - 1 - t
         reach: set[int] = set()
-        for lab, u in enumerate(placed, 1):
-            for w in adj[u]:
+        for lab, (_, around) in enumerate(placed, 1):
+            for w in around:
                 if not label_of[w]:
                     reach.add(w)
             if reach and len(reach) > lab + slack:
                 return
         # freed before the recursion, or every frame on the stack keeps one
         del reach
-        verts = self.verts
-        n = self.n
+        n, d, slots = self.n, self.d, self.slots
         tried: set[tuple] = set()
         next_label = t + 1
         for v in range(self.total):
             if label_of[v]:
                 continue
+            if (slot := slots[v]) is None:
+                slot = slots[v] = (lex_unrank(v, n, d), neighbour_positions(v, n, d))
             sub_classes = None
             if classes is not None:
-                key = _orbit_key(classes, verts[v], n)
+                key = _orbit_key(classes, slot[0], n)
                 if key in tried:
                     continue
                 tried.add(key)
-                sub_classes = _refine(classes, verts[v], n)
+                sub_classes = _refine(classes, slot[0], n)
             label_of[v] = next_label
-            placed.append(v)
+            placed.append(slot)
             self._dfs(next_label, sub_classes)
             placed.pop()
             label_of[v] = 0
@@ -305,16 +306,19 @@ def verify_optimal(
     )
 
 
+def certificate_lines(cert: OptimalityCertificate) -> Iterator[str]:
+    """The lines of certificate_to_text, each with its newline, one at a
+    time, so that a file can be written without the whole text."""
+    yield f"# bandwidth {cert.optimal_value}\n"
+    yield f"# status {cert.status}\n"
+    yield f"# nodes {cert.nodes_explored}\n"
+    yield from starmap("{}\t{}\n".format, label_listing(cert.n, cert.d, cert.labels))
+
+
 def certificate_to_text(cert: OptimalityCertificate) -> str:
     """Serialize as a labeling file with a '#' metadata header.
 
     The body is the `gridband label` listing of the witness labeling: in
     label order, and loadable by grid.load_labeling_file.
     """
-    header = [
-        f"# bandwidth {cert.optimal_value}",
-        f"# status {cert.status}",
-        f"# nodes {cert.nodes_explored}",
-    ]
-    body = starmap("{}\t{}".format, label_listing(cert.n, cert.d, cert.labels))
-    return "\n".join(chain(header, body)) + "\n"
+    return "".join(certificate_lines(cert))

@@ -25,6 +25,7 @@ from gridband.grid import (
     lex_rank,
     lex_unrank,
     load_labeling_file,
+    neighbour_positions,
     parse_vertex,
     position_texts,
 )
@@ -98,6 +99,24 @@ def test_edge_ranges_match_edges():
         assert sorted(kernel) == sorted(edges(n, d)), (n, d)
         cuts |= {r.step == 1 for r, _ in edge_ranges(n, d)}
     assert cuts == {True, False}
+
+
+def test_neighbour_positions_match_edges():
+    # every grid of at most 4 096 vertices in two or more dimensions; of the
+    # 4 095 paths, whose full check would take 8.5 M calls, those of at most
+    # 64 vertices and the longest.  Lex positions are product's order here.
+    grids = [(n, d) for d in range(2, 13) for n in range(1, 64) if (n + 1) ** d <= 4096]
+    grids += [(n, 1) for n in range(1, 64)] + [(4095, 1)]
+    for n, d in grids:
+        position = {u: q for q, u in enumerate(product(range(n + 1), repeat=d))}
+        expected = [[] for _ in position]
+        for u, v in edges(n, d):
+            expected[position[u]].append(position[v])
+            expected[position[v]].append(position[u])
+        for q, around in enumerate(expected):
+            assert sorted(neighbour_positions(q, n, d)) == sorted(around), (n, d, q)
+    with pytest.raises(ValueError):
+        neighbour_positions(9, 2, 2)
 
 
 def _positions(runs):

@@ -213,6 +213,15 @@ def test_block_matrix_edges_and_errors():
         block_matrix(2, 3, -1)
 
 
+def test_block_matrix_is_deeper_than_the_recursion_limit():
+    d = 1200
+    rows = block_matrix(1, d, 1)
+    units = {tuple(int(i == j) for j in range(d)) for i in range(d)}
+    assert len(rows) == d and set(rows) == units
+    assert all(hales_compare(u, v) == -1 for u, v in zip(rows, rows[1:]))
+    assert next(hales_enumerate(1, d)) == (0,) * d
+
+
 def test_blocks_concatenate_to_full_order():
     for n in range(1, 4):
         for d in range(1, 5):

@@ -188,10 +188,11 @@ def test_deadline_is_read_at_every_node(monkeypatch):
     assert cert.nodes_explored == 3
 
 
-def test_search_memory_does_not_grow_with_depth():
-    # 300 nodes into a (1, 12) search the stack is about 250 frames deep;
-    # prefix Hall's set is freed before each recursive call, so those frames
-    # cost little more than the first 10
+def test_search_memory_per_node_is_bounded():
+    # 300 nodes into a (1, 12) search the stack is about 250 frames deep.
+    # Each frame holds its own few locals and its vertex's slot, well under
+    # 4 kB; prefix Hall's set is freed before each recursive call, or every
+    # frame would keep one, of up to hundreds of vertices
     def peak(max_nodes):
         tracemalloc.start()
         try:
@@ -201,7 +202,26 @@ def test_search_memory_does_not_grow_with_depth():
             tracemalloc.stop()
 
     shallow, deep = peak(10), peak(300)
-    assert deep <= 1.5 * shallow, (shallow, deep)
+    assert deep - shallow <= 4096 * (300 - 10), (shallow, deep)
+
+
+def test_stopped_search_holds_only_the_vertices_it_reached():
+    # 2^16 vertices: before its first node the search holds a label and a
+    # slot reference for each (16 B); its ten nodes add the slots of the
+    # few vertices they reach.  Coordinates and neighbour lists for every
+    # vertex would take hundreds of bytes each
+    vertices = 256**2
+    tracemalloc.start()
+    try:
+        search = oracle._Search(255, 2, SearchBudget(max_nodes=10), vertices)
+        built = tracemalloc.get_traced_memory()[1]
+        search.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert search.out_of_budget
+    assert built <= 16 * vertices + 4096, built
+    assert peak <= built + 64 * 1024, (built, peak)
 
 
 def test_verify_optimal_results():
