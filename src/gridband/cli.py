@@ -1,19 +1,20 @@
 """Command-line interface.
 
-    gridband <command> --n N --d D [flags]
+    gridband <command> --n N --d D [options]
 
-Commands: coeffs, bw, table, label, rank, unrank, bounds, ratio, estimate,
-export-matrix, verify-optimal.  Output formats: plain (default), json, csv.
-Labels are 1-based everywhere; the `unrank` command takes a 0-based rank
-(stated in its help).  Exit codes: 0 success, 1 usage error, 2 budget
-exceeded, 3 internal invariant violation.
+One table, COMMANDS, declares each command and its options: parse_args
+reads argv by it, and --help prints it.  The table is plain data, so a
+command starts without argparse and its gettext.  Output formats: plain
+(default), json, csv.  Labels are 1-based everywhere; the `unrank` command
+takes a 0-based rank (stated in its help).  Exit codes: 0 success, 1 usage
+error, 2 budget exceeded, 3 internal invariant violation.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from itertools import chain, count, islice, starmap
+from types import SimpleNamespace
 
 from .bandwidth import (
     asymptotic_estimate,
@@ -64,12 +65,6 @@ TABLE_NOTE = (
     "run one below this formula; exhaustive search confirms the formula "
     "values 2 at (n=1, d=2) and 4 at (n=1, d=3)."
 )
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 # ---------------------------------------------------------------- output
@@ -128,7 +123,6 @@ def _render(args, doc: dict, columns: list[str], rows=None, plain=None) -> None:
     floats = [isinstance(v, float) for v in first]
     if args.format == "csv":
         import csv
-        from types import SimpleNamespace
         if any(floats):
             rows = ([_text(v) for v in row] for row in rows)
         # writerow returns what write returns, here the row's csv line
@@ -446,96 +440,178 @@ def cmd_verify_optimal(args) -> int:
 # ------------------------------------------------------------- parser
 
 
+class UsageError(ValueError):
+    """A value that an option's type refuses, with the reason to print."""
+
+
 def positive_int(text: str) -> int:
     """A --budget value: an integer of at least 1, else a usage error."""
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise UsageError(f"must be >= 1, got {value}")
     return value
 
 
-def _add_search(sub, budget_help: str) -> None:
-    """The options of bw --method brute and verify-optimal."""
-    sub.add_argument("--budget", type=positive_int, default=None, help=budget_help)
-    sub.add_argument("--time-limit", type=float, default=None,
-                     help="wall-clock limit in seconds for the search")
-    sub.add_argument("--no-accelerate", action="store_true",
-                     help="start the search from the trivial bound, not the formula")
-    sub.add_argument("--out", default=None,
-                     help="write the search certificate to this file")
+REQUIRED = ...  # the default of an option that has none
+# An option is (flag, type or choices, default, help).  A flag without
+# dashes is a positional argument, and the type bool makes a switch.
+COMMON = (
+    ("--n", int, REQUIRED, "edges per path factor"),
+    ("--d", int, REQUIRED, "number of factors"),
+    ("--format", ("plain", "json", "csv"), "plain", "output format (default plain)"),
+)
+ORDER = ("--order", ("hales", "lex"), "hales", "labeling order (default hales)")
+SCAN_BUDGET = ("--budget", positive_int, DEFAULT_SCAN_BUDGET,
+               f"max vertices (default {DEFAULT_SCAN_BUDGET})")
+SEARCH = (
+    ("--time-limit", float, None, "wall-clock limit in seconds for the search"),
+    ("--no-accelerate", bool, False,
+     "start the search from the trivial bound, not the formula"),
+    ("--out", str, None, "write the search certificate to this file"),
+)
+# command -> (summary, its options besides COMMON); main runs cmd_<command>
+COMMANDS = {
+    "coeffs": ("coefficient row of (1+x+...+x^n)^d", ()),
+    "bw": ("bandwidth by formula, edge scan, or search", (
+        ("--method", ("formula", "hales-scan", "lex", "brute"), "formula",
+         "how to compute it (default formula)"),
+        ("--budget", positive_int, None,
+         "scan budget in vertices, or search budget in nodes for --method brute"), *SEARCH)),
+    "table": ("bandwidth table for n=1..N, d=1..D", ()),
+    "label": ("full labeling listing in label order", (ORDER, SCAN_BUDGET)),
+    "rank": ("1-based label of a vertex", (
+        ORDER, ("vertex", str, REQUIRED, "comma-separated coordinates, e.g. 1,0,2"))),
+    "unrank": ("vertex at a 0-based rank", (
+        ORDER, ("rank", int, REQUIRED, "0-based rank (label minus one)"))),
+    "bounds": ("central-coefficient bracket", ()),
+    "ratio": ("bw_hales/bw_lex for d = 1..D", ()),
+    "estimate": ("normal-peak estimate of the upper bound", ()),
+    "export-matrix": ("write adjacency or Laplacian in MatrixMarket coordinate format", (
+        ORDER, ("--kind", ("adjacency", "laplacian"), "laplacian", "(default laplacian)"),
+        ("--out", str, REQUIRED, "output path"), SCAN_BUDGET, ("--self-test", bool, False,
+         "re-read the file and verify row sums, symmetry, half-bandwidth"))),
+    "verify-optimal": ("prove the formula optimal by exhaustive search", (
+        ("--budget", positive_int, None,
+         f"search budget in nodes (default {DEFAULT_NODE_BUDGET})"), *SEARCH)),
+}
+HELP_FLAGS = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="gridband",
-        description="Bandwidth of d-fold products of paths: exact values, "
-        "labelings, bounds, asymptotics, and brute-force certification.",
-    )
-    subparsers = parser.add_subparsers(dest="command", parser_class=_Parser)
+def _spelling(flag: str, kind) -> str:
+    """An option as usage and help show it: `--n N`, `--order {hales,lex}`."""
+    metavar = f"{{{','.join(kind)}}}" if isinstance(kind, tuple) else flag[2:].upper()
+    return flag if kind is bool or flag[0] != "-" else f"{flag} {metavar}"
 
-    def command(name: str, func, summary: str, order: bool = False):
-        """A subcommand running func, with --n, --d, --format and, if order,
-        --order."""
-        sub = subparsers.add_parser(name, help=summary)
-        sub.add_argument("--n", type=int, required=True, help="edges per path factor")
-        sub.add_argument("--d", type=int, required=True, help="number of factors")
-        sub.add_argument(
-            "--format", choices=["plain", "json", "csv"], default="plain",
-            help="output format (default plain)",
-        )
-        if order:
-            sub.add_argument("--order", choices=["hales", "lex"], default="hales")
-        sub.set_defaults(func=func)
-        return sub
 
-    def vertex_budget(sub) -> None:
-        sub.add_argument("--budget", type=positive_int, default=DEFAULT_SCAN_BUDGET,
-                         help=f"max vertices (default {DEFAULT_SCAN_BUDGET})")
+def _help(name) -> str:
+    """The --help text of a command, or of gridband for name None; its first
+    line is the usage line, which spells out the required options."""
+    options = COMMON + (COMMANDS[name][1] if name else ())
+    required = " ".join(
+        _spelling(flag, kind) for flag, kind, default, _ in options if default is REQUIRED)
+    rows = [(_spelling(flag, kind), text) for flag, kind, _, text in options] if name else [
+        (command, summary) for command, (summary, _) in COMMANDS.items()]
+    lines = (f"  {left:<28} {text}" for left, text in [*rows, ("-h, --help", "this help")])
+    heading = COMMANDS[name][0] if name else "exact bandwidth of P_n^d; commands:"
+    return "\n".join([f"usage: gridband {name or '<command>'} {required} [options]", "",
+                      heading, "", *lines, ""])
 
-    command("coeffs", cmd_coeffs, "coefficient row of (1+x+...+x^n)^d")
-    sub = command("bw", cmd_bw, "bandwidth by formula, edge scan, or search")
-    sub.add_argument(
-        "--method",
-        choices=["formula", "hales-scan", "lex", "brute"],
-        default="formula",
-    )
-    _add_search(
-        sub, "scan budget in vertices, or search budget in nodes for --method brute"
-    )
-    command("table", cmd_table, "bandwidth table for n=1..N, d=1..D")
-    sub = command("label", cmd_label, "full labeling listing in label order", order=True)
-    vertex_budget(sub)
-    sub = command("rank", cmd_rank, "1-based label of a vertex", order=True)
-    sub.add_argument("vertex", help="comma-separated coordinates, e.g. 1,0,2")
-    sub = command("unrank", cmd_unrank, "vertex at a 0-based rank", order=True)
-    sub.add_argument("rank", type=int, help="0-based rank (label minus one)")
-    command("bounds", cmd_bounds, "central-coefficient bracket")
-    command("ratio", cmd_ratio, "bw_hales/bw_lex for d = 1..D")
-    command("estimate", cmd_estimate, "normal-peak estimate of the upper bound")
-    sub = command("export-matrix", cmd_export_matrix, "write adjacency or Laplacian "
-                  "in MatrixMarket coordinate format", order=True)
-    sub.add_argument("--kind", choices=["adjacency", "laplacian"], default="laplacian")
-    sub.add_argument("--out", required=True, help="output path")
-    vertex_budget(sub)
-    sub.add_argument("--self-test", action="store_true",
-                     help="re-read the file and verify row sums, symmetry, half-bandwidth")
-    sub = command("verify-optimal", cmd_verify_optimal,
-                  "prove the formula optimal by exhaustive search")
-    _add_search(sub, f"search budget in nodes (default {DEFAULT_NODE_BUDGET})")
-    return parser
+
+def _fail(name, message: str):
+    """Report a usage error of a command (or of gridband, for name None): the
+    usage line, then `gridband [command]: error: message`; exit 1."""
+    print(_help(name).partition("\n")[0], file=sys.stderr)
+    print(f"gridband{name and ' ' + name or ''}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _convert(name, flag: str, kind, text: str):
+    """An option's text as its value, or a usage error of command name."""
+    try:
+        if isinstance(kind, tuple) and text not in kind:
+            choices = ", ".join(map(repr, kind))
+            raise UsageError(f"invalid choice: {text!r} (choose from {choices})")
+        return text if isinstance(kind, tuple) else kind(text)
+    except UsageError as exc:
+        reason = str(exc)
+    except ValueError:
+        reason = f"invalid {'float' if kind is float else 'int'} value: {text!r}"
+    _fail(name, f"argument {flag}: {reason}")
+
+
+def _is_value(arg: str) -> bool:
+    """Whether an argv item is a value, not a flag: as for argparse, a
+    negative number such as -3 or -.5 is a value, and so are "-" and any
+    item that holds a space."""
+    return arg[:1] != "-" or arg == "-" or " " in arg or arg[1:].replace(".", "", 1).isdigit()
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv by COMMANDS into the namespace that cmd_<command> reads.
+
+    The command comes first; its options and positional arguments follow in
+    any order.  A flag's value is the next item or follows `=`, and a
+    unique prefix stands for a flag.  Help (-h or --help) exits 0; no command
+    prints gridband's help and exits 1, and so does a usage error.  Both exit
+    by SystemExit, as argparse did.
+    """
+    if not argv or argv[0] == "-h" or len(argv[0]) > 2 and "--help".startswith(argv[0]):
+        print(_help(None), end="")
+        raise SystemExit(EXIT_OK if argv else EXIT_USAGE)
+    name, *rest = argv
+    if not _is_value(name):
+        _fail(None, f"unrecognized arguments: {name}")
+    _convert(None, "command", tuple(COMMANDS), name)
+    options = COMMON + COMMANDS[name][1]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    values = {flag: default for flag, _, default, _ in options}
+    flags = [flag for flag in kinds if flag[0] == "-"] + list(HELP_FLAGS)
+    positional = [flag for flag in kinds if flag[0] != "-"]
+    extras = []
+    while rest:
+        arg = rest.pop(0)
+        if _is_value(arg):
+            flag, eq, text = positional.pop(0) if positional else None, "=", arg
+        else:
+            flag, eq, text = arg.partition("=")
+            matches = [flag] if flag in flags else [
+                known for known in flags if len(flag) > 2 and known.startswith(flag)]
+            if len(matches) > 1:
+                _fail(name, f"ambiguous option: {arg} could match {', '.join(matches)}")
+            flag = matches[0] if matches else None
+        if flag is None:
+            extras.append(arg)
+        elif flag in HELP_FLAGS:
+            print(_help(name), end="")
+            raise SystemExit(EXIT_OK)
+        elif kinds[flag] is bool:
+            if eq:
+                _fail(name, f"argument {flag}: ignored explicit argument {text!r}")
+            values[flag] = True
+        else:
+            if not eq:
+                if not rest or not _is_value(rest[0]):
+                    _fail(name, f"argument {flag}: expected one argument")
+                text = rest.pop(0)
+            values[flag] = _convert(name, flag, kinds[flag], text)
+    missing = [flag for flag, value in values.items() if value is REQUIRED]
+    if missing:
+        _fail(name, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(
+        command=name, **{flag.lstrip("-").replace("-", "_"): v for flag, v in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
-    if getattr(args, "func", None) is None:
-        parser.print_help()
-        return EXIT_USAGE
+        return exc.code
+    # looked up at each call, so that a wrapper set on the module runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except BudgetExceededError as exc:
         print(f"gridband: error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

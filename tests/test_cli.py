@@ -1,6 +1,7 @@
 """Command-line surface: rendering, determinism, exit codes, file export."""
 
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -351,6 +352,22 @@ def test_startup_imports_only_what_the_format_needs(fmt, imported):
     assert child.stdout.splitlines()[-1] == imported
 
 
+def test_commands_do_not_import_argparse():
+    # argparse, with the gettext it pulls in, cost a fresh process about
+    # 5 ms before any work
+    src = Path(cli.__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gridband", "verify-optimal",
+         "--n", "2", "--d", "2"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()}
+    assert not imported & {"argparse", "gettext"}
+
+
 def test_export_adjacency_tiny(capsys, tmp_path):
     path = tmp_path / "p11.mtx"
     code, out, _ = run(
@@ -583,9 +600,165 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+def _squeezed(text: str) -> str:
+    """text without whitespace, so that a wrapped help line still matches."""
+    return "".join(text.split())
+
+
+SEARCH_HELP = [
+    ("--time-limit", (), "wall-clock limit in seconds for the search"),
+    ("--no-accelerate", (), "start the search from the trivial bound, not the formula"),
+    ("--out", (), "write the search certificate to this file"),
+]
+ORDER_HELP = ("--order", ("hales", "lex"), "")
+SCAN_BUDGET_HELP = ("--budget", (), "max vertices (default 1000000)")
+# command -> (summary, [(option, choices, help)]) besides --n, --d and
+# --format; an empty help is not checked
+HELP = {
+    "coeffs": ("coefficient row of (1+x+...+x^n)^d", []),
+    "bw": ("bandwidth by formula, edge scan, or search", [
+        ("--method", ("formula", "hales-scan", "lex", "brute"), ""),
+        ("--budget", (),
+         "scan budget in vertices, or search budget in nodes for --method brute"),
+        *SEARCH_HELP,
+    ]),
+    "table": ("bandwidth table for n=1..N, d=1..D", []),
+    "label": ("full labeling listing in label order", [ORDER_HELP, SCAN_BUDGET_HELP]),
+    "rank": ("1-based label of a vertex", [
+        ORDER_HELP, ("vertex", (), "comma-separated coordinates, e.g. 1,0,2"),
+    ]),
+    "unrank": ("vertex at a 0-based rank", [
+        ORDER_HELP, ("rank", (), "0-based rank (label minus one)"),
+    ]),
+    "bounds": ("central-coefficient bracket", []),
+    "ratio": ("bw_hales/bw_lex for d = 1..D", []),
+    "estimate": ("normal-peak estimate of the upper bound", []),
+    "export-matrix": (
+        "write adjacency or Laplacian in MatrixMarket coordinate format", [
+            ORDER_HELP,
+            ("--kind", ("adjacency", "laplacian"), ""),
+            ("--out", (), "output path"),
+            SCAN_BUDGET_HELP,
+            ("--self-test", (),
+             "re-read the file and verify row sums, symmetry, half-bandwidth"),
+        ]),
+    "verify-optimal": ("prove the formula optimal by exhaustive search", [
+        ("--budget", (), "search budget in nodes (default 100000000)"),
+        *SEARCH_HELP,
+    ]),
+}
+COMMON_HELP = [
+    ("--n", (), "edges per path factor"),
+    ("--d", (), "number of factors"),
+    ("--format", ("plain", "json", "csv"), "output format (default plain)"),
+]
+
+
 def test_help_exits_0(capsys):
-    assert main(["--help"]) == 0
-    capsys.readouterr()
+    for flag in ("--help", "-h"):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "")
+        for name, (summary, _) in HELP.items():
+            assert name in out
+            assert _squeezed(summary) in _squeezed(out)
+
+
+def test_main_runs_the_command_set_on_the_module(capsys, monkeypatch):
+    # bench/tracer.py wraps cli.cmd_* after import, then calls main
+    seen = []
+    monkeypatch.setattr(cli, "cmd_export_matrix", lambda args: seen.append(args) or 7)
+    assert run(capsys, "export-matrix", "--n", "1", "--d", "2", "--out", "m.mtx") == (7, "", "")
+    assert (seen[0].out, seen[0].kind, seen[0].self_test) == ("m.mtx", "laplacian", False)
+
+
+def test_no_command_prints_help_and_exits_1(capsys):
+    code, out, err = run(capsys)
+    assert (code, err) == (1, "")
+    assert out.startswith("usage: gridband")
+    for name in HELP:
+        assert name in out
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_command_help_names_every_option(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    for option, choices, text in COMMON_HELP + HELP[command][1]:
+        assert option in out
+        for choice in choices:
+            assert choice in out
+        assert _squeezed(text) in _squeezed(out)
+
+
+# (argv, exit code, sha256 of stdout or "" when there is none, last stderr
+# line); the usage line printed above an error is not pinned
+PARSE_CASES = [
+    ("bw --n", 1, "", "gridband bw: error: argument --n: expected one argument"),
+    ("bw --n 1 --d 1 --method", 1, "",
+     "gridband bw: error: argument --method: expected one argument"),
+    ("bw --n 1 --d 1 --method bogus", 1, "",
+     "gridband bw: error: argument --method: invalid choice: 'bogus' "
+     "(choose from 'formula', 'hales-scan', 'lex', 'brute')"),
+    ("bw --n 1 --d 1 --budget 0", 1, "",
+     "gridband bw: error: argument --budget: must be >= 1, got 0"),
+    ("bw --n 1 --d 1 --method brute --budget -3", 1, "",
+     "gridband bw: error: argument --budget: must be >= 1, got -3"),
+    ("bw --n 1 --d 1 --budget 1.5", 1, "",
+     "gridband bw: error: argument --budget: invalid int value: '1.5'"),
+    ("bw --n 1 --d 1 --time-limit x", 1, "",
+     "gridband bw: error: argument --time-limit: invalid float value: 'x'"),
+    ("bw --n 1 --d 1 --method brute --time-limit nan", 1, "",
+     "gridband: error: time_limit must be positive"),
+    ("unrank --n 1 --d 1", 1, "",
+     "gridband unrank: error: the following arguments are required: rank"),
+    ("unrank --n 1 --d 1 x", 1, "",
+     "gridband unrank: error: argument rank: invalid int value: 'x'"),
+    ("unrank --n 1 --d 1 -1", 1, "", "gridband: error: rank -1 outside [0, 1]"),
+    ("rank --n 1 --d 1", 1, "",
+     "gridband rank: error: the following arguments are required: vertex"),
+    ("rank --n 1 --d 1 0 0", 1, "", "gridband: error: unrecognized arguments: 0"),
+    ("bw --n=2 --d=2", 0,
+     "a313b37d9c359baad0fbe9f9dab4c72cb5d062d403aaf4fd906f172f4f480701", ""),
+    ("bw --n 2 --d 2 --meth lex", 0,
+     "c839e1a5e78b92d4a91805fafa39532f55fb9dee4f606ca1685a98f803bf0a38", ""),
+    ("export-matrix --n 1 --d 1 --o x.mtx", 1, "",
+     "gridband export-matrix: error: ambiguous option: --o could match --order, --out"),
+    ("bw --n 1 --d 1 --no-accelerate=1", 1, "",
+     "gridband bw: error: argument --no-accelerate: ignored explicit argument '1'"),
+    ("bw --d -1 --n 1", 1, "", "gridband: error: need n >= 1 and d >= 1, got n=1, d=-1"),
+    ("export-matrix --n 1 --d 1", 1, "",
+     "gridband export-matrix: error: the following arguments are required: --out"),
+    ("bw", 1, "", "gridband bw: error: the following arguments are required: --n, --d"),
+    ("-x", 1, "", "gridband: error: unrecognized arguments: -x"),
+    ("bogus", 1, "",
+     "gridband: error: argument command: invalid choice: 'bogus' (choose from "
+     "'coeffs', 'bw', 'table', 'label', 'rank', 'unrank', 'bounds', 'ratio', "
+     "'estimate', 'export-matrix', 'verify-optimal')"),
+    ("bw --n 1 --d 1 extra", 1, "", "gridband: error: unrecognized arguments: extra"),
+    ("bw --n x --d 1", 1, "", "gridband bw: error: argument --n: invalid int value: 'x'"),
+    ("rank 1,1 --n 2 --d 2", 0,
+     "f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06", ""),
+    ("export-matrix --n 1 --d 1 --o=x.mtx", 1, "",
+     "gridband export-matrix: error: ambiguous option: --o=x.mtx could match --order, --out"),
+    ("bw --n 1 --d 1 --time-limit -1e3", 1, "",
+     "gridband bw: error: argument --time-limit: expected one argument"),
+    ("rank --n 2 --d 2 --bogus 1,1 extra", 1, "",
+     "gridband: error: unrecognized arguments: --bogus extra"),
+    ("bw --n 1 --d 1 --", 1, "", "gridband: error: unrecognized arguments: --"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,digest,last_err", PARSE_CASES, ids=[case[0] for case in PARSE_CASES]
+)
+def test_command_line_parsing(capsys, tmp_path, monkeypatch, argv, exit_code, digest,
+                              last_err):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv.split())
+    assert code == exit_code
+    assert (hashlib.sha256(out.encode()).hexdigest() if out else "") == digest
+    assert (err.splitlines() or [""])[-1] == last_err
+    assert list(tmp_path.iterdir()) == []
 
 
 NOTE = (
