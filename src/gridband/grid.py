@@ -332,7 +332,9 @@ def _scan_run(
         stretch = abs(other.start - lighter.start)
         hits = ((lighter[0], r[0]), (lighter[-1], r[-1]))
     else:
-        stretch = max(map(abs, map(sub, lighter, other)))
-        reaches = map(stretch.__eq__, map(abs, map(sub, lighter, other)))
+        # other - lighter: Hales and lex label the heavier end higher, so the
+        # difference is positive and abs returns it without making a new int
+        stretch = max(map(abs, map(sub, other, lighter)))
+        reaches = map(stretch.__eq__, map(abs, map(sub, other, lighter)))
         hits = compress(zip(lighter, r), reaches)
     return stretch, (min(hits) if stretch >= value else None)
