@@ -14,7 +14,7 @@ import math
 from itertools import accumulate
 from typing import NamedTuple
 
-from .coeffs import check_grid, max_coeff, top_sums
+from .coeffs import SIZE_BITS, check_grid, grid_bits, max_coeff, top_sums
 
 
 class BoundsPair(NamedTuple):
@@ -74,6 +74,8 @@ def asymptotic_estimate(n: int, d: int) -> AsymptoticEstimate:
     check_grid(n, d)
     try:  # n or d past float range puts (n+1)^(d+1) past it too
         factor = math.sqrt(6.0 / (math.pi * (d + 1) * (n * n + 2 * n)))
+        if grid_bits(n, d + 1) > SIZE_BITS:  # so is a count not built
+            raise OverflowError
         estimate = (n + 1) ** (d + 1) * factor
     except OverflowError:
         raise ValueError(

@@ -24,14 +24,13 @@ from .bandwidth import (
     bw_lex,
     ratio_table,
 )
-from .coeffs import coeff_row, max_coeff
+from .coeffs import check_grid, coeff_row, max_coeff
 from .grid import (
     DEFAULT_SCAN_BUDGET,
     BudgetExceededError,
     InternalInvariantError,
     _max_stretch,
     check_budget,
-    check_grid,
     format_vertex,
     label_array,
     label_listing,

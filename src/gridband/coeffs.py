@@ -14,9 +14,10 @@ each row's centre from row to row.  `lighter_down` turns the half of row d
 into its prefix sums and steps them down one row at a time: the one source
 of the counts that `hales_rank`, `hales_unrank` and the label array read.
 Every route that holds a row, a half row or a walk refuses one past
-ROW_BITS before it builds any.  Single coefficients,
-the largest coefficient at small d and the top sums at small d are
-differences of two inclusion-exclusion counts and build no row.  The two
+ROW_BITS before it builds any, and no size check builds or prints a vertex
+count (n+1)^d past SIZE_BITS bits, which `grid_bits` bounds.  Single
+coefficients, the largest coefficient at small d and the top sums at small
+d are differences of two inclusion-exclusion counts and build no row.  The two
 rules that choose between counting and a recurrence sit side by side:
 `max_coeff`'s, and `top_sums`'s for the series that `bandwidth` sums.
 """
@@ -33,11 +34,19 @@ from typing import Callable, Iterable, Iterator
 # entries of up to d*bitlen(n+1) bits
 ROW_BITS = 1 << 28
 
+# the most bits of a vertex count (n+1)^d that a size check builds or
+# prints; past it a count is at least 2^(SIZE_BITS/2), over any budget, and
+# is named as (n+1)^d
+SIZE_BITS = 1 << 13
+
 
 class BudgetExceededError(Exception):
-    """An operation would enumerate more vertices/lines than its budget allows."""
+    """An operation would enumerate more vertices/lines than its budget allows.
 
-    def __init__(self, message: str, budget: int, required: int):
+    required is None for a grid past SIZE_BITS bits, whose count is not built.
+    """
+
+    def __init__(self, message: str, budget: int, required: int | None):
         super().__init__(message)
         self.budget = budget
         self.required = required
@@ -56,18 +65,35 @@ def check_grid(n: int, d: int, least_d: int = 1) -> None:
         raise ValueError(f"need n >= 1 and d >= {least_d}, got n={n}, d={d}")
 
 
+def grid_bits(n: int, d: int) -> int:
+    """An upper bound on the bits of (n+1)^d, from n+1 < 2^bitlen(n+1):
+    the count lies in [2^(bits/2), 2^bits), as n+1 >= 2."""
+    return d * (n + 1).bit_length()
+
+
 def check_budget(n: int, d: int, budget: int, what: str) -> None:
     """Refuse as check_grid does, and with BudgetExceededError a grid of
-    more than budget vertices."""
+    more than budget vertices, or past SIZE_BITS bits."""
     check_grid(n, d)
-    total = (n + 1) ** d
-    if total > budget:
+    total = (n + 1) ** d if grid_bits(n, d) <= SIZE_BITS else None
+    if total is None or total > budget:
         raise BudgetExceededError(
-            f"P_{n}^{d} has {total} vertices; "
+            f"P_{n}^{d} has {f'{n + 1}^{d}' if total is None else total} vertices; "
             f"over the {what} budget ({budget} vertices)",
             budget=budget,
             required=total,
         )
+
+
+def check_rank(r: int, n: int, d: int) -> None:
+    """Refuse as check_grid does, and with ValueError a rank outside
+    [0, (n+1)^d).  An r of at most half grid_bits(n, d) bits is below
+    (n+1)^d, so the count is built only for an r about as long as it."""
+    check_grid(n, d)
+    bits = grid_bits(n, d)
+    if r < 0 or 2 * r.bit_length() > bits and r >= (n + 1) ** d:
+        top = f"{n + 1}^{d} - 1" if bits > SIZE_BITS else (n + 1) ** d - 1
+        raise ValueError(f"rank {r} outside [0, {top}]")
 
 
 def _check_row_bits(n: int, d: int) -> None:

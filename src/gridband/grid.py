@@ -17,26 +17,34 @@ from `lex_unrank` and its neighbours' positions from
 one subtraction per run, since every edge of a run stretches alike.
 Loaded files and certificates keep labels by lex position.
 
-The Hales label array is built one coordinate at a time by the recurrence
-of `hales.weight_shifts`, with no walk of the order: see `_hales_labels`.
+Any other labeling is scanned as words, an array of 32-bit labels below
+2^30 or 64-bit ones below 2^62, each run's two ends packed into two big
+integers (SWAR: Lamport, CACM 18(8), 1975; Knuth, TAOCP 4A, 7.1.3).  One
+subtraction and two additions test whether any edge of the run can reach
+the value so far, and only a run that can is read edge by edge: see
+`_scan_run`.  The Hales label array is such a word array, built one
+coordinate at a time by the recurrence of `hales.weight_shifts`, with no
+walk of the order and one packed addition per slice: see `_hales_labels`.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
+from functools import lru_cache
 from itertools import compress, count, product, repeat
-from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .coeffs import BudgetExceededError, InternalInvariantError  # re-exported
-from .coeffs import check_budget, check_grid
+from .coeffs import check_budget, check_rank
 from .hales import Vertex, check_vertex, weight_shifts
 
 DEFAULT_SCAN_BUDGET = 1_000_000
 
-# the longest run edge_ranges yields: a scan copies two label slices this
-# long, not two as long as n/(n+1) of the grid
-RUN_CAP = 1 << 16
+# the longest run edge_ranges yields, and the longest chunk the label build
+# adds at once: a scan packs two label slices this long into two integers,
+# not two as long as n/(n+1) of the grid
+RUN_CAP = 1 << 13
 
 
 class BandwidthReport(NamedTuple):
@@ -151,9 +159,7 @@ def lex_rank(u: Vertex, n: int, d: int) -> int:
 
 
 def lex_unrank(r: int, n: int, d: int) -> Vertex:
-    check_grid(n, d)
-    if r < 0 or r >= (n + 1) ** d:
-        raise ValueError(f"rank {r} outside [0, {(n + 1) ** d - 1}]")
+    check_rank(r, n, d)
     coords = [0] * d
     for p in range(d - 1, -1, -1):
         r, coords[p] = divmod(r, n + 1)
@@ -227,32 +233,77 @@ def _typecode(top: int) -> str:
     return "i" if top < 1 << 31 else "q"
 
 
+def _word_code(top: int) -> str:
+    """The typecode of label words 0..top: 32 bits while top < 2^30, else
+    64 below 2^62, so that a field holds a difference of two labels plus a
+    threshold and keeps its top bit as a guard."""
+    if top < 1 << 30:
+        return "i"
+    if top < 1 << 62:
+        return "q"
+    raise ValueError(f"labels span {top}; a scan takes a span below 2^62")
+
+
+def _words(labels: Sequence[int]) -> Sequence[int]:
+    """labels as a scan reads them: a range as it is, any other sequence
+    copied once into words, each less the least label, so none is negative."""
+    if isinstance(labels, range):
+        return labels
+    least = min(labels)
+    return array(_word_code(max(labels) - least), [label - least for label in labels])
+
+
+def _packed(words: array) -> int:
+    """The words as one integer, word i in the bits from i * 8 * itemsize up."""
+    return int.from_bytes(words.tobytes(), sys.byteorder)
+
+
+def _unpacked(packed: int, code: str, size: int) -> array:
+    """The size words of typecode code packed in an integer, as `_packed`."""
+    words = array(code)
+    words.frombytes(packed.to_bytes(size * words.itemsize, sys.byteorder))
+    return words
+
+
+@lru_cache(maxsize=16)  # a scan or a build uses a few run lengths at a time
+def _fields(size: int, code: str) -> tuple[int, int, int]:
+    """(ones, guards, high) for size packed words of typecode code: a 1 in
+    every word, the top bit of every word, and the top bit of one word."""
+    ones = _packed(array(code, [1]) * size)
+    high = 1 << (8 * array(code).itemsize - 1)
+    return ones, ones * high, high
+
+
 def _hales_labels(n: int, d: int) -> array:
     """Hales labels (rank + 1) by lex position, one coordinate at a time.
 
     The label of (rest, h) is rest's label plus the shift of its weight w,
     from `hales.weight_shifts`.  (rest, h) sits at lex position
-    (n+1)*position(rest) + h, so each h fills one stride-(n+1) slice.
+    (n+1)*position(rest) + h, so each h fills one stride-(n+1) slice.  In
+    chunks of RUN_CAP positions of rest, a slice is one addition of packed
+    words, the labels plus their gathered shifts, and its weights another,
+    the weights plus h in every word; no word carries into the next.
     """
-    digits = range(n + 1)
     width = n + 1
-    size_code, weight_code = _typecode(width**d), _typecode(n * d)
-    labels = array(size_code, range(1, width + 1))
-    weights = array(weight_code, digits)
+    code, weight_code = _word_code(width**d), _typecode(n * d)
+    labels = array(code, range(1, width + 1))
+    weights = array(weight_code, range(width))
     for m, shift_of in enumerate(weight_shifts(n, d), start=2):
         shifts = list(map(shift_of, range(n * m + 1)))
-        grown = array(size_code, bytes(width**m * labels.itemsize))
-        for h in digits:
-            shift = shifts[h:]  # shift[w] is the shift for weight w + h
-            grown[h::width] = array(
-                size_code, map(add, labels, map(shift.__getitem__, weights))
-            )
-        if m < d:  # the last step needs no weights
-            grown_weights = array(weight_code, bytes(width**m * weights.itemsize))
-            for h in digits:
-                grown_weights[h::width] = array(weight_code, map(h.__add__, weights))
-            weights = grown_weights
-        labels = grown
+        grown = array(code, bytes(width**m * labels.itemsize))
+        grown_weights = array(weight_code, bytes(width**m * weights.itemsize * (m < d)))
+        for lo in range(0, len(labels), RUN_CAP):
+            part = weights[lo : lo + RUN_CAP]
+            size, packed = len(part), _packed(labels[lo : lo + RUN_CAP])
+            packed_weights, ones = _packed(part), _fields(size, weight_code)[0]
+            for h in range(width):
+                at = slice(width * lo + h, width * (lo + size), width)
+                shift = array(code, map(shifts[h:].__getitem__, part))
+                grown[at] = _unpacked(packed + _packed(shift), code, size)
+                if m < d:  # the last step needs no weights
+                    grown_h = packed_weights + h * ones
+                    grown_weights[at] = _unpacked(grown_h, weight_code, size)
+        labels, weights = grown, grown_weights
     return labels
 
 
@@ -278,7 +329,8 @@ def labeling_bandwidth(
     """Exact max |f(u) - f(v)| over all edges, with a deterministic witness.
 
     labeling is an order name for `label_array`, or the labels by lex
-    position, such as `load_labeling_file` returns.  The witness is the
+    position, such as `load_labeling_file` returns, which are copied once
+    into words (see `_scan_run`).  The witness is the
     maximizing edge whose pair (label of its lex-lighter end, label of its
     other end) is least, so it is read from the scanned labels alone and
     does not depend on scan order.  Grids larger than max_vertices are
@@ -288,21 +340,21 @@ def labeling_bandwidth(
     if isinstance(labeling, str):
         labels = label_array(labeling, n, d)
     elif len(labeling) == (n + 1) ** d:
-        labels = labeling
+        labels = _words(labeling)
     else:
         raise ValueError(
             f"{len(labeling)} labels for the {(n + 1) ** d} vertices of P_{n}^{d}"
         )
-    # a run whose stretch is at least the value so far offers its least
+    # a run that can reach the value so far offers its stretch and least
     # hit, the edge of its least lighter label, as a run holds one edge per
     # lighter end.  Only a strictly less pair of labels replaces the
     # incumbent, so with repeated labels the first such edge stays.
     value, least, edge = -1, None, None
     for r, s in edge_ranges(n, d):
-        stretch, hit = _scan_run(labels, r, s, value)
-        if hit is None:
+        run = _scan_run(labels, r, s, value)
+        if run is None:
             continue
-        label, i = hit
+        stretch, (label, i) = run
         pair = (label, labels[i + s])
         if stretch > value or pair < least:
             value, least, edge = stretch, pair, (i, i + s)
@@ -311,30 +363,52 @@ def labeling_bandwidth(
 
 
 def _max_stretch(labels: Sequence[int], n: int, d: int) -> int:
-    """The bandwidth of a label array: max |f(u) - f(v)| over all edges."""
-    return max(_scan_run(labels, r, s)[0] for r, s in edge_ranges(n, d))
+    """The bandwidth of a labeling: max |f(u) - f(v)| over all edges.
+
+    labels is `label_array`'s, or any labels by lex position, copied once
+    into words.  Only runs with an edge past the stretch so far are read.
+    """
+    labels = labels if isinstance(labels, array) else _words(labels)
+    value = 0
+    for r, s in edge_ranges(n, d):
+        run = _scan_run(labels, r, s, value + 1, witness=False)
+        if run is not None:
+            value = run[0]
+    return value
 
 
 def _scan_run(
-    labels: Sequence[int], r: range, s: int, value: float = float("inf")
-) -> tuple[int, tuple[int, int] | None]:
+    labels: Sequence[int], r: range, s: int, value: int, witness: bool = True
+) -> tuple[int, tuple[int, int] | None] | None:
     """An edge_ranges pair (r, s)'s stretch, max |f(i) - f(i + s)| over i in
-    r, and, if that is at least value, its least hit: the least (f(i), i)
-    over the i whose edges stretch that much; else None.
+    r, and, if the caller wants a witness, its least hit: the least (f(i), i)
+    over the i whose edges stretch that much.  None if no edge of the run
+    stretches value or more.
 
     Range labels, such as lex, stretch every edge of the run alike, by the
     difference of the two slices' starts, so their run costs one
-    subtraction and its least hit is at one of its two ends.
+    subtraction and its least hit is at one of its two ends.  Word labels
+    are tested as packed words: one integer holds f(i + s) - f(i) + high -
+    value in the word of each i, another f(i) - f(i + s) + high - value, and
+    a word's top bit is set in either exactly where its edge stretches value
+    or more.  Labels below a quarter of the word range keep every word
+    within its bits.  Only a run that passes is read word by word.
     """
     lo, hi, step = r.start, r.stop, r.step
     lighter, other = labels[lo:hi:step], labels[lo + s : hi + s : step]
     if isinstance(lighter, range):
         stretch = abs(other.start - lighter.start)
-        hits = ((lighter[0], r[0]), (lighter[-1], r[-1]))
-    else:
-        # other - lighter: Hales and lex label the heavier end higher, so the
-        # difference is positive and abs returns it without making a new int
-        stretch = max(map(abs, map(sub, other, lighter)))
-        reaches = map(stretch.__eq__, map(abs, map(sub, other, lighter)))
-        hits = compress(zip(lighter, r), reaches)
-    return stretch, (min(hits) if stretch >= value else None)
+        if stretch < value:
+            return None
+        return stretch, min((lighter[0], r[0]), (lighter[-1], r[-1]))
+    ones, guards, high = _fields(len(lighter), lighter.typecode)
+    diff, bar = _packed(other) - _packed(lighter), ones * (high - value)
+    if not ((bar + diff) & guards or (bar - diff) & guards):
+        return None
+    # each word of diff + guards is f(i + s) - f(i) + high, read unsigned
+    words = _unpacked(diff + guards, lighter.typecode.upper(), len(lighter))
+    stretch = max(max(words) - high, high - min(words))
+    if not witness:
+        return stretch, None
+    reaches = map({high - stretch, high + stretch}.__contains__, words)
+    return stretch, min(compress(zip(lighter, r), reaches))

@@ -30,7 +30,7 @@ from functools import partial
 from itertools import accumulate, chain, pairwise
 from typing import Callable, Iterator
 
-from .coeffs import InternalInvariantError, check_grid, lighter_down
+from .coeffs import InternalInvariantError, check_grid, check_rank, lighter_down
 
 Vertex = tuple[int, ...]
 
@@ -97,9 +97,7 @@ def hales_unrank(r: int, n: int, d: int) -> Vertex:
     the last with L_d(w) <= r; each coordinate from the last to the second
     takes off its shift, bisects L_pos for the weight j of the coordinates
     before it, and is w - j.  The rank left is the first coordinate."""
-    check_grid(n, d)
-    if r < 0 or r >= (n + 1) ** d:
-        raise ValueError(f"rank {r} outside [0, {(n + 1) ** d - 1}]")
+    check_rank(r, n, d)
     if d == 1:
         return (r,)
     counts = lighter_down(n, d)

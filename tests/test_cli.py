@@ -6,8 +6,10 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -907,3 +909,48 @@ def test_golden_output(capsys, tmp_path, monkeypatch, args, exit_code, stdout, f
     assert (code, out) == (exit_code, stdout[fmt])
     written = {path.name: path.read_text(encoding="utf-8") for path in tmp_path.iterdir()}
     assert written == GOLDEN_FILES.get(args, {})
+
+
+# argv whose grid has (n+1)^d far past any budget or float: each is refused
+# from the bit length of n+1 alone, and names the count as (n+1)^d
+E18 = 10**18
+HUGE_CASES = [
+    (f"label --n 1 --d {E18}", 2,
+     f"P_1^{E18} has 2^{E18} vertices; over the output budget (1000000 vertices)"),
+    ("export-matrix --n 2 --d 1000000000 --out x.mtx", 2,
+     "P_2^1000000000 has 3^1000000000 vertices; over the export budget (1000000 vertices)"),
+    ("bw --n 5 --d 1000000000 --method brute --time-limit 3", 2,
+     "P_5^1000000000 has 6^1000000000 vertices; "
+     "over the exhaustive-search budget (1000000 vertices)"),
+    (f"unrank --n 3 --d {E18} -1", 1, f"rank -1 outside [0, 4^{E18} - 1]"),
+    (f"unrank --n 3 --d {E18} --order lex -1", 1, f"rank -1 outside [0, 4^{E18} - 1]"),
+    ("estimate --n 1000000000 --d 1000000000", 1,
+     "(n+1)^(d+1) = 1000000001^1000000001 is beyond float range; no float estimate exists"),
+    ("bw --n 1 --d 100000 --method lex --budget 5", 2,
+     "P_1^100000 has 2^100000 vertices; over the edge-scan budget (5 vertices)"),
+    ("bw --n 1 --d 20000 --method hales-scan", 2,
+     "P_1^20000 has 2^20000 vertices; over the edge-scan budget (1000000 vertices)"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,message", HUGE_CASES,
+                         ids=[case[0] for case in HUGE_CASES])
+def test_huge_grids_are_refused_before_their_count_is_built(
+        capsys, tmp_path, monkeypatch, argv, exit_code, message):
+    monkeypatch.chdir(tmp_path)
+    start = time.process_time()
+    code, out, err = run(capsys, *argv.split())
+    assert time.process_time() - start < 1
+    assert (code, out, err) == (exit_code, "", f"gridband: error: {message}\n")
+    assert not (tmp_path / "x.mtx").exists()
+
+
+def test_rank_range_builds_the_count_only_for_long_ranks():
+    # a rank of at most half the grid's bits is in range; a longer one is
+    # compared with (n+1)^d, which is named by its digits up to SIZE_BITS
+    assert cli.lex_unrank(5, 1, 3) == (1, 0, 1)
+    for r, n, d, top in [(8, 1, 3, "7"), (2**40, 1, 40, "1099511627775"),
+                         (-1, 1, coeffs.SIZE_BITS, f"2^{coeffs.SIZE_BITS} - 1")]:
+        with pytest.raises(ValueError, match=rf"rank {r} outside \[0, {re.escape(top)}\]"):
+            cli.lex_unrank(r, n, d)
+    assert cli.lex_unrank(2**40 - 1, 1, 40) == (1,) * 40

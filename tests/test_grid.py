@@ -150,8 +150,9 @@ def _hales_by_enumeration(n, d):
 
 
 def test_hales_label_array_inverts_enumeration():
-    # the sweep crosses the array typecode switches at 255/256 and
-    # 65535/65536: n*d picks the weights' code, (n+1)^d the labels'
+    # the sweep crosses the weights' typecode switches at 255/256 and
+    # 65535/65536, which n*d picks.  (n+1)^d picks the labels' word code,
+    # 32-bit words below 2^30 and 64-bit ones up to 2^62, too large to build
     typecodes = set()
     grids = [(1, 1), (4, 1), (9, 1), (2, 3), (3, 2), (1, 12), (255, 2), (5, 4),
              (3, 6), (254, 1), (255, 1), (256, 1), (1, 8), (127, 2), (128, 2),
@@ -160,7 +161,11 @@ def test_hales_label_array_inverts_enumeration():
         labels = label_array("hales", n, d)
         assert list(labels) == _hales_by_enumeration(n, d), (n, d)
         typecodes.add(labels.typecode)
-    assert typecodes == {"B", "H", "i"}
+    assert typecodes == {"i"}
+    codes = [grid._word_code(top) for top in (2**30 - 1, 2**30, 2**62 - 1)]
+    assert codes == ["i", "q", "q"]
+    with pytest.raises(ValueError, match="below 2\\^62"):
+        grid._word_code(2**62)
 
 
 def test_hales_label_array_matches_rank():
@@ -305,6 +310,47 @@ def test_range_labels_scan_as_their_list():
             expected = labeling_bandwidth(list(labels), n, d)
             assert labeling_bandwidth(labels, n, d) == expected, (n, d, labels)
             assert grid._max_stretch(labels, n, d) == expected.value, (n, d, labels)
+
+
+def _scan_by_edges(labels, n, d):
+    """(value, least label pair) of a labeling by lex position, from
+    conftest.edges and no lex-position arithmetic."""
+    label = dict(zip(product(range(n + 1), repeat=d), labels))
+    pairs = [(label[u], label[v]) for u, v in edges(n, d)]
+    value = max(abs(a - b) for a, b in pairs)
+    return value, min(pair for pair in pairs if abs(pair[0] - pair[1]) == value)
+
+
+def test_packed_scan_matches_the_edge_list(monkeypatch):
+    # seeded labelings of four kinds, scanned in runs cut short so that a
+    # grid has runs of many lengths: the value and the witness's label pair
+    # must be the edge list's.  Labels spread past 2^30 take 64-bit words;
+    # labels of 2^31 or more but spread less are shifted into 32-bit ones
+    rng = random.Random(2024)
+    kinds = {
+        "permutation": lambda size: rng.sample(range(1, size + 1), size),
+        "repeats": lambda size: [rng.randint(1, size // 3 + 1) for _ in range(size)],
+        "negative": lambda size: [rng.randint(-size, size // 2) for _ in range(size)],
+        "high": lambda size: [rng.randint(2**31, 2**31 + size) for _ in range(size)],
+        "wide": lambda size: [rng.randint(-(2**61), 2**61) for _ in range(size)],
+    }
+    codes = set()
+    for cap in (1, 3, 8):
+        monkeypatch.setattr(grid, "RUN_CAP", cap)
+        for n, d in [(1, 1), (2, 1), (9, 1), (1, 4), (2, 3), (3, 2), (4, 3), (1, 6)]:
+            size = (n + 1) ** d
+            for kind, draw in kinds.items():
+                for _ in range(4):
+                    labels = draw(size)
+                    value, pair = _scan_by_edges(labels, n, d)
+                    report = labeling_bandwidth(labels, n, d)
+                    assert sum(abs(a - b) for a, b in zip(*report.witness)) == 1
+                    u, v = (lex_rank(w, n, d) for w in report.witness)
+                    assert (report.value, (labels[u], labels[v])) == (value, pair), (
+                        kind, n, d, cap, labels)
+                    assert grid._max_stretch(labels, n, d) == value, (kind, n, d, cap)
+                    codes.add(grid._words(labels).typecode)
+    assert codes == {"i", "q"}
 
 
 def test_scan_budget_error_names_budget():
