@@ -48,7 +48,6 @@ from .oracle import (
     OptimalityCheck,
     SearchBudget,
     brute_force_bw,
-    certificate_to_text,
     verify_optimal,
 )
 

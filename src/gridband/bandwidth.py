@@ -35,7 +35,8 @@ class AsymptoticEstimate(NamedTuple):
 
 def bw_hales(n: int, d: int) -> int:
     """Exact bandwidth of P_n^d: sum of top_sum(n, i) for i = 0..d-1."""
-    return bw_hales_series(n, d)[-1]
+    check_grid(n, d)
+    return sum(top_sums(n, d))
 
 
 def bw_hales_series(n: int, d_max: int) -> list[int]:

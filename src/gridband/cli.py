@@ -413,15 +413,11 @@ def cmd_verify_optimal(args) -> int:
         args.n, args.d, _search_budget(args), use_formula_bound=not args.no_accelerate
     )
     cert = check.certificate
-    if check.result is None:
-        verdict = "inconclusive"
-        exit_code = EXIT_BUDGET
-    elif check.result:
-        verdict = "verified"
-        exit_code = EXIT_OK
-    else:
-        verdict = "mismatch"
-        exit_code = EXIT_INTERNAL
+    verdict, exit_code = {
+        None: ("inconclusive", EXIT_BUDGET),
+        True: ("verified", EXIT_OK),
+        False: ("mismatch", EXIT_INTERNAL),
+    }[check.result]
     _write_certificate(args, cert)
     doc = {
         "n": args.n,

@@ -11,11 +11,12 @@ i + (n+1)^(d-1-p).  Scans, matrix export and listings take it from
 strided runs of at most RUN_CAP positions, whose bandwidth the export's
 self-test checks the file against; and from the per-vertex tables of
 `position_texts` and of `lower_neighbours`, which give export rows.  The
-search takes one vertex at a time, as it reaches it: its coordinates
-from `lex_unrank` and its neighbours' positions from
-`neighbour_positions`.  A scan of a range labeling, such as lex, costs
-one subtraction per run, since every edge of a run stretches alike.
-Loaded files and certificates keep labels by lex position.
+search takes one vertex at a time, as it reaches it, from
+`lex_neighbourhood`: its coordinates, decoded once by `lex_unrank`, and
+its neighbours' positions, read from them by the stride rule.  A scan of
+a range labeling, such as lex, costs one subtraction per run, since every
+edge of a run stretches alike.  Loaded files and certificates keep labels
+by lex position.
 
 Any other labeling is scanned as words, an array of 32-bit labels below
 2^30 or 64-bit ones below 2^62, each run's two ends packed into two big
@@ -159,23 +160,33 @@ def lex_rank(u: Vertex, n: int, d: int) -> int:
 
 
 def lex_unrank(r: int, n: int, d: int) -> Vertex:
+    """The vertex at lex position r.  A d over DEFAULT_SCAN_BUDGET is refused
+    with BudgetExceededError before its d coordinates are allocated."""
     check_rank(r, n, d)
+    if d > DEFAULT_SCAN_BUDGET:
+        raise BudgetExceededError(
+            f"a vertex of P_{n}^{d} has {d} coordinates; "
+            f"over the unrank budget ({DEFAULT_SCAN_BUDGET} coordinates)",
+            budget=DEFAULT_SCAN_BUDGET,
+            required=d,
+        )
     coords = [0] * d
     for p in range(d - 1, -1, -1):
         r, coords[p] = divmod(r, n + 1)
     return tuple(coords)
 
 
-def neighbour_positions(q: int, n: int, d: int) -> list[int]:
-    """The lex positions of the neighbours of the vertex at position q.
+def lex_neighbourhood(q: int, n: int, d: int) -> tuple[Vertex, list[int]]:
+    """The vertex at lex position q, and the lex positions of its neighbours.
 
     Its dimension-p neighbours sit at q -/+ (n+1)^(d-1-p): the lower one
     when its coordinate p is above 0, the upper one when it is below n.
     The lower ones come first, each half dimension by dimension, leftmost
     first.
     """
-    strides = [(c, (n + 1) ** (d - 1 - p)) for p, c in enumerate(lex_unrank(q, n, d))]
-    return [q - s for c, s in strides if c] + [q + s for c, s in strides if c < n]
+    u = lex_unrank(q, n, d)
+    strides = [(c, (n + 1) ** (d - 1 - p)) for p, c in enumerate(u)]
+    return u, [q - s for c, s in strides if c] + [q + s for c, s in strides if c < n]
 
 
 def load_labeling_file(path: str, n: int, d: int) -> list[int]:

@@ -37,10 +37,10 @@ trivial bound stays independent of the formula.
 
 The search keeps no copy of the grid: `grid` alone knows the lex layout.
 The first time the candidate loop reaches a vertex, it fills the vertex's
-slot with its coordinates, from `grid.lex_unrank`, and its neighbours' lex
-positions, from `grid.neighbour_positions`; prefix Hall reads the slots of
-the placed vertices.  So a search stopped by its budget holds only the
-vertices it reached, beyond one label and one slot reference per vertex.
+slot with its coordinates and its neighbours' lex positions, both from one
+decode of its position by `grid.lex_neighbourhood`; prefix Hall reads the
+slots of the placed vertices.  So a search stopped by its budget holds only
+the vertices it reached, beyond one label and one slot reference per vertex.
 
 The stabilizer is read from the placed vertices' coordinate columns; the
 group itself is never enumerated.  Coordinates whose columns are equal up to
@@ -53,6 +53,9 @@ coordinate whose column is stored reflected is reflected, and a value c in a
 self-reflecting class is folded to min(c, n - c).  Once every class is a
 single coordinate that is not self-reflecting, the stabilizer is trivial and
 the whole subtree skips the check.
+
+A certificate is written by `certificate_lines` alone: a '#' header, then
+the `gridband label` listing of the witness labeling.
 """
 
 from __future__ import annotations
@@ -70,8 +73,7 @@ from .grid import (
     check_budget,
     label_array,
     label_listing,
-    lex_unrank,
-    neighbour_positions,
+    lex_neighbourhood,
 )
 from .hales import Vertex
 
@@ -228,7 +230,7 @@ class _Search:
             if label_of[v]:
                 continue
             if (slot := slots[v]) is None:
-                slot = slots[v] = (lex_unrank(v, n, d), neighbour_positions(v, n, d))
+                slot = slots[v] = lex_neighbourhood(v, n, d)
             sub_classes = None
             if classes is not None:
                 key = _orbit_key(classes, slot[0], n)
@@ -296,29 +298,24 @@ def verify_optimal(
 
     result is True/False only when the search ran to completion; a
     budget-exhausted search yields result None (inconclusive), never False.
+    The search comes first, so its refusal of a grid past
+    DEFAULT_SCAN_BUDGET vertices comes before any closed-form work.
     """
-    formula = bw_hales(n, d)
     cert = brute_force_bw(n, d, budget, use_formula_bound)
-    if cert.status != PROVED:
-        return OptimalityCheck(result=None, formula_value=formula, certificate=cert)
-    return OptimalityCheck(
-        result=cert.optimal_value == formula, formula_value=formula, certificate=cert
-    )
+    formula = bw_hales(n, d)
+    result = cert.optimal_value == formula if cert.status == PROVED else None
+    return OptimalityCheck(result=result, formula_value=formula, certificate=cert)
 
 
 def certificate_lines(cert: OptimalityCertificate) -> Iterator[str]:
-    """The lines of certificate_to_text, each with its newline, one at a
-    time, so that a file can be written without the whole text."""
-    yield f"# bandwidth {cert.optimal_value}\n"
-    yield f"# status {cert.status}\n"
-    yield f"# nodes {cert.nodes_explored}\n"
-    yield from starmap("{}\t{}\n".format, label_listing(cert.n, cert.d, cert.labels))
-
-
-def certificate_to_text(cert: OptimalityCertificate) -> str:
-    """Serialize as a labeling file with a '#' metadata header.
+    """The certificate as a labeling file with a '#' metadata header, one
+    line at a time, each with its newline, so that a file can be written
+    without the whole text.
 
     The body is the `gridband label` listing of the witness labeling: in
     label order, and loadable by grid.load_labeling_file.
     """
-    return "".join(certificate_lines(cert))
+    yield f"# bandwidth {cert.optimal_value}\n"
+    yield f"# status {cert.status}\n"
+    yield f"# nodes {cert.nodes_explored}\n"
+    yield from starmap("{}\t{}\n".format, label_listing(cert.n, cert.d, cert.labels))

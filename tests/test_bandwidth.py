@@ -1,6 +1,7 @@
 """Closed-form values, bounds, and asymptotics."""
 
 import math
+import tracemalloc
 from itertools import accumulate
 
 import pytest
@@ -56,6 +57,7 @@ def test_series_routes_agree():
         assert list(_top_sums_by_walk(n, d)) == by_rows, (n, d)
         assert [top_sum(n, i) for i in range(d)] == by_rows, (n, d)
         assert bw_hales_series(n, d) == list(accumulate(by_rows)), (n, d)
+        assert bw_hales(n, d) == sum(by_rows), (n, d)
 
 
 def test_series_builds_no_cached_row(monkeypatch):
@@ -72,6 +74,22 @@ def test_series_builds_no_cached_row(monkeypatch):
     assert bounds(6, 100) == pair
     monkeypatch.setattr(coeffs, "_miller", no_row)
     assert bw_hales_series(100, 6) == series
+
+
+def test_bw_hales_keeps_a_running_sum():
+    # the 4 000 partial sums of (1, 4000), of up to 4 000 bits each, would
+    # take about 1.5 MiB; the walk's window and one running sum take kB.
+    # A first call fills the interpreter's tuple free lists, whose blocks
+    # tracemalloc counts as held, so only the second is traced
+    bw_hales(1, 4000)
+    tracemalloc.start()
+    try:
+        value = bw_hales(1, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == bw_hypercube(4000)
+    assert peak < 0.25 * 2**20, peak
 
 
 def test_huge_n():

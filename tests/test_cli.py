@@ -121,6 +121,15 @@ def test_bw_internal_mismatch_exits_3(capsys, monkeypatch):
     assert "internal error" in err
 
 
+def test_verify_optimal_mismatch_exits_3(capsys, monkeypatch):
+    # a completed search that disagrees with the formula; the search starts
+    # from the same wrong value, 999 + 1, and still finds the optimum 3
+    monkeypatch.setattr(oracle, "bw_hales", lambda n, d: 999)
+    code, out, _ = run(capsys, "verify-optimal", "--n", "2", "--d", "2")
+    assert code == 3
+    assert out.startswith("verdict mismatch\nformula 999\nbrute_force 3\nstatus proved\n")
+
+
 def test_invariant_failures_exit_3(capsys, monkeypatch):
     # a starting incumbent below the optimum leaves the search with no labeling
     monkeypatch.setattr(oracle, "bw_hales", lambda n, d: 0)
@@ -924,6 +933,9 @@ HUGE_CASES = [
      "over the exhaustive-search budget (1000000 vertices)"),
     (f"unrank --n 3 --d {E18} -1", 1, f"rank -1 outside [0, 4^{E18} - 1]"),
     (f"unrank --n 3 --d {E18} --order lex -1", 1, f"rank -1 outside [0, 4^{E18} - 1]"),
+    (f"unrank --n 3 --d {E18} --order lex 0", 2,
+     f"a vertex of P_3^{E18} has {E18} coordinates; over the unrank budget "
+     "(1000000 coordinates)"),
     ("estimate --n 1000000000 --d 1000000000", 1,
      "(n+1)^(d+1) = 1000000001^1000000001 is beyond float range; no float estimate exists"),
     ("bw --n 1 --d 100000 --method lex --budget 5", 2,
@@ -943,6 +955,22 @@ def test_huge_grids_are_refused_before_their_count_is_built(
     assert time.process_time() - start < 1
     assert (code, out, err) == (exit_code, "", f"gridband: error: {message}\n")
     assert not (tmp_path / "x.mtx").exists()
+
+
+def test_verify_optimal_refuses_past_the_search_budget_before_the_formula(
+        capsys, monkeypatch):
+    # the search's vertex budget is read first, so the closed form, which
+    # would count for hours at this size, is never called
+    def no_formula(n, d):
+        raise AssertionError("bw_hales ran before the budget refusal")
+
+    monkeypatch.setattr(oracle, "bw_hales", no_formula)
+    start = time.process_time()
+    code, out, err = run(capsys, "verify-optimal", "--n", str(E18), "--d", str(E18))
+    assert time.process_time() - start < 1
+    message = (f"P_{E18}^{E18} has {E18 + 1}^{E18} vertices; "
+               "over the exhaustive-search budget (1000000 vertices)")
+    assert (code, out, err) == (2, "", f"gridband: error: {message}\n")
 
 
 def test_rank_range_builds_the_count_only_for_long_ranks():

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 from itertools import product
 
 import pytest
@@ -22,10 +23,10 @@ from gridband.grid import (
     format_vertex,
     label_array,
     labeling_bandwidth,
+    lex_neighbourhood,
     lex_rank,
     lex_unrank,
     load_labeling_file,
-    neighbour_positions,
     parse_vertex,
     position_texts,
 )
@@ -113,10 +114,11 @@ def test_neighbour_positions_match_edges():
         for u, v in edges(n, d):
             expected[position[u]].append(position[v])
             expected[position[v]].append(position[u])
-        for q, around in enumerate(expected):
-            assert sorted(neighbour_positions(q, n, d)) == sorted(around), (n, d, q)
+        for (q, around), u in zip(enumerate(expected), position):
+            found = lex_neighbourhood(q, n, d)
+            assert (found[0], sorted(found[1])) == (u, sorted(around)), (n, d, q)
     with pytest.raises(ValueError):
-        neighbour_positions(9, 2, 2)
+        lex_neighbourhood(9, 2, 2)
 
 
 def _positions(runs):
@@ -192,6 +194,18 @@ def test_lex_rank_unrank():
         assert lex_rank(lex_unrank(r, n, d), n, d) == r
     with pytest.raises(ValueError):
         lex_unrank(9, n, d)
+
+
+def test_lex_unrank_refuses_a_huge_d_before_allocating():
+    # an in-range rank of a vertex with 10^18 coordinates is refused, not
+    # built; an out-of-range one is still a ValueError
+    start = time.process_time()
+    with pytest.raises(BudgetExceededError, match="over the unrank budget"):
+        lex_unrank(0, 3, 10**18)
+    assert time.process_time() - start < 1
+    message = f"rank -1 outside [0, 4^{10**18} - 1]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lex_unrank(-1, 3, 10**18)
 
 
 def test_labeling_bandwidth_examples():

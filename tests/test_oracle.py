@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from gridband import oracle
+from gridband import grid, oracle
 from gridband.bandwidth import bw_hales
 from gridband.cli import main
 from gridband.grid import labeling_bandwidth, load_labeling_file
@@ -24,7 +24,7 @@ from gridband.oracle import (
     _refine,
     _root_classes,
     brute_force_bw,
-    certificate_to_text,
+    certificate_lines,
     verify_optimal,
 )
 
@@ -95,14 +95,14 @@ def test_witness_rescans_to_optimal_value(tmp_path):
         cert = brute_force_bw(n, d)
         assert cert.optimal_value == value
         path = tmp_path / "certificate.tsv"
-        path.write_text(certificate_to_text(cert), encoding="utf-8")
+        path.write_text("".join(certificate_lines(cert)), encoding="utf-8")
         report = labeling_bandwidth(load_labeling_file(str(path), n, d), n, d)
         assert report.value == value
 
 
 def test_certificate_header_lines():
     cert = brute_force_bw(1, 2)
-    text = certificate_to_text(cert)
+    text = "".join(certificate_lines(cert))
     lines = text.splitlines()
     assert lines[0] == f"# bandwidth {cert.optimal_value}"
     assert lines[1] == f"# status {cert.status}"
@@ -111,7 +111,8 @@ def test_certificate_header_lines():
 
 
 def _certificate_by_format_vertex(cert):
-    """certificate_to_text as first written: a lambda sort key, str per coordinate."""
+    """The certificate text as first written: a lambda sort key, str per
+    coordinate."""
     lines = [
         f"# bandwidth {cert.optimal_value}",
         f"# status {cert.status}",
@@ -129,7 +130,7 @@ def test_certificate_bytes_unchanged():
     exhausted = brute_force_bw(1, 6, SearchBudget(max_nodes=10))
     assert (proved.status, exhausted.status) == (PROVED, BUDGET_EXHAUSTED)
     for cert in (proved, exhausted):
-        assert certificate_to_text(cert) == _certificate_by_format_vertex(cert)
+        assert "".join(certificate_lines(cert)) == _certificate_by_format_vertex(cert)
 
 
 def test_fallback_certificate_body_is_the_label_listing(capsys):
@@ -138,7 +139,7 @@ def test_fallback_certificate_body_is_the_label_listing(capsys):
     assert cert.status == BUDGET_EXHAUSTED
     assert main(["label", "--n", "2", "--d", "3"]) == 0
     listing = capsys.readouterr().out
-    body = certificate_to_text(cert).split("\n", 3)[3]
+    body = "".join(certificate_lines(cert)).split("\n", 3)[3]
     assert body == listing
 
 
@@ -222,6 +223,25 @@ def test_stopped_search_holds_only_the_vertices_it_reached():
     assert search.out_of_budget
     assert built <= 16 * vertices + 4096, built
     assert peak <= built + 64 * 1024, (built, peak)
+
+
+def test_search_decodes_each_vertex_it_reaches_once():
+    # every call of grid.lex_unrank, under any name, is seen by its code
+    # object; the search reaches all 8 vertices of the 3-cube
+    decoded = []
+    code = grid.lex_unrank.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            decoded.append(frame.f_locals["r"])
+
+    sys.setprofile(profile)
+    try:
+        cert = brute_force_bw(1, 3)
+    finally:
+        sys.setprofile(None)
+    assert cert.status == PROVED
+    assert sorted(decoded) == list(range(8))
 
 
 def test_verify_optimal_results():
