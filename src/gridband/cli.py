@@ -12,6 +12,7 @@ error, 2 budget exceeded, 3 internal invariant violation.
 
 from __future__ import annotations
 
+import gc
 import sys
 from itertools import chain, count, islice, starmap
 from types import SimpleNamespace
@@ -24,7 +25,7 @@ from .bandwidth import (
     bw_lex,
     ratio_table,
 )
-from .coeffs import check_grid, coeff_row, max_coeff
+from .coeffs import check_grid, coeff_row, max_coeff, read_rank
 from .grid import (
     DEFAULT_SCAN_BUDGET,
     BudgetExceededError,
@@ -245,12 +246,13 @@ def cmd_rank(args) -> int:
 
 def cmd_unrank(args) -> int:
     unrank = hales_unrank if args.order == "hales" else lex_unrank
-    text = format_vertex(unrank(args.rank, args.n, args.d))
+    rank = read_rank(args.rank, args.n, args.d)
+    text = format_vertex(unrank(rank, args.n, args.d))
     doc = {
         "order": args.order,
         "n": args.n,
         "d": args.d,
-        "rank": args.rank,
+        "rank": rank,
         "vertex": text,
     }
     _render(args, doc, ["rank", "vertex"], plain=[text])
@@ -447,6 +449,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+def integer_text(text: str) -> str:
+    """An unrank rank: text that int() reads, checked but left unread, as
+    its digits are weighed against the grid first (coeffs.read_rank)."""
+    body = text.strip()
+    body = body[1:] if body[:1] in "+-" else body
+    if "__" in body or "_" in (body[:1], body[-1:]) or not body.replace("_", "").isdecimal():
+        raise ValueError(text)
+    return text
+
+
 REQUIRED = ...  # the default of an option that has none
 # An option is (flag, type or choices, default, help).  A flag without
 # dashes is a positional argument, and the type bool makes a switch.
@@ -477,7 +489,7 @@ COMMANDS = {
     "rank": ("1-based label of a vertex", (
         ORDER, ("vertex", str, REQUIRED, "comma-separated coordinates, e.g. 1,0,2"))),
     "unrank": ("vertex at a 0-based rank", (
-        ORDER, ("rank", int, REQUIRED, "0-based rank (label minus one)"))),
+        ORDER, ("rank", integer_text, REQUIRED, "0-based rank (label minus one)"))),
     "bounds": ("central-coefficient bracket", ()),
     "ratio": ("bw_hales/bw_lex for d = 1..D", ()),
     "estimate": ("normal-peak estimate of the upper bound", ()),
@@ -599,12 +611,34 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
+    """Run the command that argv, or for None sys.argv[1:], names; return
+    its exit code.
+
+    None means a program run (python -m gridband, the gridband script):
+    the heap is frozen before the code is returned, as the process exits
+    next.  Frozen objects sit in the permanent generation, which the
+    collections of interpreter teardown skip.  atexit handlers and the
+    last flush of stdout still run.  A call with a list freezes nothing,
+    as a frozen cycle is never collected.
+    """
+    code = _run(sys.argv[1:] if argv is None else argv)
+    if argv is None:
+        gc.freeze()
+    return code
+
+
+def _run(argv: list[str]) -> int:
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return exc.code
     # looked up at each call, so that a wrapper set on the module runs
     command = globals()["cmd_" + args.command.replace("-", "_")]
+    # an answer or a rank may pass Python's limit (4 300 digits by default,
+    # 3.10.7 on) on turning an int into text or back; lifted for the command
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return command(args)
     except BudgetExceededError as exc:
@@ -616,6 +650,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"gridband: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

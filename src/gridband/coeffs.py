@@ -90,10 +90,27 @@ def check_rank(r: int, n: int, d: int) -> None:
     [0, (n+1)^d).  An r of at most half grid_bits(n, d) bits is below
     (n+1)^d, so the count is built only for an r about as long as it."""
     check_grid(n, d)
-    bits = grid_bits(n, d)
-    if r < 0 or 2 * r.bit_length() > bits and r >= (n + 1) ** d:
-        top = f"{n + 1}^{d} - 1" if bits > SIZE_BITS else (n + 1) ** d - 1
-        raise ValueError(f"rank {r} outside [0, {top}]")
+    if r < 0 or 2 * r.bit_length() > grid_bits(n, d) and r >= (n + 1) ** d:
+        _refuse_rank(r, n, d)
+
+
+def read_rank(text: str, n: int, d: int) -> int:
+    """int(text), text an int literal of a rank of P_n^d, which check_rank
+    then judges.  Reading decimal text costs time quadratic in its digits,
+    so a text with k significant digits, 3(k-1) >= grid_bits(n, d), is
+    refused unread: it names at least 10^(k-1) > 2^(3(k-1)) > (n+1)^d."""
+    check_grid(n, d)
+    digits = len(text.strip().lstrip("+-").replace("_", "").lstrip("0"))
+    if 3 * (digits - 1) >= grid_bits(n, d):
+        _refuse_rank(f"of {digits} digits", n, d)
+    return int(text)
+
+
+def _refuse_rank(rank, n: int, d: int) -> None:
+    """Refuse a rank outside [0, (n+1)^d) with ValueError, naming the top
+    rank by its digits up to SIZE_BITS and as (n+1)^d - 1 past them."""
+    top = f"{n + 1}^{d} - 1" if grid_bits(n, d) > SIZE_BITS else (n + 1) ** d - 1
+    raise ValueError(f"rank {rank} outside [0, {top}]")
 
 
 def _check_row_bits(n: int, d: int) -> None:

@@ -1,6 +1,7 @@
 """Command-line surface: rendering, determinism, exit codes, file export."""
 
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -982,3 +983,142 @@ def test_rank_range_builds_the_count_only_for_long_ranks():
         with pytest.raises(ValueError, match=rf"rank {r} outside \[0, {re.escape(top)}\]"):
             cli.lex_unrank(r, n, d)
     assert cli.lex_unrank(2**40 - 1, 1, 40) == (1,) * 40
+
+
+def _limit_lifted(compute):
+    """compute() run with Python's int/str digit limit lifted, as main lifts it."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return compute()
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_lex_rank_and_unrank_past_the_digit_limit(capsys, fmt):
+    # 2^15000 has 4 516 digits, past the 4 300 that Python converts by default
+    d = 15000
+    ones = ",".join(["1"] * d)
+    label, top = _limit_lifted(lambda: (str(2**d), str(2**d - 1)))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    lex = ("--n", "1", "--d", str(d), "--order", "lex", "--format", fmt)
+    code, out, err = run(capsys, "rank", *lex, ones)
+    assert (code, err) == (0, "")
+    assert out == {
+        "plain": f"{label}\n",
+        "csv": f"vertex,label\n\"{ones}\",{label}\n",
+        "json": f'{{"d": {d}, "label": {label}, "n": 1, "order": "lex", "vertex": "{ones}"}}\n',
+    }[fmt]
+    code, out, err = run(capsys, "unrank", *lex, top)
+    assert (code, err) == (0, "")
+    assert out == {
+        "plain": f"{ones}\n",
+        "csv": f"rank,vertex\n{top},\"{ones}\"\n",
+        "json": f'{{"d": {d}, "n": 1, "order": "lex", "rank": {top}, "vertex": "{ones}"}}\n',
+    }[fmt]
+    # the call restores the limit it lifted
+    assert (sys.get_int_max_str_digits() if limit is not None else None) == limit
+
+
+def test_a_rank_longer_than_the_grid_is_refused_unread(capsys, monkeypatch):
+    # reading 100 000 digits would cost 0.1 s, and a few MB of them minutes;
+    # a rank with more digits than 8^(k-1) >= (n+1)^d allows is never read
+    def no_int(text):
+        raise AssertionError("the rank's text was converted")
+
+    monkeypatch.setattr(coeffs, "int", no_int, raising=False)
+    start = time.process_time()
+    code, out, err = run(capsys, "unrank", "--n", "1", "--d", "10", "1" * 100_000)
+    assert time.process_time() - start < 1
+    assert (code, out, err) == (1, "", "gridband: error: rank of 100000 digits outside [0, 1023]\n")
+    code, out, err = run(capsys, "unrank", "--n", "1", "--d", "10", "-" + "0" * 99 + "9" * 8)
+    assert (code, out, err) == (1, "", "gridband: error: rank of 8 digits outside [0, 1023]\n")
+    monkeypatch.undo()
+    # a shorter one is read and compared, and leading zeros are no digits
+    code, out, err = run(capsys, "unrank", "--n", "1", "--d", "10", "9999999")
+    assert (code, out, err) == (1, "", "gridband: error: rank 9999999 outside [0, 1023]\n")
+    code, out, err = run(capsys, "unrank", "--n", "1", "--d", "10", "--order", "lex",
+                         "0" * 100_000 + "1_023")
+    assert (code, out, err) == (0, "1,1,1,1,1,1,1,1,1,1\n", "")
+
+
+@pytest.mark.parametrize("text", ["5", "-0", " +1_0 ", "٣", "0_0", "031"])
+def test_a_rank_is_any_text_that_int_reads(text):
+    assert cli.integer_text(text) == text
+    assert coeffs.read_rank(text, 1, 5) == int(text)
+
+
+@pytest.mark.parametrize("text", ["x", "", "1.5", "1__0", "_1", "1_", "+-1", "+ 1", "²"])
+def test_a_rank_is_no_other_text(text):
+    with pytest.raises(ValueError):
+        int(text)
+    with pytest.raises(ValueError):
+        cli.integer_text(text)
+
+
+# argv run both in process and as `python -m gridband`: one per command, a
+# usage error (exit 1), a refusal (exit 1) and a budget exit (exit 2)
+PROGRAM_CASES = [
+    "coeffs --n 2 --d 3",
+    "bw --n 2 --d 3 --method hales-scan --format json",
+    "table --n 3 --d 4 --format csv",
+    "label --n 1 --d 3",
+    "rank --n 2 --d 3 1,0,2",
+    "unrank --n 2 --d 3 --order lex 17 --format json",
+    "bounds --n 3 --d 5",
+    "ratio --n 2 --d 4 --format csv",
+    "estimate --n 1 --d 9",
+    "export-matrix --n 1 --d 2 --out m.mtx --self-test",
+    "verify-optimal --n 1 --d 2 --out c.tsv",
+    "bw --n x --d 1",
+    "unrank --n 1 --d 1 -1",
+    "label --n 2 --d 8 --budget 100",
+]
+
+
+def test_a_program_run_prints_what_main_returns(capsys, tmp_path, monkeypatch):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    codes = set()
+    for i, argv in enumerate(PROGRAM_CASES):
+        here, there = tmp_path / f"main{i}", tmp_path / f"child{i}"
+        here.mkdir()
+        there.mkdir()
+        monkeypatch.chdir(here)
+        code, out, err = run(capsys, *argv.split())
+        child = subprocess.run([sys.executable, "-m", "gridband", *argv.split()], cwd=there,
+                               env=env, capture_output=True, timeout=60)
+        assert (child.returncode, child.stdout, child.stderr.decode()) == (
+            code, out.encode(), err), argv
+        files = {p.name: p.read_bytes() for p in here.iterdir()}
+        assert {p.name: p.read_bytes() for p in there.iterdir()} == files, argv
+        codes.add(code)
+    assert codes == {0, 1, 2}
+
+
+FREEZE_CHILD = """
+import gc, sys
+from gridband.cli import main
+sys.argv = ["gridband", "bw", "--n", "2", "--d", "2"]
+before = gc.get_freeze_count()
+main(sys.argv[1:])
+listed = gc.get_freeze_count()
+code = main()
+print(code, before, listed, gc.get_freeze_count() > 0)
+"""
+
+
+def test_only_a_program_run_freezes_the_heap(capsys):
+    # a program run leaves its objects to a teardown that no longer walks
+    # them; a call with argv, in this process, freezes nothing
+    src = Path(cli.__file__).resolve().parents[1]
+    child = subprocess.run([sys.executable, "-c", FREEZE_CHILD],
+                           env={**os.environ, "PYTHONPATH": str(src)},
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.splitlines()[-1] == "0 0 0 True"
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "bw", "--n", "2", "--d", "2")[0] == 0
+    assert gc.get_freeze_count() == frozen
