@@ -11,26 +11,19 @@ large d.  The records returned are named tuples: bounds(2, 3) == (7, 19).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import accumulate
-from typing import NamedTuple
 
 from .coeffs import SIZE_BITS, check_grid, grid_bits, max_coeff, top_sums
 
 
-class BoundsPair(NamedTuple):
-    """Central-coefficient bracket: lower <= bw(P_n^d) <= upper."""
+BoundsPair = namedtuple("BoundsPair", ["lower", "upper"])
+BoundsPair.__doc__ = "Central-coefficient bracket: lower <= bw(P_n^d) <= upper."
 
-    lower: int
-    upper: int
-
-
-class AsymptoticEstimate(NamedTuple):
-    """Normal-density approximation of the largest coefficient of row d+1."""
-
-    n: int
-    d: int
-    estimate: float
-    sqrt_factor: float
+AsymptoticEstimate = namedtuple("AsymptoticEstimate", ["n", "d", "estimate", "sqrt_factor"])
+AsymptoticEstimate.__doc__ = (
+    "Normal-density approximation of the largest coefficient of row d+1."
+)
 
 
 def bw_hales(n: int, d: int) -> int:

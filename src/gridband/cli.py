@@ -25,7 +25,7 @@ from .bandwidth import (
     bw_lex,
     ratio_table,
 )
-from .coeffs import check_grid, coeff_row, max_coeff, read_rank
+from .coeffs import check_grid, coeff_row, max_coeff, read_rank, significant_digits
 from .grid import (
     DEFAULT_SCAN_BUDGET,
     BudgetExceededError,
@@ -230,7 +230,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    u = parse_vertex(args.vertex)
+    u = parse_vertex(args.vertex, args.n)
     rank = hales_rank if args.order == "hales" else lex_rank
     label = rank(u, args.n, args.d) + 1
     doc = {
@@ -323,64 +323,100 @@ def _write_matrix_market(path: str, n: int, d: int, labels, kind: str) -> int:
     return nnz
 
 
+def _shown(line: bytes) -> str:
+    """A line of the file as an error message quotes it."""
+    return repr(line.decode("utf-8", "replace").strip())
+
+
+def _refuse_entry(path: str, lineno: int, line: bytes, size: int, pi: int, pj: int) -> None:
+    """Raise the error of an entry line that follows entry (pi, pj), checked
+    in this order: three integers, on or below the diagonal, inside 1..size,
+    after (pi, pj).  A blank line has no error, and returns."""
+    try:
+        i, j, _ = map(int, line.split())
+    except ValueError:
+        if not line.split():
+            return
+        raise ValueError(
+            f"{path}:{lineno}: expected three integers 'row col value', got {_shown(line)}"
+        ) from None
+    if j > i:
+        raise InternalInvariantError(f"{path}: entry ({i},{j}) above the diagonal")
+    if j < 1 or i > size:
+        raise InternalInvariantError(f"{path}: entry ({i},{j}) outside 1..{size}")
+    # strictly increasing pairs also rule out duplicates
+    problem = "duplicate" if i == pi and j == pj else "out-of-order"
+    raise InternalInvariantError(f"{path}: {problem} entry ({i},{j})")
+
+
 def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> None:
-    """Re-read an exported file line by line and check it against the export."""
-    with open(path, encoding="utf-8") as handle:
+    """Re-read an exported file as ASCII bytes and check it against the export.
+
+    Each entry line costs one split, one int of its column and one test,
+    pj < j <= i: its column follows the row's previous one and lies on or
+    below the diagonal.  The row is read, and checked to follow the previous
+    row and lie inside 1..size, only when its text changes; a new row's first
+    column, 1 at least, is its longest edge, as columns increase along a row.
+    A value is read when its text changes, and summed into the row totals
+    only for a Laplacian.  A line that fails any test goes to _refuse_entry,
+    which names its defect.
+    """
+    with open(path, "rb") as handle:
         header = handle.readline()
-        if not header.startswith("%%MatrixMarket matrix coordinate"):
+        if not header.startswith(b"%%MatrixMarket matrix coordinate"):
             raise ValueError(f"{path}: not a coordinate MatrixMarket file")
         lineno = 2
-        while (line := handle.readline()).startswith("%"):
+        while (line := handle.readline()).startswith(b"%"):
             lineno += 1
         try:
             size, cols, nnz = (int(tok) for tok in line.split())
         except ValueError:
             raise ValueError(
-                f"{path}:{lineno}: expected 'rows cols entries', got {line.strip()!r}"
+                f"{path}:{lineno}: expected 'rows cols entries', got {_shown(line)}"
             ) from None
         if size != cols:
             raise ValueError(f"{path}: expected a square matrix")
-        totals = [0] * (size + 1)
-        found = 0
-        i = v = pi = pj = 0  # this entry and (pi, pj), the previous one
-        row_text = value_text = ""  # its row and value, as written
+        laplacian = kind == "laplacian"
+        totals = [0] * (size + 1) if laplacian else None
+        first = lineno + 1
+        blanks = 0
+        i = v = pi = pj = 0  # this entry's row and value, and (pi, pj), the last
+        row_text = value_text = b""  # this entry's row and value, as written
         half_bandwidth = 0
-        for lineno, line in enumerate(handle, start=lineno + 1):
+        for lineno, line in enumerate(handle, start=first):
             try:
-                text, j, value = line.split()
-                if text != row_text:  # a row's index is read once
-                    i = int(text)
-                    row_text = text
+                text, col, value = line.split()
+                j = int(col)
                 if value != value_text:
                     v = int(value)
                     value_text = value
-                j = int(j)
             except ValueError:
-                if not line.split():
-                    continue
-                raise ValueError(
-                    f"{path}:{lineno}: expected three integers 'row col value', "
-                    f"got {line.strip()!r}"
-                ) from None
-            if j > i:
-                raise InternalInvariantError(f"{path}: entry ({i},{j}) above the diagonal")
-            if j < 1 or i > size:
-                raise InternalInvariantError(f"{path}: entry ({i},{j}) outside 1..{size}")
-            # entries are written sorted, so strictly increasing pairs also
-            # rule out duplicates
-            if i < pi or i == pi and j <= pj:
-                problem = "duplicate" if i == pi and j == pj else "out-of-order"
-                raise InternalInvariantError(f"{path}: {problem} entry ({i},{j})")
-            pi, pj = i, j
-            found += 1
-            totals[i] += v
-            if i != j:
-                totals[j] += v  # symmetric storage: mirror into the upper half
-                if i - j > half_bandwidth:
-                    half_bandwidth = i - j
+                _refuse_entry(path, lineno, line, size, pi, pj)
+                blanks += 1
+                continue
+            if text != row_text:
+                try:
+                    i = int(text)
+                except ValueError:
+                    _refuse_entry(path, lineno, line, size, pi, pj)
+                row_text = text
+                if pi < i <= size:  # a new row
+                    pi, pj = i, 0
+                    if i - j > half_bandwidth:
+                        half_bandwidth = i - j
+                elif i != pi:
+                    _refuse_entry(path, lineno, line, size, pi, pj)
+            if not pj < j <= i:
+                _refuse_entry(path, lineno, line, size, pi, pj)
+            pj = j
+            if laplacian:
+                totals[i] += v
+                if i != j:
+                    totals[j] += v  # symmetric storage: mirror into the upper half
+        found = lineno + 1 - first - blanks
     if found != nnz:
         raise ValueError(f"{path}: header says {nnz} entries, found {found}")
-    if kind == "laplacian" and any(totals):
+    if laplacian and any(totals):
         raise InternalInvariantError(f"{path}: laplacian row sums are not all zero")
     if half_bandwidth != expected_half_bandwidth:
         raise InternalInvariantError(
@@ -452,9 +488,7 @@ def positive_int(text: str) -> int:
 def integer_text(text: str) -> str:
     """An unrank rank: text that int() reads, checked but left unread, as
     its digits are weighed against the grid first (coeffs.read_rank)."""
-    body = text.strip()
-    body = body[1:] if body[:1] in "+-" else body
-    if "__" in body or "_" in (body[:1], body[-1:]) or not body.replace("_", "").isdecimal():
+    if significant_digits(text) is None:
         raise ValueError(text)
     return text
 

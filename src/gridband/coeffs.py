@@ -25,10 +25,10 @@ rules that choose between counting and a recurrence sit side by side:
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from itertools import accumulate, chain, count, islice, repeat
 from math import comb, factorial
 from operator import sub
-from typing import Callable, Iterable, Iterator
 
 # the most bits a row, a half row or a walk may reach; row d holds n*d+1
 # entries of up to d*bitlen(n+1) bits
@@ -94,14 +94,24 @@ def check_rank(r: int, n: int, d: int) -> None:
         _refuse_rank(r, n, d)
 
 
+def significant_digits(text: str) -> int | None:
+    """The significant digits of text that int() reads, sign, underscores
+    and leading zeros aside; None for any other text."""
+    body = text.strip()
+    body = body[1:] if body[:1] in "+-" else body
+    if "__" in body or "_" in (body[:1], body[-1:]) or not body.replace("_", "").isdecimal():
+        return None
+    return len(body.replace("_", "").lstrip("0"))
+
+
 def read_rank(text: str, n: int, d: int) -> int:
     """int(text), text an int literal of a rank of P_n^d, which check_rank
     then judges.  Reading decimal text costs time quadratic in its digits,
     so a text with k significant digits, 3(k-1) >= grid_bits(n, d), is
     refused unread: it names at least 10^(k-1) > 2^(3(k-1)) > (n+1)^d."""
     check_grid(n, d)
-    digits = len(text.strip().lstrip("+-").replace("_", "").lstrip("0"))
-    if 3 * (digits - 1) >= grid_bits(n, d):
+    digits = significant_digits(text)
+    if digits is not None and 3 * (digits - 1) >= grid_bits(n, d):
         _refuse_rank(f"of {digits} digits", n, d)
     return int(text)
 

@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import compress, count, product, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .coeffs import BudgetExceededError, InternalInvariantError  # re-exported
-from .coeffs import check_budget, check_rank
+from .coeffs import check_budget, check_rank, significant_digits
 from .hales import Vertex, check_vertex, weight_shifts
 
 DEFAULT_SCAN_BUDGET = 1_000_000
@@ -48,17 +49,30 @@ DEFAULT_SCAN_BUDGET = 1_000_000
 RUN_CAP = 1 << 13
 
 
-class BandwidthReport(NamedTuple):
-    """A scanned bandwidth value and a witness edge achieving it, a named tuple."""
+BandwidthReport = namedtuple("BandwidthReport", ["value", "witness"])
+BandwidthReport.__doc__ = (
+    "A scanned bandwidth value and a witness edge (two vertices) achieving it, "
+    "a named tuple."
+)
 
-    value: int
-    witness: tuple[Vertex, Vertex]
 
+def parse_vertex(text: str, n: int) -> Vertex:
+    """Parse the comma-separated text form, e.g. "1,0,2", of a vertex of P_n^d.
 
-def parse_vertex(text: str) -> Vertex:
-    """Parse the comma-separated text form, e.g. "1,0,2"."""
+    A coordinate with more significant digits than n is refused unread, by
+    its digit count: it lies outside [0, n], and reading it would cost time
+    quadratic in its length.  Text that int() refuses is no coordinate, and
+    is named as a bad vertex.
+    """
+    parts = text.split(",")
+    for part in parts:
+        digits = significant_digits(part) or 0
+        # 10^(digits-1) > n says it has more digits than n; the bit bound
+        # says so first for a long one, without building the power
+        if digits > 1 and (3 * (digits - 1) >= n.bit_length() or 10 ** (digits - 1) > n):
+            raise ValueError(f"coordinate of {digits} digits outside [0, {n}]")
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(map(int, parts))
     except ValueError as exc:
         raise ValueError(f"bad vertex {text!r}: {exc}") from None
 
@@ -210,7 +224,7 @@ def load_labeling_file(path: str, n: int, d: int) -> list[int]:
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected '<coords>\\t<label>'")
             try:
-                u = parse_vertex(parts[0])
+                u = parse_vertex(parts[0], n)
                 label = int(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None

@@ -26,9 +26,9 @@ coordinate on.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable, Iterator
 from functools import partial
 from itertools import accumulate, chain, pairwise
-from typing import Callable, Iterator
 
 from .coeffs import InternalInvariantError, check_grid, check_rank, lighter_down
 

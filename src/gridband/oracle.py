@@ -62,8 +62,9 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import starmap
-from typing import Iterator, NamedTuple, Sequence
 
 from .bandwidth import bw_hales
 from .grid import (
@@ -148,23 +149,20 @@ class SearchBudget:
         self.time_limit = time_limit
 
 
-class OptimalityCertificate(NamedTuple):
-    """brute_force_bw outcome, a named tuple like every result record."""
+OptimalityCertificate = namedtuple(
+    "OptimalityCertificate",
+    ["n", "d", "optimal_value", "labels", "nodes_explored", "status"],
+)
+OptimalityCertificate.__doc__ = """brute_force_bw outcome, a named tuple like every result record.
 
-    n: int
-    d: int
-    optimal_value: int
-    labels: Sequence[int]  # the witness labeling, indexed by lex position
-    nodes_explored: int
-    status: str  # PROVED or BUDGET_EXHAUSTED
+labels is the witness labeling, indexed by lex position; status is PROVED
+or BUDGET_EXHAUSTED.
+"""
 
-
-class OptimalityCheck(NamedTuple):
-    """verify_optimal outcome: result None means the budget ran out (inconclusive)."""
-
-    result: bool | None
-    formula_value: int
-    certificate: OptimalityCertificate
+OptimalityCheck = namedtuple("OptimalityCheck", ["result", "formula_value", "certificate"])
+OptimalityCheck.__doc__ = (
+    "verify_optimal outcome: result None means the budget ran out (inconclusive)."
+)
 
 
 class _Search:

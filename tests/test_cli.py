@@ -19,6 +19,7 @@ import pytest
 
 import gridband.cli as cli
 import gridband.coeffs as coeffs
+import gridband.grid as grid
 import gridband.hales as hales
 import gridband.oracle as oracle
 from gridband.cli import main
@@ -506,32 +507,56 @@ def test_export_peak_memory(capsys, tmp_path):
         ("laplacian", "", ValueError, r"bad\.mtx:2: expected 'rows.*got ''"),
         ("laplacian", "% a comment line\n2 2 x\n1 1 1\n2 1 -1\n2 2 1\n",
          ValueError, r"bad\.mtx:3: expected 'rows"),
+        ("laplacian", "%%MatrixMarket matrix array integer general\n2 2\n1\n-1\n-1\n1\n",
+         ValueError, "not a coordinate MatrixMarket file"),
+        ("laplacian", "2 3 3\n1 1 1\n2 1 -1\n2 2 1\n", ValueError, "expected a square matrix"),
+        ("adjacency", "2 2 0\n", InternalInvariantError,
+         "half-bandwidth 0, labeling bandwidth 1"),
+        # a row's text is read once, but the row it names is what counts
+        ("laplacian", "2 2 4\n1 1 1\n2 1 -1\n02 1 -1\n2 2 2\n",
+         InternalInvariantError, r"duplicate entry \(2,1\)"),
+        ("laplacian", "2 2 3\n1 1 1\n02 1 -1\n1 1 1\n",
+         InternalInvariantError, r"out-of-order entry \(1,1\)"),
+        # the file is read as bytes, and int() of bytes takes ASCII digits only
+        ("laplacian", "2 2 3\n1 1 1\n\u0662 1 -1\n2 2 1\n",
+         ValueError, r"bad\.mtx:4: expected three integers 'row col value', got '\u0662 1 -1'"),
     ],
     ids=["duplicate", "above-diagonal", "wrong-nnz", "row-sum", "out-of-order",
          "zero-based-column", "row-past-size", "two-fields", "four-fields",
-         "fractional-value", "two-field-size", "no-size-line", "bad-size-token"],
+         "fractional-value", "two-field-size", "no-size-line", "bad-size-token",
+         "not-coordinate", "not-square", "half-bandwidth", "duplicate-row-text",
+         "row-back-to-1", "non-ascii-digit"],
 )
 def test_self_test_rejects_bad_export(tmp_path, kind, body, error, message):
     # each file is the P_1^1 Laplacian or adjacency (half-bandwidth 1) with
-    # one defect, and the check that names that defect must be the one to fire
+    # one defect, and the check that names that defect must be the one to fire;
+    # a body that holds its own first line replaces MM_HEADER
     path = tmp_path / "bad.mtx"
-    path.write_text(MM_HEADER + body, encoding="utf-8")
+    path.write_text(body if body.startswith("%%") else MM_HEADER + body, encoding="utf-8")
     with pytest.raises(error, match=message):
         cli._self_test_export(str(path), kind, 1)
 
 
 @pytest.mark.parametrize(
-    "body",
+    "kind,body,half_bandwidth",
     [
-        "2 2 3\n1 1 1\n\n2 1 -1\n2 2 1\n",
-        "% a comment line\n2 2 3\n1 1 1\n2 1 -1\n2 2 1\n",
+        ("laplacian", "2 2 3\n1 1 1\n\n2 1 -1\n2 2 1\n", 1),
+        ("laplacian", "% a comment line\n2 2 3\n1 1 1\n2 1 -1\n2 2 1\n", 1),
+        ("laplacian", "2 2 3\n1 1 1\n2 1 -1\n02 2 1\n", 1),
+        ("laplacian", "2 2 3\n1\t1\t1\n2 1 -1\n2 2 1\n", 1),
+        ("adjacency", "2 2 1\n2 1 1\n", 1),
+        # P_2^1 labeled 1, 3, 2: row 3 holds columns 1 and 2, and its first
+        # one gives the half-bandwidth
+        ("laplacian", "3 3 5\n1 1 1\n2 2 1\n3 1 -1\n3 2 -1\n3 3 2\n", 2),
+        ("adjacency", "3 3 2\n3 1 1\n3 2 1\n", 2),
     ],
-    ids=["blank-line", "comment-line"],
+    ids=["blank-line", "comment-line", "same-row-new-text", "tabs", "empty-first-row",
+         "longest-edge-first", "adjacency-longest-edge-first"],
 )
-def test_self_test_accepts_export(tmp_path, body):
+def test_self_test_accepts_export(tmp_path, kind, body, half_bandwidth):
     path = tmp_path / "good.mtx"
     path.write_text(MM_HEADER + body, encoding="utf-8")
-    cli._self_test_export(str(path), "laplacian", 1)
+    cli._self_test_export(str(path), kind, half_bandwidth)
 
 
 def test_export_budget_exit(capsys, tmp_path):
@@ -1043,6 +1068,25 @@ def test_a_rank_longer_than_the_grid_is_refused_unread(capsys, monkeypatch):
     code, out, err = run(capsys, "unrank", "--n", "1", "--d", "10", "--order", "lex",
                          "0" * 100_000 + "1_023")
     assert (code, out, err) == (0, "1,1,1,1,1,1,1,1,1,1\n", "")
+
+
+def test_a_coordinate_longer_than_n_is_refused_unread(capsys, monkeypatch):
+    # the message names the coordinate's digits, not its text, and is said once
+    def no_int(text):
+        raise AssertionError("the coordinate's text was converted")
+
+    monkeypatch.setattr(grid, "int", no_int, raising=False)
+    ones = "1" * 100_000
+    code, out, err = run(capsys, "rank", "--n", "1", "--d", "2", f"{ones},0")
+    assert (code, out, err) == (1, "", "gridband: error: coordinate of 100000 digits outside [0, 1]\n")
+    code, out, err = run(capsys, "rank", "--n", "99", "--d", "2", "0,+0_100")
+    assert (code, out, err) == (1, "", "gridband: error: coordinate of 3 digits outside [0, 99]\n")
+    monkeypatch.undo()
+    # as many digits as n is read and judged as before, and leading zeros are no digits
+    code, out, err = run(capsys, "rank", "--n", "10", "--d", "2", "11,0")
+    assert (code, out, err) == (1, "", "gridband: error: coordinate 11 outside [0, 10] in (11, 0)\n")
+    code, out, err = run(capsys, "rank", "--n", "10", "--d", "2", "--order", "lex", "0010,0")
+    assert (code, out, err) == (0, "111\n", "")
 
 
 @pytest.mark.parametrize("text", ["5", "-0", " +1_0 ", "٣", "0_0", "031"])

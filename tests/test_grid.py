@@ -69,10 +69,13 @@ def test_grid_functions_refuse_a_grid_that_does_not_exist(name, n, d):
 
 
 def test_vertex_text_form():
-    assert parse_vertex("1,0,2") == (1, 0, 2)
+    assert parse_vertex("1,0,2", 2) == (1, 0, 2)
     assert format_vertex((1, 0, 2)) == "1,0,2"
     with pytest.raises(ValueError):
-        parse_vertex("1,x")
+        parse_vertex("1,x", 2)
+    assert parse_vertex("9,010", 10) == (9, 10)
+    with pytest.raises(ValueError, match=r"^coordinate of 3 digits outside \[0, 10\]$"):
+        parse_vertex("9,100", 10)
 
 
 def test_edges_yields_each_edge_once():
@@ -405,6 +408,11 @@ def test_labeling_file_round_trip(tmp_path):
 def test_labeling_file_rejects_duplicates_and_gaps(tmp_path):
     n, d = 1, 1
     path = tmp_path / "bad.tsv"
+
+    # a coordinate with more digits than n is refused by its digit count
+    path.write_text("0\t1\n" + "1" * 5000 + "\t2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.tsv:2: coordinate of 5000 digits outside \[0, 1\]$"):
+        load_labeling_file(str(path), n, d)
 
     path.write_text("0\t1\n0\t2\n", encoding="utf-8")
     with pytest.raises(ValueError, match="duplicate vertex"):
