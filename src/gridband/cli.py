@@ -30,7 +30,7 @@ from .grid import (
     DEFAULT_SCAN_BUDGET,
     BudgetExceededError,
     InternalInvariantError,
-    _max_stretch,
+    _edge_scan,
     check_budget,
     format_vertex,
     label_array,
@@ -185,11 +185,8 @@ def cmd_bw(args) -> int:
             raise InternalInvariantError(
                 f"{spec} edge scan gave {report.value}, formula gives {expected}"
             )
-        doc.update(
-            value=report.value,
-            method="edge-scan",
-            witness=[format_vertex(u) for u in report.witness],
-        )
+        doc.update(value=report.value, method="edge-scan")
+        doc["witness"] = list(map(format_vertex, report.witness))
     else:
         cert = brute_force_bw(
             n, d, _search_budget(args), use_formula_bound=not args.no_accelerate
@@ -429,7 +426,7 @@ def cmd_export_matrix(args) -> int:
     check_budget(args.n, args.d, args.budget, "export")
     labels = label_array(args.order, args.n, args.d)
     # the edge kernel's bandwidth, which the self-test checks the file against
-    half_bandwidth = _max_stretch(labels, args.n, args.d)
+    half_bandwidth = _edge_scan(labels, args.n, args.d)[0]
     nnz = _write_matrix_market(args.out, args.n, args.d, labels, args.kind)
     del labels  # the self-test reads the file back on its own
     if args.self_test:

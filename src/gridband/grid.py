@@ -7,16 +7,22 @@ edge-scan bandwidths.  This module alone knows the lex-position layout,
 where the vertex at position i has its dimension-p neighbour at
 i + (n+1)^(d-1-p).  Scans, matrix export and listings take it from
 `label_array`, a labeling indexed by lex position, and its inverse
-`label_positions`; from the edge kernel `edge_ranges`, the edges as
-strided runs of at most RUN_CAP positions, whose bandwidth the export's
-self-test checks the file against; and from the per-vertex tables of
+`label_positions`; from `edge_ranges`, the edges as strided runs of at
+most RUN_CAP positions; and from the per-vertex tables of
 `position_texts` and of `lower_neighbours`, which give export rows.  The
 search takes one vertex at a time, as it reaches it, from
 `lex_neighbourhood`: its coordinates, decoded once by `lex_unrank`, and
-its neighbours' positions, read from them by the stride rule.  A scan of
-a range labeling, such as lex, costs one subtraction per run, since every
-edge of a run stretches alike.  Loaded files and certificates keep labels
-by lex position.
+its neighbours' positions, read from them by the stride rule.  Loaded
+files and certificates keep labels by lex position.
+
+`_edge_scan` is the one loop that reads a bandwidth from those runs: the
+value and the lex positions of a witness edge.  It has three callers:
+`labeling_bandwidth`, behind `bw --method hales-scan|lex`, which decodes
+the two positions into vertices; the export's half-bandwidth, which its
+self-test checks the file against; and the search's incumbent at each
+full labeling, with the Hales value of a search that found none.  A scan
+of a range labeling, such as lex, costs one subtraction per run, since
+every edge of a run stretches alike.
 
 Any other labeling is scanned as words, an array of 32-bit labels below
 2^30 or 64-bit ones below 2^62, each run's two ends packed into two big
@@ -313,8 +319,7 @@ def _hales_labels(n: int, d: int) -> array:
     code, weight_code = _word_code(width**d), _typecode(n * d)
     labels = array(code, range(1, width + 1))
     weights = array(weight_code, range(width))
-    for m, shift_of in enumerate(weight_shifts(n, d), start=2):
-        shifts = list(map(shift_of, range(n * m + 1)))
+    for m, shifts in enumerate(weight_shifts(n, d), start=2):
         grown = array(code, bytes(width**m * labels.itemsize))
         grown_weights = array(weight_code, bytes(width**m * weights.itemsize * (m < d)))
         for lo in range(0, len(labels), RUN_CAP):
@@ -355,11 +360,10 @@ def labeling_bandwidth(
 
     labeling is an order name for `label_array`, or the labels by lex
     position, such as `load_labeling_file` returns, which are copied once
-    into words (see `_scan_run`).  The witness is the
-    maximizing edge whose pair (label of its lex-lighter end, label of its
-    other end) is least, so it is read from the scanned labels alone and
-    does not depend on scan order.  Grids larger than max_vertices are
-    refused outright rather than scanned for hours.
+    into words (see `_scan_run`).  `_edge_scan` reads the value and the
+    witness edge's two lex positions, decoded here into vertices.  Grids
+    larger than max_vertices are refused outright rather than scanned for
+    hours.
     """
     check_budget(n, d, max_vertices, "edge-scan")
     if isinstance(labeling, str):
@@ -370,10 +374,21 @@ def labeling_bandwidth(
         raise ValueError(
             f"{len(labeling)} labels for the {(n + 1) ** d} vertices of P_{n}^{d}"
         )
-    # a run that can reach the value so far offers its stretch and least
-    # hit, the edge of its least lighter label, as a run holds one edge per
-    # lighter end.  Only a strictly less pair of labels replaces the
-    # incumbent, so with repeated labels the first such edge stays.
+    value, (i, j) = _edge_scan(labels, n, d)
+    return BandwidthReport(value, (lex_unrank(i, n, d), lex_unrank(j, n, d)))
+
+
+def _edge_scan(labels: Sequence[int], n: int, d: int) -> tuple[int, tuple[int, int]]:
+    """The bandwidth of words by lex position, a range or a word array as
+    `label_array` or `_words` builds, and the lex positions (i, i + s) of
+    its witness edge: the maximizing edge whose pair (f(i), f(i + s)) is
+    least, read from the labels alone, whatever the scan order.
+
+    A run that can reach the value so far offers its stretch and least
+    hit, the edge of its least lighter label, as a run holds one edge per
+    lighter end.  Only a strictly less pair of labels replaces the
+    incumbent, so with repeated labels the first such edge stays.
+    """
     value, least, edge = -1, None, None
     for r, s in edge_ranges(n, d):
         run = _scan_run(labels, r, s, value)
@@ -383,32 +398,15 @@ def labeling_bandwidth(
         pair = (label, labels[i + s])
         if stretch > value or pair < least:
             value, least, edge = stretch, pair, (i, i + s)
-    witness = (lex_unrank(edge[0], n, d), lex_unrank(edge[1], n, d))
-    return BandwidthReport(value=value, witness=witness)
-
-
-def _max_stretch(labels: Sequence[int], n: int, d: int) -> int:
-    """The bandwidth of a labeling: max |f(u) - f(v)| over all edges.
-
-    labels is `label_array`'s, or any labels by lex position, copied once
-    into words.  Only runs with an edge past the stretch so far are read.
-    """
-    labels = labels if isinstance(labels, array) else _words(labels)
-    value = 0
-    for r, s in edge_ranges(n, d):
-        run = _scan_run(labels, r, s, value + 1, witness=False)
-        if run is not None:
-            value = run[0]
-    return value
+    return value, edge
 
 
 def _scan_run(
-    labels: Sequence[int], r: range, s: int, value: int, witness: bool = True
-) -> tuple[int, tuple[int, int] | None] | None:
+    labels: Sequence[int], r: range, s: int, value: int
+) -> tuple[int, tuple[int, int]] | None:
     """An edge_ranges pair (r, s)'s stretch, max |f(i) - f(i + s)| over i in
-    r, and, if the caller wants a witness, its least hit: the least (f(i), i)
-    over the i whose edges stretch that much.  None if no edge of the run
-    stretches value or more.
+    r, and its least hit: the least (f(i), i) over the i whose edges stretch
+    that much.  None if no edge of the run stretches value or more.
 
     Range labels, such as lex, stretch every edge of the run alike, by the
     difference of the two slices' starts, so their run costs one
@@ -433,7 +431,5 @@ def _scan_run(
     # each word of diff + guards is f(i + s) - f(i) + high, read unsigned
     words = _unpacked(diff + guards, lighter.typecode.upper(), len(lighter))
     stretch = max(max(words) - high, high - min(words))
-    if not witness:
-        return stretch, None
     reaches = map({high - stretch, high + stretch}.__contains__, words)
     return stretch, min(compress(zip(lighter, r), reaches))

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable, Iterator
-from functools import partial
 from itertools import accumulate, chain, pairwise
 
 from .coeffs import InternalInvariantError, check_grid, check_rank, lighter_down
@@ -40,9 +39,9 @@ def check_vertex(u: Vertex, n: int, d: int) -> None:
     check_grid(n, d)
     if len(u) != d:
         raise ValueError(f"vertex has {len(u)} coordinates, expected {d}")
-    for c in u:
+    for p, c in enumerate(u):
         if c < 0 or c > n:
-            raise ValueError(f"coordinate {c} outside [0, {n}] in {u}")
+            raise ValueError(f"coordinate {p} is {c}, outside [0, {n}]")
 
 
 def hales_compare(u: Vertex, v: Vertex) -> int:
@@ -63,14 +62,14 @@ def _shift(now: Callable, prev: Callable, n: int, w: int) -> int:
     return now(w) - prev(max(0, w - n))
 
 
-def weight_shifts(n: int, d: int) -> Iterator[Callable[[int], int]]:
-    """For m = 2..d, the map from a weight w = 0..n*m to its shift, from all
-    of `lighter_down`'s counts held at once, L_1 first; the shift of m = 1
-    is the identity, so d < 2 builds no row."""
+def weight_shifts(n: int, d: int) -> Iterator[list[int]]:
+    """For m = 2..d, the shifts of the weights w = 0..n*m, from all of
+    `lighter_down`'s counts held at once, L_1 first; the shift of m = 1 is
+    the identity, so d < 2 builds no row."""
     if d < 2:
         return
-    for prev, now in pairwise(list(lighter_down(n, d))[::-1]):
-        yield partial(_shift, now, prev, n)
+    for m, (prev, now) in enumerate(pairwise(list(lighter_down(n, d))[::-1]), 2):
+        yield [_shift(now, prev, n, w) for w in range(n * m + 1)]
 
 
 def hales_rank(u: Vertex, n: int, d: int) -> int:

@@ -14,8 +14,8 @@ Hall checks it.  At a node that passed prefix Hall, a labeled neighbor w of
 an unlabeled v has t+1-f(w) < thr by the gap bound.  The incumbent falls in
 the node's candidate loop only at a full labeling found below an earlier
 candidate, which took label t+1; there v took t+2 or more, so t+1-f(w) is
-below the new incumbent too.  A full labeling's value is read by the edge
-scan.
+below the new incumbent too.  A full labeling's value is read by
+`grid._edge_scan`, the kernel behind every edge-scan bandwidth.
 
 Symmetry.  The grid's automorphisms permute the d coordinates and reflect
 any of them (c -> n - c): the hyperoctahedral group, of order 2^d d!.  At
@@ -70,7 +70,8 @@ from .bandwidth import bw_hales
 from .grid import (
     DEFAULT_SCAN_BUDGET,
     InternalInvariantError,
-    _max_stretch,
+    _edge_scan,
+    _words,
     check_budget,
     label_array,
     label_listing,
@@ -205,7 +206,7 @@ class _Search:
         label_of = self.label_of
         if t == self.total:
             # a full labeling: its bandwidth, at most thr, is the new incumbent
-            self.threshold = _max_stretch(label_of, self.n, self.d)
+            self.threshold = _edge_scan(_words(label_of), self.n, self.d)[0]
             self.best_labels = label_of.copy()
             return
         placed = self.placed
@@ -275,7 +276,7 @@ def brute_force_bw(
             )
         # one Hales label array gives both the witness and its scanned value
         labels = label_array("hales", n, d)
-        value = _max_stretch(labels, n, d)
+        value = _edge_scan(labels, n, d)[0]
     return OptimalityCertificate(
         n=n,
         d=d,

@@ -451,6 +451,18 @@ def _reference_export(n, d, kind, order):
     "n,d", [(2, 3), (1, 5), (3, 2), (1, 8), (16, 2), (1, 1), (5, 1), (2, 4)]
 )
 def test_export_matches_reference(capsys, tmp_path, n, d):
+    _export_matches_reference(capsys, tmp_path, n, d)
+
+
+def test_export_matches_reference_in_short_runs(capsys, tmp_path, monkeypatch):
+    # runs cut to 4 positions: at (16,2), 31 Hales runs and 67 lex runs tie
+    # the value so far, as 121 do at (999,2), so the half-bandwidth is read
+    # where the edge scan takes its least hit from tied runs
+    monkeypatch.setattr(grid, "RUN_CAP", 4)
+    _export_matches_reference(capsys, tmp_path, 16, 2)
+
+
+def _export_matches_reference(capsys, tmp_path, n, d):
     for kind, order in itertools.product(["adjacency", "laplacian"], ["hales", "lex"]):
         path = tmp_path / f"{kind}-{order}.mtx"
         code, out, _ = run(
@@ -1084,7 +1096,11 @@ def test_a_coordinate_longer_than_n_is_refused_unread(capsys, monkeypatch):
     monkeypatch.undo()
     # as many digits as n is read and judged as before, and leading zeros are no digits
     code, out, err = run(capsys, "rank", "--n", "10", "--d", "2", "11,0")
-    assert (code, out, err) == (1, "", "gridband: error: coordinate 11 outside [0, 10] in (11, 0)\n")
+    assert (code, out, err) == (1, "", "gridband: error: coordinate 0 is 11, outside [0, 10]\n")
+    # and is named by its position, not by the whole vertex
+    vertex = ",".join(["2"] + ["1"] * 14_999)
+    code, out, err = run(capsys, "rank", "--n", "1", "--d", "15000", vertex)
+    assert (code, out, err) == (1, "", "gridband: error: coordinate 0 is 2, outside [0, 1]\n")
     code, out, err = run(capsys, "rank", "--n", "10", "--d", "2", "--order", "lex", "0010,0")
     assert (code, out, err) == (0, "111\n", "")
 

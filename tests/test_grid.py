@@ -326,7 +326,9 @@ def test_range_labels_scan_as_their_list():
         for labels in (range(1, total + 1), range(total, 0, -1)):
             expected = labeling_bandwidth(list(labels), n, d)
             assert labeling_bandwidth(labels, n, d) == expected, (n, d, labels)
-            assert grid._max_stretch(labels, n, d) == expected.value, (n, d, labels)
+            edge = tuple(lex_rank(u, n, d) for u in expected.witness)
+            scan = grid._edge_scan(grid._words(labels), n, d)
+            assert scan == (expected.value, edge), (n, d, labels)
 
 
 def _scan_by_edges(labels, n, d):
@@ -365,7 +367,8 @@ def test_packed_scan_matches_the_edge_list(monkeypatch):
                     u, v = (lex_rank(w, n, d) for w in report.witness)
                     assert (report.value, (labels[u], labels[v])) == (value, pair), (
                         kind, n, d, cap, labels)
-                    assert grid._max_stretch(labels, n, d) == value, (kind, n, d, cap)
+                    scan = grid._edge_scan(grid._words(labels), n, d)
+                    assert scan == (value, (u, v)), (kind, n, d, cap)
                     codes.add(grid._words(labels).typecode)
     assert codes == {"i", "q"}
 
