@@ -188,9 +188,7 @@ def cmd_bw(args) -> int:
         doc.update(value=report.value, method="edge-scan")
         doc["witness"] = list(map(format_vertex, report.witness))
     else:
-        cert = brute_force_bw(
-            n, d, _search_budget(args), use_formula_bound=not args.no_accelerate
-        )
+        cert = brute_force_bw(n, d, _search_budget(args))
         doc.update(
             value=cert.optimal_value,
             method="brute-force",
@@ -444,9 +442,7 @@ def cmd_export_matrix(args) -> int:
 
 
 def cmd_verify_optimal(args) -> int:
-    check = verify_optimal(
-        args.n, args.d, _search_budget(args), use_formula_bound=not args.no_accelerate
-    )
+    check = verify_optimal(args.n, args.d, _search_budget(args))
     cert = check.certificate
     verdict, exit_code = {
         None: ("inconclusive", EXIT_BUDGET),
@@ -504,7 +500,7 @@ SCAN_BUDGET = ("--budget", positive_int, DEFAULT_SCAN_BUDGET,
 SEARCH = (
     ("--time-limit", float, None, "wall-clock limit in seconds for the search"),
     ("--no-accelerate", bool, False,
-     "start the search from the trivial bound, not the formula"),
+     "ignored; the search always starts from the Hales labeling's bandwidth"),
     ("--out", str, None, "write the search certificate to this file"),
 )
 # command -> (summary, its options besides COMMON); main runs cmd_<command>

@@ -9,13 +9,15 @@ gap bound t+1-lab < thr, and since each vertex's own unlabeled neighbors lie
 in the union it also bounds them one vertex at a time.  Candidates are tried
 in lex-position order, making every certificate reproducible.
 
-No placement stretches an edge to the incumbent thr, and nothing but prefix
-Hall checks it.  At a node that passed prefix Hall, a labeled neighbor w of
-an unlabeled v has t+1-f(w) < thr by the gap bound.  The incumbent falls in
-the node's candidate loop only at a full labeling found below an earlier
-candidate, which took label t+1; there v took t+2 or more, so t+1-f(w) is
-below the new incumbent too.  A full labeling's value is read by
-`grid._edge_scan`, the kernel behind every edge-scan bandwidth.
+The incumbent thr starts at the bandwidth of one concrete labeling, the
+Hales label array, as `grid._edge_scan` (the kernel behind every edge-scan
+bandwidth) reads it, and only labelings strictly below thr are sought.  No
+placement stretches an edge to thr, and nothing but prefix Hall checks it.
+At a node that passed prefix Hall, a labeled neighbor w of an unlabeled v
+has t+1-f(w) < thr by the gap bound.  The incumbent falls in the node's
+candidate loop only at a full labeling found below an earlier candidate,
+which took label t+1; there v took t+2 or more, so t+1-f(w) is below the new
+incumbent too.  A full labeling's value is read by the same kernel.
 
 Symmetry.  The grid's automorphisms permute the d coordinates and reflect
 any of them (c -> n - c): the hyperoctahedral group, of order 2^d d!.  At
@@ -32,8 +34,9 @@ order.  This loses no value:
 - the prune rules read only labels and adjacency, which g preserves, so the
   representative is pruned only when every vertex of its orbit is.
 
-No theorem about the grid's bandwidth is used, so a search started from the
-trivial bound stays independent of the formula.
+No theorem about the grid's bandwidth is used: the search starts from one
+labeling's scanned value, not from the closed form, which only
+`verify_optimal` reads, to compare the two.
 
 The search keeps no copy of the grid: `grid` alone knows the lex layout.
 The first time the candidate loop reaches a vertex, it fills the vertex's
@@ -69,7 +72,6 @@ from itertools import starmap
 from .bandwidth import bw_hales
 from .grid import (
     DEFAULT_SCAN_BUDGET,
-    InternalInvariantError,
     _edge_scan,
     _words,
     check_budget,
@@ -205,7 +207,7 @@ class _Search:
             return
         label_of = self.label_of
         if t == self.total:
-            # a full labeling: its bandwidth, at most thr, is the new incumbent
+            # a full labeling: its bandwidth, below thr, is the new incumbent
             self.threshold = _edge_scan(_words(label_of), self.n, self.d)[0]
             self.best_labels = label_of.copy()
             return
@@ -247,40 +249,26 @@ class _Search:
 
 
 def brute_force_bw(
-    n: int,
-    d: int,
-    budget: SearchBudget = SearchBudget(),
-    use_formula_bound: bool = True,
+    n: int, d: int, budget: SearchBudget = SearchBudget()
 ) -> OptimalityCertificate:
     """Exhaustive minimum over all labelings, within the given budget.
 
-    The incumbent starts one above the closed-form value (a valid upper
-    bound) unless use_formula_bound is False, in which case it starts from
-    the trivial bound of vertex count - 1 and the search is fully
-    independent of the formula.  Grids over DEFAULT_SCAN_BUDGET vertices are
-    refused with BudgetExceededError before anything is built, since an
-    exhausted search falls back to a Hales scan of the whole grid.
+    The search starts from the bandwidth that `_edge_scan` reads from the
+    Hales label array and looks only for labelings strictly below it, so it
+    reads no theorem.  The witness is the last labeling it found, or else
+    the Hales array with its scanned value.  Grids over DEFAULT_SCAN_BUDGET
+    vertices are refused with BudgetExceededError before anything is built.
     """
     check_budget(n, d, DEFAULT_SCAN_BUDGET, "exhaustive-search")
-    threshold = bw_hales(n, d) + 1 if use_formula_bound else (n + 1) ** d
-    search = _Search(n, d, budget, threshold)
+    labels = label_array("hales", n, d)
+    search = _Search(n, d, budget, _edge_scan(labels, n, d)[0])
     search.run()
-    labels, value = search.best_labels, search.threshold
-    if labels is None:
-        if not search.out_of_budget:
-            # the Hales labeling beats the starting incumbent, so an exhausted
-            # search that found nothing means the incumbent was wrong
-            raise InternalInvariantError(
-                "search exhausted without finding any labeling below the "
-                "starting incumbent; initial upper bound was not valid"
-            )
-        # one Hales label array gives both the witness and its scanned value
-        labels = label_array("hales", n, d)
-        value = _edge_scan(labels, n, d)[0]
+    if search.best_labels is not None:
+        labels = search.best_labels
     return OptimalityCertificate(
         n=n,
         d=d,
-        optimal_value=value,
+        optimal_value=search.threshold,
         labels=labels,
         nodes_explored=search.nodes,
         status=BUDGET_EXHAUSTED if search.out_of_budget else PROVED,
@@ -288,19 +276,17 @@ def brute_force_bw(
 
 
 def verify_optimal(
-    n: int,
-    d: int,
-    budget: SearchBudget = SearchBudget(),
-    use_formula_bound: bool = True,
+    n: int, d: int, budget: SearchBudget = SearchBudget()
 ) -> OptimalityCheck:
     """Check that the exhaustive optimum equals the closed-form value.
 
     result is True/False only when the search ran to completion; a
     budget-exhausted search yields result None (inconclusive), never False.
-    The search comes first, so its refusal of a grid past
-    DEFAULT_SCAN_BUDGET vertices comes before any closed-form work.
+    The closed form is read here alone, after the search, so the search's
+    refusal of a grid past DEFAULT_SCAN_BUDGET vertices comes before any
+    closed-form work.
     """
-    cert = brute_force_bw(n, d, budget, use_formula_bound)
+    cert = brute_force_bw(n, d, budget)
     formula = bw_hales(n, d)
     result = cert.optimal_value == formula if cert.status == PROVED else None
     return OptimalityCheck(result=result, formula_value=formula, certificate=cert)

@@ -85,14 +85,20 @@ def test_bw_brute(capsys):
 
 
 def test_bw_brute_writes_certificate(capsys, tmp_path):
-    path = tmp_path / "cert.tsv"
-    code, out, _ = run(
-        capsys, "bw", "--n", "1", "--d", "2", "--method", "brute",
-        "--no-accelerate", "--out", str(path),
-    )
-    assert code == 0
+    # --no-accelerate still parses and changes neither stdout nor the file
+    runs = []
+    for flags in ((), ("--no-accelerate",)):
+        path = tmp_path / "cert.tsv"
+        code, out, _ = run(
+            capsys, "bw", "--n", "1", "--d", "2", "--method", "brute",
+            *flags, "--out", str(path),
+        )
+        assert code == 0
+        runs.append((out, path.read_bytes()))
+    assert runs[0] == runs[1]
+    out, cert = runs[0]
     assert out.splitlines()[0] == "value 2"
-    assert path.read_text(encoding="utf-8").startswith("# bandwidth 2\n")
+    assert cert.startswith(b"# bandwidth 2\n")
 
 
 def test_bw_brute_budget_exhausted_exits_2(capsys):
@@ -125,7 +131,7 @@ def test_bw_internal_mismatch_exits_3(capsys, monkeypatch):
 
 def test_verify_optimal_mismatch_exits_3(capsys, monkeypatch):
     # a completed search that disagrees with the formula; the search starts
-    # from the same wrong value, 999 + 1, and still finds the optimum 3
+    # from the Hales labeling's scanned value and never reads the wrong 999
     monkeypatch.setattr(oracle, "bw_hales", lambda n, d: 999)
     code, out, _ = run(capsys, "verify-optimal", "--n", "2", "--d", "2")
     assert code == 3
@@ -133,11 +139,6 @@ def test_verify_optimal_mismatch_exits_3(capsys, monkeypatch):
 
 
 def test_invariant_failures_exit_3(capsys, monkeypatch):
-    # a starting incumbent below the optimum leaves the search with no labeling
-    monkeypatch.setattr(oracle, "bw_hales", lambda n, d: 0)
-    code, _, err = run(capsys, "bw", "--n", "2", "--d", "2", "--method", "brute")
-    assert code == 3
-    assert "internal error" in err
     # weight classes too small to hold the rank leave unrank without a vertex
     monkeypatch.setattr(
         coeffs, "_step_down", lambda below, n, m: [0] * (n * (m - 1) // 2 + 2)
@@ -656,7 +657,8 @@ def _squeezed(text: str) -> str:
 
 SEARCH_HELP = [
     ("--time-limit", (), "wall-clock limit in seconds for the search"),
-    ("--no-accelerate", (), "start the search from the trivial bound, not the formula"),
+    ("--no-accelerate", (),
+     "ignored; the search always starts from the Hales labeling's bandwidth"),
     ("--out", (), "write the search certificate to this file"),
 ]
 ORDER_HELP = ("--order", ("hales", "lex"), "")
@@ -816,7 +818,7 @@ NOTE = (
     "formula; exhaustive search confirms the formula values 2 at (n=1, d=2) and "
     "4 at (n=1, d=3)."
 )
-CERT = "# bandwidth 2\n# status proved\n# nodes 7\n0,0\t1\n0,1\t2\n1,0\t3\n1,1\t4\n"
+CERT = "# bandwidth 2\n# status proved\n# nodes 2\n0,0\t1\n0,1\t2\n1,0\t3\n1,1\t4\n"
 NO_OUTPUT = {"plain": "", "json": "", "csv": ""}
 
 # (arguments, exit code, stdout per format); every run starts in an empty
@@ -845,10 +847,10 @@ GOLDEN = [
         "csv": 'n,d,value,method,witness,status,nodes\n2,3,9,edge-scan,"0,0,0 1,0,0",,\n',
     }),
     ("bw --n 1 --d 2 --method brute --out c.tsv", 0, {
-        "plain": "value 2\nmethod brute-force\nstatus proved\nnodes 7\n",
-        "json": '{"d": 2, "method": "brute-force", "n": 1, "nodes": 7, '
+        "plain": "value 2\nmethod brute-force\nstatus proved\nnodes 2\n",
+        "json": '{"d": 2, "method": "brute-force", "n": 1, "nodes": 2, '
                 '"status": "proved", "value": 2}\n',
-        "csv": "n,d,value,method,witness,status,nodes\n1,2,2,brute-force,,proved,7\n",
+        "csv": "n,d,value,method,witness,status,nodes\n1,2,2,brute-force,,proved,2\n",
     }),
     ("bw --n 2 --d 2 --method brute --budget 5", 2, {
         "plain": "value 3\nmethod brute-force\nstatus budget-exhausted\nnodes 6\n",
@@ -921,10 +923,10 @@ GOLDEN = [
         "csv": "path,kind,order,size,nnz,half_bandwidth\nm.mtx,laplacian,hales,4,8,2\n",
     }),
     ("verify-optimal --n 1 --d 2 --out c.tsv", 0, {
-        "plain": "verdict verified\nformula 2\nbrute_force 2\nstatus proved\nnodes 7\n",
-        "json": '{"brute_force": 2, "d": 2, "formula": 2, "n": 1, "nodes": 7, '
+        "plain": "verdict verified\nformula 2\nbrute_force 2\nstatus proved\nnodes 2\n",
+        "json": '{"brute_force": 2, "d": 2, "formula": 2, "n": 1, "nodes": 2, '
                 '"status": "proved", "verdict": "verified"}\n',
-        "csv": "n,d,verdict,formula,brute_force,status,nodes\n1,2,verified,2,2,proved,7\n",
+        "csv": "n,d,verdict,formula,brute_force,status,nodes\n1,2,verified,2,2,proved,2\n",
     }),
     ("verify-optimal --n 2 --d 2 --budget 5", 2, {
         "plain": "verdict inconclusive\nformula 3\nbrute_force 3\n"

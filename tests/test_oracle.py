@@ -134,13 +134,19 @@ def test_certificate_bytes_unchanged():
 
 
 def test_fallback_certificate_body_is_the_label_listing(capsys):
-    # a search cut off before any full labeling falls back to the Hales order
-    cert = brute_force_bw(2, 3, SearchBudget(max_nodes=10))
-    assert cert.status == BUDGET_EXHAUSTED
-    assert main(["label", "--n", "2", "--d", "3"]) == 0
-    listing = capsys.readouterr().out
-    body = "".join(certificate_lines(cert)).split("\n", 3)[3]
-    assert body == listing
+    # a search cut off before any full labeling falls back to the Hales
+    # order, and so does every proof: no grid of at most 36 vertices has a
+    # labeling below the Hales labeling's scanned value
+    grids = [(n, 1) for n in range(1, 36)] + [(n, 2) for n in range(1, 6)]
+    grids += [(1, 3), (2, 3), (1, 4), (1, 5)]
+    certs = [brute_force_bw(2, 3, SearchBudget(max_nodes=10))]
+    certs += [brute_force_bw(n, d) for n, d in grids]
+    assert [cert.status for cert in certs] == [BUDGET_EXHAUSTED] + [PROVED] * len(grids)
+    for cert in certs:
+        assert main(["label", "--n", str(cert.n), "--d", str(cert.d)]) == 0
+        listing = capsys.readouterr().out
+        body = "".join(certificate_lines(cert)).split("\n", 3)[3]
+        assert body == listing, (cert.n, cert.d)
 
 
 def test_search_is_deterministic():
@@ -153,17 +159,27 @@ def test_trivial_bound_start_agrees():
     # every grid with at most 25 vertices, then 27, 32 and 36 vertices
     grids = [(n, 1) for n in range(1, 25)] + [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (1, 4)]
     grids += [(2, 3), (1, 5), (5, 2)]
-    # node counts from the trivial bound: a prune rule loosened by one still
-    # finds every optimum, and only these counts show it
-    nodes = {(3, 2): 160, (4, 2): 1647, (1, 4): 180, (2, 3): 10144, (1, 5): 5005}
+    # node counts: a prune rule loosened by one still finds every optimum,
+    # and only these counts show it.  From the trivial bound the search
+    # reaches full labelings, so the leaf path and its edge scan run too
+    trivial = {(3, 2): 160, (4, 2): 1647, (1, 4): 180, (2, 3): 10144, (1, 5): 5005}
+    scanned = {
+        (3, 2): 69, (4, 2): 1416, (1, 4): 19, (2, 3): 2681, (1, 5): 3673, (5, 2): 74109,
+    }
     budget = SearchBudget(max_nodes=100_000)
     for n, d in grids:
-        accel = brute_force_bw(n, d, budget)
-        plain = brute_force_bw(n, d, budget, use_formula_bound=False)
-        assert accel.status == plain.status == PROVED, (n, d)
-        assert accel.optimal_value == plain.optimal_value == bw_hales(n, d), (n, d)
-        if (n, d) in nodes:
-            assert plain.nodes_explored == nodes[n, d], (n, d)
+        value = labeling_bandwidth("hales", n, d).value
+        assert value == bw_hales(n, d), (n, d)
+        search = oracle._Search(n, d, budget, (n + 1) ** d)
+        search.run()
+        assert not search.out_of_budget and search.best_labels is not None, (n, d)
+        assert search.threshold == value, (n, d)
+        cert = brute_force_bw(n, d, budget)
+        assert cert.status == PROVED and cert.optimal_value == value, (n, d)
+        if (n, d) in trivial:
+            assert search.nodes == trivial[n, d], (n, d)
+        if (n, d) in scanned:
+            assert cert.nodes_explored == scanned[n, d], (n, d)
 
 
 def test_node_budget_exhaustion():
@@ -174,7 +190,7 @@ def test_node_budget_exhaustion():
 
 
 def test_time_limit_exhaustion():
-    # (3, 2) is proved in 160 nodes, and a spent time limit still stops it
+    # (3, 2) is proved in 69 nodes, and a spent time limit still stops it
     for n, d in [(1, 4), (3, 2)]:
         cert = brute_force_bw(n, d, SearchBudget(time_limit=1e-9))
         assert cert.status == BUDGET_EXHAUSTED, (n, d)
