@@ -19,10 +19,10 @@ files and certificates keep labels by lex position.
 value and the lex positions of a witness edge.  It has three callers:
 `labeling_bandwidth`, behind `bw --method hales-scan|lex`, which decodes
 the two positions into vertices; the export's half-bandwidth, which its
-self-test checks the file against; and the search's incumbent at each
-full labeling, with the Hales value of a search that found none.  A scan
-of a range labeling, such as lex, costs one subtraction per run, since
-every edge of a run stretches alike.
+self-test checks the file against; and `brute_force_bw`, once per round of
+its search: the Hales value it starts from, then each labeling a round
+finds.  A scan of a range labeling, such as lex, costs one subtraction per
+run, since every edge of a run stretches alike.
 
 Any other labeling is scanned as words, an array of 32-bit labels below
 2^30 or 64-bit ones below 2^62, each run's two ends packed into two big
@@ -65,22 +65,22 @@ BandwidthReport.__doc__ = (
 def parse_vertex(text: str, n: int) -> Vertex:
     """Parse the comma-separated text form, e.g. "1,0,2", of a vertex of P_n^d.
 
-    A coordinate with more significant digits than n is refused unread, by
-    its digit count: it lies outside [0, n], and reading it would cost time
-    quadratic in its length.  Text that int() refuses is no coordinate, and
-    is named as a bad vertex.
+    Every coordinate is judged before any is read.  Text that int() refuses
+    is no coordinate, and is named by its position and its text alone.  A
+    coordinate with more significant digits than n is refused unread, by its
+    digit count: it lies outside [0, n], and reading it would cost time
+    quadratic in its length.
     """
     parts = text.split(",")
-    for part in parts:
-        digits = significant_digits(part) or 0
+    for p, part in enumerate(parts):
+        digits = significant_digits(part)
+        if digits is None:
+            raise ValueError(f"bad vertex: coordinate {p} is {part!r}, not an integer")
         # 10^(digits-1) > n says it has more digits than n; the bit bound
         # says so first for a long one, without building the power
         if digits > 1 and (3 * (digits - 1) >= n.bit_length() or 10 ** (digits - 1) > n):
             raise ValueError(f"coordinate of {digits} digits outside [0, {n}]")
-    try:
-        return tuple(map(int, parts))
-    except ValueError as exc:
-        raise ValueError(f"bad vertex {text!r}: {exc}") from None
+    return tuple(map(int, parts))
 
 
 def format_vertex(u: Vertex) -> str:
@@ -231,6 +231,8 @@ def load_labeling_file(path: str, n: int, d: int) -> list[int]:
                 raise ValueError(f"{path}:{lineno}: expected '<coords>\\t<label>'")
             try:
                 u = parse_vertex(parts[0], n)
+                if significant_digits(parts[1]) is None:
+                    raise ValueError(f"bad label {parts[1]!r}: not an integer")
                 label = int(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None

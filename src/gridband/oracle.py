@@ -9,15 +9,18 @@ gap bound t+1-lab < thr, and since each vertex's own unlabeled neighbors lie
 in the union it also bounds them one vertex at a time.  Candidates are tried
 in lex-position order, making every certificate reproducible.
 
-The incumbent thr starts at the bandwidth of one concrete labeling, the
-Hales label array, as `grid._edge_scan` (the kernel behind every edge-scan
-bandwidth) reads it, and only labelings strictly below thr are sought.  No
-placement stretches an edge to thr, and nothing but prefix Hall checks it.
-At a node that passed prefix Hall, a labeled neighbor w of an unlabeled v
-has t+1-f(w) < thr by the gap bound.  The incumbent falls in the node's
-candidate loop only at a full labeling found below an earlier candidate,
-which took label t+1; there v took t+2 or more, so t+1-f(w) is below the new
-incumbent too.  A full labeling's value is read by the same kernel.
+Each round of the search asks one question at a fixed threshold thr: does
+some labeling stretch every edge less than thr?  Prefix Hall alone keeps
+the stretches below thr.  At a node that passed it, a labeled neighbor w of
+an unlabeled vertex has t+1-f(w) < thr by the gap bound, so the edge is
+below thr whenever its later end takes label t+1.  Every full labeling that
+a round reaches is thus an answer, read by no edge scan, and the round
+stops at the first one.  `brute_force_bw` starts thr at the bandwidth of
+one concrete labeling, the Hales label array, as `grid._edge_scan` (the
+kernel behind every edge-scan bandwidth) reads it.  Each labeling that a
+round finds, read by the same kernel, gives the next round's thr, and the
+round that finds none proves the last value optimal.  One node budget, one
+deadline and one slot cache span all the rounds.
 
 Symmetry.  The grid's automorphisms permute the d coordinates and reflect
 any of them (c -> n - c): the hyperoctahedral group, of order 2^d d!.  At
@@ -66,7 +69,7 @@ from __future__ import annotations
 import sys
 import time
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from itertools import starmap
 
 from .bandwidth import bw_hales
@@ -168,8 +171,15 @@ OptimalityCheck.__doc__ = (
 )
 
 
+class _Stop(Exception):
+    """Ends a round: at a full labeling, or when the budget runs out."""
+
+
 class _Search:
-    def __init__(self, n: int, d: int, budget: SearchBudget, threshold: int):
+    """One search of a grid, asked round by round for a labeling below a
+    threshold; its node count, deadline and slot cache span every round."""
+
+    def __init__(self, n: int, d: int, budget: SearchBudget):
         total = (n + 1) ** d
         self.n = n
         self.d = d
@@ -177,26 +187,31 @@ class _Search:
         # by lex position: (coordinates, neighbour positions), filled the
         # first time the candidate loop reaches the vertex
         self.slots: list[tuple[Vertex, list[int]] | None] = [None] * total
-        self.label_of = [0] * total
-        self.placed: list[tuple[Vertex, list[int]]] = []  # slots, in label order
-        self.threshold = threshold
         self.max_nodes = budget.max_nodes
         self.deadline = (
             time.monotonic() + budget.time_limit if budget.time_limit else None
         )
         self.nodes = 0
         self.out_of_budget = False
-        self.best_labels: list[int] | None = None
 
-    def run(self) -> None:
-        """Search to the end or the budget; the recursion limit is raised for
-        the search only."""
+    def below(self, threshold: int) -> list[int] | None:
+        """The first full labeling, by lex position, that the search reaches
+        below threshold; None when there is none or the budget ran out, which
+        out_of_budget tells apart.  The recursion limit is raised for the
+        round only."""
+        self.threshold = threshold
+        self.label_of = [0] * self.total
+        self.placed: list[tuple[Vertex, list[int]]] = []  # slots, in label order
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(limit, self.total + 64))
         try:
             self._dfs(0, _root_classes(self.d))
+        except _Stop:
+            # the labels stay in place as the stop unwinds the recursion
+            return None if self.out_of_budget else self.label_of
         finally:
             sys.setrecursionlimit(limit)
+        return None
 
     def _dfs(self, t: int, classes: Classes) -> None:
         self.nodes += 1
@@ -204,13 +219,10 @@ class _Search:
             self.deadline is not None and time.monotonic() > self.deadline
         ):
             self.out_of_budget = True
-            return
-        label_of = self.label_of
+            raise _Stop
         if t == self.total:
-            # a full labeling: its bandwidth, below thr, is the new incumbent
-            self.threshold = _edge_scan(_words(label_of), self.n, self.d)[0]
-            self.best_labels = label_of.copy()
-            return
+            raise _Stop
+        label_of = self.label_of
         placed = self.placed
         # prefix Hall: the unlabeled neighbors of the vertices labeled 1..lab
         # must all receive one of the labels t+1..lab+thr-1 left within reach
@@ -244,8 +256,6 @@ class _Search:
             self._dfs(next_label, sub_classes)
             placed.pop()
             label_of[v] = 0
-            if self.out_of_budget:
-                return
 
 
 def brute_force_bw(
@@ -253,22 +263,25 @@ def brute_force_bw(
 ) -> OptimalityCertificate:
     """Exhaustive minimum over all labelings, within the given budget.
 
-    The search starts from the bandwidth that `_edge_scan` reads from the
-    Hales label array and looks only for labelings strictly below it, so it
-    reads no theorem.  The witness is the last labeling it found, or else
-    the Hales array with its scanned value.  Grids over DEFAULT_SCAN_BUDGET
-    vertices are refused with BudgetExceededError before anything is built.
+    The value starts at the bandwidth that `_edge_scan` reads from the Hales
+    label array, so the search reads no theorem.  Each round asks one
+    `_Search` for a labeling below the value, and a labeling it finds, read
+    by the same kernel, gives the next round's value.  A round that finds
+    none proves the value; the budget, counted over every round, may end
+    the rounds first.  The witness is the last labeling found, or else the
+    Hales array.  Grids over DEFAULT_SCAN_BUDGET vertices are refused with
+    BudgetExceededError before anything is built.
     """
     check_budget(n, d, DEFAULT_SCAN_BUDGET, "exhaustive-search")
     labels = label_array("hales", n, d)
-    search = _Search(n, d, budget, _edge_scan(labels, n, d)[0])
-    search.run()
-    if search.best_labels is not None:
-        labels = search.best_labels
+    value = _edge_scan(labels, n, d)[0]
+    search = _Search(n, d, budget)
+    while (found := search.below(value)) is not None:
+        labels, value = found, _edge_scan(_words(found), n, d)[0]
     return OptimalityCertificate(
         n=n,
         d=d,
-        optimal_value=search.threshold,
+        optimal_value=value,
         labels=labels,
         nodes_explored=search.nodes,
         status=BUDGET_EXHAUSTED if search.out_of_budget else PROVED,

@@ -1107,6 +1107,19 @@ def test_a_coordinate_longer_than_n_is_refused_unread(capsys, monkeypatch):
     assert (code, out, err) == (0, "111\n", "")
 
 
+def test_a_coordinate_that_is_no_integer_is_named(capsys, monkeypatch):
+    # refused by its position before any coordinate is read, never with
+    # Python's own message for int(), and without the rest of the vertex
+    def no_int(text):
+        raise AssertionError("a coordinate was converted")
+
+    monkeypatch.setattr(grid, "int", no_int, raising=False)
+    for vertex, p, part in [("1,x", 1, "x"), ("1,,0", 1, ""), ("1.5,0", 0, "1.5")]:
+        code, out, err = run(capsys, "rank", "--n", "2", "--d", "2", vertex)
+        message = f"bad vertex: coordinate {p} is {part!r}, not an integer"
+        assert (code, out, err) == (1, "", f"gridband: error: {message}\n"), vertex
+
+
 @pytest.mark.parametrize("text", ["5", "-0", " +1_0 ", "٣", "0_0", "031"])
 def test_a_rank_is_any_text_that_int_reads(text):
     assert cli.integer_text(text) == text

@@ -438,11 +438,12 @@ def test_labeling_file_rejects_duplicates_and_gaps(tmp_path):
         load_labeling_file(str(path), n, d)
 
     path.write_text("0\t1\n1\tx\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"bad\.tsv:2: invalid literal for int"):
+    with pytest.raises(ValueError, match=r"bad\.tsv:2: bad label 'x': not an integer$"):
         load_labeling_file(str(path), n, d)
 
     path.write_text("0\t1\n0;1\t2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"bad\.tsv:2: bad vertex '0;1'"):
+    message = r"bad\.tsv:2: bad vertex: coordinate 0 is '0;1', not an integer$"
+    with pytest.raises(ValueError, match=message):
         load_labeling_file(str(path), n, d)
 
 

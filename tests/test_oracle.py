@@ -83,13 +83,6 @@ def test_hypercube_dimension_four_arbitration():
     assert cert.optimal_value == 7 == bw_hales(1, 4)
 
 
-def test_value_never_exceeds_hales_labeling():
-    for n, d in [(1, 2), (1, 3), (2, 2), (3, 2)]:
-        cert = brute_force_bw(n, d)
-        scanned = labeling_bandwidth("hales", n, d).value
-        assert cert.optimal_value <= scanned
-
-
 def test_witness_rescans_to_optimal_value(tmp_path):
     for n, d, value in [(2, 2, 3), (4, 2, 5)]:
         cert = brute_force_bw(n, d)
@@ -155,14 +148,26 @@ def test_search_is_deterministic():
     assert first == second
 
 
+def _rounds(search, n, d, value):
+    """Ask the search for a labeling below value until it finds none, as
+    brute_force_bw does; each labeling found must scan below its round's
+    threshold.  Returns the last value and the number of labelings found."""
+    found_count = 0
+    while (found := search.below(value)) is not None:
+        scanned = labeling_bandwidth(found, n, d).value
+        assert scanned < value, (n, d, scanned, value)
+        value, found_count = scanned, found_count + 1
+    return value, found_count
+
+
 def test_trivial_bound_start_agrees():
     # every grid with at most 25 vertices, then 27, 32 and 36 vertices
     grids = [(n, 1) for n in range(1, 25)] + [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (1, 4)]
     grids += [(2, 3), (1, 5), (5, 2)]
     # node counts: a prune rule loosened by one still finds every optimum,
-    # and only these counts show it.  From the trivial bound the search
-    # reaches full labelings, so the leaf path and its edge scan run too
-    trivial = {(3, 2): 160, (4, 2): 1647, (1, 4): 180, (2, 3): 10144, (1, 5): 5005}
+    # and only these counts show it.  From the trivial bound the rounds
+    # reach full labelings, so the round loop runs too
+    trivial = {(3, 2): 86, (4, 2): 1442, (1, 4): 62, (2, 3): 9904, (1, 5): 3927}
     scanned = {
         (3, 2): 69, (4, 2): 1416, (1, 4): 19, (2, 3): 2681, (1, 5): 3673, (5, 2): 74109,
     }
@@ -170,16 +175,60 @@ def test_trivial_bound_start_agrees():
     for n, d in grids:
         value = labeling_bandwidth("hales", n, d).value
         assert value == bw_hales(n, d), (n, d)
-        search = oracle._Search(n, d, budget, (n + 1) ** d)
-        search.run()
-        assert not search.out_of_budget and search.best_labels is not None, (n, d)
-        assert search.threshold == value, (n, d)
+        search = oracle._Search(n, d, budget)
+        assert _rounds(search, n, d, (n + 1) ** d)[0] == value, (n, d)
+        assert not search.out_of_budget, (n, d)
         cert = brute_force_bw(n, d, budget)
         assert cert.status == PROVED and cert.optimal_value == value, (n, d)
         if (n, d) in trivial:
             assert search.nodes == trivial[n, d], (n, d)
         if (n, d) in scanned:
             assert cert.nodes_explored == scanned[n, d], (n, d)
+
+
+def test_a_round_below_the_optimum_by_one_finds_it_and_the_next_finds_none():
+    # nodes after the first round, and after both
+    nodes = {(1, 4): (26, 45), (2, 3): (7195, 9876), (1, 5): (88, 3761)}
+    for (n, d), (first, both) in nodes.items():
+        value = labeling_bandwidth("hales", n, d).value
+        search = oracle._Search(n, d, SearchBudget())
+        found = search.below(value + 1)
+        assert labeling_bandwidth(found, n, d).value == value, (n, d)
+        assert sorted(found) == list(range(1, (n + 1) ** d + 1)), (n, d)
+        assert search.nodes == first, (n, d)
+        assert search.below(value) is None and not search.out_of_budget, (n, d)
+        assert search.nodes == both, (n, d)
+
+
+def test_one_budget_spans_every_round():
+    # from the trivial bound at (1, 5), four rounds find 16, 15, 14 and 13
+    # in 254 nodes, and the fifth proves 13 in 3673 more; a budget of 1000
+    # stops the fifth, at the first node past it
+    search = oracle._Search(1, 5, SearchBudget(max_nodes=1000))
+    assert _rounds(search, 1, 5, 2**5) == (13, 4)
+    assert search.out_of_budget and search.nodes == 1001
+
+
+def test_a_labeling_found_below_the_starting_value_is_the_witness(monkeypatch):
+    # a Hales value scanned one too high: the first round finds a labeling
+    # at the true value in 88 nodes, and the second proves it in the 3673 of
+    # a search from the true Hales value
+    n, d = 1, 5
+    value = bw_hales(n, d)
+    calls = []
+
+    def scan(labels, n, d):
+        result = grid._edge_scan(labels, n, d)
+        calls.append(result[0])
+        return (result[0] + 1, result[1]) if len(calls) == 1 else result
+
+    monkeypatch.setattr(oracle, "_edge_scan", scan)
+    cert = brute_force_bw(n, d)
+    assert calls == [value, value]
+    assert cert.status == PROVED and cert.optimal_value == value
+    assert cert.labels != list(grid.label_array("hales", n, d))
+    assert labeling_bandwidth(cert.labels, n, d).value == value
+    assert cert.nodes_explored == 88 + 3673
 
 
 def test_node_budget_exhaustion():
@@ -223,22 +272,22 @@ def test_search_memory_per_node_is_bounded():
 
 
 def test_stopped_search_holds_only_the_vertices_it_reached():
-    # 2^16 vertices: before its first node the search holds a label and a
-    # slot reference for each (16 B); its ten nodes add the slots of the
-    # few vertices they reach.  Coordinates and neighbour lists for every
-    # vertex would take hundreds of bytes each
+    # 2^16 vertices: the search holds a slot reference for each (8 B), and
+    # a round a label for each (8 B more); its ten nodes add the slots of
+    # the few vertices they reach.  Coordinates and neighbour lists for
+    # every vertex would take hundreds of bytes each
     vertices = 256**2
     tracemalloc.start()
     try:
-        search = oracle._Search(255, 2, SearchBudget(max_nodes=10), vertices)
+        search = oracle._Search(255, 2, SearchBudget(max_nodes=10))
         built = tracemalloc.get_traced_memory()[1]
-        search.run()
+        assert search.below(vertices) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert search.out_of_budget
-    assert built <= 16 * vertices + 4096, built
-    assert peak <= built + 64 * 1024, (built, peak)
+    assert built <= 8 * vertices + 4096, built
+    assert peak <= 16 * vertices + 4096 + 64 * 1024, (built, peak)
 
 
 def test_search_decodes_each_vertex_it_reaches_once():
