@@ -17,12 +17,15 @@ files and certificates keep labels by lex position.
 
 `_edge_scan` is the one loop that reads a bandwidth from those runs: the
 value and the lex positions of a witness edge.  It has three callers:
-`labeling_bandwidth`, behind `bw --method hales-scan|lex`, which decodes
-the two positions into vertices; the export's half-bandwidth, which its
-self-test checks the file against; and `brute_force_bw`, once per round of
-its search: the Hales value it starts from, then each labeling a round
-finds.  A scan of a range labeling, such as lex, costs one subtraction per
-run, since every edge of a run stretches alike.
+`labeling_bandwidth`, behind `bw --method lex` and the re-scan of a loaded
+labeling, which decodes the two positions into vertices; the export's
+half-bandwidth, which its self-test checks the file against; and
+`brute_force_bw`, once per round of its search: the Hales value it starts
+from, then each labeling a round finds.  `bw --method hales-scan` scans no
+labels: `labeling_bandwidth` reads the Hales order's value and witness
+from the DP of `hales.hales_bandwidth`, which tests check against the scan.
+A scan of a range labeling, such as lex, costs one subtraction per run,
+since every edge of a run stretches alike.
 
 Any other labeling is scanned as words, an array of 32-bit labels below
 2^30 or 64-bit ones below 2^62, each run's two ends packed into two big
@@ -39,15 +42,18 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import compress, count, product, repeat
 
 from .coeffs import BudgetExceededError, InternalInvariantError  # re-exported
 from .coeffs import check_budget, check_rank, significant_digits
-from .hales import Vertex, check_vertex, weight_shifts
+from .hales import Vertex, check_vertex, hales_bandwidth, weight_shifts
 
 DEFAULT_SCAN_BUDGET = 1_000_000
+
+# the most characters of a refused text that a message shows
+TEXT_CAP = 40
 
 # the longest run edge_ranges yields, and the longest chunk the label build
 # adds at once: a scan packs two label slices this long into two integers,
@@ -62,11 +68,20 @@ BandwidthReport.__doc__ = (
 )
 
 
+def _shown(text: str, form: Callable[[str], str] = str) -> str:
+    """form(text) in a message; past TEXT_CAP characters, form of the first
+    TEXT_CAP and the length of the text."""
+    if len(text) <= TEXT_CAP:
+        return form(text)
+    return f"{form(text[:TEXT_CAP])}... ({len(text)} characters)"
+
+
 def parse_vertex(text: str, n: int) -> Vertex:
     """Parse the comma-separated text form, e.g. "1,0,2", of a vertex of P_n^d.
 
     Every coordinate is judged before any is read.  Text that int() refuses
-    is no coordinate, and is named by its position and its text alone.  A
+    is no coordinate, and is named by its position and its text, cut by
+    `_shown`.  A
     coordinate with more significant digits than n is refused unread, by its
     digit count: it lies outside [0, n], and reading it would cost time
     quadratic in its length.
@@ -75,7 +90,8 @@ def parse_vertex(text: str, n: int) -> Vertex:
     for p, part in enumerate(parts):
         digits = significant_digits(part)
         if digits is None:
-            raise ValueError(f"bad vertex: coordinate {p} is {part!r}, not an integer")
+            shown = _shown(part, repr)
+            raise ValueError(f"bad vertex: coordinate {p} is {shown}, not an integer")
         # 10^(digits-1) > n says it has more digits than n; the bit bound
         # says so first for a long one, without building the power
         if digits > 1 and (3 * (digits - 1) >= n.bit_length() or 10 ** (digits - 1) > n):
@@ -214,7 +230,9 @@ def load_labeling_file(path: str, n: int, d: int) -> list[int]:
 
     Returns the labels by lex position.  '#' lines and blank lines are
     ignored; duplicates or gaps (not a bijection onto 1..(n+1)^d) raise
-    ValueError.  A grid over DEFAULT_SCAN_BUDGET vertices raises
+    ValueError, whose message cuts the text it quotes by `_shown`.  A label
+    with more significant digits than (n+1)^d is refused by its digit
+    count, unread.  A grid over DEFAULT_SCAN_BUDGET vertices raises
     BudgetExceededError before any list is allocated.
     """
     check_budget(n, d, DEFAULT_SCAN_BUDGET, "labeling-file")
@@ -231,8 +249,11 @@ def load_labeling_file(path: str, n: int, d: int) -> list[int]:
                 raise ValueError(f"{path}:{lineno}: expected '<coords>\\t<label>'")
             try:
                 u = parse_vertex(parts[0], n)
-                if significant_digits(parts[1]) is None:
-                    raise ValueError(f"bad label {parts[1]!r}: not an integer")
+                digits = significant_digits(parts[1])
+                if digits is None:
+                    raise ValueError(f"bad label {_shown(parts[1], repr)}: not an integer")
+                if digits > len(str(total)):  # refused unread, as a coordinate
+                    raise ValueError(f"label of {digits} digits outside 1..{total}")
                 label = int(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
@@ -240,12 +261,12 @@ def load_labeling_file(path: str, n: int, d: int) -> list[int]:
                 position = lex_rank(u, n, d)
             except ValueError:
                 raise ValueError(
-                    f"{path}:{lineno}: vertex {parts[0]} not in the grid"
+                    f"{path}:{lineno}: vertex {_shown(parts[0])} not in the grid"
                 ) from None
             if label < 1 or label > total:
                 raise ValueError(f"{path}:{lineno}: label {label} outside 1..{total}")
             if labels[position]:
-                raise ValueError(f"{path}:{lineno}: duplicate vertex {parts[0]}")
+                raise ValueError(f"{path}:{lineno}: duplicate vertex {_shown(parts[0])}")
             if label in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate label {label}")
             labels[position] = label
@@ -321,7 +342,7 @@ def _hales_labels(n: int, d: int) -> array:
     code, weight_code = _word_code(width**d), _typecode(n * d)
     labels = array(code, range(1, width + 1))
     weights = array(weight_code, range(width))
-    for m, shifts in enumerate(weight_shifts(n, d), start=2):
+    for m, shifts in enumerate(reversed(list(weight_shifts(n, d))), start=2):
         grown = array(code, bytes(width**m * labels.itemsize))
         grown_weights = array(weight_code, bytes(width**m * weights.itemsize * (m < d)))
         for lo in range(0, len(labels), RUN_CAP):
@@ -360,14 +381,18 @@ def labeling_bandwidth(
 ) -> BandwidthReport:
     """Exact max |f(u) - f(v)| over all edges, with a deterministic witness.
 
-    labeling is an order name for `label_array`, or the labels by lex
-    position, such as `load_labeling_file` returns, which are copied once
-    into words (see `_scan_run`).  `_edge_scan` reads the value and the
-    witness edge's two lex positions, decoded here into vertices.  Grids
-    larger than max_vertices are refused outright rather than scanned for
-    hours.
+    labeling is an order name, or the labels by lex position, such as
+    `load_labeling_file` returns, which are copied once into words (see
+    `_scan_run`).  The Hales order's value and witness come from the DP of
+    `hales.hales_bandwidth`, with no label built.  For any other labeling,
+    `_edge_scan` reads the value and the witness edge's two lex positions
+    from the labels, decoded here into vertices.  Grids larger than
+    max_vertices are refused outright, on every route, rather than scanned
+    for hours.
     """
     check_budget(n, d, max_vertices, "edge-scan")
+    if labeling == "hales":
+        return BandwidthReport(*hales_bandwidth(n, d))
     if isinstance(labeling, str):
         labels = label_array(labeling, n, d)
     elif len(labeling) == (n + 1) ** d:

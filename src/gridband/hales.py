@@ -16,18 +16,27 @@ own class, which precede it in its block; and those lighter than
 max(0, w-n), which lie in no block of the class.  So the rank of (rest, h)
 is rest's rank plus a shift of w alone, L_m(w) - L_(m-1)(max(0, w-n)),
 L_m(w) being the m-dimensional vertices lighter than w.  `hales_rank`,
-`hales_unrank` and the label array of `grid` read these counts from one
-stream, `coeffs.lighter_down`, L_d first: rank adds the shifts up from the
-last coordinate down, unrank takes them off in the same order, and the
-label array holds all d counts and adds the shifts up from the second
-coordinate on.
+`hales_unrank`, `hales_bandwidth` and the label array of `grid` read these
+counts from one stream, `coeffs.lighter_down`, L_d first: rank adds the
+shifts up from the last coordinate down, unrank takes them off in the same
+order, the bandwidth's DP takes the shifts of `weight_shifts` in that
+order too, and the label array holds all of them and adds them up from the
+second coordinate on.
+
+So a rank is a sum over the prefix weights of a vertex, and so is the
+stretch of an edge.  `hales_bandwidth` reads the labeling's bandwidth and
+witness from them, by a DP over the weights with no label built, for
+`grid.labeling_bandwidth` and `bw --method hales-scan`.  The edge scan
+`grid._edge_scan` of the label array is the reference that tests hold it
+to, and is what the export and the search read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import deque
 from collections.abc import Callable, Iterator
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, chain
 
 from .coeffs import InternalInvariantError, check_grid, check_rank, lighter_down
 
@@ -60,16 +69,6 @@ def hales_compare(u: Vertex, v: Vertex) -> int:
 def _shift(now: Callable, prev: Callable, n: int, w: int) -> int:
     """The shift at weight w, from now = L_m and prev = L_(m-1)."""
     return now(w) - prev(max(0, w - n))
-
-
-def weight_shifts(n: int, d: int) -> Iterator[list[int]]:
-    """For m = 2..d, the shifts of the weights w = 0..n*m, from all of
-    `lighter_down`'s counts held at once, L_1 first; the shift of m = 1 is
-    the identity, so d < 2 builds no row."""
-    if d < 2:
-        return
-    for m, (prev, now) in enumerate(pairwise(list(lighter_down(n, d))[::-1]), 2):
-        yield [_shift(now, prev, n, w) for w in range(n * m + 1)]
 
 
 def hales_rank(u: Vertex, n: int, d: int) -> int:
@@ -111,6 +110,76 @@ def hales_unrank(r: int, n: int, d: int) -> Vertex:
     if r != w:  # unreachable for valid counts
         raise InternalInvariantError("rank decoding failed")
     return (w, *reversed(coords))
+
+
+def weight_shifts(n: int, d: int) -> Iterator[list[int]]:
+    """For m = d down to 2, the shifts of the weights w = 0..n*m, read from
+    `lighter_down` as a stream, two counts at a time.  The shift of m = 1
+    is the identity, so d < 2 builds no row."""
+    if d < 2:
+        return
+    counts = lighter_down(n, d)
+    now = next(counts)
+    for m, prev in zip(range(d, 1, -1), counts):
+        yield [_shift(now, prev, n, w) for w in range(n * m + 1)]
+        now = prev
+
+
+def _window_max(values: list[int], width: int) -> list[int]:
+    """max(values[i : i + width]) for i = 0..len(values) - width, from a
+    deque of the indices of the window's decreasing maxima."""
+    window: deque[int] = deque()
+    maxima = []
+    for i, value in enumerate(values):
+        while window and values[window[-1]] <= value:
+            window.pop()
+        window.append(i)
+        if window[0] == i - width:
+            window.popleft()
+        if i >= width - 1:
+            maxima.append(values[window[0]])
+    return maxima
+
+
+def hales_bandwidth(n: int, d: int) -> tuple[int, tuple[Vertex, Vertex]]:
+    """The bandwidth of the Hales labeling and a witness edge (x, x + e_p),
+    with no label built.  Of the edges that stretch the most, the witness
+    has the least rank(x): as f(x) < f(x + e_p), the least label pair, the
+    edge that `grid._edge_scan` picks from the labels.
+
+    With W_m the weight of x's first m coordinates and S_m the shift of
+    weights in m dimensions (S_1 the identity), rank(x) is the sum of
+    S_m(W_m) over m = 1..d.  The edge x -> x + e_p raises W_m by one for
+    every m >= p, so it stretches by the sum of S_m(W_m + 1) - S_m(W_m) over
+    m >= p.  Both are sums over the layers m, so one DP from m = d down to 0
+    maximises the stretch, then -rank(x), as one integer key per W_m, which
+    also carries p below its unit of rank.  The keys are kept twice: for
+    p <= m, where the layer adds its stretch and W_m < n*m, and for p > m,
+    where it adds none.  A step down a layer takes x_m in 0..n off W, or in
+    0..n-1 at m = p, the best of each window of steps read by `_window_max`.
+    """
+    check_grid(n, d)
+    scale = d + 1  # p in 1..d sits below one unit of rank
+    unit = (n + 1) ** d * scale  # and one unit of stretch above every rank
+    ahead, passed = [0] * (n * d), None
+    # the shift of m = 1 is the identity, and that of m = 0 the 0 of weight 0
+    layers = chain(weight_shifts(n, d), [range(n + 1), [0]])
+    for m, shifts in zip(range(d, -1, -1), layers):
+        if m < d:  # the step down from layer m + 1
+            at_p = [key + m + 1 for key in _window_max(ahead, n)]
+            if passed is not None:
+                at_p = list(map(max, _window_max(passed, n + 1), at_p))
+            ahead = _window_max(ahead, n + 1)
+            passed = [key - shift * scale for key, shift in zip(at_p, shifts)]
+        ahead = [
+            key + (after - shift) * unit - shift * scale
+            for key, shift, after in zip(ahead, shifts, shifts[1:])
+        ]
+    (best,) = passed
+    key, p = divmod(best, scale)
+    stretch, rank = divmod(-key, (n + 1) ** d)
+    x = hales_unrank(rank, n, d)
+    return -stretch, (x, (*x[: p - 1], x[p - 1] + 1, *x[p:]))
 
 
 def hales_enumerate(n: int, d: int) -> Iterator[Vertex]:

@@ -75,6 +75,7 @@ from itertools import starmap
 from .bandwidth import bw_hales
 from .grid import (
     DEFAULT_SCAN_BUDGET,
+    InternalInvariantError,
     _edge_scan,
     _words,
     check_budget,
@@ -268,8 +269,10 @@ def brute_force_bw(
     `_Search` for a labeling below the value, and a labeling it finds, read
     by the same kernel, gives the next round's value.  A round that finds
     none proves the value; the budget, counted over every round, may end
-    the rounds first.  The witness is the last labeling found, or else the
-    Hales array.  Grids over DEFAULT_SCAN_BUDGET vertices are refused with
+    the rounds first.  A labeling found that does not scan below its
+    round's value is a fault of the search, raised as
+    InternalInvariantError.  The witness is the last labeling found, or
+    else the Hales array.  Grids over DEFAULT_SCAN_BUDGET vertices are refused with
     BudgetExceededError before anything is built.
     """
     check_budget(n, d, DEFAULT_SCAN_BUDGET, "exhaustive-search")
@@ -277,7 +280,12 @@ def brute_force_bw(
     value = _edge_scan(labels, n, d)[0]
     search = _Search(n, d, budget)
     while (found := search.below(value)) is not None:
-        labels, value = found, _edge_scan(_words(found), n, d)[0]
+        scanned = _edge_scan(_words(found), n, d)[0]
+        if scanned >= value:  # a round answers only below its threshold
+            raise InternalInvariantError(
+                f"the search found a labeling of bandwidth {scanned}, not below {value}"
+            )
+        labels, value = found, scanned
     return OptimalityCertificate(
         n=n,
         d=d,

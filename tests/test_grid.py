@@ -297,7 +297,8 @@ def test_witness_reaches_the_value_with_repeated_labels():
 
 def test_scans_do_not_build_the_hales_labels(monkeypatch, tmp_path, capsys):
     # a lex scan and the re-scan of a loaded labeling read only the labels
-    # they scan; the hales-scan call shows that the patch is live
+    # they scan, and hales-scan reads its DP; a Hales export, which builds
+    # the labels, shows that the patch is live
     def refuse(n, d):
         raise AssertionError("Hales label array built")
 
@@ -309,8 +310,11 @@ def test_scans_do_not_build_the_hales_labels(monkeypatch, tmp_path, capsys):
     assert labeling_bandwidth(loaded, 2, 2) == (3, ((0, 0), (1, 0)))
     assert main(["bw", "--n", "2", "--d", "3", "--method", "lex"]) == 0
     assert capsys.readouterr().out == "value 9\nmethod edge-scan\nwitness 0,0,0 1,0,0\n"
+    assert main(["bw", "--n", "2", "--d", "3", "--method", "hales-scan"]) == 0
+    assert capsys.readouterr().out == "value 8\nmethod edge-scan\nwitness 0,1,1 1,1,1\n"
+    export = ["export-matrix", "--n", "2", "--d", "3", "--order", "hales"]
     with pytest.raises(AssertionError, match="Hales label array built"):
-        main(["bw", "--n", "2", "--d", "3", "--method", "hales-scan"])
+        main([*export, "--out", str(tmp_path / "hales.mtx")])
 
 
 def test_range_labels_scan_as_their_list():
@@ -445,6 +449,33 @@ def test_labeling_file_rejects_duplicates_and_gaps(tmp_path):
     message = r"bad\.tsv:2: bad vertex: coordinate 0 is '0;1', not an integer$"
     with pytest.raises(ValueError, match=message):
         load_labeling_file(str(path), n, d)
+
+    # a label with more digits than the vertex count is refused unread
+    path.write_text("0\t1\n1\t" + "2" * 5000 + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.tsv:2: label of 5000 digits outside 1\.\.2$"):
+        load_labeling_file(str(path), n, d)
+
+
+def test_a_long_refused_text_is_cut(tmp_path):
+    # a message shows the first 40 characters of a text it refuses, and
+    # its length
+    long = "x" * 50_000
+    cut = f"{'x' * 40!r}... (50000 characters)"
+    with pytest.raises(ValueError) as err:
+        parse_vertex(f"0,{long}", 1)
+    assert str(err.value) == f"bad vertex: coordinate 1 is {cut}, not an integer"
+    path = tmp_path / "long.tsv"
+    zeros = ",".join(["0"] * 25_000)
+    for line, message in [
+        (f"{long}\t1", f"bad vertex: coordinate 0 is {cut}, not an integer"),
+        (f"0\t{long}", f"bad label {cut}: not an integer"),
+        (f"{zeros}\t1", f"vertex {zeros[:40]}... (49999 characters) not in the grid"),
+    ]:
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_labeling_file(str(path), 1, 1)
+        assert str(err.value) == f"{path}:1: {message}"
+        assert len(str(err.value)) < len(str(path)) + 120
 
 
 def test_labeling_file_refuses_a_grid_over_the_scan_budget(tmp_path):

@@ -12,10 +12,12 @@ from itertools import product
 import pytest
 
 from gridband import coeffs
+from gridband.bandwidth import bw_hales
 from gridband.coeffs import coeff, coeff_row
-from gridband.grid import label_array
+from gridband.grid import _edge_scan, label_array, lex_unrank
 from gridband.hales import (
     block_matrix,
+    hales_bandwidth,
     hales_compare,
     hales_enumerate,
     hales_rank,
@@ -241,3 +243,22 @@ def test_block_structure_invariants():
                 assert all(sum(u) == k for u in rows)
                 for a, b in zip(rows, rows[1:]):
                     assert hales_compare(a, b) == -1
+
+
+def test_bandwidth_dp_equals_the_edge_scan():
+    # value and witness against the scan of the built labels, on every grid
+    # with n <= 6 and at most 2*10^4 vertices and on four up to 10^5
+    grids = [(n, d) for n in range(1, 7) for d in range(1, 15) if (n + 1) ** d <= 20_000]
+    grids += [(1, 16), (2, 10), (3, 8), (9, 5)]
+    for n, d in grids:
+        value, (i, j) = _edge_scan(label_array("hales", n, d), n, d)
+        witness = (lex_unrank(i, n, d), lex_unrank(j, n, d))
+        assert hales_bandwidth(n, d) == (value, witness), (n, d)
+
+
+def test_bandwidth_dp_equals_the_formula_past_the_scan():
+    # grids of 2^200, 11^40 and 1001^3 vertices, which no scan reaches
+    for n, d in [(1, 200), (10, 40), (1000, 3)]:
+        value, (x, y) = hales_bandwidth(n, d)
+        assert value == bw_hales(n, d), (n, d)
+        assert hales_rank(y, n, d) - hales_rank(x, n, d) == value, (n, d)

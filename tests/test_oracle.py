@@ -13,7 +13,7 @@ import pytest
 from gridband import grid, oracle
 from gridband.bandwidth import bw_hales
 from gridband.cli import main
-from gridband.grid import labeling_bandwidth, load_labeling_file
+from gridband.grid import InternalInvariantError, labeling_bandwidth, load_labeling_file
 from gridband.oracle import (
     BUDGET_EXHAUSTED,
     PROVED,
@@ -229,6 +229,22 @@ def test_a_labeling_found_below_the_starting_value_is_the_witness(monkeypatch):
     assert cert.labels != list(grid.label_array("hales", n, d))
     assert labeling_bandwidth(cert.labels, n, d).value == value
     assert cert.nodes_explored == 88 + 3673
+
+
+def test_a_labeling_found_at_its_threshold_is_an_internal_error(monkeypatch):
+    # a round that answers with a labeling no better than its threshold,
+    # here the Hales array itself, would repeat forever
+    n, d = 2, 2
+    rounds = []
+
+    def below(self, threshold):
+        rounds.append(threshold)
+        return list(grid.label_array("hales", n, d))
+
+    monkeypatch.setattr(oracle._Search, "below", below)
+    with pytest.raises(InternalInvariantError, match="bandwidth 3, not below 3"):
+        brute_force_bw(n, d)
+    assert rounds == [3]
 
 
 def test_node_budget_exhaustion():
