@@ -81,10 +81,9 @@ def parse_vertex(text: str, n: int) -> Vertex:
 
     Every coordinate is judged before any is read.  Text that int() refuses
     is no coordinate, and is named by its position and its text, cut by
-    `_shown`.  A
-    coordinate with more significant digits than n is refused unread, by its
-    digit count: it lies outside [0, n], and reading it would cost time
-    quadratic in its length.
+    `_shown`.  A coordinate with more significant digits than n is refused
+    unread, by its digit count: it lies outside [0, n], and reading it would
+    cost time quadratic in its length.
     """
     parts = text.split(",")
     for p, part in enumerate(parts):

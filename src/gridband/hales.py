@@ -71,6 +71,19 @@ def _shift(now: Callable, prev: Callable, n: int, w: int) -> int:
     return now(w) - prev(max(0, w - n))
 
 
+def weight_shifts(n: int, d: int) -> Iterator[list[int]]:
+    """For m = d down to 2, the shifts of the weights w = 0..n*m, read from
+    `lighter_down` as a stream, two counts at a time.  The shift of m = 1
+    is the identity, so d < 2 builds no row."""
+    if d < 2:
+        return
+    counts = lighter_down(n, d)
+    now = next(counts)
+    for m, prev in zip(range(d, 1, -1), counts):
+        yield [_shift(now, prev, n, w) for w in range(n * m + 1)]
+        now = prev
+
+
 def hales_rank(u: Vertex, n: int, d: int) -> int:
     """0-based position of u in the Hales order on {0,...,n}^d.
 
@@ -110,19 +123,6 @@ def hales_unrank(r: int, n: int, d: int) -> Vertex:
     if r != w:  # unreachable for valid counts
         raise InternalInvariantError("rank decoding failed")
     return (w, *reversed(coords))
-
-
-def weight_shifts(n: int, d: int) -> Iterator[list[int]]:
-    """For m = d down to 2, the shifts of the weights w = 0..n*m, read from
-    `lighter_down` as a stream, two counts at a time.  The shift of m = 1
-    is the identity, so d < 2 builds no row."""
-    if d < 2:
-        return
-    counts = lighter_down(n, d)
-    now = next(counts)
-    for m, prev in zip(range(d, 1, -1), counts):
-        yield [_shift(now, prev, n, w) for w in range(n * m + 1)]
-        now = prev
 
 
 def _window_max(values: list[int], width: int) -> list[int]:
