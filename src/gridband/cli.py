@@ -30,7 +30,6 @@ from .grid import (
     DEFAULT_SCAN_BUDGET,
     BudgetExceededError,
     InternalInvariantError,
-    _edge_scan,
     check_budget,
     format_vertex,
     label_array,
@@ -40,6 +39,7 @@ from .grid import (
     lex_unrank,
     lower_neighbours,
     parse_vertex,
+    shown,
 )
 from .hales import hales_rank, hales_unrank
 from .oracle import (
@@ -318,11 +318,6 @@ def _write_matrix_market(path: str, n: int, d: int, labels, kind: str) -> int:
     return nnz
 
 
-def _shown(line: bytes) -> str:
-    """A line of the file as an error message quotes it."""
-    return repr(line.decode("utf-8", "replace").strip())
-
-
 def _refuse_entry(path: str, lineno: int, line: bytes, size: int, pi: int, pj: int) -> None:
     """Raise the error of an entry line that follows entry (pi, pj), checked
     in this order: three integers, on or below the diagonal, inside 1..size,
@@ -332,8 +327,9 @@ def _refuse_entry(path: str, lineno: int, line: bytes, size: int, pi: int, pj: i
     except ValueError:
         if not line.split():
             return
+        text = shown(line.decode("utf-8", "replace").strip(), repr)
         raise ValueError(
-            f"{path}:{lineno}: expected three integers 'row col value', got {_shown(line)}"
+            f"{path}:{lineno}: expected three integers 'row col value', got {text}"
         ) from None
     if j > i:
         raise InternalInvariantError(f"{path}: entry ({i},{j}) above the diagonal")
@@ -366,8 +362,9 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
         try:
             size, cols, nnz = (int(tok) for tok in line.split())
         except ValueError:
+            text = shown(line.decode("utf-8", "replace").strip(), repr)
             raise ValueError(
-                f"{path}:{lineno}: expected 'rows cols entries', got {_shown(line)}"
+                f"{path}:{lineno}: expected 'rows cols entries', got {text}"
             ) from None
         if size != cols:
             raise ValueError(f"{path}: expected a square matrix")
@@ -421,19 +418,19 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
 
 
 def cmd_export_matrix(args) -> int:
-    check_budget(args.n, args.d, args.budget, "export")
-    labels = label_array(args.order, args.n, args.d)
-    # the edge kernel's bandwidth, which the self-test checks the file against
-    half_bandwidth = _edge_scan(labels, args.n, args.d)[0]
-    nnz = _write_matrix_market(args.out, args.n, args.d, labels, args.kind)
-    del labels  # the self-test reads the file back on its own
+    n, d = args.n, args.d
+    check_budget(n, d, args.budget, "export")
+    # read apart from the labels written, so the self-test checks the file
+    # against a route that a fault of the label array does not reach
+    half_bandwidth = labeling_bandwidth(args.order, n, d, args.budget).value
+    nnz = _write_matrix_market(args.out, n, d, label_array(args.order, n, d), args.kind)
     if args.self_test:
         _self_test_export(args.out, args.kind, half_bandwidth)
     doc = {
         "path": args.out,
         "kind": args.kind,
         "order": args.order,
-        "size": (args.n + 1) ** args.d,
+        "size": (n + 1) ** d,
         "nnz": nnz,
         "half_bandwidth": half_bandwidth,
     }
@@ -564,12 +561,12 @@ def _convert(name, flag: str, kind, text: str):
     try:
         if isinstance(kind, tuple) and text not in kind:
             choices = ", ".join(map(repr, kind))
-            raise UsageError(f"invalid choice: {text!r} (choose from {choices})")
+            raise UsageError(f"invalid choice: {shown(text, repr)} (choose from {choices})")
         return text if isinstance(kind, tuple) else kind(text)
     except UsageError as exc:
         reason = str(exc)
     except ValueError:
-        reason = f"invalid {'float' if kind is float else 'int'} value: {text!r}"
+        reason = f"invalid {'float' if kind is float else 'int'} value: {shown(text, repr)}"
     _fail(name, f"argument {flag}: {reason}")
 
 
@@ -594,7 +591,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         raise SystemExit(EXIT_OK if argv else EXIT_USAGE)
     name, *rest = argv
     if not _is_value(name):
-        _fail(None, f"unrecognized arguments: {name}")
+        _fail(None, f"unrecognized arguments: {shown(name)}")
     _convert(None, "command", tuple(COMMANDS), name)
     options = COMMON + COMMANDS[name][1]
     kinds = {flag: kind for flag, kind, _, _ in options}
@@ -611,7 +608,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             matches = [flag] if flag in flags else [
                 known for known in flags if len(flag) > 2 and known.startswith(flag)]
             if len(matches) > 1:
-                _fail(name, f"ambiguous option: {arg} could match {', '.join(matches)}")
+                _fail(name, f"ambiguous option: {shown(arg)} could match {', '.join(matches)}")
             flag = matches[0] if matches else None
         if flag is None:
             extras.append(arg)
@@ -620,7 +617,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             raise SystemExit(EXIT_OK)
         elif kinds[flag] is bool:
             if eq:
-                _fail(name, f"argument {flag}: ignored explicit argument {text!r}")
+                _fail(name, f"argument {flag}: ignored explicit argument {shown(text, repr)}")
             values[flag] = True
         else:
             if not eq:
@@ -632,7 +629,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     if missing:
         _fail(name, f"the following arguments are required: {', '.join(missing)}")
     if extras:
-        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+        _fail(None, f"unrecognized arguments: {shown(' '.join(extras))}")
     return SimpleNamespace(
         command=name, **{flag.lstrip("-").replace("-", "_"): v for flag, v in values.items()})
 

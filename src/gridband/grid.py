@@ -16,25 +16,23 @@ its neighbours' positions, read from them by the stride rule.  Loaded
 files and certificates keep labels by lex position.
 
 `_edge_scan` is the one loop that reads a bandwidth from those runs: the
-value and the lex positions of a witness edge.  It has three callers:
-`labeling_bandwidth`, behind `bw --method lex` and the re-scan of a loaded
-labeling, which decodes the two positions into vertices; the export's
-half-bandwidth, which its self-test checks the file against; and
-`brute_force_bw`, once per round of its search: the Hales value it starts
-from, then each labeling a round finds.  `bw --method hales-scan` scans no
-labels: `labeling_bandwidth` reads the Hales order's value and witness
-from the DP of `hales.hales_bandwidth`, which tests check against the scan.
-A scan of a range labeling, such as lex, costs one subtraction per run,
-since every edge of a run stretches alike.
+value and the lex positions of a witness edge.  It has two callers:
+`labeling_bandwidth`, behind `bw --method lex`, a lex export's
+half-bandwidth and the re-scan of a loaded labeling, which decodes the two
+positions into vertices; and `brute_force_bw`, once per round of its
+search: the Hales value it starts from, then each labeling a round finds.
+The Hales order's value is read by no scan outside the search:
+`labeling_bandwidth` reads its value and witness from the DP of
+`hales.hales_bandwidth`, for `bw --method hales-scan` and a Hales export,
+and tests check the DP against the scan.  A scan of a range labeling, such
+as lex, costs one subtraction per run, since every edge of a run stretches
+alike; any other labeling is read edge by edge: see `_scan_run`.
 
-Any other labeling is scanned as words, an array of 32-bit labels below
-2^30 or 64-bit ones below 2^62, each run's two ends packed into two big
-integers (SWAR: Lamport, CACM 18(8), 1975; Knuth, TAOCP 4A, 7.1.3).  One
-subtraction and two additions test whether any edge of the run can reach
-the value so far, and only a run that can is read edge by edge: see
-`_scan_run`.  The Hales label array is such a word array, built one
-coordinate at a time by the recurrence of `hales.weight_shifts`, with no
-walk of the order and one packed addition per slice: see `_hales_labels`.
+The Hales label array is built one coordinate at a time by the recurrence
+of `hales.weight_shifts`, with no walk of the order and one packed
+addition per slice, each slice's labels packed into one big integer
+(SWAR: Lamport, CACM 18(8), 1975; Knuth, TAOCP 4A, 7.1.3): see
+`_hales_labels`.
 """
 
 from __future__ import annotations
@@ -43,8 +41,8 @@ import sys
 from array import array
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import lru_cache
 from itertools import compress, count, product, repeat
+from operator import sub
 
 from .coeffs import BudgetExceededError, InternalInvariantError  # re-exported
 from .coeffs import check_budget, check_rank, significant_digits
@@ -56,8 +54,8 @@ DEFAULT_SCAN_BUDGET = 1_000_000
 TEXT_CAP = 40
 
 # the longest run edge_ranges yields, and the longest chunk the label build
-# adds at once: a scan packs two label slices this long into two integers,
-# not two as long as n/(n+1) of the grid
+# adds at once, so that a scan or a build holds slices of this many labels,
+# not of n/(n+1) of the grid
 RUN_CAP = 1 << 13
 
 
@@ -68,7 +66,7 @@ BandwidthReport.__doc__ = (
 )
 
 
-def _shown(text: str, form: Callable[[str], str] = str) -> str:
+def shown(text: str, form: Callable[[str], str] = str) -> str:
     """form(text) in a message; past TEXT_CAP characters, form of the first
     TEXT_CAP and the length of the text."""
     if len(text) <= TEXT_CAP:
@@ -81,7 +79,7 @@ def parse_vertex(text: str, n: int) -> Vertex:
 
     Every coordinate is judged before any is read.  Text that int() refuses
     is no coordinate, and is named by its position and its text, cut by
-    `_shown`.  A coordinate with more significant digits than n is refused
+    `shown`.  A coordinate with more significant digits than n is refused
     unread, by its digit count: it lies outside [0, n], and reading it would
     cost time quadratic in its length.
     """
@@ -89,8 +87,8 @@ def parse_vertex(text: str, n: int) -> Vertex:
     for p, part in enumerate(parts):
         digits = significant_digits(part)
         if digits is None:
-            shown = _shown(part, repr)
-            raise ValueError(f"bad vertex: coordinate {p} is {shown}, not an integer")
+            text = shown(part, repr)
+            raise ValueError(f"bad vertex: coordinate {p} is {text}, not an integer")
         # 10^(digits-1) > n says it has more digits than n; the bit bound
         # says so first for a long one, without building the power
         if digits > 1 and (3 * (digits - 1) >= n.bit_length() or 10 ** (digits - 1) > n):
@@ -229,7 +227,7 @@ def load_labeling_file(path: str, n: int, d: int) -> list[int]:
 
     Returns the labels by lex position.  '#' lines and blank lines are
     ignored; duplicates or gaps (not a bijection onto 1..(n+1)^d) raise
-    ValueError, whose message cuts the text it quotes by `_shown`.  A label
+    ValueError, whose message cuts the text it quotes by `shown`.  A label
     with more significant digits than (n+1)^d is refused by its digit
     count, unread.  A grid over DEFAULT_SCAN_BUDGET vertices raises
     BudgetExceededError before any list is allocated.
@@ -250,7 +248,7 @@ def load_labeling_file(path: str, n: int, d: int) -> list[int]:
                 u = parse_vertex(parts[0], n)
                 digits = significant_digits(parts[1])
                 if digits is None:
-                    raise ValueError(f"bad label {_shown(parts[1], repr)}: not an integer")
+                    raise ValueError(f"bad label {shown(parts[1], repr)}: not an integer")
                 if digits > len(str(total)):  # refused unread, as a coordinate
                     raise ValueError(f"label of {digits} digits outside 1..{total}")
                 label = int(parts[1])
@@ -260,12 +258,12 @@ def load_labeling_file(path: str, n: int, d: int) -> list[int]:
                 position = lex_rank(u, n, d)
             except ValueError:
                 raise ValueError(
-                    f"{path}:{lineno}: vertex {_shown(parts[0])} not in the grid"
+                    f"{path}:{lineno}: vertex {shown(parts[0])} not in the grid"
                 ) from None
             if label < 1 or label > total:
                 raise ValueError(f"{path}:{lineno}: label {label} outside 1..{total}")
             if labels[position]:
-                raise ValueError(f"{path}:{lineno}: duplicate vertex {_shown(parts[0])}")
+                raise ValueError(f"{path}:{lineno}: duplicate vertex {shown(parts[0])}")
             if label in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate label {label}")
             labels[position] = label
@@ -286,26 +284,6 @@ def _typecode(top: int) -> str:
     return "i" if top < 1 << 31 else "q"
 
 
-def _word_code(top: int) -> str:
-    """The typecode of label words 0..top: 32 bits while top < 2^30, else
-    64 below 2^62, so that a field holds a difference of two labels plus a
-    threshold and keeps its top bit as a guard."""
-    if top < 1 << 30:
-        return "i"
-    if top < 1 << 62:
-        return "q"
-    raise ValueError(f"labels span {top}; a scan takes a span below 2^62")
-
-
-def _words(labels: Sequence[int]) -> Sequence[int]:
-    """labels as a scan reads them: a range as it is, any other sequence
-    copied once into words, each less the least label, so none is negative."""
-    if isinstance(labels, range):
-        return labels
-    least = min(labels)
-    return array(_word_code(max(labels) - least), [label - least for label in labels])
-
-
 def _packed(words: array) -> int:
     """The words as one integer, word i in the bits from i * 8 * itemsize up."""
     return int.from_bytes(words.tobytes(), sys.byteorder)
@@ -318,15 +296,6 @@ def _unpacked(packed: int, code: str, size: int) -> array:
     return words
 
 
-@lru_cache(maxsize=16)  # a scan or a build uses a few run lengths at a time
-def _fields(size: int, code: str) -> tuple[int, int, int]:
-    """(ones, guards, high) for size packed words of typecode code: a 1 in
-    every word, the top bit of every word, and the top bit of one word."""
-    ones = _packed(array(code, [1]) * size)
-    high = 1 << (8 * array(code).itemsize - 1)
-    return ones, ones * high, high
-
-
 def _hales_labels(n: int, d: int) -> array:
     """Hales labels (rank + 1) by lex position, one coordinate at a time.
 
@@ -335,10 +304,12 @@ def _hales_labels(n: int, d: int) -> array:
     (n+1)*position(rest) + h, so each h fills one stride-(n+1) slice.  In
     chunks of RUN_CAP positions of rest, a slice is one addition of packed
     words, the labels plus their gathered shifts, and its weights another,
-    the weights plus h in every word; no word carries into the next.
+    the weights plus h in every word.  No word carries into the next: every
+    sum is a label or a weight of the grown grid, which the typecode of the
+    largest label, (n+1)^d, or of the largest weight, n*d, holds.
     """
     width = n + 1
-    code, weight_code = _word_code(width**d), _typecode(n * d)
+    code, weight_code = _typecode(width**d), _typecode(n * d)
     labels = array(code, range(1, width + 1))
     weights = array(weight_code, range(width))
     for m, shifts in enumerate(reversed(list(weight_shifts(n, d))), start=2):
@@ -347,7 +318,8 @@ def _hales_labels(n: int, d: int) -> array:
         for lo in range(0, len(labels), RUN_CAP):
             part = weights[lo : lo + RUN_CAP]
             size, packed = len(part), _packed(labels[lo : lo + RUN_CAP])
-            packed_weights, ones = _packed(part), _fields(size, weight_code)[0]
+            packed_weights = _packed(part)
+            ones = _packed(array(weight_code, [1]) * size)
             for h in range(width):
                 at = slice(width * lo + h, width * (lo + size), width)
                 shift = array(code, map(shifts[h:].__getitem__, part))
@@ -381,34 +353,31 @@ def labeling_bandwidth(
     """Exact max |f(u) - f(v)| over all edges, with a deterministic witness.
 
     labeling is an order name, or the labels by lex position, such as
-    `load_labeling_file` returns, which are copied once into words (see
-    `_scan_run`).  The Hales order's value and witness come from the DP of
-    `hales.hales_bandwidth`, with no label built.  For any other labeling,
-    `_edge_scan` reads the value and the witness edge's two lex positions
-    from the labels, decoded here into vertices.  Grids larger than
-    max_vertices are refused outright, on every route, rather than scanned
-    for hours.
+    `load_labeling_file` returns.  The Hales order's value and witness come
+    from the DP of `hales.hales_bandwidth`, with no label built.  For any
+    other labeling, `_edge_scan` reads the value and the witness edge's two
+    lex positions from the labels, decoded here into vertices.  Grids larger
+    than max_vertices are refused outright, on every route, rather than
+    scanned for hours.
     """
     check_budget(n, d, max_vertices, "edge-scan")
     if labeling == "hales":
         return BandwidthReport(*hales_bandwidth(n, d))
     if isinstance(labeling, str):
-        labels = label_array(labeling, n, d)
-    elif len(labeling) == (n + 1) ** d:
-        labels = _words(labeling)
-    else:
+        labeling = label_array(labeling, n, d)
+    elif len(labeling) != (n + 1) ** d:
         raise ValueError(
             f"{len(labeling)} labels for the {(n + 1) ** d} vertices of P_{n}^{d}"
         )
-    value, (i, j) = _edge_scan(labels, n, d)
+    value, (i, j) = _edge_scan(labeling, n, d)
     return BandwidthReport(value, (lex_unrank(i, n, d), lex_unrank(j, n, d)))
 
 
 def _edge_scan(labels: Sequence[int], n: int, d: int) -> tuple[int, tuple[int, int]]:
-    """The bandwidth of words by lex position, a range or a word array as
-    `label_array` or `_words` builds, and the lex positions (i, i + s) of
-    its witness edge: the maximizing edge whose pair (f(i), f(i + s)) is
-    least, read from the labels alone, whatever the scan order.
+    """The bandwidth of labels by lex position, such as `label_array`
+    builds, and the lex positions (i, i + s) of its witness edge: the
+    maximizing edge whose pair (f(i), f(i + s)) is least, read from the
+    labels alone, whatever the scan order.
 
     A run that can reach the value so far offers its stretch and least
     hit, the edge of its least lighter label, as a run holds one edge per
@@ -436,26 +405,17 @@ def _scan_run(
 
     Range labels, such as lex, stretch every edge of the run alike, by the
     difference of the two slices' starts, so their run costs one
-    subtraction and its least hit is at one of its two ends.  Word labels
-    are tested as packed words: one integer holds f(i + s) - f(i) + high -
-    value in the word of each i, another f(i) - f(i + s) + high - value, and
-    a word's top bit is set in either exactly where its edge stretches value
-    or more.  Labels below a quarter of the word range keep every word
-    within its bits.  Only a run that passes is read word by word.
+    subtraction and its least hit is at one of its two ends.  Any other
+    labels are read edge by edge, in one pass for the stretch and, only if
+    it reaches value, one more for the least hit.
     """
     lo, hi, step = r.start, r.stop, r.step
     lighter, other = labels[lo:hi:step], labels[lo + s : hi + s : step]
     if isinstance(lighter, range):
         stretch = abs(other.start - lighter.start)
-        if stretch < value:
-            return None
-        return stretch, min((lighter[0], r[0]), (lighter[-1], r[-1]))
-    ones, guards, high = _fields(len(lighter), lighter.typecode)
-    diff, bar = _packed(other) - _packed(lighter), ones * (high - value)
-    if not ((bar + diff) & guards or (bar - diff) & guards):
-        return None
-    # each word of diff + guards is f(i + s) - f(i) + high, read unsigned
-    words = _unpacked(diff + guards, lighter.typecode.upper(), len(lighter))
-    stretch = max(max(words) - high, high - min(words))
-    reaches = map({high - stretch, high + stretch}.__contains__, words)
-    return stretch, min(compress(zip(lighter, r), reaches))
+        hits = ((lighter[0], r[0]), (lighter[-1], r[-1]))
+    else:
+        stretch = max(map(abs, map(sub, other, lighter)))
+        reaches = map(stretch.__eq__, map(abs, map(sub, other, lighter)))
+        hits = compress(zip(lighter, r), reaches)
+    return (stretch, min(hits)) if stretch >= value else None

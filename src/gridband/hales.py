@@ -26,9 +26,10 @@ second coordinate on.
 So a rank is a sum over the prefix weights of a vertex, and so is the
 stretch of an edge.  `hales_bandwidth` reads the labeling's bandwidth and
 witness from them, by a DP over the weights with no label built, for
-`grid.labeling_bandwidth` and `bw --method hales-scan`.  The edge scan
-`grid._edge_scan` of the label array is the reference that tests hold it
-to, and is what the export and the search read.
+`grid.labeling_bandwidth`, behind `bw --method hales-scan` and a Hales
+export's half-bandwidth.  The edge scan `grid._edge_scan` of the label
+array is the reference that tests hold it to, and is what the search
+reads.
 """
 
 from __future__ import annotations

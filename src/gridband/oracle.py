@@ -16,11 +16,11 @@ an unlabeled vertex has t+1-f(w) < thr by the gap bound, so the edge is
 below thr whenever its later end takes label t+1.  Every full labeling that
 a round reaches is thus an answer, read by no edge scan, and the round
 stops at the first one.  `brute_force_bw` starts thr at the bandwidth of
-one concrete labeling, the Hales label array, as `grid._edge_scan` (the
-kernel behind every edge-scan bandwidth) reads it.  Each labeling that a
-round finds, read by the same kernel, gives the next round's thr, and the
-round that finds none proves the last value optimal.  One node budget, one
-deadline and one slot cache span all the rounds.
+one concrete labeling, the Hales label array, as `grid._edge_scan` reads
+it from the labels.  Each labeling that a round finds, read by the same
+scan, gives the next round's thr, and the round that finds none proves
+the last value optimal.  One node budget, one deadline and one slot cache
+span all the rounds.
 
 Symmetry.  The grid's automorphisms permute the d coordinates and reflect
 any of them (c -> n - c): the hyperoctahedral group, of order 2^d d!.  At
@@ -77,7 +77,6 @@ from .grid import (
     DEFAULT_SCAN_BUDGET,
     InternalInvariantError,
     _edge_scan,
-    _words,
     check_budget,
     label_array,
     label_listing,
@@ -280,7 +279,7 @@ def brute_force_bw(
     value = _edge_scan(labels, n, d)[0]
     search = _Search(n, d, budget)
     while (found := search.below(value)) is not None:
-        scanned = _edge_scan(_words(found), n, d)[0]
+        scanned = _edge_scan(found, n, d)[0]
         if scanned >= value:  # a round answers only below its threshold
             raise InternalInvariantError(
                 f"the search found a labeling of bandwidth {scanned}, not below {value}"

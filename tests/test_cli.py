@@ -418,6 +418,20 @@ def test_export_lex_laplacian(capsys, tmp_path):
     assert json.loads(out)["half_bandwidth"] == 3
 
 
+def test_self_test_catches_a_faulty_hales_label_array(capsys, tmp_path, monkeypatch):
+    # the export's half-bandwidth is read apart from the labels it writes, so
+    # a Hales label array that is really lex (bandwidth 9 at (2,3), not 8)
+    # fails the self-test; a lex export builds no Hales array, and passes
+    monkeypatch.setattr(grid, "_hales_labels", lambda n, d: grid.label_array("lex", n, d))
+    export = ["export-matrix", "--n", "2", "--d", "3", "--self-test"]
+    path = tmp_path / "p23.mtx"
+    code, out, err = run(capsys, *export, "--order", "hales", "--out", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"gridband: internal error: {path}: half-bandwidth 9, labeling bandwidth 8\n"
+    code, out, _ = run(capsys, *export, "--order", "lex", "--out", str(path))
+    assert code == 0 and "half_bandwidth 9\n" in out
+
+
 MM_HEADER = "%%MatrixMarket matrix coordinate integer symmetric\n"
 
 
@@ -456,9 +470,10 @@ def test_export_matches_reference(capsys, tmp_path, n, d):
 
 
 def test_export_matches_reference_in_short_runs(capsys, tmp_path, monkeypatch):
-    # runs cut to 4 positions: at (16,2), 31 Hales runs and 67 lex runs tie
-    # the value so far, as 121 do at (999,2), so the half-bandwidth is read
-    # where the edge scan takes its least hit from tied runs
+    # runs cut to 4 positions: at (16,2) the Hales label array is built in
+    # chunks of 4, and 67 lex runs tie the value so far, so a lex export's
+    # half-bandwidth is read where the edge scan takes its least hit from
+    # tied runs
     monkeypatch.setattr(grid, "RUN_CAP", 4)
     _export_matches_reference(capsys, tmp_path, 16, 2)
 
@@ -810,6 +825,30 @@ def test_command_line_parsing(capsys, tmp_path, monkeypatch, argv, exit_code, di
     assert (hashlib.sha256(out.encode()).hexdigest() if out else "") == digest
     assert (err.splitlines() or [""])[-1] == last_err
     assert list(tmp_path.iterdir()) == []
+
+
+# argv shapes whose usage error quotes one item's text, here 50 000 characters
+LONG_ITEM_CASES = [
+    "bw --n {} --d 1",
+    "bw --n 1 --d 1 --method {}",
+    "bw --n 1 --d 1 --time-limit {}",
+    "export-matrix --n 1 --d 1 --out m.mtx --self-test={}",
+    "bw --n 1 --d 1 {}",
+    "{}",
+    "--{}",
+    "export-matrix --n 1 --d 1 --o={}",
+]
+
+
+@pytest.mark.parametrize("argv", LONG_ITEM_CASES)
+def test_usage_errors_cut_a_long_item(capsys, tmp_path, monkeypatch, argv):
+    # the quote keeps the item's first TEXT_CAP characters and its length
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv.format("x" * 50_000).split())
+    assert (code, out) == (1, "")
+    assert len(err) < 300, err
+    assert "x" * (grid.TEXT_CAP + 1) not in err
+    assert re.search(r"x'?\.\.\. \(5000\d characters\)", err), err
 
 
 NOTE = (
