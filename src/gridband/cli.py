@@ -25,7 +25,7 @@ from .bandwidth import (
     bw_lex,
     ratio_table,
 )
-from .coeffs import check_grid, coeff_row, max_coeff, read_rank, significant_digits
+from .coeffs import check_grid, coeff_row, max_coeff, read_rank, shown, significant_digits
 from .grid import (
     DEFAULT_SCAN_BUDGET,
     BudgetExceededError,
@@ -39,7 +39,6 @@ from .grid import (
     lex_unrank,
     lower_neighbours,
     parse_vertex,
-    shown,
 )
 from .hales import hales_rank, hales_unrank
 from .oracle import (
@@ -471,7 +470,7 @@ def positive_int(text: str) -> int:
     """A --budget value: an integer of at least 1, else a usage error."""
     value = int(text)
     if value < 1:
-        raise UsageError(f"must be >= 1, got {value}")
+        raise UsageError(f"must be >= 1, got {shown(value)}")
     return value
 
 

@@ -39,6 +39,9 @@ ROW_BITS = 1 << 28
 # is named as (n+1)^d
 SIZE_BITS = 1 << 13
 
+# the most characters of a refused text or integer that a message shows
+TEXT_CAP = 40
+
 
 class BudgetExceededError(Exception):
     """An operation would enumerate more vertices/lines than its budget allows.
@@ -56,13 +59,23 @@ class InternalInvariantError(Exception):
     """A check that holds for correct code failed, such as two routes disagreeing."""
 
 
+def shown(value: object, form: Callable[[str], str] = str) -> str:
+    """form(text) in a message, text the str of value, such as an integer;
+    past TEXT_CAP characters, form of the first TEXT_CAP and the length of
+    the text."""
+    text = str(value)
+    if len(text) <= TEXT_CAP:
+        return form(text)
+    return f"{form(text[:TEXT_CAP])}... ({len(text)} characters)"
+
+
 def check_grid(n: int, d: int, least_d: int = 1) -> None:
     """Refuse with ValueError an n below 1 or a d below least_d.
 
     A grid P_n^d needs d >= 1; a coefficient row exists from d = 0 on.
     """
     if n < 1 or d < least_d:
-        raise ValueError(f"need n >= 1 and d >= {least_d}, got n={n}, d={d}")
+        raise ValueError(f"need n >= 1 and d >= {least_d}, got n={shown(n)}, d={shown(d)}")
 
 
 def grid_bits(n: int, d: int) -> int:
@@ -77,9 +90,10 @@ def check_budget(n: int, d: int, budget: int, what: str) -> None:
     check_grid(n, d)
     total = (n + 1) ** d if grid_bits(n, d) <= SIZE_BITS else None
     if total is None or total > budget:
+        size = f"{shown(n + 1)}^{shown(d)}" if total is None else shown(total)
         raise BudgetExceededError(
-            f"P_{n}^{d} has {f'{n + 1}^{d}' if total is None else total} vertices; "
-            f"over the {what} budget ({budget} vertices)",
+            f"P_{shown(n)}^{shown(d)} has {size} vertices; "
+            f"over the {what} budget ({shown(budget)} vertices)",
             budget=budget,
             required=total,
         )
@@ -118,9 +132,11 @@ def read_rank(text: str, n: int, d: int) -> int:
 
 def _refuse_rank(rank, n: int, d: int) -> None:
     """Refuse a rank outside [0, (n+1)^d) with ValueError, naming the top
-    rank by its digits up to SIZE_BITS and as (n+1)^d - 1 past them."""
-    top = f"{n + 1}^{d} - 1" if grid_bits(n, d) > SIZE_BITS else (n + 1) ** d - 1
-    raise ValueError(f"rank {rank} outside [0, {top}]")
+    rank by its digits up to SIZE_BITS and as (n+1)^d - 1 past them, each
+    number cut by `shown`."""
+    big = grid_bits(n, d) > SIZE_BITS
+    top = f"{shown(n + 1)}^{shown(d)} - 1" if big else shown((n + 1) ** d - 1)
+    raise ValueError(f"rank {shown(rank)} outside [0, {top}]")
 
 
 def _check_row_bits(n: int, d: int) -> None:
@@ -130,7 +146,8 @@ def _check_row_bits(n: int, d: int) -> None:
     bits = (n * d + 1) * d * (n + 1).bit_length()
     if bits > ROW_BITS:
         raise BudgetExceededError(
-            f"coefficient row {d} for n = {n} would hold about {bits} bits; "
+            f"coefficient row {shown(d)} for n = {shown(n)} would hold about "
+            f"{shown(bits)} bits; "
             f"the row budget is {ROW_BITS} bits",
             budget=ROW_BITS,
             required=bits,

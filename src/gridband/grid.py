@@ -26,7 +26,8 @@ The Hales order's value is read by no scan outside the search:
 `hales.hales_bandwidth`, for `bw --method hales-scan` and a Hales export,
 and tests check the DP against the scan.  A scan of a range labeling, such
 as lex, costs one subtraction per run, since every edge of a run stretches
-alike; any other labeling is read edge by edge: see `_scan_run`.
+alike; any other labeling is read edge by edge, and a run's least hit is
+sought only where the run reaches the value so far: see `_edge_scan`.
 
 The Hales label array is built one coordinate at a time by the recurrence
 of `hales.weight_shifts`, with no walk of the order and one packed
@@ -40,18 +41,15 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import compress, count, product, repeat
 from operator import sub
 
-from .coeffs import BudgetExceededError, InternalInvariantError  # re-exported
-from .coeffs import check_budget, check_rank, significant_digits
+from .coeffs import TEXT_CAP, BudgetExceededError, InternalInvariantError  # re-exported
+from .coeffs import check_budget, check_rank, shown, significant_digits
 from .hales import Vertex, check_vertex, hales_bandwidth, weight_shifts
 
 DEFAULT_SCAN_BUDGET = 1_000_000
-
-# the most characters of a refused text that a message shows
-TEXT_CAP = 40
 
 # the longest run edge_ranges yields, and the longest chunk the label build
 # adds at once, so that a scan or a build holds slices of this many labels,
@@ -64,14 +62,6 @@ BandwidthReport.__doc__ = (
     "A scanned bandwidth value and a witness edge (two vertices) achieving it, "
     "a named tuple."
 )
-
-
-def shown(text: str, form: Callable[[str], str] = str) -> str:
-    """form(text) in a message; past TEXT_CAP characters, form of the first
-    TEXT_CAP and the length of the text."""
-    if len(text) <= TEXT_CAP:
-        return form(text)
-    return f"{form(text[:TEXT_CAP])}... ({len(text)} characters)"
 
 
 def parse_vertex(text: str, n: int) -> Vertex:
@@ -92,7 +82,7 @@ def parse_vertex(text: str, n: int) -> Vertex:
         # 10^(digits-1) > n says it has more digits than n; the bit bound
         # says so first for a long one, without building the power
         if digits > 1 and (3 * (digits - 1) >= n.bit_length() or 10 ** (digits - 1) > n):
-            raise ValueError(f"coordinate of {digits} digits outside [0, {n}]")
+            raise ValueError(f"coordinate of {digits} digits outside [0, {shown(n)}]")
     return tuple(map(int, parts))
 
 
@@ -198,7 +188,7 @@ def lex_unrank(r: int, n: int, d: int) -> Vertex:
     check_rank(r, n, d)
     if d > DEFAULT_SCAN_BUDGET:
         raise BudgetExceededError(
-            f"a vertex of P_{n}^{d} has {d} coordinates; "
+            f"a vertex of P_{shown(n)}^{shown(d)} has {shown(d)} coordinates; "
             f"over the unrank budget ({DEFAULT_SCAN_BUDGET} coordinates)",
             budget=DEFAULT_SCAN_BUDGET,
             required=d,
@@ -379,43 +369,31 @@ def _edge_scan(labels: Sequence[int], n: int, d: int) -> tuple[int, tuple[int, i
     maximizing edge whose pair (f(i), f(i + s)) is least, read from the
     labels alone, whatever the scan order.
 
-    A run that can reach the value so far offers its stretch and least
-    hit, the edge of its least lighter label, as a run holds one edge per
-    lighter end.  Only a strictly less pair of labels replaces the
-    incumbent, so with repeated labels the first such edge stays.
-    """
-    value, least, edge = -1, None, None
-    for r, s in edge_ranges(n, d):
-        run = _scan_run(labels, r, s, value)
-        if run is None:
-            continue
-        stretch, (label, i) = run
-        pair = (label, labels[i + s])
-        if stretch > value or pair < least:
-            value, least, edge = stretch, pair, (i, i + s)
-    return value, edge
-
-
-def _scan_run(
-    labels: Sequence[int], r: range, s: int, value: int
-) -> tuple[int, tuple[int, int]] | None:
-    """An edge_ranges pair (r, s)'s stretch, max |f(i) - f(i + s)| over i in
-    r, and its least hit: the least (f(i), i) over the i whose edges stretch
-    that much.  None if no edge of the run stretches value or more.
-
-    Range labels, such as lex, stretch every edge of the run alike, by the
+    Each edge_ranges run (r, s) that can reach the value so far offers its
+    stretch, max |f(i) - f(i + s)| over i in r, and its least hit: the
+    least (f(i), f(i + s), i) over the i whose edges stretch that much.
+    Range labels, such as lex, stretch every edge of a run alike, by the
     difference of the two slices' starts, so their run costs one
     subtraction and its least hit is at one of its two ends.  Any other
     labels are read edge by edge, in one pass for the stretch and, only if
-    it reaches value, one more for the least hit.
+    it reaches the value, one more for the least hit.  Only a strictly less
+    pair of labels replaces the incumbent, so with repeated labels the
+    first such edge in scan order stays.
     """
-    lo, hi, step = r.start, r.stop, r.step
-    lighter, other = labels[lo:hi:step], labels[lo + s : hi + s : step]
-    if isinstance(lighter, range):
-        stretch = abs(other.start - lighter.start)
-        hits = ((lighter[0], r[0]), (lighter[-1], r[-1]))
-    else:
-        stretch = max(map(abs, map(sub, other, lighter)))
-        reaches = map(stretch.__eq__, map(abs, map(sub, other, lighter)))
-        hits = compress(zip(lighter, r), reaches)
-    return (stretch, min(hits)) if stretch >= value else None
+    value, least, edge = -1, None, None
+    for r, s in edge_ranges(n, d):
+        lo, hi, step = r.start, r.stop, r.step
+        lighter, other = labels[lo:hi:step], labels[lo + s : hi + s : step]
+        if isinstance(lighter, range):
+            stretch = abs(other.start - lighter.start)
+            hits = zip((lighter[0], lighter[-1]), (other[0], other[-1]), (r[0], r[-1]))
+        else:
+            stretch = max(map(abs, map(sub, other, lighter)))
+            reaches = map(stretch.__eq__, map(abs, map(sub, other, lighter)))
+            hits = compress(zip(lighter, other, r), reaches)
+        if stretch < value:
+            continue
+        *pair, i = min(hits)
+        if stretch > value or pair < least:
+            value, least, edge = stretch, pair, (i, i + s)
+    return value, edge

@@ -39,7 +39,7 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from itertools import accumulate, chain
 
-from .coeffs import InternalInvariantError, check_grid, check_rank, lighter_down
+from .coeffs import InternalInvariantError, check_grid, check_rank, lighter_down, shown
 
 Vertex = tuple[int, ...]
 
@@ -51,7 +51,7 @@ def check_vertex(u: Vertex, n: int, d: int) -> None:
         raise ValueError(f"vertex has {len(u)} coordinates, expected {d}")
     for p, c in enumerate(u):
         if c < 0 or c > n:
-            raise ValueError(f"coordinate {p} is {c}, outside [0, {n}]")
+            raise ValueError(f"coordinate {p} is {shown(c)}, outside [0, {shown(n)}]")
 
 
 def hales_compare(u: Vertex, v: Vertex) -> int:

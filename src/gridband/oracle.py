@@ -7,7 +7,9 @@ once their union is non-empty it may hold at most lab+thr-1-t vertices.  At
 the earliest-labeled vertex that still has an unlabeled neighbor this is the
 gap bound t+1-lab < thr, and since each vertex's own unlabeled neighbors lie
 in the union it also bounds them one vertex at a time.  Candidates are tried
-in lex-position order, making every certificate reproducible.
+in lex-position order, making every certificate reproducible.  The search
+runs in one loop over a list of its open nodes, the root and one per placed
+label, so a dive as deep as the grid has vertices takes no interpreter stack.
 
 Each round of the search asks one question at a fixed threshold thr: does
 some labeling stretch every edge less than thr?  Prefix Hall alone keeps
@@ -66,7 +68,6 @@ the `gridband label` listing of the witness labeling.
 
 from __future__ import annotations
 
-import sys
 import time
 from collections import namedtuple
 from collections.abc import Iterator
@@ -171,10 +172,6 @@ OptimalityCheck.__doc__ = (
 )
 
 
-class _Stop(Exception):
-    """Ends a round: at a full labeling, or when the budget runs out."""
-
-
 class _Search:
     """One search of a grid, asked round by round for a labeling below a
     threshold; its node count, deadline and slot cache span every round."""
@@ -197,65 +194,69 @@ class _Search:
     def below(self, threshold: int) -> list[int] | None:
         """The first full labeling, by lex position, that the search reaches
         below threshold; None when there is none or the budget ran out, which
-        out_of_budget tells apart.  The recursion limit is raised for the
-        round only."""
-        self.threshold = threshold
-        self.label_of = [0] * self.total
-        self.placed: list[tuple[Vertex, list[int]]] = []  # slots, in label order
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, self.total + 64))
-        try:
-            self._dfs(0, _root_classes(self.d))
-        except _Stop:
-            # the labels stay in place as the stop unwinds the recursion
-            return None if self.out_of_budget else self.label_of
-        finally:
-            sys.setrecursionlimit(limit)
-        return None
-
-    def _dfs(self, t: int, classes: Classes) -> None:
-        self.nodes += 1
-        if self.nodes > self.max_nodes or (
-            self.deadline is not None and time.monotonic() > self.deadline
-        ):
-            self.out_of_budget = True
-            raise _Stop
-        if t == self.total:
-            raise _Stop
-        label_of = self.label_of
-        placed = self.placed
-        # prefix Hall: the unlabeled neighbors of the vertices labeled 1..lab
-        # must all receive one of the labels t+1..lab+thr-1 left within reach
-        slack = self.threshold - 1 - t
-        reach: set[int] = set()
-        for lab, (_, around) in enumerate(placed, 1):
-            for w in around:
-                if not label_of[w]:
-                    reach.add(w)
-            if reach and len(reach) > lab + slack:
-                return
-        # freed before the recursion, or every frame on the stack keeps one
-        del reach
-        n, d, slots = self.n, self.d, self.slots
-        tried: set[tuple] = set()
-        next_label = t + 1
-        for v in range(self.total):
-            if label_of[v]:
-                continue
-            if (slot := slots[v]) is None:
-                slot = slots[v] = lex_neighbourhood(v, n, d)
-            sub_classes = None
-            if classes is not None:
-                key = _orbit_key(classes, slot[0], n)
-                if key in tried:
+        out_of_budget tells apart.  Each open node, root first, is a list
+        of its stabilizer classes, the orbit keys it has tried, the
+        iterator over its candidates in lex-position order, and the vertex
+        that its current child labeled."""
+        n, d, total, slots = self.n, self.d, self.total, self.slots
+        label_of = [0] * total
+        placed: list[tuple[Vertex, list[int]]] = []  # slots, in label order
+        open_nodes: list[list] = []
+        classes = _root_classes(d)
+        while True:
+            # a node: labels 1..t placed, its stabilizer's classes in classes
+            self.nodes += 1
+            if self.nodes > self.max_nodes or (
+                self.deadline is not None and time.monotonic() > self.deadline
+            ):
+                self.out_of_budget = True
+                return None
+            t = len(placed)
+            if t == total:
+                return label_of
+            # prefix Hall: the unlabeled neighbors of the vertices labeled
+            # 1..lab must all receive one of the labels t+1..lab+thr-1 left
+            # within reach
+            slack = threshold - 1 - t
+            reach: set[int] = set()
+            for lab, (_, around) in enumerate(placed, 1):
+                for w in around:
+                    if not label_of[w]:
+                        reach.add(w)
+                if reach and len(reach) > lab + slack:
+                    break
+            else:
+                open_nodes.append([classes, set(), iter(range(total)), -1])
+            # label the next child of the deepest open node, closing each
+            # node whose candidates run out
+            while open_nodes:
+                node = open_nodes[-1]
+                classes, tried, candidates, v = node
+                if v >= 0:  # leave the child it labeled last
+                    label_of[v] = 0
+                    placed.pop()
+                for v in candidates:
+                    if label_of[v]:
+                        continue
+                    if (slot := slots[v]) is None:
+                        slot = slots[v] = lex_neighbourhood(v, n, d)
+                    sub_classes = None
+                    if classes is not None:
+                        key = _orbit_key(classes, slot[0], n)
+                        if key in tried:
+                            continue
+                        tried.add(key)
+                        sub_classes = _refine(classes, slot[0], n)
+                    label_of[v] = len(placed) + 1
+                    placed.append(slot)
+                    node[3], classes = v, sub_classes
+                    break
+                else:  # no candidate left: close the node
+                    open_nodes.pop()
                     continue
-                tried.add(key)
-                sub_classes = _refine(classes, slot[0], n)
-            label_of[v] = next_label
-            placed.append(slot)
-            self._dfs(next_label, sub_classes)
-            placed.pop()
-            label_of[v] = 0
+                break  # enter the child
+            else:  # the root is closed
+                return None
 
 
 def brute_force_bw(

@@ -1036,6 +1036,32 @@ def test_huge_grids_are_refused_before_their_count_is_built(
     assert not (tmp_path / "x.mtx").exists()
 
 
+# argv that each hold an integer of about 4 200 digits, which the refusal echoes
+# cut by coeffs.shown: its first TEXT_CAP characters and its length
+HUGE_INTEGER_CASES = [
+    ("bw --n 1 --d 1 --budget -{}", 1),
+    ("bw --n -{} --d 1", 1),
+    ("label --n 1 --d {}", 2),
+    ("bw --n {} --d 1 --method lex", 2),
+    ("estimate --n {} --d 1", 1),
+    ("bw --n 1 --d {}", 2),
+    ("unrank --n 3 --d {} -1", 1),
+    ("unrank --n 3 --d {} --order lex 0", 2),
+    ("rank --n 5{0} --d 1 9{0}", 1),
+    ("rank --n {0} --d 1 1{0}", 1),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code", HUGE_INTEGER_CASES,
+                         ids=[case[0] for case in HUGE_INTEGER_CASES])
+def test_refusals_cut_a_huge_integer(capsys, argv, exit_code):
+    code, out, err = run(capsys, *argv.format("9" * 4200).split())
+    assert (code, out) == (exit_code, "")
+    assert len(err.encode()) < 300, err
+    assert "9" * (coeffs.TEXT_CAP + 1) not in err
+    assert re.search(r"\.\.\. \(420[01] characters\)", err), err
+
+
 def test_verify_optimal_refuses_past_the_search_budget_before_the_formula(
         capsys, monkeypatch):
     # the search's vertex budget is read first, so the closed form, which

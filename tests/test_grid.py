@@ -288,6 +288,8 @@ def test_witness_reaches_the_value_with_repeated_labels():
     assert labeling_bandwidth([1, 5, 5, 1], 3, 1) == (4, ((0,), (1,)))
     assert labeling_bandwidth([2, 2, 2, 2], 1, 2) == (0, ((0, 0), (1, 0)))
     assert labeling_bandwidth([1, 1, 3, 3], 1, 2) == (2, ((0, 0), (1, 0)))
+    # the pair is (lighter end's label, other end's label): (5, 3) < (5, 7)
+    assert labeling_bandwidth([5, 7, 5, 3], 3, 1) == (2, ((2,), (3,)))
 
 
 def test_scans_do_not_build_the_hales_labels(monkeypatch, tmp_path, capsys):

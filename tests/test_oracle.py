@@ -271,10 +271,10 @@ def test_deadline_is_read_at_every_node(monkeypatch):
 
 
 def test_search_memory_per_node_is_bounded():
-    # 300 nodes into a (1, 12) search the stack is about 250 frames deep.
-    # Each frame holds its own few locals and its vertex's slot, well under
-    # 4 kB; prefix Hall's set is freed before each recursive call, or every
-    # frame would keep one, of up to hundreds of vertices
+    # 300 nodes into a (1, 12) search about 250 nodes are open.  Each holds
+    # its classes, its tried keys and its vertex's slot, well under 4 kB;
+    # prefix Hall's set is built anew at each node, as one kept by every
+    # open node would hold up to hundreds of vertices
     def peak(max_nodes):
         tracemalloc.start()
         try:
@@ -358,15 +358,24 @@ def test_optimality_check_is_a_named_tuple():
     assert cert == brute_force_bw(1, 2)
 
 
-def test_search_restores_the_recursion_limit():
-    # 1024 vertices need a deeper limit than 1000 while the search runs
-    before = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
+def test_search_never_sets_the_recursion_limit(monkeypatch):
+    # the open nodes live in a list, not on the interpreter's stack, so a
+    # round may dive deeper than the limit.  Above lex's value (n+1)^(d-1),
+    # the first dive labels (1, 8) in lex order, 256 levels deep, under a
+    # limit of 200
+    def refuse(limit):
+        raise AssertionError(f"recursion limit set to {limit}")
+
+    set_limit, before = sys.setrecursionlimit, sys.getrecursionlimit()
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    search = oracle._Search(1, 8, SearchBudget())
+    set_limit(200)
     try:
-        brute_force_bw(1, 10, SearchBudget(max_nodes=10))
-        assert sys.getrecursionlimit() == 1000
+        found = search.below(2**7 + 1)
     finally:
-        sys.setrecursionlimit(before)
+        set_limit(before)
+    assert found == list(range(1, 2**8 + 1))
+    assert search.nodes == 2**8 + 1
 
 
 def test_budget_validation():
