@@ -62,8 +62,12 @@ class InternalInvariantError(Exception):
 def shown(value: object, form: Callable[[str], str] = str) -> str:
     """form(text) in a message, text the str of value, such as an integer;
     past TEXT_CAP characters, form of the first TEXT_CAP and the length of
-    the text."""
-    text = str(value)
+    the text; an int that Python's int/str digit limit refuses to turn into
+    text is named by its approximate number of digits."""
+    try:
+        text = str(value)
+    except ValueError:  # past the limit: log10(2) is about 0.30103
+        return f"an integer of about {value.bit_length() * 30103 // 100000 + 1} digits"
     if len(text) <= TEXT_CAP:
         return form(text)
     return f"{form(text[:TEXT_CAP])}... ({len(text)} characters)"

@@ -1,5 +1,6 @@
 """Shared test references."""
 
+import sys
 from itertools import product
 
 
@@ -13,3 +14,15 @@ def edges(n, d):
         for p, c in enumerate(u):
             if c < n:
                 yield u, u[:p] + (c + 1,) + u[p + 1 :]
+
+
+def limit_lifted(compute):
+    """compute() run with Python's int/str digit limit lifted, as main lifts it."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return compute()
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)

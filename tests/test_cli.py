@@ -6,14 +6,11 @@ import hashlib
 import io
 import itertools
 import json
-import os
 import re
-import subprocess
 import sys
 import time
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -26,7 +23,8 @@ from gridband.cli import main
 from gridband.coeffs import trinomial_coeff
 from gridband.grid import InternalInvariantError, format_vertex
 
-from conftest import edges
+from conftest import edges, limit_lifted
+from test_process import spawn
 
 
 def run(capsys, *argv):
@@ -354,31 +352,19 @@ print(" ".join(sorted(new & {"dataclasses", "inspect", "json", "csv"})))
 
 
 @pytest.mark.parametrize("fmt,imported", [("plain", ""), ("json", "json"), ("csv", "csv")])
-def test_startup_imports_only_what_the_format_needs(fmt, imported):
-    src = Path(cli.__file__).resolve().parents[1]
-    child = subprocess.run(
-        [sys.executable, "-c", STARTUP_CHILD, "bw", "--n", "2", "--d", "3", "--format", fmt],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert child.stdout.splitlines()[-1] == imported
+def test_startup_imports_only_what_the_format_needs(fmt, imported, tmp_path):
+    child = spawn(["-c", STARTUP_CHILD, "bw", "--n", "2", "--d", "3", "--format", fmt], tmp_path)
+    assert child.code == 0, child.err
+    assert child.out.decode().splitlines()[-1] == imported
 
 
-def test_commands_do_not_import_argparse():
+def test_commands_do_not_import_argparse(tmp_path):
     # argparse, with the gettext it pulls in, cost a fresh process about
     # 5 ms before any work
-    src = Path(cli.__file__).resolve().parents[1]
-    child = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "gridband", "verify-optimal",
-         "--n", "2", "--d", "2"],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-    )
-    assert child.returncode == 0, child.stderr
-    imported = {line.rsplit("|", 1)[-1].strip() for line in child.stderr.splitlines()}
+    child = spawn(["-X", "importtime", "-m", "gridband", "verify-optimal", "--n", "2", "--d", "2"],
+                  tmp_path)
+    assert child.code == 0, child.err
+    imported = {line.rsplit("|", 1)[-1].strip() for line in child.err.decode().splitlines()}
     assert not imported & {"argparse", "gettext"}
 
 
@@ -1089,24 +1075,12 @@ def test_rank_range_builds_the_count_only_for_long_ranks():
     assert cli.lex_unrank(2**40 - 1, 1, 40) == (1,) * 40
 
 
-def _limit_lifted(compute):
-    """compute() run with Python's int/str digit limit lifted, as main lifts it."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        return compute()
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-
-
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 def test_lex_rank_and_unrank_past_the_digit_limit(capsys, fmt):
     # 2^15000 has 4 516 digits, past the 4 300 that Python converts by default
     d = 15000
     ones = ",".join(["1"] * d)
-    label, top = _limit_lifted(lambda: (str(2**d), str(2**d - 1)))
+    label, top = limit_lifted(lambda: (str(2**d), str(2**d - 1)))
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     lex = ("--n", "1", "--d", str(d), "--order", "lex", "--format", fmt)
     code, out, err = run(capsys, "rank", *lex, ones)
@@ -1220,8 +1194,6 @@ PROGRAM_CASES = [
 
 
 def test_a_program_run_prints_what_main_returns(capsys, tmp_path, monkeypatch):
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
     codes = set()
     for i, argv in enumerate(PROGRAM_CASES):
         here, there = tmp_path / f"main{i}", tmp_path / f"child{i}"
@@ -1229,10 +1201,8 @@ def test_a_program_run_prints_what_main_returns(capsys, tmp_path, monkeypatch):
         there.mkdir()
         monkeypatch.chdir(here)
         code, out, err = run(capsys, *argv.split())
-        child = subprocess.run([sys.executable, "-m", "gridband", *argv.split()], cwd=there,
-                               env=env, capture_output=True, timeout=60)
-        assert (child.returncode, child.stdout, child.stderr.decode()) == (
-            code, out.encode(), err), argv
+        child = spawn(["-m", "gridband", *argv.split()], there, wall=60)
+        assert (child.code, child.out, child.err.decode()) == (code, out.encode(), err), argv
         files = {p.name: p.read_bytes() for p in here.iterdir()}
         assert {p.name: p.read_bytes() for p in there.iterdir()} == files, argv
         codes.add(code)
@@ -1251,14 +1221,12 @@ print(code, before, listed, gc.get_freeze_count() > 0)
 """
 
 
-def test_only_a_program_run_freezes_the_heap(capsys):
+def test_only_a_program_run_freezes_the_heap(capsys, tmp_path):
     # a program run leaves its objects to a teardown that no longer walks
     # them; a call with argv, in this process, freezes nothing
-    src = Path(cli.__file__).resolve().parents[1]
-    child = subprocess.run([sys.executable, "-c", FREEZE_CHILD],
-                           env={**os.environ, "PYTHONPATH": str(src)},
-                           capture_output=True, text=True, check=True)
-    assert child.stdout.splitlines()[-1] == "0 0 0 True"
+    child = spawn(["-c", FREEZE_CHILD], tmp_path)
+    assert child.code == 0, child.err
+    assert child.out.decode().splitlines()[-1] == "0 0 0 True"
     frozen = gc.get_freeze_count()
     assert run(capsys, "bw", "--n", "2", "--d", "2")[0] == 0
     assert gc.get_freeze_count() == frozen

@@ -6,7 +6,7 @@ from itertools import accumulate, pairwise
 import pytest
 
 from gridband import coeffs
-from gridband.bandwidth import BoundsPair, bounds, bw_hales_series
+from gridband.bandwidth import BoundsPair, bounds, bw_hales, bw_hales_series
 from gridband.coeffs import (
     BudgetExceededError,
     _count_below,
@@ -213,6 +213,24 @@ def test_row_budget_refuses_before_building(monkeypatch):
             refused.value.budget, refused.value.required)
     monkeypatch.undo()
     assert len(coeff_row(6, 450)) == 2701  # about 3.6e6 bits: inside the budget
+
+
+# with Python's int/str digit limit at its default, as outside the CLI, a
+# refusal names an integer it cannot print by its digits
+HUGE_REFUSALS = [
+    (lambda: bw_hales(1, 10**2500), BudgetExceededError, "about 5001 digits bits"),
+    (lambda: coeffs.check_budget(10**4400, 1, 5, "x"), BudgetExceededError, "P_an integer of about 4401 digits^1"),
+    (lambda: hales_unrank(10**5000, 1, 5), ValueError, "rank an integer of about 5001 digits outside"),
+    (lambda: coeffs.check_grid(-10**5000, 1), ValueError, "n=an integer of about 5001 digits, d=1"),
+]
+
+
+@pytest.mark.parametrize("call,error,named", HUGE_REFUSALS,
+                         ids=["bw_hales", "check_budget", "hales_unrank", "check_grid"])
+def test_refusals_of_integers_past_the_digit_limit(call, error, named):
+    with pytest.raises(error) as refused:
+        call()
+    assert named in str(refused.value) and len(str(refused.value)) < 300, refused.value
 
 
 def test_walk_matches_counting():
