@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import gc
 import sys
-from itertools import chain, count, islice, starmap
+from itertools import chain, islice, starmap
 from types import SimpleNamespace
 
 from .bandwidth import (
@@ -27,12 +27,14 @@ from .bandwidth import (
 )
 from .coeffs import check_grid, coeff_row, max_coeff, read_rank, shown, significant_digits
 from .grid import (
+    BLOCK_LINES,
     DEFAULT_SCAN_BUDGET,
     BudgetExceededError,
     InternalInvariantError,
     check_budget,
     format_vertex,
     label_array,
+    label_lines,
     label_listing,
     labeling_bandwidth,
     lex_rank,
@@ -55,8 +57,8 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_INTERNAL = 3
 
-# the most lines that one write to stdout carries in a listing
-BLOCK_LINES = 1024
+# the first line of an exported matrix, and of any file its self-test passes
+MM_BANNER = "%%MatrixMarket matrix coordinate integer symmetric\n"
 
 TABLE_NOTE = (
     "n=1 column: computed from the hypercube central-binomial sum "
@@ -217,7 +219,12 @@ def cmd_table(args) -> int:
 def cmd_label(args) -> int:
     n, d = args.n, args.d
     check_budget(n, d, args.budget, "output")
-    pairs = label_listing(n, d, label_array(args.order, n, d))
+    labels = label_array(args.order, n, d)
+    if args.format == "plain":
+        for block in label_lines(n, d, labels, BLOCK_LINES):
+            sys.stdout.write(block)
+        return EXIT_OK
+    pairs = label_listing(n, d, labels)
     doc = {"order": args.order, "n": n, "d": d, "labels": pairs}
     _render(args, doc, ["vertex", "label"], pairs)
     return EXIT_OK
@@ -294,11 +301,13 @@ def _write_matrix_market(path: str, n: int, d: int, labels, kind: str) -> int:
     """Write the lower triangle of the Hales or lex labels' matrix; return nnz.
 
     Rows go out in label order, one write each: the labels of the vertex's
-    lighter neighbours, then a Laplacian's diagonal.  Both orders rank a
-    vertex's lighter neighbours below it, and u - e_p below u - e_p' for
-    p < p', the order `lower_neighbours` gives them in, so each row is
-    sorted.  Off the diagonal a Laplacian has -1, adjacency 1.  nnz counts
-    the d*n*(n+1)^(d-1) edges, plus the diagonal.
+    lighter neighbours, then a Laplacian's diagonal.  `lower_neighbours`
+    gives a row's labels as text, built by one list comprehension, and one
+    str.join makes its entry lines.  Both orders rank a vertex's lighter
+    neighbours below it, and u - e_p below u - e_p' for p < p', the order
+    `lower_neighbours` gives them in, so each row is sorted.  Off the
+    diagonal a Laplacian has -1, adjacency 1.  nnz counts the
+    d*n*(n+1)^(d-1) edges, plus the diagonal.
     """
     size = (n + 1) ** d
     laplacian = kind == "laplacian"
@@ -307,10 +316,11 @@ def _write_matrix_market(path: str, n: int, d: int, labels, kind: str) -> int:
     rows = lower_neighbours(n, d, labels)
     with open(path, "w", encoding="utf-8") as handle:
         write = handle.write
-        write("%%MatrixMarket matrix coordinate integer symmetric\n")
+        write(MM_BANNER)
         write(f"{size} {size} {nnz}\n")
-        for head, (lower, degree) in zip(map("{} ".format, count(1)), rows):
-            text = f"{tail}{head}".join(map(str, lower))
+        for label, (lower, degree) in enumerate(rows, 1):
+            head = f"{label} "
+            text = f"{tail}{head}".join(lower)
             if text:
                 text = f"{head}{text}{tail}"
             write(f"{text}{head}{head}{degree}\n" if laplacian else text)
@@ -348,13 +358,21 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
     row and lie inside 1..size, only when its text changes; a new row's first
     column, 1 at least, is its longest edge, as columns increase along a row.
     A value is read when its text changes, and summed into the row totals
-    only for a Laplacian.  A line that fails any test goes to _refuse_entry,
-    which names its defect.
+    only for a Laplacian.  Read, it must be the export's off-diagonal value,
+    1 for adjacency and -1 for a Laplacian, unless it is a Laplacian's
+    diagonal; a diagonal value is read again on the next line, so that no
+    line takes it unread.  A line that fails any test goes to _refuse_entry,
+    which names its defect.  The file must open with the banner the export
+    writes, MM_BANNER.
     """
     with open(path, "rb") as handle:
         header = handle.readline()
-        if not header.startswith(b"%%MatrixMarket matrix coordinate"):
-            raise ValueError(f"{path}: not a coordinate MatrixMarket file")
+        if header != MM_BANNER.encode():
+            text = shown(header.decode("utf-8", "replace").strip(), repr)
+            raise ValueError(
+                f"{path}: not a coordinate MatrixMarket file with the banner "
+                f"{MM_BANNER.strip()!r}, got {text}"
+            )
         lineno = 2
         while (line := handle.readline()).startswith(b"%"):
             lineno += 1
@@ -368,6 +386,7 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
         if size != cols:
             raise ValueError(f"{path}: expected a square matrix")
         laplacian = kind == "laplacian"
+        off = -1 if laplacian else 1  # the value of every off-diagonal entry
         totals = [0] * (size + 1) if laplacian else None
         first = lineno + 1
         blanks = 0
@@ -381,6 +400,12 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
                 if value != value_text:
                     v = int(value)
                     value_text = value
+                    if v != off:
+                        if not laplacian or text != col and int(text) != j:
+                            raise InternalInvariantError(
+                                f"{path}:{lineno}: off-diagonal value {v}, not {off}"
+                            )
+                        value_text = b""
             except ValueError:
                 _refuse_entry(path, lineno, line, size, pi, pj)
                 blanks += 1

@@ -8,8 +8,11 @@ where the vertex at position i has its dimension-p neighbour at
 i + (n+1)^(d-1-p).  Scans, matrix export and listings take it from
 `label_array`, a labeling indexed by lex position, and its inverse
 `label_positions`; from `edge_ranges`, the edges as strided runs of at
-most RUN_CAP positions; and from the per-vertex tables of
-`position_texts` and of `lower_neighbours`, which give export rows.  The
+most RUN_CAP positions; and from tables split at the middle coordinate,
+which `position_texts`, `label_lines` and `lower_neighbours` read.
+`label_lines` builds each block of a listing's lines in one list
+comprehension, and `lower_neighbours` each export row's labels as text in
+another, str(labels[q - s]) for each stride s of the row.  The
 search takes one vertex at a time, as it reaches it, from
 `lex_neighbourhood`: its coordinates, decoded once by `lex_unrank`, and
 its neighbours' positions, read from them by the stride rule.  Loaded
@@ -56,6 +59,10 @@ DEFAULT_SCAN_BUDGET = 1_000_000
 # not of n/(n+1) of the grid
 RUN_CAP = 1 << 13
 
+# the most lines that one string of label_lines holds, and so that one
+# write to stdout carries in a listing
+BLOCK_LINES = 1024
+
 
 BandwidthReport = namedtuple("BandwidthReport", ["value", "witness"])
 BandwidthReport.__doc__ = (
@@ -90,12 +97,11 @@ def format_vertex(u: Vertex) -> str:
     return ",".join(map(str, u))
 
 
-def position_texts(n: int, d: int, positions: Iterable[int]) -> Iterator[str]:
-    """format_vertex of the vertex at each lex position, in order.
-
-    Each text joins two precomputed strings, one for the leading ceil(d/2)
-    coordinates and one for the trailing floor(d/2), so the tables hold
-    O(sqrt((n+1)^(d+1))) strings and a position costs one divmod.
+def _vertex_texts(n: int, d: int) -> tuple[list[str], list[str], int]:
+    """Tables of format_vertex split at a lex position q's divmod by
+    width = (n+1)^floor(d/2): the texts of the leading ceil(d/2) coordinates,
+    each closed by its comma when floor(d/2) > 0, then of the trailing
+    floor(d/2), then width.  They hold O(sqrt((n+1)^(d+1))) strings.
     """
     tail = d // 2
 
@@ -104,7 +110,14 @@ def position_texts(n: int, d: int, positions: Iterable[int]) -> Iterator[str]:
 
     lo = texts(tail)
     hi = [f"{t}," for t in texts(d - tail)] if tail else texts(d)
-    return (hi[q] + lo[r] for q, r in map(divmod, positions, repeat((n + 1) ** tail)))
+    return hi, lo, (n + 1) ** tail
+
+
+def position_texts(n: int, d: int, positions: Iterable[int]) -> Iterator[str]:
+    """format_vertex of the vertex at each lex position, in order: one
+    divmod and one join of two `_vertex_texts` strings a position."""
+    hi, lo, width = _vertex_texts(n, d)
+    return (hi[q] + lo[r] for q, r in map(divmod, positions, repeat(width)))
 
 
 def label_positions(labels: Sequence[int]) -> Sequence[int]:
@@ -120,12 +133,14 @@ def label_positions(labels: Sequence[int]) -> Sequence[int]:
 
 def lower_neighbours(
     n: int, d: int, labels: Sequence[int]
-) -> Iterator[tuple[Iterator[int], int]]:
-    """(lighter neighbours' labels, degree) of each vertex, in label order.
+) -> Iterator[tuple[list[str], int]]:
+    """(lighter neighbours' labels as text, degree) of each vertex, in label
+    order.
 
     The lighter neighbours of u at position q are at q - (n+1)^(d-1-p) for
-    each u_p >= 1, in that order.  Tables split as in position_texts hold
-    these strides and the degrees.
+    each u_p >= 1, in that order.  Tables split as in `_vertex_texts` hold
+    these strides and the degrees, and one list comprehension reads a row's
+    texts, str(labels[q - s]) for each stride s.
     """
     lead, width = d - d // 2, (n + 1) ** (d // 2)
     strides = [(n + 1) ** (d - 1 - p) for p in range(d)]
@@ -137,17 +152,32 @@ def lower_neighbours(
         ]
 
     hi, lo = table(strides[:lead]), table(strides[lead:])
-    label_at = labels.__getitem__
     for q in label_positions(labels):
-        h, r = divmod(q, width)
-        (hi_strides, hi_degree), (lo_strides, lo_degree) = hi[h], lo[r]
-        lower = map(q.__sub__, hi_strides + lo_strides)
-        yield map(label_at, lower), hi_degree + lo_degree
+        (hi_strides, hi_degree), (lo_strides, lo_degree) = hi[q // width], lo[q % width]
+        yield [str(labels[q - s]) for s in hi_strides + lo_strides], hi_degree + lo_degree
 
 
 def label_listing(n: int, d: int, labels: Sequence[int]) -> Iterator[tuple[str, int]]:
     """(vertex text, label) for every vertex of a labeling, in label order."""
     return zip(position_texts(n, d, label_positions(labels)), count(1))
+
+
+def label_lines(
+    n: int, d: int, labels: Sequence[int], block: int = BLOCK_LINES
+) -> Iterator[str]:
+    """The `<vertex><TAB><label>` lines of label_listing, block lines to a
+    string: the plain `gridband label` listing, and a certificate's body.
+
+    One list comprehension builds a block's lines from the tables of
+    `_vertex_texts`, with no pair and no format call per line.
+    """
+    hi, lo, width = _vertex_texts(n, d)
+    positions = label_positions(labels)
+    for start in range(0, len(positions), block):
+        yield "".join([
+            f"{hi[q // width]}{lo[q % width]}\t{label}\n"
+            for label, q in enumerate(positions[start : start + block], start + 1)
+        ])
 
 
 def edge_ranges(n: int, d: int) -> Iterator[tuple[range, int]]:

@@ -71,7 +71,6 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import starmap
 
 from .bandwidth import bw_hales
 from .grid import (
@@ -80,7 +79,7 @@ from .grid import (
     _edge_scan,
     check_budget,
     label_array,
-    label_listing,
+    label_lines,
     lex_neighbourhood,
 )
 from .hales import Vertex
@@ -314,9 +313,9 @@ def verify_optimal(
 
 
 def certificate_lines(cert: OptimalityCertificate) -> Iterator[str]:
-    """The certificate as a labeling file with a '#' metadata header, one
-    line at a time, each with its newline, so that a file can be written
-    without the whole text.
+    """The certificate as a labeling file with a '#' metadata header, a
+    line at a time, then the body in blocks of lines, each with its
+    newline, so that a file can be written without the whole text.
 
     The body is the `gridband label` listing of the witness labeling: in
     label order, and loadable by grid.load_labeling_file.
@@ -324,4 +323,4 @@ def certificate_lines(cert: OptimalityCertificate) -> Iterator[str]:
     yield f"# bandwidth {cert.optimal_value}\n"
     yield f"# status {cert.status}\n"
     yield f"# nodes {cert.nodes_explored}\n"
-    yield from starmap("{}\t{}\n".format, label_listing(cert.n, cert.d, cert.labels))
+    yield from label_lines(cert.n, cert.d, cert.labels)

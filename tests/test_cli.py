@@ -217,7 +217,9 @@ def test_label_listing_matches_enumeration(capsys, n, d):
             code, out, _ = run(capsys, "label", "--n", str(n), "--d", str(d),
                                "--order", order, "--format", fmt)
             assert code == 0
-            assert out == text, (order, fmt)
+            # compared as lists of lines, which pytest explains at once when
+            # they differ, where a diff of two long texts takes minutes
+            assert out.splitlines(True) == text.splitlines(True), (order, fmt)
 
 
 class CountingStdout(io.StringIO):
@@ -252,7 +254,7 @@ def test_listing_goes_out_in_blocks(monkeypatch, fmt):
         stdout = CountingStdout()
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["label", "--n", str(n), "--d", str(d), "--format", fmt]) == 0
-        assert stdout.getvalue() == "".join(lines), block_lines
+        assert stdout.getvalue().splitlines(True) == lines, block_lines
         assert stdout.writes <= -(-len(lines) // block_lines) + 2, block_lines
 
 
@@ -534,17 +536,35 @@ def test_export_peak_memory(capsys, tmp_path):
         # the file is read as bytes, and int() of bytes takes ASCII digits only
         ("laplacian", "2 2 3\n1 1 1\n\u0662 1 -1\n2 2 1\n",
          ValueError, r"bad\.mtx:4: expected three integers 'row col value', got '\u0662 1 -1'"),
+        # the banner must be the one the export writes, and each value the
+        # export's: 1 in an adjacency, -1 off a Laplacian's diagonal
+        ("laplacian", "%%MatrixMarket matrix coordinate real general\n2 2 3\n"
+         "1 1 1\n2 1 -1\n2 2 1\n", ValueError, "not a coordinate MatrixMarket file"),
+        ("laplacian", "%%MatrixMarket matrix coordinate pattern skew-symmetric\n2 2 3\n"
+         "1 1 1\n2 1 -1\n2 2 1\n", ValueError, "got '%%MatrixMarket matrix coordinate pat"),
+        ("laplacian", "%%MatrixMarket matrix coordinate integer symmetriC\n2 2 3\n"
+         "1 1 1\n2 1 -1\n2 2 1\n", ValueError, "with the banner"),
+        ("adjacency", "2 2 1\n2 1 7\n", InternalInvariantError,
+         r"bad\.mtx:3: off-diagonal value 7, not 1"),
+        ("laplacian", "2 2 3\n1 1 2\n2 1 -2\n2 2 2\n", InternalInvariantError,
+         r"bad\.mtx:4: off-diagonal value -2, not -1"),
+        # a 4-vertex file whose rows sum to 0, where (2,1) repeats the text of
+        # the diagonal before it
+        ("laplacian", "4 4 7\n1 1 1\n2 1 1\n2 2 -1\n3 1 -1\n3 3 1\n4 1 -1\n4 4 1\n",
+         InternalInvariantError, r"bad\.mtx:4: off-diagonal value 1, not -1"),
     ],
     ids=["duplicate", "above-diagonal", "wrong-nnz", "row-sum", "out-of-order",
          "zero-based-column", "row-past-size", "two-fields", "four-fields",
          "fractional-value", "two-field-size", "no-size-line", "bad-size-token",
          "not-coordinate", "not-square", "half-bandwidth", "duplicate-row-text",
-         "row-back-to-1", "non-ascii-digit"],
+         "row-back-to-1", "non-ascii-digit", "real-general", "pattern-skew-symmetric",
+         "banner-case", "adjacency-value", "laplacian-scaled", "value-after-diagonal"],
 )
 def test_self_test_rejects_bad_export(tmp_path, kind, body, error, message):
-    # each file is the P_1^1 Laplacian or adjacency (half-bandwidth 1) with
-    # one defect, and the check that names that defect must be the one to fire;
-    # a body that holds its own first line replaces MM_HEADER
+    # each file is the P_1^1 Laplacian or adjacency (half-bandwidth 1), or a
+    # larger file where its comment says so, with one defect, and the check
+    # that names that defect must be the one to fire; a body that holds its
+    # own first line replaces MM_HEADER
     path = tmp_path / "bad.mtx"
     path.write_text(body if body.startswith("%%") else MM_HEADER + body, encoding="utf-8")
     with pytest.raises(error, match=message):
@@ -1217,16 +1237,17 @@ before = gc.get_freeze_count()
 main(sys.argv[1:])
 listed = gc.get_freeze_count()
 code = main()
-print(code, before, listed, gc.get_freeze_count() > 0)
+print(code, listed == before, gc.get_freeze_count() > before)
 """
 
 
 def test_only_a_program_run_freezes_the_heap(capsys, tmp_path):
     # a program run leaves its objects to a teardown that no longer walks
-    # them; a call with argv, in this process, freezes nothing
+    # them; a call with argv, in this process, freezes nothing.  Counts are
+    # read against the child's own at start, which is not 0 on every Python
     child = spawn(["-c", FREEZE_CHILD], tmp_path)
     assert child.code == 0, child.err
-    assert child.out.decode().splitlines()[-1] == "0 0 0 True"
+    assert child.out.decode().splitlines()[-1] == "0 True True"
     frozen = gc.get_freeze_count()
     assert run(capsys, "bw", "--n", "2", "--d", "2")[0] == 0
     assert gc.get_freeze_count() == frozen
