@@ -330,7 +330,8 @@ def _write_matrix_market(path: str, n: int, d: int, labels, kind: str) -> int:
 def _refuse_entry(path: str, lineno: int, line: bytes, size: int, pi: int, pj: int) -> None:
     """Raise the error of an entry line that follows entry (pi, pj), checked
     in this order: three integers, on or below the diagonal, inside 1..size,
-    after (pi, pj).  A blank line has no error, and returns."""
+    after (pi, pj).  A blank line, or an entry with none of these defects,
+    has no error, and returns."""
     try:
         i, j, _ = map(int, line.split())
     except ValueError:
@@ -345,25 +346,28 @@ def _refuse_entry(path: str, lineno: int, line: bytes, size: int, pi: int, pj: i
     if j < 1 or i > size:
         raise InternalInvariantError(f"{path}: entry ({i},{j}) outside 1..{size}")
     # strictly increasing pairs also rule out duplicates
-    problem = "duplicate" if i == pi and j == pj else "out-of-order"
-    raise InternalInvariantError(f"{path}: {problem} entry ({i},{j})")
+    if (i, j) <= (pi, pj):
+        problem = "duplicate" if i == pi and j == pj else "out-of-order"
+        raise InternalInvariantError(f"{path}: {problem} entry ({i},{j})")
 
 
 def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> None:
     """Re-read an exported file as ASCII bytes and check it against the export.
 
-    Each entry line costs one split, one int of its column and one test,
-    pj < j <= i: its column follows the row's previous one and lies on or
-    below the diagonal.  The row is read, and checked to follow the previous
-    row and lie inside 1..size, only when its text changes; a new row's first
-    column, 1 at least, is its longest edge, as columns increase along a row.
-    A value is read when its text changes, and summed into the row totals
-    only for a Laplacian.  Read, it must be the export's off-diagonal value,
-    1 for adjacency and -1 for a Laplacian, unless it is a Laplacian's
-    diagonal; a diagonal value is read again on the next line, so that no
-    line takes it unread.  A line that fails any test goes to _refuse_entry,
-    which names its defect.  The file must open with the banner the export
-    writes, MM_BANNER.
+    Each entry line costs one split, one int of its column, one compare of
+    its value's text and one test, pj < j <= last: its column follows the
+    row's previous one and lies below the diagonal, or on it in a Laplacian,
+    whose row i may end at column i, where an adjacency's ends at i - 1.  The
+    row is read, and checked to follow the previous row and lie inside
+    1..size, only when its text changes; a new row's first column, 1 at
+    least, is its longest edge, as columns increase along a row.  A value
+    whose bytes equal the export's off-diagonal text, b"1" for adjacency and
+    b"-1" for a Laplacian, is that value; any other text is read by int, and
+    must be a Laplacian's diagonal.  Values are summed into the row totals
+    only for a Laplacian.  A line that fails any test goes to _refuse_entry,
+    which names its defect, and an adjacency entry on the diagonal, which
+    _refuse_entry passes, is named here.  The file must open with the banner
+    the export writes, MM_BANNER.
     """
     with open(path, "rb") as handle:
         header = handle.readline()
@@ -386,26 +390,27 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
         if size != cols:
             raise ValueError(f"{path}: expected a square matrix")
         laplacian = kind == "laplacian"
-        off = -1 if laplacian else 1  # the value of every off-diagonal entry
+        # the value of every off-diagonal entry, and its text
+        off, off_text = (-1, b"-1") if laplacian else (1, b"1")
         totals = [0] * (size + 1) if laplacian else None
         first = lineno + 1
         blanks = 0
-        i = v = pi = pj = 0  # this entry's row and value, and (pi, pj), the last
-        row_text = value_text = b""  # this entry's row and value, as written
+        pi = pj = 0  # the last entry
+        row_text = b""  # this entry's row i, as written: none before the first
         half_bandwidth = 0
         for lineno, line in enumerate(handle, start=first):
             try:
                 text, col, value = line.split()
                 j = int(col)
-                if value != value_text:
+                if value == off_text:
+                    v = off
+                else:  # only a Laplacian's diagonal has other text
                     v = int(value)
-                    value_text = value
-                    if v != off:
-                        if not laplacian or text != col and int(text) != j:
-                            raise InternalInvariantError(
-                                f"{path}:{lineno}: off-diagonal value {v}, not {off}"
-                            )
-                        value_text = b""
+                    if not laplacian or text != col and int(text) != j:
+                        raise InternalInvariantError(
+                            f"{path}:{lineno}: off-diagonal value "
+                            f"{shown(value.decode())}, not {off}"
+                        )
             except ValueError:
                 _refuse_entry(path, lineno, line, size, pi, pj)
                 blanks += 1
@@ -415,15 +420,18 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
                     i = int(text)
                 except ValueError:
                     _refuse_entry(path, lineno, line, size, pi, pj)
-                row_text = text
+                # the last column that row i may hold: only a Laplacian has
+                # a diagonal
+                row_text, last = text, i if laplacian else i - 1
                 if pi < i <= size:  # a new row
                     pi, pj = i, 0
                     if i - j > half_bandwidth:
                         half_bandwidth = i - j
                 elif i != pi:
                     _refuse_entry(path, lineno, line, size, pi, pj)
-            if not pj < j <= i:
+            if not pj < j <= last:
                 _refuse_entry(path, lineno, line, size, pi, pj)
+                raise InternalInvariantError(f"{path}: adjacency diagonal entry ({i},{j})")
             pj = j
             if laplacian:
                 totals[i] += v

@@ -17,11 +17,12 @@ max(0, w-n), which lie in no block of the class.  So the rank of (rest, h)
 is rest's rank plus a shift of w alone, L_m(w) - L_(m-1)(max(0, w-n)),
 L_m(w) being the m-dimensional vertices lighter than w.  `hales_rank`,
 `hales_unrank`, `hales_bandwidth` and the label array of `grid` read these
-counts from one stream, `coeffs.lighter_down`, L_d first: rank adds the
-shifts up from the last coordinate down, unrank takes them off in the same
-order, the bandwidth's DP takes the shifts of `weight_shifts` in that
-order too, and the label array holds all of them and adds them up from the
-second coordinate on.
+counts from one stream, `coeffs.lighter_down`, L_d first, and each shift
+from one pair (L_m, L_(m-1)) of it, as `itertools.pairwise` gives them:
+rank adds the shifts up from the last coordinate down, unrank takes them
+off in the same order, the bandwidth's DP takes the shifts of
+`weight_shifts` in that order too, and the label array holds all of them
+and adds them up from the second coordinate on.
 
 So a rank is a sum over the prefix weights of a vertex, and so is the
 stretch of an edge.  `hales_bandwidth` reads the labeling's bandwidth and
@@ -36,8 +37,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Callable, Iterator
-from itertools import accumulate, chain
+from collections.abc import Iterator
+from itertools import accumulate, chain, pairwise
 
 from .coeffs import InternalInvariantError, check_grid, check_rank, lighter_down, shown
 
@@ -67,60 +68,49 @@ def hales_compare(u: Vertex, v: Vertex) -> int:
     return 0
 
 
-def _shift(now: Callable, prev: Callable, n: int, w: int) -> int:
-    """The shift at weight w, from now = L_m and prev = L_(m-1)."""
-    return now(w) - prev(max(0, w - n))
-
-
 def weight_shifts(n: int, d: int) -> Iterator[list[int]]:
-    """For m = d down to 2, the shifts of the weights w = 0..n*m, read from
-    `lighter_down` as a stream, two counts at a time.  The shift of m = 1
-    is the identity, so d < 2 builds no row."""
-    if d < 2:
-        return
-    counts = lighter_down(n, d)
-    now = next(counts)
-    for m, prev in zip(range(d, 1, -1), counts):
-        yield [_shift(now, prev, n, w) for w in range(n * m + 1)]
-        now = prev
+    """For m = d down to 2, the shifts of the weights w = 0..n*m, each read
+    from a pair (L_m, L_(m-1)) of `lighter_down`'s stream.  The shift of
+    m = 1 is the identity, so d = 1 builds no row: its range of m is empty,
+    and zip never starts the stream."""
+    for m, (now, prev) in zip(range(d, 1, -1), pairwise(lighter_down(n, d))):
+        yield [now(w) - prev(max(0, w - n)) for w in range(n * m + 1)]
 
 
 def hales_rank(u: Vertex, n: int, d: int) -> int:
     """0-based position of u in the Hales order on {0,...,n}^d.
 
     The mirror of hales_unrank: the first coordinate plus, for each
-    coordinate from the last to the second, the shift of the weight of the
-    coordinates up to it.
+    coordinate from the last to the second, the shift of the weight w of
+    the coordinates up to it, read from the next pair (L_m, L_(m-1)) of
+    `lighter_down`'s stream.  At d = 1 there is no such coordinate, and
+    the stream is never started.
     """
     check_vertex(u, n, d)
-    if d == 1:
-        return u[0]
-    weights = list(accumulate(u))
-    counts = lighter_down(n, d)
-    now, rank = next(counts), u[0]
-    for w, prev in zip(weights[:0:-1], counts):
-        rank += _shift(now, prev, n, w)
-        now = prev
-    return rank
+    weights = list(accumulate(u))[:0:-1]  # of the first d, d - 1, ..., 2 coordinates
+    counts = pairwise(lighter_down(n, d))
+    return u[0] + sum(now(w) - prev(max(0, w - n)) for w, (now, prev) in zip(weights, counts))
 
 
 def hales_unrank(r: int, n: int, d: int) -> Vertex:
     """Inverse of hales_rank, run backwards: the weight w of the vertex is
-    the last with L_d(w) <= r; each coordinate from the last to the second
-    takes off its shift, bisects L_pos for the weight j of the coordinates
-    before it, and is w - j.  The rank left is the first coordinate."""
+    the last with L_d(w) <= r; each coordinate from the last to the second,
+    with the next pair (L_m, L_(m-1)) of `lighter_down`'s stream, takes off
+    its shift, bisects L_(m-1) for the weight j of the coordinates before
+    it, and is w - j.  The rank left is the first coordinate.  At d = 1
+    there is no coordinate to take off, and r is returned before the stream
+    starts, so no row is built."""
     check_rank(r, n, d)
     if d == 1:
         return (r,)
-    counts = lighter_down(n, d)
-    now, weights = next(counts), range(n * d + 1)
-    w = bisect_right(weights, r, key=now) - 1
-    coords = []
-    for pos, prev in zip(range(d - 1, 0, -1), counts):
-        r -= _shift(now, prev, n, w)
+    weights, coords = range(n * d + 1), []
+    for pos, (now, prev) in zip(range(d - 1, 0, -1), pairwise(lighter_down(n, d))):
+        if not coords:  # the weight of the whole vertex
+            w = bisect_right(weights, r, key=now) - 1
+        r -= now(w) - prev(max(0, w - n))
         j = bisect_right(weights, r, max(0, w - n), min(w, n * pos) + 1, key=prev) - 1
         coords.append(w - j)
-        w, now = j, prev
+        w = j
     if r != w:  # unreachable for valid counts
         raise InternalInvariantError("rank decoding failed")
     return (w, *reversed(coords))

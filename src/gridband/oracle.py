@@ -9,7 +9,10 @@ gap bound t+1-lab < thr, and since each vertex's own unlabeled neighbors lie
 in the union it also bounds them one vertex at a time.  Candidates are tried
 in lex-position order, making every certificate reproducible.  The search
 runs in one loop over a list of its open nodes, the root and one per placed
-label, so a dive as deep as the grid has vertices takes no interpreter stack.
+label.  An open node is a generator of its children: it keeps the node's
+place among the candidates, labels the next child and yields it, and
+unlabels it when the loop resumes it.  The loop alone resumes them, one at a
+time, so a dive as deep as the grid has vertices takes no interpreter stack.
 
 Each round of the search asks one question at a fixed threshold thr: does
 some labeling stretch every edge less than thr?  Prefix Hall alone keeps
@@ -44,7 +47,7 @@ labeling's scanned value, not from the closed form, which only
 `verify_optimal` reads, to compare the two.
 
 The search keeps no copy of the grid: `grid` alone knows the lex layout.
-The first time the candidate loop reaches a vertex, it fills the vertex's
+The first time a node's generator reaches a vertex, it fills the vertex's
 slot with its coordinates and its neighbours' lex positions, both from one
 decode of its position by `grid.lex_neighbourhood`; prefix Hall reads the
 slots of the placed vertices.  So a search stopped by its budget holds only
@@ -181,7 +184,7 @@ class _Search:
         self.d = d
         self.total = total
         # by lex position: (coordinates, neighbour positions), filled the
-        # first time the candidate loop reaches the vertex
+        # first time a node's generator reaches the vertex
         self.slots: list[tuple[Vertex, list[int]] | None] = [None] * total
         self.max_nodes = budget.max_nodes
         self.deadline = (
@@ -193,14 +196,39 @@ class _Search:
     def below(self, threshold: int) -> list[int] | None:
         """The first full labeling, by lex position, that the search reaches
         below threshold; None when there is none or the budget ran out, which
-        out_of_budget tells apart.  Each open node, root first, is a list
-        of its stabilizer classes, the orbit keys it has tried, the
-        iterator over its candidates in lex-position order, and the vertex
-        that its current child labeled."""
+        out_of_budget tells apart.  Each open node, root first, is a
+        `children` generator, which keeps the node's stabilizer classes, the
+        orbit keys it has tried and its place in lex-position order.  It
+        labels its next child and yields the child's classes, and unlabels
+        the child when it is resumed; when it is exhausted the node is
+        closed."""
         n, d, total, slots = self.n, self.d, self.total, self.slots
         label_of = [0] * total
         placed: list[tuple[Vertex, list[int]]] = []  # slots, in label order
-        open_nodes: list[list] = []
+
+        def children(classes: Classes) -> Iterator[Classes]:
+            tried = set()
+            for v in range(total):
+                if label_of[v]:
+                    continue
+                if (slot := slots[v]) is None:
+                    slot = slots[v] = lex_neighbourhood(v, n, d)
+                if classes is not None:
+                    key = _orbit_key(classes, slot[0], n)
+                    if key in tried:
+                        continue
+                    tried.add(key)
+                label_of[v] = len(placed) + 1
+                placed.append(slot)
+                yield None if classes is None else _refine(classes, slot[0], n)
+                # resumed: leave the child.  Not in a finally, since a round
+                # that returns a labeling drops its open nodes, and closing
+                # them must not unlabel it
+                label_of[v] = 0
+                placed.pop()
+
+        open_nodes: list[Iterator[Classes]] = []
+        closed = object()  # what next() gives for a closed node
         classes = _root_classes(d)
         while True:
             # a node: labels 1..t placed, its stabilizer's classes in classes
@@ -225,37 +253,13 @@ class _Search:
                 if reach and len(reach) > lab + slack:
                     break
             else:
-                open_nodes.append([classes, set(), iter(range(total)), -1])
-            # label the next child of the deepest open node, closing each
+                open_nodes.append(children(classes))
+            # enter the next child of the deepest open node, closing each
             # node whose candidates run out
-            while open_nodes:
-                node = open_nodes[-1]
-                classes, tried, candidates, v = node
-                if v >= 0:  # leave the child it labeled last
-                    label_of[v] = 0
-                    placed.pop()
-                for v in candidates:
-                    if label_of[v]:
-                        continue
-                    if (slot := slots[v]) is None:
-                        slot = slots[v] = lex_neighbourhood(v, n, d)
-                    sub_classes = None
-                    if classes is not None:
-                        key = _orbit_key(classes, slot[0], n)
-                        if key in tried:
-                            continue
-                        tried.add(key)
-                        sub_classes = _refine(classes, slot[0], n)
-                    label_of[v] = len(placed) + 1
-                    placed.append(slot)
-                    node[3], classes = v, sub_classes
-                    break
-                else:  # no candidate left: close the node
-                    open_nodes.pop()
-                    continue
-                break  # enter the child
-            else:  # the root is closed
-                return None
+            while (classes := next(open_nodes[-1], closed)) is closed:
+                open_nodes.pop()
+                if not open_nodes:  # the root is closed
+                    return None
 
 
 def brute_force_bw(

@@ -552,13 +552,21 @@ def test_export_peak_memory(capsys, tmp_path):
         # the diagonal before it
         ("laplacian", "4 4 7\n1 1 1\n2 1 1\n2 2 -1\n3 1 -1\n3 3 1\n4 1 -1\n4 4 1\n",
          InternalInvariantError, r"bad\.mtx:4: off-diagonal value 1, not -1"),
+        # the writer puts no adjacency entry on the diagonal, whose value 1
+        # would pass the value check
+        ("adjacency", "2 2 2\n1 1 1\n2 1 1\n", InternalInvariantError,
+         r"bad\.mtx: adjacency diagonal entry \(1,1\)$"),
+        # a value is the off-diagonal one by its text, not by what int reads
+        ("adjacency", "2 2 1\n2 1 01\n", InternalInvariantError,
+         r"bad\.mtx:3: off-diagonal value 01, not 1"),
     ],
     ids=["duplicate", "above-diagonal", "wrong-nnz", "row-sum", "out-of-order",
          "zero-based-column", "row-past-size", "two-fields", "four-fields",
          "fractional-value", "two-field-size", "no-size-line", "bad-size-token",
          "not-coordinate", "not-square", "half-bandwidth", "duplicate-row-text",
          "row-back-to-1", "non-ascii-digit", "real-general", "pattern-skew-symmetric",
-         "banner-case", "adjacency-value", "laplacian-scaled", "value-after-diagonal"],
+         "banner-case", "adjacency-value", "laplacian-scaled", "value-after-diagonal",
+         "adjacency-diagonal", "adjacency-value-text"],
 )
 def test_self_test_rejects_bad_export(tmp_path, kind, body, error, message):
     # each file is the P_1^1 Laplacian or adjacency (half-bandwidth 1), or a
