@@ -221,8 +221,7 @@ def cmd_label(args) -> int:
     check_budget(n, d, args.budget, "output")
     labels = label_array(args.order, n, d)
     if args.format == "plain":
-        for block in label_lines(n, d, labels, BLOCK_LINES):
-            sys.stdout.write(block)
+        sys.stdout.writelines(label_lines(n, d, labels))
         return EXIT_OK
     pairs = label_listing(n, d, labels)
     doc = {"order": args.order, "n": n, "d": d, "labels": pairs}

@@ -44,15 +44,8 @@ TEXT_CAP = 40
 
 
 class BudgetExceededError(Exception):
-    """An operation would enumerate more vertices/lines than its budget allows.
-
-    required is None for a grid past SIZE_BITS bits, whose count is not built.
-    """
-
-    def __init__(self, message: str, budget: int, required: int | None):
-        super().__init__(message)
-        self.budget = budget
-        self.required = required
+    """An operation would hold or enumerate more than its budget allows; the
+    message names both figures."""
 
 
 class InternalInvariantError(Exception):
@@ -97,9 +90,7 @@ def check_budget(n: int, d: int, budget: int, what: str) -> None:
         size = f"{shown(n + 1)}^{shown(d)}" if total is None else shown(total)
         raise BudgetExceededError(
             f"P_{shown(n)}^{shown(d)} has {size} vertices; "
-            f"over the {what} budget ({shown(budget)} vertices)",
-            budget=budget,
-            required=total,
+            f"over the {what} budget ({shown(budget)} vertices)"
         )
 
 
@@ -151,10 +142,7 @@ def _check_row_bits(n: int, d: int) -> None:
     if bits > ROW_BITS:
         raise BudgetExceededError(
             f"coefficient row {shown(d)} for n = {shown(n)} would hold about "
-            f"{shown(bits)} bits; "
-            f"the row budget is {ROW_BITS} bits",
-            budget=ROW_BITS,
-            required=bits,
+            f"{shown(bits)} bits; the row budget is {ROW_BITS} bits"
         )
 
 

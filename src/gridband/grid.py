@@ -9,14 +9,15 @@ i + (n+1)^(d-1-p).  Scans, matrix export and listings take it from
 `label_array`, a labeling indexed by lex position, and its inverse
 `label_positions`; from `edge_ranges`, the edges as strided runs of at
 most RUN_CAP positions; and from tables split at the middle coordinate,
-which `position_texts`, `label_lines` and `lower_neighbours` read.
-`label_lines` builds each block of a listing's lines in one list
-comprehension, and `lower_neighbours` each export row's labels as text in
-another, str(labels[q - s]) for each stride s of the row.  The
-search takes one vertex at a time, as it reaches it, from
+which `_split_tables` alone builds and `label_listing`, `label_lines` and
+`lower_neighbours` read.  `label_lines` builds each block of a listing's
+lines in one list comprehension, and `lower_neighbours` each export row's
+labels as text in another, str(labels[q - s]) for each stride s of the
+row.  The search takes one vertex at a time, as it reaches it, from
 `lex_neighbourhood`: its coordinates, decoded once by `lex_unrank`, and
 its neighbours' positions, read from them by the stride rule.  Loaded
-files and certificates keep labels by lex position.
+files and certificates keep labels by lex position; a loaded field of
+plain decimal digits, no more of them than its bound has, is read at once.
 
 `_edge_scan` is the one loop that reads a bandwidth from those runs: the
 value and the lex positions of a witness edge.  It has two callers:
@@ -44,8 +45,8 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import compress, count, product, repeat
+from collections.abc import Callable, Iterator, Sequence
+from itertools import compress, count, product
 from operator import sub
 
 from .coeffs import TEXT_CAP, BudgetExceededError, InternalInvariantError  # re-exported
@@ -74,50 +75,56 @@ BandwidthReport.__doc__ = (
 def parse_vertex(text: str, n: int) -> Vertex:
     """Parse the comma-separated text form, e.g. "1,0,2", of a vertex of P_n^d.
 
-    Every coordinate is judged before any is read.  Text that int() refuses
-    is no coordinate, and is named by its position and its text, cut by
-    `shown`.  A coordinate with more significant digits than n is refused
-    unread, by its digit count: it lies outside [0, n], and reading it would
-    cost time quadratic in its length.
+    Every coordinate is judged before any is read.  Fields of plain decimal
+    digits, no more of them than n has, are read at once.  Of any other
+    text, what int() refuses is no coordinate, and is named by its position
+    and its text, cut by `shown`; a coordinate with more significant digits
+    than n is refused unread, by its digit count: it lies outside [0, n],
+    and reading it would cost time quadratic in its length.
     """
     parts = text.split(",")
-    for p, part in enumerate(parts):
-        digits = significant_digits(part)
-        if digits is None:
-            text = shown(part, repr)
-            raise ValueError(f"bad vertex: coordinate {p} is {text}, not an integer")
-        # 10^(digits-1) > n says it has more digits than n; the bit bound
-        # says so first for a long one, without building the power
-        if digits > 1 and (3 * (digits - 1) >= n.bit_length() or 10 ** (digits - 1) > n):
-            raise ValueError(f"coordinate of {digits} digits outside [0, {shown(n)}]")
+    # n >= 2^(bitlen(n)-1) and log10(2) > 0.30102 bound the digits n has
+    # from below, without building str(n); an n below 1 bounds them by 0
+    if not _plain(parts, (max(n, 0).bit_length() - 1) * 30102 // 100000 + 1):
+        for p, part in enumerate(parts):
+            digits = significant_digits(part)
+            if digits is None:
+                text = shown(part, repr)
+                raise ValueError(f"bad vertex: coordinate {p} is {text}, not an integer")
+            # 10^(digits-1) > n says it has more digits than n; the bit bound
+            # says so first for a long one, without building the power
+            if digits > 1 and (3 * (digits - 1) >= n.bit_length() or 10 ** (digits - 1) > n):
+                raise ValueError(f"coordinate of {digits} digits outside [0, {shown(n)}]")
     return tuple(map(int, parts))
+
+
+def _plain(fields: list[str], digits: int) -> bool:
+    """Whether every field is decimal digits alone, at most digits of them:
+    text that int() reads at once, as `significant_digits` would judge it."""
+    return all(map(str.isdecimal, fields)) and max(map(len, fields)) <= digits
 
 
 def format_vertex(u: Vertex) -> str:
     return ",".join(map(str, u))
 
 
-def _vertex_texts(n: int, d: int) -> tuple[list[str], list[str], int]:
-    """Tables of format_vertex split at a lex position q's divmod by
-    width = (n+1)^floor(d/2): the texts of the leading ceil(d/2) coordinates,
-    each closed by its comma when floor(d/2) > 0, then of the trailing
-    floor(d/2), then width.  They hold O(sqrt((n+1)^(d+1))) strings.
+def _split_tables(n: int, d: int, cell: Callable) -> tuple[list, list, int]:
+    """Tables of cell(u, p) over the leading ceil(d/2) coordinates (p = 0)
+    and over the trailing floor(d/2) (p = ceil(d/2)), u the half's
+    coordinates and p the index of its first, then width = (n+1)^floor(d/2):
+    the vertex at lex position q is the halves at hi[q // width] and
+    lo[q % width].  They hold O(sqrt((n+1)^(d+1))) cells.
     """
-    tail = d // 2
-
-    def texts(m: int) -> list[str]:
-        return [",".join(map(str, u)) for u in product(range(n + 1), repeat=m)]
-
-    lo = texts(tail)
-    hi = [f"{t}," for t in texts(d - tail)] if tail else texts(d)
-    return hi, lo, (n + 1) ** tail
+    lead = d - d // 2
+    hi = [cell(u, 0) for u in product(range(n + 1), repeat=lead)]
+    lo = [cell(u, lead) for u in product(range(n + 1), repeat=d - lead)]
+    return hi, lo, (n + 1) ** (d - lead)
 
 
-def position_texts(n: int, d: int, positions: Iterable[int]) -> Iterator[str]:
-    """format_vertex of the vertex at each lex position, in order: one
-    divmod and one join of two `_vertex_texts` strings a position."""
-    hi, lo, width = _vertex_texts(n, d)
-    return (hi[q] + lo[r] for q, r in map(divmod, positions, repeat(width)))
+def _vertex_texts(n: int, d: int) -> tuple[list[str], list[str], int]:
+    """`_split_tables` of format_vertex's texts: each coordinate after a
+    comma, the leading half's (p = 0) first comma dropped."""
+    return _split_tables(n, d, lambda u, p: "".join(f",{c}" for c in u)[p == 0 :])
 
 
 def label_positions(labels: Sequence[int]) -> Sequence[int]:
@@ -138,45 +145,39 @@ def lower_neighbours(
     order.
 
     The lighter neighbours of u at position q are at q - (n+1)^(d-1-p) for
-    each u_p >= 1, in that order.  Tables split as in `_vertex_texts` hold
-    these strides and the degrees, and one list comprehension reads a row's
-    texts, str(labels[q - s]) for each stride s.
+    each u_p >= 1, in that order.  `_split_tables` hold these strides and
+    the degrees, and one list comprehension reads a row's texts,
+    str(labels[q - s]) for each stride s.
     """
-    lead, width = d - d // 2, (n + 1) ** (d // 2)
     strides = [(n + 1) ** (d - 1 - p) for p in range(d)]
-
-    def table(part: list[int]) -> list[tuple[tuple[int, ...], int]]:
-        return [
-            (tuple(compress(part, u)), sum((c > 0) + (c < n) for c in u))
-            for u in product(range(n + 1), repeat=len(part))
-        ]
-
-    hi, lo = table(strides[:lead]), table(strides[lead:])
+    hi, lo, width = _split_tables(n, d, lambda u, p: (
+        tuple(compress(strides[p:], u)), sum((c > 0) + (c < n) for c in u)))
     for q in label_positions(labels):
         (hi_strides, hi_degree), (lo_strides, lo_degree) = hi[q // width], lo[q % width]
         yield [str(labels[q - s]) for s in hi_strides + lo_strides], hi_degree + lo_degree
 
 
 def label_listing(n: int, d: int, labels: Sequence[int]) -> Iterator[tuple[str, int]]:
-    """(vertex text, label) for every vertex of a labeling, in label order."""
-    return zip(position_texts(n, d, label_positions(labels)), count(1))
+    """(vertex text, label) for every vertex of a labeling, in label order:
+    one join of two `_vertex_texts` strings a vertex."""
+    hi, lo, width = _vertex_texts(n, d)
+    return zip((hi[q // width] + lo[q % width] for q in label_positions(labels)), count(1))
 
 
-def label_lines(
-    n: int, d: int, labels: Sequence[int], block: int = BLOCK_LINES
-) -> Iterator[str]:
-    """The `<vertex><TAB><label>` lines of label_listing, block lines to a
-    string: the plain `gridband label` listing, and a certificate's body.
+def label_lines(n: int, d: int, labels: Sequence[int]) -> Iterator[str]:
+    """The `<vertex><TAB><label>` lines of label_listing, BLOCK_LINES lines
+    to a string: the plain `gridband label` listing, and a certificate's
+    body.
 
     One list comprehension builds a block's lines from the tables of
     `_vertex_texts`, with no pair and no format call per line.
     """
     hi, lo, width = _vertex_texts(n, d)
     positions = label_positions(labels)
-    for start in range(0, len(positions), block):
+    for start in range(0, len(positions), BLOCK_LINES):
         yield "".join([
             f"{hi[q // width]}{lo[q % width]}\t{label}\n"
-            for label, q in enumerate(positions[start : start + block], start + 1)
+            for label, q in enumerate(positions[start : start + BLOCK_LINES], start + 1)
         ])
 
 
@@ -219,9 +220,7 @@ def lex_unrank(r: int, n: int, d: int) -> Vertex:
     if d > DEFAULT_SCAN_BUDGET:
         raise BudgetExceededError(
             f"a vertex of P_{shown(n)}^{shown(d)} has {shown(d)} coordinates; "
-            f"over the unrank budget ({DEFAULT_SCAN_BUDGET} coordinates)",
-            budget=DEFAULT_SCAN_BUDGET,
-            required=d,
+            f"over the unrank budget ({DEFAULT_SCAN_BUDGET} coordinates)"
         )
     coords = [0] * d
     for p in range(d - 1, -1, -1):
@@ -254,6 +253,7 @@ def load_labeling_file(path: str, n: int, d: int) -> list[int]:
     """
     check_budget(n, d, DEFAULT_SCAN_BUDGET, "labeling-file")
     total = (n + 1) ** d
+    width = len(str(total))  # at most DEFAULT_SCAN_BUDGET: a short text
     labels = [0] * total
     seen: set[int] = set()
     with open(path, encoding="utf-8") as handle:
@@ -266,11 +266,12 @@ def load_labeling_file(path: str, n: int, d: int) -> list[int]:
                 raise ValueError(f"{path}:{lineno}: expected '<coords>\\t<label>'")
             try:
                 u = parse_vertex(parts[0], n)
-                digits = significant_digits(parts[1])
-                if digits is None:
-                    raise ValueError(f"bad label {shown(parts[1], repr)}: not an integer")
-                if digits > len(str(total)):  # refused unread, as a coordinate
-                    raise ValueError(f"label of {digits} digits outside 1..{total}")
+                if not _plain(parts[1:], width):
+                    digits = significant_digits(parts[1])
+                    if digits is None:
+                        raise ValueError(f"bad label {shown(parts[1], repr)}: not an integer")
+                    if digits > width:  # refused unread, as a coordinate
+                        raise ValueError(f"label of {digits} digits outside 1..{total}")
                 label = int(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
@@ -385,10 +386,8 @@ def labeling_bandwidth(
         return BandwidthReport(*hales_bandwidth(n, d))
     if isinstance(labeling, str):
         labeling = label_array(labeling, n, d)
-    elif len(labeling) != (n + 1) ** d:
-        raise ValueError(
-            f"{len(labeling)} labels for the {(n + 1) ** d} vertices of P_{n}^{d}"
-        )
+    elif len(labeling) != (total := (n + 1) ** d):
+        raise ValueError(f"{len(labeling)} labels for the {total} vertices of P_{n}^{d}")
     value, (i, j) = _edge_scan(labeling, n, d)
     return BandwidthReport(value, (lex_unrank(i, n, d), lex_unrank(j, n, d)))
 

@@ -250,7 +250,8 @@ def test_listing_goes_out_in_blocks(monkeypatch, fmt):
             csv.writer(line, lineterminator="\n").writerow(row)
             lines.append(line.getvalue())
     for block_lines in (cli.BLOCK_LINES, 1, 2, 3):
-        monkeypatch.setattr(cli, "BLOCK_LINES", block_lines)
+        monkeypatch.setattr(cli, "BLOCK_LINES", block_lines)  # csv
+        monkeypatch.setattr(grid, "BLOCK_LINES", block_lines)  # plain
         stdout = CountingStdout()
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["label", "--n", str(n), "--d", str(d), "--format", fmt]) == 0

@@ -22,13 +22,13 @@ from gridband.grid import (
     edge_ranges,
     format_vertex,
     label_array,
+    label_listing,
     labeling_bandwidth,
     lex_neighbourhood,
     lex_rank,
     lex_unrank,
     load_labeling_file,
     parse_vertex,
-    position_texts,
 )
 from gridband.hales import hales_enumerate, hales_rank, hales_unrank
 from gridband.oracle import brute_force_bw
@@ -76,6 +76,51 @@ def test_vertex_text_form():
     assert parse_vertex("9,010", 10) == (9, 10)
     with pytest.raises(ValueError, match=r"^coordinate of 3 digits outside \[0, 10\]$"):
         parse_vertex("9,100", 10)
+
+
+# one field's spellings: leading zeros, signs, underscores, spaces, Unicode
+# digits, an empty field, no integer at all, and more digits than n has
+SPELLINGS = ["0", "1", "2", "10", "01", "0010", "100", "-0", "+1", "-1", "1_0", "_1", "1__0",
+             " 1", "1 ", "", "x", "1.5", "٣", "۱۰", "²", "1" * 31, "9" * 45]
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_fields_read_at_once_agree_with_the_judged_route(tmp_path, monkeypatch):
+    # parse_vertex and the loader read plain decimal fields at once; forced
+    # through the route that judges every field first, each spelling must
+    # give the same vertex, labels or message
+    path = tmp_path / "spelled.tsv"
+
+    def outcomes():
+        vertices = [
+            _outcome(parse_vertex, f"{a},{b}", n)
+            for n in (-1000, 0, 1, 2, 9, 10, 99, 10**30)
+            for a, b in product(SPELLINGS, repeat=2)
+        ]
+        files = []
+        for a in SPELLINGS:
+            path.write_text(f"0\t{a}\n{a}\t2\n", encoding="utf-8")
+            files.append(_outcome(load_labeling_file, str(path), 1, 1))
+        return vertices, files
+
+    plain, read_at_once = grid._plain, []
+
+    def counted(fields, digits):
+        read_at_once.append(plain(fields, digits))
+        return read_at_once[-1]
+
+    monkeypatch.setattr(grid, "_plain", counted)
+    fast = outcomes()
+    assert 0 < sum(read_at_once) < len(read_at_once)
+    monkeypatch.setattr(grid, "_plain", lambda fields, digits: False)
+    assert outcomes() == fast
+    assert fast[1][SPELLINGS.index("01")] == [1, 2]
 
 
 def test_edges_yields_each_edge_once():
@@ -179,8 +224,9 @@ def test_hales_label_array_matches_rank():
 
 def test_position_texts_match_format_vertex():
     for n, d in [(1, 1), (4, 1), (2, 3), (3, 2), (1, 10), (11, 2)]:
-        texts = list(position_texts(n, d, range((n + 1) ** d)))
-        assert texts == [format_vertex(u) for u in product(range(n + 1), repeat=d)]
+        lex = range(1, (n + 1) ** d + 1)
+        listing = [format_vertex(u) for u in product(range(n + 1), repeat=d)]
+        assert list(label_listing(n, d, lex)) == list(zip(listing, lex))
 
 
 def test_lex_rank_unrank():
@@ -375,8 +421,8 @@ def test_scan_matches_the_edge_list(monkeypatch):
 def test_scan_budget_error_names_budget():
     with pytest.raises(BudgetExceededError) as err:
         labeling_bandwidth("hales", 2, 10, max_vertices=1000)
-    assert "1000" in str(err.value)
-    assert err.value.required == 3 ** 10
+    assert str(err.value) == (
+        f"P_2^10 has {3 ** 10} vertices; over the edge-scan budget (1000 vertices)")
 
 
 def test_labeling_bandwidth_takes_an_order_or_a_full_label_array():
@@ -478,8 +524,9 @@ def test_labeling_file_refuses_a_grid_over_the_scan_budget(tmp_path):
     path = tmp_path / "missing.tsv"
     with pytest.raises(BudgetExceededError) as err:
         load_labeling_file(str(path), 1, 40)
-    assert err.value.budget == grid.DEFAULT_SCAN_BUDGET
-    assert err.value.required == 2**40
+    assert str(err.value) == (
+        f"P_1^40 has {2**40} vertices; "
+        f"over the labeling-file budget ({grid.DEFAULT_SCAN_BUDGET} vertices)")
 
 
 def test_labeling_file_skips_comments_and_blanks(tmp_path):
