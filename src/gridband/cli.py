@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import gc
 import sys
-from itertools import chain, islice, starmap
+from itertools import chain, islice
 from types import SimpleNamespace
 
 from .bandwidth import (
@@ -103,9 +103,9 @@ def _render(args, doc: dict, columns: list[str], rows=None, plain=None) -> None:
     else a `key value` line for each column in the doc, n and d aside.  A
     doc's note closes plain and csv output.
 
-    Cells print as _text prints them.  The first row's cell types fix each
-    column's format, so a long listing costs one str.format call per row
-    and no per-cell dispatch.  Plain and csv lines go to stdout BLOCK_LINES
+    Cells print as _text prints them.  csv runs _text on every cell only
+    when the first row holds a float, so a long listing of ints and text
+    costs no per-cell dispatch.  Plain and csv lines go to stdout BLOCK_LINES
     to a write, so a listing costs a few dozen writes whether or not stdout
     is buffered (python -u).  json and csv are imported by their own format
     only, so a plain run starts without them.
@@ -115,34 +115,30 @@ def _render(args, doc: dict, columns: list[str], rows=None, plain=None) -> None:
         doc = {key: _json(value) for key, value in doc.items()}
         print(json.dumps(doc, sort_keys=True, default=list))
         return
-    record = rows is None
-    if record:
-        rows = [[_text(doc.get(key, "")) for key in columns]]
-    rows = iter(rows)
-    first = next(rows)
-    rows = chain([first], rows)
-    floats = [isinstance(v, float) for v in first]
+    prefix = ""
     if args.format == "csv":
         import csv
-        if any(floats):
+        if rows is None:  # a record
+            rows = [[_text(doc.get(key, "")) for key in columns]]
+        rows = iter(rows)
+        first = next(rows)
+        rows = chain([first], rows)
+        if any(isinstance(v, float) for v in first):
             rows = ([_text(v) for v in row] for row in rows)
         # writerow returns what write returns, here the row's csv line
         echo = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
         lines = map(echo.writerow, chain([columns], rows))
         prefix = "# "
+    elif plain is not None:
+        lines = (f"{_text(v)}\n" for v in plain)
+    elif rows is None:
+        lines = (
+            f"{key} {_text(doc[key])}\n"
+            for key in columns
+            if key in doc and key not in ("n", "d")
+        )
     else:
-        if plain is not None:
-            lines = (f"{_text(v)}\n" for v in plain)
-        elif record:
-            lines = (
-                f"{key} {_text(doc[key])}\n"
-                for key in columns
-                if key in doc and key not in ("n", "d")
-            )
-        else:
-            line = "\t".join("{:.6g}" if f else "{}" for f in floats)
-            lines = starmap(f"{line}\n".format, rows)
-        prefix = ""
+        lines = ("\t".join(map(_text, row)) + "\n" for row in rows)
     while block := "".join(islice(lines, BLOCK_LINES)):
         sys.stdout.write(block)
     if "note" in doc:

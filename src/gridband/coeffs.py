@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from itertools import accumulate, chain, count, islice, repeat
-from math import comb, factorial
+from math import comb
 from operator import sub
 
 # the most bits a row, a half row or a walk may reach; row d holds n*d+1
@@ -344,18 +344,11 @@ def _top_sums_by_walk(n: int, d_max: int) -> Iterator[int]:
 def trinomial_coeff(d: int, k: int) -> int:
     """Closed form for the n = 2 coefficients via trinomial multinomials.
 
-    Sums d! / ((d-k+l)! (k-2l)! l!) over l = 0..floor(k/2), skipping terms
-    with a negative first part; equals coeff(2, d, k).
+    Sums d! / ((d-k+l)! (k-2l)! l!) = C(d, l) * C(d-l, k-2l) over
+    l = 0..floor(k/2); a term whose first part d-k+l is negative has
+    k-2l > d-l, and comb makes it 0.  Equals coeff(2, d, k).
     """
     check_grid(2, d, least_d=0)
     if k < 0 or k > 2 * d:
         raise ValueError(f"k must lie in [0, {2 * d}], got {k}")
-    fact_d = factorial(d)
-    total = 0
-    for ell in range(k // 2 + 1):
-        a = d - k + ell
-        if a < 0:
-            continue
-        total += fact_d // (factorial(a) * factorial(k - 2 * ell) * factorial(ell))
-    return total
-
+    return sum(comb(d, ell) * comb(d - ell, k - 2 * ell) for ell in range(k // 2 + 1))

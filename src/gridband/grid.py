@@ -47,7 +47,7 @@ from array import array
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from itertools import compress, count, product
-from operator import sub
+from operator import mul, sub
 
 from .coeffs import TEXT_CAP, BudgetExceededError, InternalInvariantError  # re-exported
 from .coeffs import check_budget, check_rank, shown, significant_digits
@@ -249,13 +249,15 @@ def load_labeling_file(path: str, n: int, d: int) -> list[int]:
     ValueError, whose message cuts the text it quotes by `shown`.  A label
     with more significant digits than (n+1)^d is refused by its digit
     count, unread.  A grid over DEFAULT_SCAN_BUDGET vertices raises
-    BudgetExceededError before any list is allocated.
+    BudgetExceededError before any list is allocated.  n and d are checked
+    once: a parsed vertex is judged by one length and range test and placed
+    by the stride rule, and the labels seen are marked in a bytearray.
     """
     check_budget(n, d, DEFAULT_SCAN_BUDGET, "labeling-file")
     total = (n + 1) ** d
     width = len(str(total))  # at most DEFAULT_SCAN_BUDGET: a short text
-    labels = [0] * total
-    seen: set[int] = set()
+    strides = [(n + 1) ** (d - 1 - p) for p in range(d)]
+    labels, seen = [0] * total, bytearray(total + 1)
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -275,24 +277,18 @@ def load_labeling_file(path: str, n: int, d: int) -> list[int]:
                 label = int(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            try:
-                position = lex_rank(u, n, d)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: vertex {shown(parts[0])} not in the grid"
-                ) from None
+            if len(u) != d or min(u) < 0 or max(u) > n:
+                raise ValueError(f"{path}:{lineno}: vertex {shown(parts[0])} not in the grid")
+            position = sum(map(mul, u, strides))
             if label < 1 or label > total:
                 raise ValueError(f"{path}:{lineno}: label {label} outside 1..{total}")
             if labels[position]:
                 raise ValueError(f"{path}:{lineno}: duplicate vertex {shown(parts[0])}")
-            if label in seen:
+            if seen[label]:
                 raise ValueError(f"{path}:{lineno}: duplicate label {label}")
-            labels[position] = label
-            seen.add(label)
-    if len(seen) != total:
-        raise ValueError(
-            f"{path}: {len(seen)} vertices labeled, expected {total} (not a bijection)"
-        )
+            labels[position], seen[label] = label, 1
+    if (labeled := seen.count(1)) != total:
+        raise ValueError(f"{path}: {labeled} vertices labeled, expected {total} (not a bijection)")
     return labels
 
 

@@ -98,12 +98,10 @@ def hales_unrank(r: int, n: int, d: int) -> Vertex:
     with the next pair (L_m, L_(m-1)) of `lighter_down`'s stream, takes off
     its shift, bisects L_(m-1) for the weight j of the coordinates before
     it, and is w - j.  The rank left is the first coordinate.  At d = 1
-    there is no coordinate to take off, and r is returned before the stream
-    starts, so no row is built."""
+    there is no coordinate to take off: the loop's range is empty, zip
+    never starts the stream, so no row is built, and w = r is the vertex."""
     check_rank(r, n, d)
-    if d == 1:
-        return (r,)
-    weights, coords = range(n * d + 1), []
+    weights, coords, w = range(n * d + 1), [], r
     for pos, (now, prev) in zip(range(d - 1, 0, -1), pairwise(lighter_down(n, d))):
         if not coords:  # the weight of the whole vertex
             w = bisect_right(weights, r, key=now) - 1

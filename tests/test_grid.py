@@ -482,6 +482,15 @@ def test_labeling_file_rejects_duplicates_and_gaps(tmp_path):
     with pytest.raises(ValueError, match="not in the grid"):
         load_labeling_file(str(path), n, d)
 
+    # a negative coordinate, and a vertex with too many coordinates
+    path.write_text("-1\t1\n1\t2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.tsv:1: vertex -1 not in the grid$"):
+        load_labeling_file(str(path), n, d)
+
+    path.write_text("0,0\t1\n1\t2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.tsv:1: vertex 0,0 not in the grid$"):
+        load_labeling_file(str(path), n, d)
+
     path.write_text("0\t1\n1\tx\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"bad\.tsv:2: bad label 'x': not an integer$"):
         load_labeling_file(str(path), n, d)

@@ -121,6 +121,9 @@ TOP, TOP_RANK = limit_lifted(lambda: (str(2**15000), str(2**15000 - 1)))
 BUFFERLESS = {"PYTHONUNBUFFERED": "1"}  # listings go out in blocks all the same
 PROOF_22 = "verdict verified\nformula 3\nbrute_force 3\nstatus proved\nnodes 9\n"
 
+STDLIB_ONLY = ("import sys; before = set(sys.modules); import gridband, gridband.cli; "
+               "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before} - sys.stdlib_module_names))")
+
 CASES = [
     Case("bw --n 2 --d 3 --format json"),
     Case("coeffs --n 2 --d 3 --format csv"),
@@ -204,6 +207,9 @@ CASES = [
     # no command imports typing, which costs a command started without site
     # (python -S) about 8 ms
     Case("", python=("-S", "-c", "import gridband.cli, sys; assert 'typing' not in sys.modules")),
+    # the package is pure standard library: of the top-level modules that
+    # importing it and its CLI adds, only gridband is not in the stdlib
+    Case("", out="['gridband']\n", python=("-S", "-c", STDLIB_ONLY)),
 ]
 
 
