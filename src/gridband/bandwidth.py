@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from itertools import accumulate
 
-from .coeffs import SIZE_BITS, check_grid, grid_bits, max_coeff, shown, top_sums
+from .coeffs import SIZE_BITS, check_grid, grid_bits, max_coeff, top_sums, worded
 
 
 BoundsPair = namedtuple("BoundsPair", ["lower", "upper"])
@@ -72,10 +72,10 @@ def asymptotic_estimate(n: int, d: int) -> AsymptoticEstimate:
             raise OverflowError
         estimate = (n + 1) ** (d + 1) * factor
     except OverflowError:
-        raise ValueError(
-            f"(n+1)^(d+1) = {shown(n + 1)}^{shown(d + 1)} is beyond float range; "
-            "no float estimate exists"
-        ) from None
+        raise ValueError(worded(
+            "(n+1)^(d+1) = {(n+1)}^{(d+1)} is beyond float range; no float estimate exists",
+            {"n": n, "d": d, "(n+1)": n + 1, "(d+1)": d + 1},
+        )) from None
     return AsymptoticEstimate(n=n, d=d, estimate=estimate, sqrt_factor=factor)
 
 

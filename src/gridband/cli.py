@@ -14,18 +14,17 @@ from __future__ import annotations
 
 import gc
 import sys
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from types import SimpleNamespace
 
 from .bandwidth import (
     asymptotic_estimate,
     bounds,
     bw_hales,
-    bw_hales_series,
     bw_lex,
     ratio_table,
 )
-from .coeffs import check_grid, coeff_row, max_coeff, read_rank, shown, significant_digits
+from .coeffs import check_grid, coeff_row, max_coeff, read_rank, shown, significant_digits, top_sums
 from .grid import (
     BLOCK_LINES,
     DEFAULT_SCAN_BUDGET,
@@ -202,7 +201,9 @@ def cmd_bw(args) -> int:
 def cmd_table(args) -> int:
     n_max, d_max = args.n, args.d
     check_grid(n_max, d_max)  # no grid at all would make an empty table
-    series = [bw_hales_series(n, d_max) for n in range(1, n_max + 1)]
+    # every column's stream starts, and a walk past the row budget is
+    # refused, before any column is summed
+    series = [accumulate(top_sums(n, d_max)) for n in range(1, n_max + 1)]
     rows = [list(row) for row in zip(*series)]
     header = ["d"] + [f"n={n}" for n in range(1, n_max + 1)]
     numbered = [[d, *row] for d, row in enumerate(rows, start=1)]
@@ -256,14 +257,16 @@ def cmd_unrank(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    # the bandwidth first: its walk refuses a row past the budget at once,
+    # where the bracket's counts would run before any refusal
+    bandwidth = bw_hales(args.n, args.d)
     pair = bounds(args.n, args.d)
-    doc = {
-        "n": args.n,
-        "d": args.d,
-        "lower": pair.lower,
-        "bandwidth": bw_hales(args.n, args.d),
-        "upper": pair.upper,
-    }
+    if not pair.lower <= bandwidth <= pair.upper:
+        raise InternalInvariantError(
+            f"bandwidth {shown(bandwidth)} outside the bracket "
+            f"[{shown(pair.lower)}, {shown(pair.upper)}] of central coefficients"
+        )
+    doc = {"n": args.n, "d": args.d, "lower": pair.lower, "bandwidth": bandwidth, "upper": pair.upper}
     _render(args, doc, ["lower", "bandwidth", "upper"])
     return EXIT_OK
 
@@ -322,20 +325,11 @@ def _write_matrix_market(path: str, n: int, d: int, labels, kind: str) -> int:
     return nnz
 
 
-def _refuse_entry(path: str, lineno: int, line: bytes, size: int, pi: int, pj: int) -> None:
-    """Raise the error of an entry line that follows entry (pi, pj), checked
-    in this order: three integers, on or below the diagonal, inside 1..size,
-    after (pi, pj).  A blank line, or an entry with none of these defects,
-    has no error, and returns."""
-    try:
-        i, j, _ = map(int, line.split())
-    except ValueError:
-        if not line.split():
-            return
-        text = shown(line.decode("utf-8", "replace").strip(), repr)
-        raise ValueError(
-            f"{path}:{lineno}: expected three integers 'row col value', got {text}"
-        ) from None
+def _misplaced(path: str, i: int, j: int, size: int, pi: int, pj: int) -> None:
+    """Raise the error of entry (i, j) after entry (pi, pj), checked in this
+    order: on or below the diagonal, inside 1..size, after (pi, pj).  An
+    entry with none of these defects, which here is an adjacency entry on
+    the diagonal, returns."""
     if j > i:
         raise InternalInvariantError(f"{path}: entry ({i},{j}) above the diagonal")
     if j < 1 or i > size:
@@ -346,55 +340,54 @@ def _refuse_entry(path: str, lineno: int, line: bytes, size: int, pi: int, pj: i
         raise InternalInvariantError(f"{path}: {problem} entry ({i},{j})")
 
 
+def _quoted(line: bytes) -> str:
+    """A line of a file as a refusal quotes it."""
+    return shown(line.decode("utf-8", "replace").strip(), repr)
+
+
 def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> None:
     """Re-read an exported file as ASCII bytes and check it against the export.
 
-    Each entry line costs one split, one int of its column, one compare of
-    its value's text and one test, pj < j <= last: its column follows the
-    row's previous one and lies below the diagonal, or on it in a Laplacian,
-    whose row i may end at column i, where an adjacency's ends at i - 1.  The
-    row is read, and checked to follow the previous row and lie inside
-    1..size, only when its text changes; a new row's first column, 1 at
-    least, is its longest edge, as columns increase along a row.  A value
-    whose bytes equal the export's off-diagonal text, b"1" for adjacency and
-    b"-1" for a Laplacian, is that value; any other text is read by int, and
-    must be a Laplacian's diagonal.  Values are summed into the row totals
-    only for a Laplacian.  A line that fails any test goes to _refuse_entry,
-    which names its defect, and an adjacency entry on the diagonal, which
-    _refuse_entry passes, is named here.  The file must open with the banner
-    the export writes, MM_BANNER.
+    The file must hold exactly the lines _write_matrix_market writes: the
+    banner MM_BANNER, the size line, then one `row col value` line per
+    entry, with no comment line and no blank line.  Each entry line costs
+    one split, one int of its column, one compare of its value's text and
+    one test, pj < j <= last: its column follows the row's previous one and
+    lies below the diagonal, or on it in a Laplacian, whose row i may end at
+    column i, where an adjacency's ends at i - 1.  The row is read, and
+    checked to follow the previous row and lie inside 1..size, only when its
+    text changes; a new row's first column, 1 at least, is its longest edge,
+    as columns increase along a row.  A value whose bytes equal the export's
+    off-diagonal text, b"1" for adjacency and b"-1" for a Laplacian, is that
+    value; any other text is read by int, and must be a Laplacian's
+    diagonal.  Values are summed into the row totals only for a Laplacian.
+    An entry that fails the test goes to _misplaced, which names its defect
+    from the integers already read; an adjacency entry on the diagonal,
+    which _misplaced passes, is named here.
     """
     with open(path, "rb") as handle:
         header = handle.readline()
         if header != MM_BANNER.encode():
-            text = shown(header.decode("utf-8", "replace").strip(), repr)
             raise ValueError(
                 f"{path}: not a coordinate MatrixMarket file with the banner "
-                f"{MM_BANNER.strip()!r}, got {text}"
+                f"{MM_BANNER.strip()!r}, got {_quoted(header)}"
             )
-        lineno = 2
-        while (line := handle.readline()).startswith(b"%"):
-            lineno += 1
+        line = handle.readline()
         try:
-            size, cols, nnz = (int(tok) for tok in line.split())
+            size, cols, nnz = map(int, line.split())
         except ValueError:
-            text = shown(line.decode("utf-8", "replace").strip(), repr)
-            raise ValueError(
-                f"{path}:{lineno}: expected 'rows cols entries', got {text}"
-            ) from None
+            raise ValueError(f"{path}:2: expected 'rows cols entries', got {_quoted(line)}") from None
         if size != cols:
             raise ValueError(f"{path}: expected a square matrix")
         laplacian = kind == "laplacian"
         # the value of every off-diagonal entry, and its text
         off, off_text = (-1, b"-1") if laplacian else (1, b"1")
         totals = [0] * (size + 1) if laplacian else None
-        first = lineno + 1
-        blanks = 0
-        pi = pj = 0  # the last entry
+        lineno, pi, pj = 2, 0, 0  # the last line read, and the last entry
         row_text = b""  # this entry's row i, as written: none before the first
         half_bandwidth = 0
-        for lineno, line in enumerate(handle, start=first):
-            try:
+        try:  # only the unpacking of a line and int raise ValueError
+            for lineno, line in enumerate(handle, start=3):
                 text, col, value = line.split()
                 j = int(col)
                 if value == off_text:
@@ -406,35 +399,31 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
                             f"{path}:{lineno}: off-diagonal value "
                             f"{shown(value.decode())}, not {off}"
                         )
-            except ValueError:
-                _refuse_entry(path, lineno, line, size, pi, pj)
-                blanks += 1
-                continue
-            if text != row_text:
-                try:
+                if text != row_text:
                     i = int(text)
-                except ValueError:
-                    _refuse_entry(path, lineno, line, size, pi, pj)
-                # the last column that row i may hold: only a Laplacian has
-                # a diagonal
-                row_text, last = text, i if laplacian else i - 1
-                if pi < i <= size:  # a new row
-                    pi, pj = i, 0
-                    if i - j > half_bandwidth:
-                        half_bandwidth = i - j
-                elif i != pi:
-                    _refuse_entry(path, lineno, line, size, pi, pj)
-            if not pj < j <= last:
-                _refuse_entry(path, lineno, line, size, pi, pj)
-                raise InternalInvariantError(f"{path}: adjacency diagonal entry ({i},{j})")
-            pj = j
-            if laplacian:
-                totals[i] += v
-                if i != j:
-                    totals[j] += v  # symmetric storage: mirror into the upper half
-        found = lineno + 1 - first - blanks
-    if found != nnz:
-        raise ValueError(f"{path}: header says {nnz} entries, found {found}")
+                    # the last column that row i may hold: only a Laplacian
+                    # has a diagonal
+                    row_text, last = text, i if laplacian else i - 1
+                    if pi < i <= size:  # a new row
+                        pi, pj = i, 0
+                        if i - j > half_bandwidth:
+                            half_bandwidth = i - j
+                    elif i != pi:
+                        _misplaced(path, i, j, size, pi, pj)
+                if not pj < j <= last:
+                    _misplaced(path, i, j, size, pi, pj)
+                    raise InternalInvariantError(f"{path}: adjacency diagonal entry ({i},{j})")
+                pj = j
+                if laplacian:
+                    totals[i] += v
+                    if i != j:
+                        totals[j] += v  # symmetric storage: mirror into the upper half
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: expected three integers 'row col value', got {_quoted(line)}"
+            ) from None
+    if lineno - 2 != nnz:
+        raise ValueError(f"{path}: header says {nnz} entries, found {lineno - 2}")
     if laplacian and any(totals):
         raise InternalInvariantError(f"{path}: laplacian row sums are not all zero")
     if half_bandwidth != expected_half_bandwidth:

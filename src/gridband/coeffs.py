@@ -56,14 +56,33 @@ def shown(value: object, form: Callable[[str], str] = str) -> str:
     """form(text) in a message, text the str of value, such as an integer;
     past TEXT_CAP characters, form of the first TEXT_CAP and the length of
     the text; an int that Python's int/str digit limit refuses to turn into
-    text is named by its approximate number of digits."""
+    text is named by its sign and approximate number of digits."""
     try:
         text = str(value)
     except ValueError:  # past the limit: log10(2) is about 0.30103
-        return f"an integer of about {value.bit_length() * 30103 // 100000 + 1} digits"
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of about {value.bit_length() * 30103 // 100000 + 1} digits"
     if len(text) <= TEXT_CAP:
         return form(text)
     return f"{form(text[:TEXT_CAP])}... ({len(text)} characters)"
+
+
+def worded(template: str, values: dict[str, object]) -> str:
+    """template.format_map(values), each value as `shown` writes it.  A value
+    that Python's int/str digit limit refuses to write is written as its key
+    in capitals, n as N and (n+1) as (N+1), so that no phrase stands where a
+    number belongs; a key that is a name then gets a clause of its own at the
+    end, which gives the value's size: "; N is an integer of about 4401 digits".
+    """
+    texts, sizes = {}, ""
+    for key, value in values.items():
+        try:
+            texts[key] = shown(str(value))
+        except ValueError:
+            texts[key] = key.upper()
+            if key.isidentifier():
+                sizes += f"; {key.upper()} is {shown(value)}"
+    return template.format_map(texts) + sizes
 
 
 def check_grid(n: int, d: int, least_d: int = 1) -> None:
@@ -72,7 +91,9 @@ def check_grid(n: int, d: int, least_d: int = 1) -> None:
     A grid P_n^d needs d >= 1; a coefficient row exists from d = 0 on.
     """
     if n < 1 or d < least_d:
-        raise ValueError(f"need n >= 1 and d >= {least_d}, got n={shown(n)}, d={shown(d)}")
+        raise ValueError(worded(
+            "need n >= 1 and d >= {least_d}, got n={n}, d={d}", {"least_d": least_d, "n": n, "d": d}
+        ))
 
 
 def grid_bits(n: int, d: int) -> int:
@@ -87,11 +108,11 @@ def check_budget(n: int, d: int, budget: int, what: str) -> None:
     check_grid(n, d)
     total = (n + 1) ** d if grid_bits(n, d) <= SIZE_BITS else None
     if total is None or total > budget:
-        size = f"{shown(n + 1)}^{shown(d)}" if total is None else shown(total)
-        raise BudgetExceededError(
-            f"P_{shown(n)}^{shown(d)} has {size} vertices; "
-            f"over the {what} budget ({shown(budget)} vertices)"
-        )
+        size = "{(n+1)}^{d}" if total is None else "{total}"
+        raise BudgetExceededError(worded(
+            "P_{n}^{d} has " + size + " vertices; over the {what} budget ({budget} vertices)",
+            {"n": n, "d": d, "(n+1)": n + 1, "total": total, "what": what, "budget": budget},
+        ))
 
 
 def check_rank(r: int, n: int, d: int) -> None:
@@ -128,10 +149,13 @@ def read_rank(text: str, n: int, d: int) -> int:
 def _refuse_rank(rank, n: int, d: int) -> None:
     """Refuse a rank outside [0, (n+1)^d) with ValueError, naming the top
     rank by its digits up to SIZE_BITS and as (n+1)^d - 1 past them, each
-    number cut by `shown`."""
+    number written by `worded`."""
     big = grid_bits(n, d) > SIZE_BITS
-    top = f"{shown(n + 1)}^{shown(d)} - 1" if big else shown((n + 1) ** d - 1)
-    raise ValueError(f"rank {shown(rank)} outside [0, {top}]")
+    top = "{(n+1)}^{d} - 1" if big else "{top}"
+    raise ValueError(worded(
+        "rank {r} outside [0, " + top + "]",
+        {"r": rank, "n": n, "d": d, "(n+1)": n + 1, "top": None if big else (n + 1) ** d - 1},
+    ))
 
 
 def _check_row_bits(n: int, d: int) -> None:
@@ -140,10 +164,10 @@ def _check_row_bits(n: int, d: int) -> None:
     check_grid(n, d, least_d=0)
     bits = (n * d + 1) * d * (n + 1).bit_length()
     if bits > ROW_BITS:
-        raise BudgetExceededError(
-            f"coefficient row {shown(d)} for n = {shown(n)} would hold about "
-            f"{shown(bits)} bits; the row budget is {ROW_BITS} bits"
-        )
+        raise BudgetExceededError(worded(
+            "coefficient row {d} for n = {n} would hold about {b} bits; the row budget is {budget} bits",
+            {"d": d, "n": n, "b": bits, "budget": ROW_BITS},
+        ))
 
 
 def _slide(seq: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -320,25 +344,30 @@ def _top_sums_by_walk(n: int, d_max: int) -> Iterator[int]:
     or ceil(n/2) degrees higher.  The (n+1)-sums of row i from degree m-n
     up give row i+1's window but for its top s entries, which `_miller` of
     row i+1 refills from the n+2 before them.  A row costs O(n) operations
-    instead of the O(n*i) of a half row.  Refused past ROW_BITS before any
-    work, as `_half_row(n, d_max - 1)` is.
+    instead of the O(n*i) of a half row.  Refused past ROW_BITS when called,
+    as `_half_row(n, d_max - 1)` is, so a caller that starts several walks
+    hears of a refused one before it reads any.
     """
     _check_row_bits(n, d_max - 1)
     # the refill's n+2 terms reach s below the centre, read at up to
     # odd + s, and n+1-s above it; as 2s + odd <= n+1, n+2 is the least
     # width that holds them
     width = n + 2
-    window, m = (1,) + (0,) * (width - 1), 0
-    for i in range(d_max):
-        row = _below(window, n * i & 1, n)  # degrees m-n .. m+n+1
-        lo, stop = _top_window(n, i)
-        yield sum(row[n + lo - m : n + stop - m])
-        if i + 1 < d_max:
-            s = n * (i + 1) // 2 - m
-            m += s
-            sums = _slide(row[s:], n)[n:]
-            before = _below(sums, n * (i + 1) & 1, s)
-            window = sums + tuple(islice(_miller(n, i + 1, m + width - s, before), s))
+
+    def walk():
+        window, m = (1,) + (0,) * (width - 1), 0
+        for i in range(d_max):
+            row = _below(window, n * i & 1, n)  # degrees m-n .. m+n+1
+            lo, stop = _top_window(n, i)
+            yield sum(row[n + lo - m : n + stop - m])
+            if i + 1 < d_max:
+                s = n * (i + 1) // 2 - m
+                m += s
+                sums = _slide(row[s:], n)[n:]
+                before = _below(sums, n * (i + 1) & 1, s)
+                window = sums + tuple(islice(_miller(n, i + 1, m + width - s, before), s))
+
+    return walk()
 
 
 def trinomial_coeff(d: int, k: int) -> int:

@@ -50,7 +50,7 @@ from itertools import compress, count, product
 from operator import mul, sub
 
 from .coeffs import TEXT_CAP, BudgetExceededError, InternalInvariantError  # re-exported
-from .coeffs import check_budget, check_rank, shown, significant_digits
+from .coeffs import check_budget, check_rank, shown, significant_digits, worded
 from .hales import Vertex, check_vertex, hales_bandwidth, weight_shifts
 
 DEFAULT_SCAN_BUDGET = 1_000_000
@@ -94,7 +94,7 @@ def parse_vertex(text: str, n: int) -> Vertex:
             # 10^(digits-1) > n says it has more digits than n; the bit bound
             # says so first for a long one, without building the power
             if digits > 1 and (3 * (digits - 1) >= n.bit_length() or 10 ** (digits - 1) > n):
-                raise ValueError(f"coordinate of {digits} digits outside [0, {shown(n)}]")
+                raise ValueError(worded("coordinate of {k} digits outside [0, {n}]", {"k": digits, "n": n}))
     return tuple(map(int, parts))
 
 
@@ -218,10 +218,10 @@ def lex_unrank(r: int, n: int, d: int) -> Vertex:
     with BudgetExceededError before its d coordinates are allocated."""
     check_rank(r, n, d)
     if d > DEFAULT_SCAN_BUDGET:
-        raise BudgetExceededError(
-            f"a vertex of P_{shown(n)}^{shown(d)} has {shown(d)} coordinates; "
-            f"over the unrank budget ({DEFAULT_SCAN_BUDGET} coordinates)"
-        )
+        raise BudgetExceededError(worded(
+            "a vertex of P_{n}^{d} has {d} coordinates; over the unrank budget ({budget} coordinates)",
+            {"n": n, "d": d, "budget": DEFAULT_SCAN_BUDGET},
+        ))
     coords = [0] * d
     for p in range(d - 1, -1, -1):
         r, coords[p] = divmod(r, n + 1)

@@ -40,7 +40,7 @@ from collections import deque
 from collections.abc import Iterator
 from itertools import accumulate, chain, pairwise
 
-from .coeffs import InternalInvariantError, check_grid, check_rank, lighter_down, shown
+from .coeffs import InternalInvariantError, check_grid, check_rank, lighter_down, worded
 
 Vertex = tuple[int, ...]
 
@@ -49,10 +49,10 @@ def check_vertex(u: Vertex, n: int, d: int) -> None:
     """Refuse with ValueError a vertex that is not in the grid P_n^d."""
     check_grid(n, d)
     if len(u) != d:
-        raise ValueError(f"vertex has {len(u)} coordinates, expected {d}")
+        raise ValueError(worded("vertex has {k} coordinates, expected {d}", {"k": len(u), "d": d}))
     for p, c in enumerate(u):
         if c < 0 or c > n:
-            raise ValueError(f"coordinate {p} is {shown(c)}, outside [0, {shown(n)}]")
+            raise ValueError(worded("coordinate {p} is {c}, outside [0, {n}]", {"p": p, "c": c, "n": n}))
 
 
 def hales_compare(u: Vertex, v: Vertex) -> int:

@@ -20,6 +20,7 @@ import gridband.grid as grid
 import gridband.hales as hales
 import gridband.oracle as oracle
 from gridband.cli import main
+from gridband.bandwidth import BoundsPair
 from gridband.coeffs import trinomial_coeff
 from gridband.grid import InternalInvariantError, format_vertex
 
@@ -307,6 +308,34 @@ def test_bounds_at_huge_n(capsys):
     assert doc["lower"] <= doc["bandwidth"] <= doc["upper"]
 
 
+@pytest.mark.parametrize("side,pair", [("lower", (9, 19)), ("upper", (7, 7))])
+def test_bounds_out_of_order_exits_3(capsys, monkeypatch, side, pair):
+    # max_coeff(n,d) <= bw <= max_coeff(n,d+1) is the paper's bracket; a
+    # bracket that misses the bandwidth is two routes that disagree
+    monkeypatch.setattr(cli, "bounds", lambda n, d: BoundsPair(*pair))
+    code, out, err = run(capsys, "bounds", "--n", "2", "--d", "3")
+    assert (code, out) == (3, "")
+    assert err == (f"gridband: internal error: bandwidth 8 outside the bracket "
+                   f"[{pair[0]}, {pair[1]}] of central coefficients\n"), side
+
+
+def _unreached(*args):
+    raise AssertionError("a term was computed before the refusal")
+
+
+@pytest.mark.parametrize("argv", ["table --n 1000 --d 1000", "bounds --n 1000 --d 5000"])
+def test_refused_before_any_term(capsys, monkeypatch, argv):
+    # table starts every column's walk, and bounds the bandwidth's, before
+    # it sums or counts a term; a walk past the row budget is refused when
+    # it starts (column 45 of the table), so no term is reached
+    monkeypatch.setattr(coeffs, "_top_window", _unreached)
+    monkeypatch.setattr(coeffs, "_count_below", _unreached)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"gridband: error: coefficient row \d+ for n = \d+ would hold about \d+ bits; "
+                        r"the row budget is 268435456 bits\n", err), err
+
+
 def test_ratio_csv(capsys):
     code, out, _ = run(capsys, "ratio", "--n", "2", "--d", "3", "--format", "csv")
     assert code == 0
@@ -522,8 +551,7 @@ def test_export_peak_memory(capsys, tmp_path):
         ("laplacian", "2 2 3\n1 1 1\n2 1 -1\n2 2 1.5\n", ValueError, r"bad\.mtx:5: expected three"),
         ("laplacian", "2 2\n1 1 1\n2 1 -1\n2 2 1\n", ValueError, r"bad\.mtx:2: expected 'rows"),
         ("laplacian", "", ValueError, r"bad\.mtx:2: expected 'rows.*got ''"),
-        ("laplacian", "% a comment line\n2 2 x\n1 1 1\n2 1 -1\n2 2 1\n",
-         ValueError, r"bad\.mtx:3: expected 'rows"),
+        ("laplacian", "2 2 x\n1 1 1\n2 1 -1\n2 2 1\n", ValueError, r"bad\.mtx:2: expected 'rows"),
         ("laplacian", "%%MatrixMarket matrix array integer general\n2 2\n1\n-1\n-1\n1\n",
          ValueError, "not a coordinate MatrixMarket file"),
         ("laplacian", "2 3 3\n1 1 1\n2 1 -1\n2 2 1\n", ValueError, "expected a square matrix"),
@@ -560,6 +588,15 @@ def test_export_peak_memory(capsys, tmp_path):
         # a value is the off-diagonal one by its text, not by what int reads
         ("adjacency", "2 2 1\n2 1 01\n", InternalInvariantError,
          r"bad\.mtx:3: off-diagonal value 01, not 1"),
+        # a row that goes back is refused where it starts, even when its
+        # column would follow the previous one
+        ("adjacency", "4 4 2\n4 1 1\n3 2 1\n", InternalInvariantError,
+         r"out-of-order entry \(3,2\)"),
+        # the writer writes no blank line and no comment line
+        ("laplacian", "2 2 3\n1 1 1\n\n2 1 -1\n2 2 1\n",
+         ValueError, r"bad\.mtx:4: expected three integers 'row col value', got ''$"),
+        ("laplacian", "% a comment line\n2 2 3\n1 1 1\n2 1 -1\n2 2 1\n",
+         ValueError, r"bad\.mtx:2: expected 'rows cols entries', got '% a comment line'$"),
     ],
     ids=["duplicate", "above-diagonal", "wrong-nnz", "row-sum", "out-of-order",
          "zero-based-column", "row-past-size", "two-fields", "four-fields",
@@ -567,7 +604,8 @@ def test_export_peak_memory(capsys, tmp_path):
          "not-coordinate", "not-square", "half-bandwidth", "duplicate-row-text",
          "row-back-to-1", "non-ascii-digit", "real-general", "pattern-skew-symmetric",
          "banner-case", "adjacency-value", "laplacian-scaled", "value-after-diagonal",
-         "adjacency-diagonal", "adjacency-value-text"],
+         "adjacency-diagonal", "adjacency-value-text", "row-back-past-column", "blank-line",
+         "comment-line"],
 )
 def test_self_test_rejects_bad_export(tmp_path, kind, body, error, message):
     # each file is the P_1^1 Laplacian or adjacency (half-bandwidth 1), or a
@@ -583,8 +621,6 @@ def test_self_test_rejects_bad_export(tmp_path, kind, body, error, message):
 @pytest.mark.parametrize(
     "kind,body,half_bandwidth",
     [
-        ("laplacian", "2 2 3\n1 1 1\n\n2 1 -1\n2 2 1\n", 1),
-        ("laplacian", "% a comment line\n2 2 3\n1 1 1\n2 1 -1\n2 2 1\n", 1),
         ("laplacian", "2 2 3\n1 1 1\n2 1 -1\n02 2 1\n", 1),
         ("laplacian", "2 2 3\n1\t1\t1\n2 1 -1\n2 2 1\n", 1),
         ("adjacency", "2 2 1\n2 1 1\n", 1),
@@ -593,7 +629,7 @@ def test_self_test_rejects_bad_export(tmp_path, kind, body, error, message):
         ("laplacian", "3 3 5\n1 1 1\n2 2 1\n3 1 -1\n3 2 -1\n3 3 2\n", 2),
         ("adjacency", "3 3 2\n3 1 1\n3 2 1\n", 2),
     ],
-    ids=["blank-line", "comment-line", "same-row-new-text", "tabs", "empty-first-row",
+    ids=["same-row-new-text", "tabs", "empty-first-row",
          "longest-edge-first", "adjacency-longest-edge-first"],
 )
 def test_self_test_accepts_export(tmp_path, kind, body, half_bandwidth):

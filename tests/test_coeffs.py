@@ -7,7 +7,7 @@ from itertools import accumulate, pairwise
 import pytest
 
 from gridband import coeffs
-from gridband.bandwidth import BoundsPair, bounds, bw_hales, bw_hales_series
+from gridband.bandwidth import BoundsPair, asymptotic_estimate, bounds, bw_hales, bw_hales_series
 from gridband.coeffs import (
     BudgetExceededError,
     _count_below,
@@ -20,6 +20,7 @@ from gridband.coeffs import (
     top_sum,
     trinomial_coeff,
 )
+from gridband.grid import lex_unrank, parse_vertex
 from gridband.hales import hales_rank, hales_unrank
 
 
@@ -218,21 +219,49 @@ def test_row_budget_refuses_before_building(monkeypatch):
 
 
 # with Python's int/str digit limit at its default, as outside the CLI, a
-# refusal names an integer it cannot print by its digits
+# refusal writes an integer it cannot print as its name in capitals, and
+# gives its size in a clause of its own; its other numbers print as before
+NINES = "9" * 40 + "... (2500 characters)"
 HUGE_REFUSALS = [
-    (lambda: bw_hales(1, 10**2500), BudgetExceededError, "about 5001 digits bits"),
-    (lambda: coeffs.check_budget(10**4400, 1, 5, "x"), BudgetExceededError, "P_an integer of about 4401 digits^1"),
-    (lambda: hales_unrank(10**5000, 1, 5), ValueError, "rank an integer of about 5001 digits outside"),
-    (lambda: coeffs.check_grid(-10**5000, 1), ValueError, "n=an integer of about 5001 digits, d=1"),
+    (lambda: coeffs.check_grid(-10**5000, 1), ValueError,
+     "need n >= 1 and d >= 1, got n=N, d=1; N is a negative integer of about 5001 digits"),
+    (lambda: coeffs.check_budget(10**4400, 1, 5, "x"), BudgetExceededError,
+     "P_N^1 has (N+1)^1 vertices; over the x budget (5 vertices); N is an integer of about 4401 digits"),
+    (lambda: bw_hales(1, 10**2500), BudgetExceededError,
+     f"coefficient row {NINES} for n = 1 would hold about B bits; the row budget is 268435456 bits; "
+     "B is an integer of about 5001 digits"),
+    (lambda: coeffs._check_row_bits(10**5000, 2), BudgetExceededError,
+     "coefficient row 2 for n = N would hold about B bits; the row budget is 268435456 bits; "
+     "N is an integer of about 5001 digits; B is an integer of about 5005 digits"),
+    (lambda: hales_unrank(10**5000, 1, 5), ValueError,
+     "rank R outside [0, 31]; R is an integer of about 5001 digits"),
+    (lambda: coeffs._refuse_rank(0, 10**5000, 3), ValueError,
+     "rank 0 outside [0, (N+1)^3 - 1]; N is an integer of about 5001 digits"),
+    (lambda: asymptotic_estimate(10**4400, 1), ValueError,
+     "(n+1)^(d+1) = (N+1)^2 is beyond float range; no float estimate exists; "
+     "N is an integer of about 4401 digits"),
+    (lambda: lex_unrank(0, 1, 10**5000), BudgetExceededError,
+     "a vertex of P_1^D has D coordinates; over the unrank budget (1000000 coordinates); "
+     "D is an integer of about 5001 digits"),
+    # the check of a vertex's length printed d through str, and so raised
+    # the limit's own ValueError
+    (lambda: hales_rank((0,), 1, 10**5000), ValueError,
+     "vertex has 1 coordinates, expected D; D is an integer of about 5001 digits"),
+    (lambda: hales_rank((-1,), 10**5000, 1), ValueError,
+     "coordinate 0 is -1, outside [0, N]; N is an integer of about 5001 digits"),
+    (lambda: parse_vertex("1" * 6000, 10**5000), ValueError,
+     "coordinate of 6000 digits outside [0, N]; N is an integer of about 5001 digits"),
 ]
 
 
-@pytest.mark.parametrize("call,error,named", HUGE_REFUSALS,
-                         ids=["bw_hales", "check_budget", "hales_unrank", "check_grid"])
-def test_refusals_of_integers_past_the_digit_limit(call, error, named):
+@pytest.mark.parametrize("call,error,message", HUGE_REFUSALS,
+                         ids=["check_grid", "check_budget", "bw_hales", "check_row_bits",
+                              "hales_unrank", "refuse_rank", "asymptotic_estimate", "lex_unrank",
+                              "vertex_length", "vertex_coordinate", "parse_vertex"])
+def test_refusals_of_integers_past_the_digit_limit(call, error, message):
     with pytest.raises(error) as refused:
         call()
-    assert named in str(refused.value) and len(str(refused.value)) < 300, refused.value
+    assert str(refused.value) == message
 
 
 def test_walk_matches_counting():

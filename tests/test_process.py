@@ -180,6 +180,14 @@ CASES = [
     Case("rank --n 100000000 --d 2 0,0", 2, wall=20, err=ROW_REFUSAL),
     Case("unrank --n 100000000 --d 2 0", 2, wall=20, err=ROW_REFUSAL),
     Case("rank --n 20000000 --d 1 5", out="6\n"),
+    # each command refuses a walk past the row budget before it sums or
+    # counts a term: table at its column 45, bounds before its bracket
+    Case("table --n 1000 --d 1000", 2, wall=5, err=re.escape(
+        "gridband: error: coefficient row 999 for n = 45 would hold about 269466264 bits; "
+        "the row budget is 268435456 bits\n")),
+    Case("bounds --n 1000 --d 5000", 2, wall=5, err=re.escape(
+        "gridband: error: coefficient row 4999 for n = 1000 would hold about 249900059990 bits; "
+        "the row budget is 268435456 bits\n")),
     Case("bw --n 1 --d 16 --method brute --budget 10 --out cert.tsv", 2, wall=60, err="", files=(("cert.tsv", 65539),)),
     # a search stopped by its budget holds only the vertices it reached, not
     # a table of all 524 288
