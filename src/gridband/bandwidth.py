@@ -32,13 +32,6 @@ def bw_hales(n: int, d: int) -> int:
     return sum(top_sums(n, d))
 
 
-def bw_hales_series(n: int, d_max: int) -> list[int]:
-    """[bw_hales(n, 1), ..., bw_hales(n, d_max)]: one running sum of the top
-    sums, which `coeffs.top_sums` gives by counting or by the window walk."""
-    check_grid(n, d_max)
-    return list(accumulate(top_sums(n, d_max)))
-
-
 def bw_hypercube(d: int) -> int:
     """Bandwidth of the d-cube: sum of binom(i, floor(i/2)) for i = 0..d-1."""
     check_grid(1, d)
@@ -80,9 +73,11 @@ def asymptotic_estimate(n: int, d: int) -> AsymptoticEstimate:
 
 
 def ratio_table(n: int, d_max: int) -> list[tuple[int, int, int, float]]:
-    """(d, bw_hales, bw_lex, ratio) for d = 1..d_max; the integers are divided last."""
+    """(d, bw_hales, bw_lex, ratio) for d = 1..d_max; the integers are divided
+    last.  bw_hales is one running sum of the top sums."""
+    check_grid(n, d_max)
     rows = []
-    for d, hales in enumerate(bw_hales_series(n, d_max), start=1):
+    for d, hales in enumerate(accumulate(top_sums(n, d_max)), start=1):
         lex = bw_lex(n, d)
         rows.append((d, hales, lex, hales / lex))
     return rows

@@ -102,12 +102,11 @@ def _render(args, doc: dict, columns: list[str], rows=None, plain=None) -> None:
     else a `key value` line for each column in the doc, n and d aside.  A
     doc's note closes plain and csv output.
 
-    Cells print as _text prints them.  csv runs _text on every cell only
-    when the first row holds a float, so a long listing of ints and text
-    costs no per-cell dispatch.  Plain and csv lines go to stdout BLOCK_LINES
-    to a write, so a listing costs a few dozen writes whether or not stdout
-    is buffered (python -u).  json and csv are imported by their own format
-    only, so a plain run starts without them.
+    Every plain and csv cell prints as _text prints it.  Plain and csv
+    lines go to stdout BLOCK_LINES to a write, so a listing costs a few
+    dozen writes whether or not stdout is buffered (python -u).  json and
+    csv are imported by their own format only, so a plain run starts
+    without them.
     """
     if args.format == "json":
         import json
@@ -118,12 +117,8 @@ def _render(args, doc: dict, columns: list[str], rows=None, plain=None) -> None:
     if args.format == "csv":
         import csv
         if rows is None:  # a record
-            rows = [[_text(doc.get(key, "")) for key in columns]]
-        rows = iter(rows)
-        first = next(rows)
-        rows = chain([first], rows)
-        if any(isinstance(v, float) for v in first):
-            rows = ([_text(v) for v in row] for row in rows)
+            rows = [[doc.get(key, "") for key in columns]]
+        rows = ([_text(v) for v in row] for row in rows)
         # writerow returns what write returns, here the row's csv line
         echo = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
         lines = map(echo.writerow, chain([columns], rows))

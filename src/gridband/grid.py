@@ -16,8 +16,9 @@ labels as text in another, str(labels[q - s]) for each stride s of the
 row.  The search takes one vertex at a time, as it reaches it, from
 `lex_neighbourhood`: its coordinates, decoded once by `lex_unrank`, and
 its neighbours' positions, read from them by the stride rule.  Loaded
-files and certificates keep labels by lex position; a loaded field of
-plain decimal digits, no more of them than its bound has, is read at once.
+files and certificates keep labels by lex position; every field read from
+text, a coordinate or a label, is judged by its significant digits before
+int() reads it.
 
 `_edge_scan` is the one loop that reads a bandwidth from those runs: the
 value and the lex positions of a witness edge.  It has two callers:
@@ -75,33 +76,23 @@ BandwidthReport.__doc__ = (
 def parse_vertex(text: str, n: int) -> Vertex:
     """Parse the comma-separated text form, e.g. "1,0,2", of a vertex of P_n^d.
 
-    Every coordinate is judged before any is read.  Fields of plain decimal
-    digits, no more of them than n has, are read at once.  Of any other
-    text, what int() refuses is no coordinate, and is named by its position
+    Every coordinate is judged by its significant digits before any is
+    read.  What int() refuses is no coordinate, and is named by its position
     and its text, cut by `shown`; a coordinate with more significant digits
     than n is refused unread, by its digit count: it lies outside [0, n],
     and reading it would cost time quadratic in its length.
     """
     parts = text.split(",")
-    # n >= 2^(bitlen(n)-1) and log10(2) > 0.30102 bound the digits n has
-    # from below, without building str(n); an n below 1 bounds them by 0
-    if not _plain(parts, (max(n, 0).bit_length() - 1) * 30102 // 100000 + 1):
-        for p, part in enumerate(parts):
-            digits = significant_digits(part)
-            if digits is None:
-                text = shown(part, repr)
-                raise ValueError(f"bad vertex: coordinate {p} is {text}, not an integer")
-            # 10^(digits-1) > n says it has more digits than n; the bit bound
-            # says so first for a long one, without building the power
-            if digits > 1 and (3 * (digits - 1) >= n.bit_length() or 10 ** (digits - 1) > n):
-                raise ValueError(worded("coordinate of {k} digits outside [0, {n}]", {"k": digits, "n": n}))
+    for p, part in enumerate(parts):
+        digits = significant_digits(part)
+        if digits is None:
+            text = shown(part, repr)
+            raise ValueError(f"bad vertex: coordinate {p} is {text}, not an integer")
+        # 10^(digits-1) > n says it has more digits than n; the bit bound
+        # says so first for a long one, without building the power
+        if digits > 1 and (3 * (digits - 1) >= n.bit_length() or 10 ** (digits - 1) > n):
+            raise ValueError(worded("coordinate of {k} digits outside [0, {n}]", {"k": digits, "n": n}))
     return tuple(map(int, parts))
-
-
-def _plain(fields: list[str], digits: int) -> bool:
-    """Whether every field is decimal digits alone, at most digits of them:
-    text that int() reads at once, as `significant_digits` would judge it."""
-    return all(map(str.isdecimal, fields)) and max(map(len, fields)) <= digits
 
 
 def format_vertex(u: Vertex) -> str:
@@ -246,12 +237,14 @@ def load_labeling_file(path: str, n: int, d: int) -> list[int]:
 
     Returns the labels by lex position.  '#' lines and blank lines are
     ignored; duplicates or gaps (not a bijection onto 1..(n+1)^d) raise
-    ValueError, whose message cuts the text it quotes by `shown`.  A label
-    with more significant digits than (n+1)^d is refused by its digit
-    count, unread.  A grid over DEFAULT_SCAN_BUDGET vertices raises
-    BudgetExceededError before any list is allocated.  n and d are checked
-    once: a parsed vertex is judged by one length and range test and placed
-    by the stride rule, and the labels seen are marked in a bytearray.
+    ValueError, whose message cuts the text it quotes by `shown`.  Each
+    label is judged by its significant digits before int() reads it, as
+    `parse_vertex` judges a coordinate: one with more of them than (n+1)^d
+    is refused by its digit count, unread.  A grid over DEFAULT_SCAN_BUDGET
+    vertices raises BudgetExceededError before any list is allocated.  n
+    and d are checked once: a parsed vertex is judged by one length and
+    range test and placed by the stride rule, and the labels seen are
+    marked in a bytearray.
     """
     check_budget(n, d, DEFAULT_SCAN_BUDGET, "labeling-file")
     total = (n + 1) ** d
@@ -268,12 +261,11 @@ def load_labeling_file(path: str, n: int, d: int) -> list[int]:
                 raise ValueError(f"{path}:{lineno}: expected '<coords>\\t<label>'")
             try:
                 u = parse_vertex(parts[0], n)
-                if not _plain(parts[1:], width):
-                    digits = significant_digits(parts[1])
-                    if digits is None:
-                        raise ValueError(f"bad label {shown(parts[1], repr)}: not an integer")
-                    if digits > width:  # refused unread, as a coordinate
-                        raise ValueError(f"label of {digits} digits outside 1..{total}")
+                digits = significant_digits(parts[1])
+                if digits is None:
+                    raise ValueError(f"bad label {shown(parts[1], repr)}: not an integer")
+                if digits > width:  # refused unread, as a coordinate
+                    raise ValueError(f"label of {digits} digits outside 1..{total}")
                 label = int(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None

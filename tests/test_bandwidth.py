@@ -13,7 +13,6 @@ from gridband.bandwidth import (
     asymptotic_estimate,
     bounds,
     bw_hales,
-    bw_hales_series,
     bw_hypercube,
     bw_lex,
     ratio_table,
@@ -48,15 +47,15 @@ def top_sums_by_rows(n, d_max):
 
 def test_series_routes_agree():
     # the walk and inclusion-exclusion against the sorted rows, whichever
-    # route bw_hales_series picks; (n, 2n) is the last point that counts and
-    # (n, 2n+1) the first that walks
+    # route top_sums picks for ratio_table's running sum; (n, 2n) is the
+    # last point that counts and (n, 2n+1) the first that walks
     cases = [(n, d) for n in range(1, 13) for d in range(1, 25)]
     cases += [(n, d) for n in range(1, 13) for d in (2 * n, 2 * n + 1)]
     for n, d in cases + [(200, 30), (100, 60), (30, 130)]:
         by_rows = top_sums_by_rows(n, d)
         assert list(_top_sums_by_walk(n, d)) == by_rows, (n, d)
         assert [top_sum(n, i) for i in range(d)] == by_rows, (n, d)
-        assert bw_hales_series(n, d) == list(accumulate(by_rows)), (n, d)
+        assert [row[1] for row in ratio_table(n, d)] == list(accumulate(by_rows)), (n, d)
         assert bw_hales(n, d) == sum(by_rows), (n, d)
 
 
@@ -73,7 +72,7 @@ def test_series_builds_no_cached_row(monkeypatch):
     monkeypatch.setattr(coeffs, "_half_row", no_row)
     assert bounds(6, 100) == pair
     monkeypatch.setattr(coeffs, "_miller", no_row)
-    assert bw_hales_series(100, 6) == series
+    assert [row[1] for row in ratio_table(100, 6)] == series
 
 
 def test_bw_hales_keeps_a_running_sum():

@@ -7,7 +7,7 @@ from itertools import accumulate, pairwise
 import pytest
 
 from gridband import coeffs
-from gridband.bandwidth import BoundsPair, asymptotic_estimate, bounds, bw_hales, bw_hales_series
+from gridband.bandwidth import BoundsPair, asymptotic_estimate, bounds, bw_hales, ratio_table
 from gridband.coeffs import (
     BudgetExceededError,
     _count_below,
@@ -183,7 +183,7 @@ def test_huge_n_needs_no_row(monkeypatch):
     assert top_sum(n, 1) == n
     assert max_coeff(n, 12) < max_coeff(n, 13)
     assert coeff(n, 2, n) == n + 1
-    assert bw_hales_series(n, 3) == [1, n + 1, n + 1 + top_sum(n, 2)]
+    assert [row[1] for row in ratio_table(n, 3)] == [1, n + 1, n + 1 + top_sum(n, 2)]
     assert bounds(n, 12) == BoundsPair(max_coeff(n, 12), max_coeff(n, 13))
 
 

@@ -91,36 +91,64 @@ def _outcome(call, *args):
         return str(exc)
 
 
-def test_fields_read_at_once_agree_with_the_judged_route(tmp_path, monkeypatch):
-    # parse_vertex and the loader read plain decimal fields at once; forced
-    # through the route that judges every field first, each spelling must
-    # give the same vertex, labels or message
+def _coordinate(text, p, n):
+    """Reference: int(text), or the message that refuses coordinate p's
+    text, as not an integer or as having more digits than [0, n] allows."""
+    try:
+        value = int(text)
+    except ValueError:
+        return f"bad vertex: coordinate {p} is {text!r}, not an integer"
+    digits = len(str(abs(value)))
+    if digits > 1 and 10 ** (digits - 1) > n:
+        return f"coordinate of {digits} digits outside [0, {n}]"
+    return value
+
+
+# what the loader makes of the lines `0<TAB>a` and `a<TAB>2` on P_1^1, for
+# each spelling a: the labels, or the line and the message that refuse it
+LOADED = {
+    "0": "1: label 0 outside 1..2",
+    "1": [1, 2],
+    "2": "2: vertex 2 not in the grid",
+    "10": "1: label of 2 digits outside 1..2",
+    "01": [1, 2],
+    "0010": "1: label of 2 digits outside 1..2",
+    "100": "1: label of 3 digits outside 1..2",
+    "-0": "1: label 0 outside 1..2",
+    "+1": [1, 2],
+    "-1": "1: label -1 outside 1..2",
+    "1_0": "1: label of 2 digits outside 1..2",
+    "_1": "1: bad label '_1': not an integer",
+    "1__0": "1: bad label '1__0': not an integer",
+    " 1": [1, 2],
+    "1 ": [1, 2],
+    "": "1: expected '<coords>\\t<label>'",
+    "x": "1: bad label 'x': not an integer",
+    "1.5": "1: bad label '1.5': not an integer",
+    "٣": "1: label 3 outside 1..2",
+    "۱۰": "1: label of 2 digits outside 1..2",
+    "²": "1: bad label '²': not an integer",
+    "1" * 31: "1: label of 31 digits outside 1..2",
+    "9" * 45: "1: label of 45 digits outside 1..2",
+}
+
+
+def test_spelled_fields_read_as_int_reads_them(tmp_path):
+    # every pair of spellings as a vertex: the int() values, or the first
+    # coordinate's refusal
+    for n in (-1000, 0, 1, 2, 9, 10, 99, 10**30):
+        for a, b in product(SPELLINGS, repeat=2):
+            judged = [_coordinate(a, 0, n), _coordinate(b, 1, n)]
+            refused = [j for j in judged if isinstance(j, str)]
+            expected = refused[0] if refused else tuple(judged)
+            assert _outcome(parse_vertex, f"{a},{b}", n) == expected, (a, b, n)
     path = tmp_path / "spelled.tsv"
-
-    def outcomes():
-        vertices = [
-            _outcome(parse_vertex, f"{a},{b}", n)
-            for n in (-1000, 0, 1, 2, 9, 10, 99, 10**30)
-            for a, b in product(SPELLINGS, repeat=2)
-        ]
-        files = []
-        for a in SPELLINGS:
-            path.write_text(f"0\t{a}\n{a}\t2\n", encoding="utf-8")
-            files.append(_outcome(load_labeling_file, str(path), 1, 1))
-        return vertices, files
-
-    plain, read_at_once = grid._plain, []
-
-    def counted(fields, digits):
-        read_at_once.append(plain(fields, digits))
-        return read_at_once[-1]
-
-    monkeypatch.setattr(grid, "_plain", counted)
-    fast = outcomes()
-    assert 0 < sum(read_at_once) < len(read_at_once)
-    monkeypatch.setattr(grid, "_plain", lambda fields, digits: False)
-    assert outcomes() == fast
-    assert fast[1][SPELLINGS.index("01")] == [1, 2]
+    assert list(LOADED) == SPELLINGS
+    for a, expected in LOADED.items():
+        path.write_text(f"0\t{a}\n{a}\t2\n", encoding="utf-8")
+        if isinstance(expected, str):
+            expected = f"{path}:{expected}"
+        assert _outcome(load_labeling_file, str(path), 1, 1) == expected, a
 
 
 def test_edges_yields_each_edge_once():
