@@ -43,12 +43,6 @@ from .hales import (
     hales_rank,
     hales_unrank,
 )
-from .oracle import (
-    OptimalityCertificate,
-    OptimalityCheck,
-    SearchBudget,
-    brute_force_bw,
-    verify_optimal,
-)
+from .oracle import OptimalityCertificate, brute_force_bw
 
 __version__ = "0.1.0"

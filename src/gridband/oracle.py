@@ -43,8 +43,8 @@ order.  This loses no value:
   representative is pruned only when every vertex of its orbit is.
 
 No theorem about the grid's bandwidth is used: the search starts from one
-labeling's scanned value, not from the closed form, which only
-`verify_optimal` reads, to compare the two.
+labeling's scanned value, not from the closed form, which this module never
+reads.  A comparison of the two belongs to its caller.
 
 The search keeps no copy of the grid: `grid` alone knows the lex layout.
 The first time a node's generator reaches a vertex, it fills the vertex's
@@ -75,7 +75,6 @@ import time
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .bandwidth import bw_hales
 from .grid import (
     DEFAULT_SCAN_BUDGET,
     InternalInvariantError,
@@ -142,22 +141,6 @@ def _refine(classes: Classes, x: Vertex, n: int) -> Classes:
     return tuple(refined)
 
 
-class SearchBudget:
-    """Limits on one search: a node count and an optional time in seconds."""
-
-    __slots__ = ("max_nodes", "time_limit")
-
-    def __init__(
-        self, max_nodes: int = DEFAULT_NODE_BUDGET, time_limit: float | None = None
-    ) -> None:
-        if max_nodes < 1:
-            raise ValueError("max_nodes must be positive")
-        if time_limit is not None and not time_limit > 0:  # NaN too
-            raise ValueError("time_limit must be positive")
-        self.max_nodes = max_nodes
-        self.time_limit = time_limit
-
-
 OptimalityCertificate = namedtuple(
     "OptimalityCertificate",
     ["n", "d", "optimal_value", "labels", "nodes_explored", "status"],
@@ -168,17 +151,12 @@ labels is the witness labeling, indexed by lex position; status is PROVED
 or BUDGET_EXHAUSTED.
 """
 
-OptimalityCheck = namedtuple("OptimalityCheck", ["result", "formula_value", "certificate"])
-OptimalityCheck.__doc__ = (
-    "verify_optimal outcome: result None means the budget ran out (inconclusive)."
-)
-
 
 class _Search:
     """One search of a grid, asked round by round for a labeling below a
     threshold; its node count, deadline and slot cache span every round."""
 
-    def __init__(self, n: int, d: int, budget: SearchBudget):
+    def __init__(self, n: int, d: int, max_nodes: int, time_limit: float | None):
         total = (n + 1) ** d
         self.n = n
         self.d = d
@@ -186,10 +164,8 @@ class _Search:
         # by lex position: (coordinates, neighbour positions), filled the
         # first time a node's generator reaches the vertex
         self.slots: list[tuple[Vertex, list[int]] | None] = [None] * total
-        self.max_nodes = budget.max_nodes
-        self.deadline = (
-            time.monotonic() + budget.time_limit if budget.time_limit else None
-        )
+        self.max_nodes = max_nodes
+        self.deadline = time.monotonic() + time_limit if time_limit else None
         self.nodes = 0
         self.out_of_budget = False
 
@@ -263,9 +239,13 @@ class _Search:
 
 
 def brute_force_bw(
-    n: int, d: int, budget: SearchBudget = SearchBudget()
+    n: int,
+    d: int,
+    max_nodes: int = DEFAULT_NODE_BUDGET,
+    time_limit: float | None = None,
 ) -> OptimalityCertificate:
-    """Exhaustive minimum over all labelings, within the given budget.
+    """Exhaustive minimum over all labelings, within max_nodes search nodes
+    and, when given, time_limit seconds.
 
     The value starts at the bandwidth that `_edge_scan` reads from the Hales
     label array, so the search reads no theorem.  Each round asks one
@@ -275,13 +255,19 @@ def brute_force_bw(
     the rounds first.  A labeling found that does not scan below its
     round's value is a fault of the search, raised as
     InternalInvariantError.  The witness is the last labeling found, or
-    else the Hales array.  Grids over DEFAULT_SCAN_BUDGET vertices are refused with
-    BudgetExceededError before anything is built.
+    else the Hales array.  A max_nodes below 1, or a time_limit not above 0
+    (NaN too), is refused with ValueError; then a grid over
+    DEFAULT_SCAN_BUDGET vertices is refused with BudgetExceededError, both
+    before anything is built.
     """
+    if max_nodes < 1:
+        raise ValueError("max_nodes must be positive")
+    if time_limit is not None and not time_limit > 0:  # NaN too
+        raise ValueError("time_limit must be positive")
     check_budget(n, d, DEFAULT_SCAN_BUDGET, "exhaustive-search")
     labels = label_array("hales", n, d)
     value = _edge_scan(labels, n, d)[0]
-    search = _Search(n, d, budget)
+    search = _Search(n, d, max_nodes, time_limit)
     while (found := search.below(value)) is not None:
         scanned = _edge_scan(found, n, d)[0]
         if scanned >= value:  # a round answers only below its threshold
@@ -297,23 +283,6 @@ def brute_force_bw(
         nodes_explored=search.nodes,
         status=BUDGET_EXHAUSTED if search.out_of_budget else PROVED,
     )
-
-
-def verify_optimal(
-    n: int, d: int, budget: SearchBudget = SearchBudget()
-) -> OptimalityCheck:
-    """Check that the exhaustive optimum equals the closed-form value.
-
-    result is True/False only when the search ran to completion; a
-    budget-exhausted search yields result None (inconclusive), never False.
-    The closed form is read here alone, after the search, so the search's
-    refusal of a grid past DEFAULT_SCAN_BUDGET vertices comes before any
-    closed-form work.
-    """
-    cert = brute_force_bw(n, d, budget)
-    formula = bw_hales(n, d)
-    result = cert.optimal_value == formula if cert.status == PROVED else None
-    return OptimalityCheck(result=result, formula_value=formula, certificate=cert)
 
 
 def certificate_lines(cert: OptimalityCertificate) -> Iterator[str]:

@@ -26,7 +26,7 @@ from gridband.hales import (
     hales_rank,
     hales_unrank,
 )
-from gridband.oracle import PROVED, SearchBudget, verify_optimal
+from gridband.oracle import PROVED, brute_force_bw
 
 # bw(P_n^d) for n = 2..8 (columns), d = 1..11 (rows)
 BW_TABLE_N2_TO_N8 = {
@@ -116,23 +116,22 @@ def test_criterion_2_hypercube_column_erratum(capsys):
     assert "4 at (n=1, d=3)" in note  # the d=3 arbitration outcome is recorded
 
     for d, expected in [(2, 2), (3, 4)]:
-        check = verify_optimal(1, d, SearchBudget(max_nodes=10 ** 8))
-        assert check.result is True
-        assert check.certificate.optimal_value == expected == bw_hales(1, d)
+        cert = brute_force_bw(1, d, max_nodes=10 ** 8)
+        assert cert.status == PROVED
+        assert cert.optimal_value == expected == bw_hales(1, d)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"erratum handling took {elapsed:.2f}s"
     _pass(2, "hypercube column erratum")
 
 
 def test_criterion_3_optimality_certification():
-    budget = SearchBudget(max_nodes=10 ** 8)
     for n, d in [(1, 1), (1, 2), (1, 3), (2, 2), (3, 2)]:
         start = time.monotonic()
-        check = verify_optimal(n, d, budget)
+        cert = brute_force_bw(n, d, max_nodes=10 ** 8)
         elapsed = time.monotonic() - start
-        assert check.result is True, (n, d)
-        assert check.certificate.status == PROVED
-        assert check.certificate.nodes_explored <= 10 ** 8
+        assert cert.status == PROVED, (n, d)
+        assert cert.optimal_value == bw_hales(n, d), (n, d)
+        assert cert.nodes_explored <= 10 ** 8
         assert elapsed < 60.0, f"({n},{d}) took {elapsed:.2f}s"
     _pass(3, "optimality certification")
 

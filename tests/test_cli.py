@@ -18,7 +18,6 @@ import gridband.cli as cli
 import gridband.coeffs as coeffs
 import gridband.grid as grid
 import gridband.hales as hales
-import gridband.oracle as oracle
 from gridband.cli import main
 from gridband.bandwidth import BoundsPair
 from gridband.coeffs import trinomial_coeff
@@ -131,7 +130,7 @@ def test_bw_internal_mismatch_exits_3(capsys, monkeypatch):
 def test_verify_optimal_mismatch_exits_3(capsys, monkeypatch):
     # a completed search that disagrees with the formula; the search starts
     # from the Hales labeling's scanned value and never reads the wrong 999
-    monkeypatch.setattr(oracle, "bw_hales", lambda n, d: 999)
+    monkeypatch.setattr(cli, "bw_hales", lambda n, d: 999)
     code, out, _ = run(capsys, "verify-optimal", "--n", "2", "--d", "2")
     assert code == 3
     assert out.startswith("verdict mismatch\nformula 999\nbrute_force 3\nstatus proved\n")
@@ -826,6 +825,13 @@ PARSE_CASES = [
      "gridband bw: error: argument --time-limit: invalid float value: 'x'"),
     ("bw --n 1 --d 1 --method brute --time-limit nan", 1, "",
      "gridband: error: time_limit must be positive"),
+    # the search's limits are checked before its vertex budget, and only by a search
+    ("bw --n 5 --d 1000000000 --method brute --time-limit nan", 1, "",
+     "gridband: error: time_limit must be positive"),
+    ("verify-optimal --n 5 --d 1000000000 --time-limit -0.0", 1, "",
+     "gridband: error: time_limit must be positive"),
+    ("bw --n 2 --d 2 --method formula --time-limit nan", 0,
+     "a313b37d9c359baad0fbe9f9dab4c72cb5d062d403aaf4fd906f172f4f480701", ""),
     ("unrank --n 1 --d 1", 1, "",
      "gridband unrank: error: the following arguments are required: rank"),
     ("unrank --n 1 --d 1 x", 1, "",
@@ -1120,7 +1126,7 @@ def test_verify_optimal_refuses_past_the_search_budget_before_the_formula(
     def no_formula(n, d):
         raise AssertionError("bw_hales ran before the budget refusal")
 
-    monkeypatch.setattr(oracle, "bw_hales", no_formula)
+    monkeypatch.setattr(cli, "bw_hales", no_formula)
     start = time.process_time()
     code, out, err = run(capsys, "verify-optimal", "--n", str(E18), "--d", str(E18))
     assert time.process_time() - start < 1

@@ -1,11 +1,13 @@
 """Branch-and-bound ground truth on desk-scale grids."""
 
+import ast
 import math
 import random
 import sys
 import tracemalloc
 from collections import defaultdict
 from itertools import count, permutations, product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -17,15 +19,13 @@ from gridband.grid import InternalInvariantError, labeling_bandwidth, load_label
 from gridband.oracle import (
     BUDGET_EXHAUSTED,
     PROVED,
+    DEFAULT_NODE_BUDGET,
     OptimalityCertificate,
-    OptimalityCheck,
-    SearchBudget,
     _orbit_key,
     _refine,
     _root_classes,
     brute_force_bw,
     certificate_lines,
-    verify_optimal,
 )
 
 
@@ -78,7 +78,7 @@ def test_small_grids_proved():
 def test_hypercube_dimension_four_arbitration():
     # 16 vertices: the exhaustive optimum settles the d=4 value at 7, one
     # above the 6 that circulates in older tabulations
-    cert = brute_force_bw(1, 4, SearchBudget(max_nodes=100_000))
+    cert = brute_force_bw(1, 4, max_nodes=100_000)
     assert cert.status == PROVED
     assert cert.optimal_value == 7 == bw_hales(1, 4)
 
@@ -120,7 +120,7 @@ def _certificate_by_format_vertex(cert):
 
 def test_certificate_bytes_unchanged():
     proved = brute_force_bw(2, 2)
-    exhausted = brute_force_bw(1, 6, SearchBudget(max_nodes=10))
+    exhausted = brute_force_bw(1, 6, max_nodes=10)
     assert (proved.status, exhausted.status) == (PROVED, BUDGET_EXHAUSTED)
     for cert in (proved, exhausted):
         assert "".join(certificate_lines(cert)) == _certificate_by_format_vertex(cert)
@@ -132,7 +132,7 @@ def test_fallback_certificate_body_is_the_label_listing(capsys):
     # labeling below the Hales labeling's scanned value
     grids = [(n, 1) for n in range(1, 36)] + [(n, 2) for n in range(1, 6)]
     grids += [(1, 3), (2, 3), (1, 4), (1, 5)]
-    certs = [brute_force_bw(2, 3, SearchBudget(max_nodes=10))]
+    certs = [brute_force_bw(2, 3, max_nodes=10)]
     certs += [brute_force_bw(n, d) for n, d in grids]
     assert [cert.status for cert in certs] == [BUDGET_EXHAUSTED] + [PROVED] * len(grids)
     for cert in certs:
@@ -171,14 +171,13 @@ def test_trivial_bound_start_agrees():
     scanned = {
         (3, 2): 69, (4, 2): 1416, (1, 4): 19, (2, 3): 2681, (1, 5): 3673, (5, 2): 74109,
     }
-    budget = SearchBudget(max_nodes=100_000)
     for n, d in grids:
         value = labeling_bandwidth("hales", n, d).value
         assert value == bw_hales(n, d), (n, d)
-        search = oracle._Search(n, d, budget)
+        search = oracle._Search(n, d, 100_000, None)
         assert _rounds(search, n, d, (n + 1) ** d)[0] == value, (n, d)
         assert not search.out_of_budget, (n, d)
-        cert = brute_force_bw(n, d, budget)
+        cert = brute_force_bw(n, d, max_nodes=100_000)
         assert cert.status == PROVED and cert.optimal_value == value, (n, d)
         if (n, d) in trivial:
             assert search.nodes == trivial[n, d], (n, d)
@@ -191,7 +190,7 @@ def test_a_round_below_the_optimum_by_one_finds_it_and_the_next_finds_none():
     nodes = {(1, 4): (26, 45), (2, 3): (7195, 9876), (1, 5): (88, 3761)}
     for (n, d), (first, both) in nodes.items():
         value = labeling_bandwidth("hales", n, d).value
-        search = oracle._Search(n, d, SearchBudget())
+        search = oracle._Search(n, d, DEFAULT_NODE_BUDGET, None)
         found = search.below(value + 1)
         assert labeling_bandwidth(found, n, d).value == value, (n, d)
         assert sorted(found) == list(range(1, (n + 1) ** d + 1)), (n, d)
@@ -204,7 +203,7 @@ def test_one_budget_spans_every_round():
     # from the trivial bound at (1, 5), four rounds find 16, 15, 14 and 13
     # in 254 nodes, and the fifth proves 13 in 3673 more; a budget of 1000
     # stops the fifth, at the first node past it
-    search = oracle._Search(1, 5, SearchBudget(max_nodes=1000))
+    search = oracle._Search(1, 5, 1000, None)
     assert _rounds(search, 1, 5, 2**5) == (13, 4)
     assert search.out_of_budget and search.nodes == 1001
 
@@ -248,7 +247,7 @@ def test_a_labeling_found_at_its_threshold_is_an_internal_error(monkeypatch):
 
 
 def test_node_budget_exhaustion():
-    cert = brute_force_bw(2, 2, SearchBudget(max_nodes=5))
+    cert = brute_force_bw(2, 2, max_nodes=5)
     assert cert.status == BUDGET_EXHAUSTED
     # the fallback witness is still a genuine labeling achieving the value
     assert sorted(cert.labels) == list(range(1, 10))
@@ -257,7 +256,7 @@ def test_node_budget_exhaustion():
 def test_time_limit_exhaustion():
     # (3, 2) is proved in 69 nodes, and a spent time limit still stops it
     for n, d in [(1, 4), (3, 2)]:
-        cert = brute_force_bw(n, d, SearchBudget(time_limit=1e-9))
+        cert = brute_force_bw(n, d, time_limit=1e-9)
         assert cert.status == BUDGET_EXHAUSTED, (n, d)
 
 
@@ -265,7 +264,7 @@ def test_deadline_is_read_at_every_node(monkeypatch):
     # a clock that advances one second per read: the deadline is 0 + 2.5, the
     # first two nodes read 1 and 2, and the third reads 3
     monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=count().__next__))
-    cert = brute_force_bw(1, 6, SearchBudget(time_limit=2.5))
+    cert = brute_force_bw(1, 6, time_limit=2.5)
     assert cert.status == BUDGET_EXHAUSTED
     assert cert.nodes_explored == 3
 
@@ -278,7 +277,7 @@ def test_search_memory_per_node_is_bounded():
     def peak(max_nodes):
         tracemalloc.start()
         try:
-            brute_force_bw(1, 12, SearchBudget(max_nodes=max_nodes))
+            brute_force_bw(1, 12, max_nodes=max_nodes)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -295,7 +294,7 @@ def test_stopped_search_holds_only_the_vertices_it_reached():
     vertices = 256**2
     tracemalloc.start()
     try:
-        search = oracle._Search(255, 2, SearchBudget(max_nodes=10))
+        search = oracle._Search(255, 2, 10, None)
         built = tracemalloc.get_traced_memory()[1]
         assert search.below(vertices) is None
         peak = tracemalloc.get_traced_memory()[1]
@@ -325,23 +324,6 @@ def test_search_decodes_each_vertex_it_reaches_once():
     assert sorted(decoded) == list(range(8))
 
 
-def test_verify_optimal_results():
-    check = verify_optimal(1, 2)
-    assert check.result is True and check.formula_value == 2
-
-    check = verify_optimal(2, 2)
-    assert check.result is True and check.formula_value == 3
-
-    check = verify_optimal(3, 2)
-    assert check.result is True and check.formula_value == 4
-
-
-def test_verify_optimal_inconclusive_is_not_false():
-    check = verify_optimal(2, 2, SearchBudget(max_nodes=5))
-    assert check.result is None
-    assert check.certificate.status == BUDGET_EXHAUSTED
-
-
 def test_certificate_is_a_named_tuple():
     assert OptimalityCertificate._fields == (
         "n", "d", "optimal_value", "labels", "nodes_explored", "status"
@@ -349,13 +331,6 @@ def test_certificate_is_a_named_tuple():
     n, d, value, labels, nodes, status = brute_force_bw(1, 2)
     assert (n, d, value, status) == (1, 2, 2, PROVED)
     assert sorted(labels) == [1, 2, 3, 4] and nodes > 0
-
-
-def test_optimality_check_is_a_named_tuple():
-    assert OptimalityCheck._fields == ("result", "formula_value", "certificate")
-    result, formula, cert = verify_optimal(1, 2)
-    assert (result, formula) == (True, 2)
-    assert cert == brute_force_bw(1, 2)
 
 
 def test_search_never_sets_the_recursion_limit(monkeypatch):
@@ -368,7 +343,7 @@ def test_search_never_sets_the_recursion_limit(monkeypatch):
 
     set_limit, before = sys.setrecursionlimit, sys.getrecursionlimit()
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-    search = oracle._Search(1, 8, SearchBudget())
+    search = oracle._Search(1, 8, DEFAULT_NODE_BUDGET, None)
     set_limit(200)
     try:
         found = search.below(2**7 + 1)
@@ -379,9 +354,21 @@ def test_search_never_sets_the_recursion_limit(monkeypatch):
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        SearchBudget(max_nodes=0)
-    with pytest.raises(ValueError):
-        SearchBudget(time_limit=0.0)
-    with pytest.raises(ValueError):
-        SearchBudget(time_limit=float("nan"))
+    with pytest.raises(ValueError, match="max_nodes must be positive"):
+        brute_force_bw(1, 1, max_nodes=0)
+    for time_limit in (0.0, -0.0, float("nan")):
+        with pytest.raises(ValueError, match="time_limit must be positive"):
+            brute_force_bw(1, 1, time_limit=time_limit)
+
+
+def test_the_search_reads_no_theorem():
+    # the closed form lives in bandwidth and coeffs; of the package, the
+    # search imports the grid's layout and the Hales labeling alone
+    modules = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    package = {name for name in modules if name.startswith((".", "gridband"))}
+    assert package == {".grid", ".hales"}

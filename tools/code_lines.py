@@ -1,12 +1,14 @@
-"""Count code lines per directory, by the standard library's tokenize.
+"""Count code lines per directory or file, by the standard library's tokenize.
 
-    python tools/code_lines.py [DIR ...]
+    python tools/code_lines.py [PATH ...]
 
 A code line holds a token of a statement that is not a string alone.  So
 blank lines, comment lines and docstring lines are left out, and so is a
 line of a bare string statement anywhere.  Every *.py file under a
-directory counts.  With no argument it counts src/gridband, tests and
-bench: the figures that ROADMAP.md and CHANGES.md quote.
+directory counts, and a .py file counts as itself; any other path is
+refused, with exit 1, before anything is counted.  With no argument it
+counts src/gridband, tests and bench: the figures that ROADMAP.md and
+CHANGES.md quote.
 """
 
 from __future__ import annotations
@@ -38,9 +40,15 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    for directory in argv or DEFAULT_DIRS:
-        total = sum(code_lines(path) for path in sorted(Path(directory).rglob("*.py")))
-        print(f"{directory}\t{total}")
+    args = argv or DEFAULT_DIRS
+    refused = [arg for arg in args if not (
+        Path(arg).is_dir() or Path(arg).is_file() and arg.endswith(".py"))]
+    if refused:
+        print(f"code_lines: not a directory or .py file: {', '.join(refused)}", file=sys.stderr)
+        return 1
+    for arg in args:
+        files = sorted(Path(arg).rglob("*.py")) if Path(arg).is_dir() else [Path(arg)]
+        print(f"{arg}\t{sum(map(code_lines, files))}")
     return 0
 
 
