@@ -335,9 +335,13 @@ def _quoted(line: bytes) -> str:
 def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> None:
     """Re-read an exported file as ASCII bytes and check it against the export.
 
-    The file must hold exactly the lines _write_matrix_market writes: the
-    banner MM_BANNER, the size line, then one `row col value` line per
-    entry, with no comment line and no blank line.  Each entry line costs
+    Line 1 must equal MM_BANNER byte for byte, line 2 is the size line and
+    every later line one `row col value` entry, so a comment line or a blank
+    line is refused.  Those lines are split at ASCII whitespace into three
+    fields, and sizes and indices are read by int, so a line need not be the
+    one _write_matrix_market writes: tabs, CRLF line ends, spaces around the
+    fields and an index written +2, 0_2 or 002 all pass.  Only a value is
+    compared as text.  Each entry line costs
     one split, one int of its column, one compare of its value's text and
     one test, pj < j <= last: its column follows the row's previous one and
     lies below the diagonal, or on it in a Laplacian, whose row i may end at

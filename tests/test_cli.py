@@ -33,12 +33,6 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_coeffs_plain(capsys):
-    code, out, _ = run(capsys, "coeffs", "--n", "2", "--d", "3")
-    assert code == 0
-    assert out == "1 3 6 7 6 3 1\n"
-
-
 def test_coeffs_on_deep_cold_rows(capsys):
     code, out, _ = run(capsys, "coeffs", "--n", "2", "--d", "600")
     assert code == 0
@@ -46,40 +40,6 @@ def test_coeffs_on_deep_cold_rows(capsys):
     assert len(values) == 1201
     assert sum(values) == 3**600
     assert values[600] == trinomial_coeff(600, 600)
-
-
-def test_coeffs_csv(capsys):
-    code, out, _ = run(capsys, "coeffs", "--n", "2", "--d", "2", "--format", "csv")
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["k", "coefficient"]
-    assert rows[1:] == [["0", "1"], ["1", "2"], ["2", "3"], ["3", "2"], ["4", "1"]]
-
-
-def test_bw_formula(capsys):
-    code, out, _ = run(capsys, "bw", "--n", "2", "--d", "3", "--method", "formula")
-    assert code == 0
-    assert out.splitlines() == ["value 8", "method formula"]
-
-
-def test_bw_lex_scan(capsys):
-    code, out, _ = run(capsys, "bw", "--n", "2", "--d", "3", "--method", "lex")
-    assert code == 0
-    assert "value 9" in out.splitlines()[0]
-
-
-def test_bw_hales_scan_agrees_with_formula(capsys):
-    code, out, _ = run(capsys, "bw", "--n", "3", "--d", "3", "--method", "hales-scan")
-    assert code == 0
-    assert out.splitlines()[0] == "value 14"
-
-
-def test_bw_brute(capsys):
-    code, out, _ = run(capsys, "bw", "--n", "2", "--d", "2", "--method", "brute")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "value 3"
-    assert "status proved" in lines
 
 
 def test_bw_brute_writes_certificate(capsys, tmp_path):
@@ -97,14 +57,6 @@ def test_bw_brute_writes_certificate(capsys, tmp_path):
     out, cert = runs[0]
     assert out.splitlines()[0] == "value 2"
     assert cert.startswith(b"# bandwidth 2\n")
-
-
-def test_bw_brute_budget_exhausted_exits_2(capsys):
-    code, out, _ = run(
-        capsys, "bw", "--n", "2", "--d", "2", "--method", "brute", "--budget", "5",
-    )
-    assert code == 2
-    assert "status budget-exhausted" in out
 
 
 def test_search_vertex_cap_exits_2(capsys):
@@ -144,55 +96,6 @@ def test_invariant_failures_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "unrank", "--n", "2", "--d", "2", "4")
     assert code == 3
     assert "internal error" in err
-
-
-@pytest.mark.parametrize("cmd,arg", [("rank", "0,0"), ("unrank", "0"), ("coeffs", None)])
-def test_rows_past_the_row_budget_exit_2(capsys, cmd, arg):
-    argv = [cmd, "--n", "100000000", "--d", "2", *([arg] if arg else [])]
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("gridband: error: coefficient row 2 for n = 100000000 ")
-    assert err.count("\n") == 1
-
-
-def test_one_dimension_needs_no_row_at_huge_n(capsys):
-    assert run(capsys, "rank", "--n", "20000000", "--d", "1", "5") == (0, "6\n", "")
-    assert run(capsys, "unrank", "--n", "20000000", "--d", "1", "5") == (0, "5\n", "")
-
-
-def test_table_plain_and_note(capsys):
-    code, out, _ = run(capsys, "table", "--n", "2", "--d", "5")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "d\tn=1\tn=2"
-    assert lines[3] == "3\t4\t8"
-    column_n2 = [line.split("\t")[2] for line in lines[1:6]]
-    assert column_n2 == ["1", "3", "8", "21", "56"]
-    assert lines[-1].startswith("note: n=1 column")
-
-
-def test_table_json_round_trip(capsys):
-    code, out, _ = run(capsys, "table", "--n", "3", "--d", "4", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["rows"][2] == [4, 8, 14]
-    assert json.dumps(doc, sort_keys=True) + "\n" == out
-
-
-def test_label_hales(capsys):
-    code, out, _ = run(capsys, "label", "--n", "2", "--d", "2", "--order", "hales")
-    assert code == 0
-    assert out.splitlines() == [
-        "0,0\t1", "0,1\t2", "1,0\t3", "0,2\t4", "1,1\t5",
-        "2,0\t6", "1,2\t7", "2,1\t8", "2,2\t9",
-    ]
-
-
-def test_label_lex(capsys):
-    code, out, _ = run(capsys, "label", "--n", "2", "--d", "2", "--order", "lex")
-    assert code == 0
-    assert out.splitlines()[:4] == ["0,0\t1", "0,1\t2", "0,2\t3", "1,0\t4"]
 
 
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 1), (1, 10)])
@@ -270,43 +173,6 @@ def test_default_budget_is_the_scan_budget(capsys, tmp_path, monkeypatch, comman
     assert "(1000000 vertices)" in err
 
 
-def test_label_budget_exit(capsys):
-    code, _, err = run(capsys, "label", "--n", "2", "--d", "8", "--budget", "100")
-    assert code == 2
-    assert "budget" in err
-
-
-def test_rank_examples(capsys):
-    code, out, _ = run(capsys, "rank", "--n", "2", "--d", "2", "--order", "hales", "1,1")
-    assert (code, out) == (0, "5\n")
-    code, out, _ = run(capsys, "rank", "--n", "2", "--d", "2", "--order", "hales", "0,0")
-    assert (code, out) == (0, "1\n")
-    code, out, _ = run(capsys, "rank", "--n", "2", "--d", "2", "--order", "lex", "1,1")
-    assert (code, out) == (0, "5\n")
-
-
-def test_unrank_takes_zero_based_rank(capsys):
-    code, out, _ = run(capsys, "unrank", "--n", "2", "--d", "2", "--order", "hales", "1")
-    assert (code, out) == (0, "0,1\n")
-    code, out, _ = run(capsys, "unrank", "--n", "2", "--d", "2", "--order", "hales", "0")
-    assert (code, out) == (0, "0,0\n")
-    code, out, _ = run(capsys, "unrank", "--n", "2", "--d", "3", "--order", "lex", "26")
-    assert (code, out) == (0, "2,2,2\n")
-
-
-def test_bounds_output(capsys):
-    code, out, _ = run(capsys, "bounds", "--n", "2", "--d", "3")
-    assert code == 0
-    assert out.splitlines() == ["lower 7", "bandwidth 8", "upper 19"]
-
-
-def test_bounds_at_huge_n(capsys):
-    code, out, _ = run(capsys, "bounds", "--n", "1000000000", "--d", "12", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["lower"] <= doc["bandwidth"] <= doc["upper"]
-
-
 @pytest.mark.parametrize("side,pair", [("lower", (9, 19)), ("upper", (7, 7))])
 def test_bounds_out_of_order_exits_3(capsys, monkeypatch, side, pair):
     # max_coeff(n,d) <= bw <= max_coeff(n,d+1) is the paper's bracket; a
@@ -333,31 +199,6 @@ def test_refused_before_any_term(capsys, monkeypatch, argv):
     assert (code, out) == (2, "")
     assert re.fullmatch(r"gridband: error: coefficient row \d+ for n = \d+ would hold about \d+ bits; "
                         r"the row budget is 268435456 bits\n", err), err
-
-
-def test_ratio_csv(capsys):
-    code, out, _ = run(capsys, "ratio", "--n", "2", "--d", "3", "--format", "csv")
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["d", "bw_hales", "bw_lex", "ratio"]
-    assert rows[3] == ["3", "8", "9", "0.888889"]
-
-
-def test_estimate_plain(capsys):
-    code, out, _ = run(capsys, "estimate", "--n", "2", "--d", "2")
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "estimate 7.61656"
-    assert lines[1] == "exact 7"
-
-
-def test_estimate_json_round_trip(capsys):
-    code, out, _ = run(capsys, "estimate", "--n", "1", "--d", "9", "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["exact"] == 252
-    assert round(doc["estimate"], 2) == 258.37
-    assert json.dumps(doc, sort_keys=True) + "\n" == out
 
 
 def test_outputs_are_deterministic(capsys):
@@ -397,20 +238,6 @@ def test_commands_do_not_import_argparse(tmp_path):
     assert child.code == 0, child.err
     imported = {line.rsplit("|", 1)[-1].strip() for line in child.err.decode().splitlines()}
     assert not imported & {"argparse", "gettext"}
-
-
-def test_export_adjacency_tiny(capsys, tmp_path):
-    path = tmp_path / "p11.mtx"
-    code, out, _ = run(
-        capsys, "export-matrix", "--n", "1", "--d", "1", "--order", "hales",
-        "--kind", "adjacency", "--out", str(path), "--self-test",
-    )
-    assert code == 0
-    assert path.read_text(encoding="utf-8") == (
-        "%%MatrixMarket matrix coordinate integer symmetric\n"
-        "2 2 1\n"
-        "2 1 1\n"
-    )
 
 
 def test_export_laplacian_self_test(capsys, tmp_path):
@@ -637,24 +464,6 @@ def test_self_test_accepts_export(tmp_path, kind, body, half_bandwidth):
     cli._self_test_export(str(path), kind, half_bandwidth)
 
 
-def test_export_budget_exit(capsys, tmp_path):
-    code, _, err = run(
-        capsys, "export-matrix", "--n", "2", "--d", "2",
-        "--out", str(tmp_path / "x.mtx"), "--budget", "4",
-    )
-    assert code == 2
-    assert "budget" in err
-
-
-def test_export_unwritable_path(capsys, tmp_path):
-    code, _, err = run(
-        capsys, "export-matrix", "--n", "1", "--d", "1",
-        "--out", str(tmp_path / "missing" / "x.mtx"),
-    )
-    assert code == 1
-    assert "error" in err
-
-
 def test_verify_optimal_cli(capsys, tmp_path):
     cert_path = tmp_path / "cert.tsv"
     code, out, _ = run(
@@ -667,14 +476,6 @@ def test_verify_optimal_cli(capsys, tmp_path):
     assert doc["formula"] == doc["brute_force"] == 4
     body = cert_path.read_text(encoding="utf-8")
     assert body.startswith("# bandwidth 4\n# status proved\n")
-
-
-def test_verify_optimal_inconclusive_exit(capsys):
-    code, out, _ = run(
-        capsys, "verify-optimal", "--n", "2", "--d", "2", "--budget", "5",
-    )
-    assert code == 2
-    assert "inconclusive" in out
 
 
 def test_usage_errors_exit_1(capsys):
@@ -806,8 +607,11 @@ def test_command_help_names_every_option(capsys, command):
         assert _squeezed(text) in _squeezed(out)
 
 
+ROW_REFUSAL = ("gridband: error: coefficient row 2 for n = 100000000 would hold about "
+               "10800000054 bits; the row budget is 268435456 bits")
 # (argv, exit code, sha256 of stdout or "" when there is none, last stderr
-# line); the usage line printed above an error is not pinned
+# line); the usage line printed above an error is not pinned, and no run
+# leaves a file
 PARSE_CASES = [
     ("bw --n", 1, "", "gridband bw: error: argument --n: expected one argument"),
     ("bw --n 1 --d 1 --method", 1, "",
@@ -868,6 +672,16 @@ PARSE_CASES = [
     ("rank --n 2 --d 2 --bogus 1,1 extra", 1, "",
      "gridband: error: unrecognized arguments: --bogus extra"),
     ("bw --n 1 --d 1 --", 1, "", "gridband: error: unrecognized arguments: --"),
+    # refusals past a budget, and of a path that cannot be written
+    ("label --n 2 --d 8 --budget 100", 2, "",
+     "gridband: error: P_2^8 has 6561 vertices; over the output budget (100 vertices)"),
+    ("export-matrix --n 2 --d 2 --out x.mtx --budget 4", 2, "",
+     "gridband: error: P_2^2 has 9 vertices; over the export budget (4 vertices)"),
+    ("export-matrix --n 1 --d 1 --out missing/x.mtx", 1, "",
+     "gridband: error: [Errno 2] No such file or directory: 'missing/x.mtx'"),
+    ("rank --n 100000000 --d 2 0,0", 2, "", ROW_REFUSAL),
+    ("unrank --n 100000000 --d 2 0", 2, "", ROW_REFUSAL),
+    ("coeffs --n 100000000 --d 2", 2, "", ROW_REFUSAL),
 ]
 
 
@@ -917,8 +731,9 @@ NOTE = (
 CERT = "# bandwidth 2\n# status proved\n# nodes 2\n0,0\t1\n0,1\t2\n1,0\t3\n1,1\t4\n"
 NO_OUTPUT = {"plain": "", "json": "", "csv": ""}
 
-# (arguments, exit code, stdout per format); every run starts in an empty
-# directory, and the files a run leaves there are pinned in GOLDEN_FILES
+# (arguments, exit code, stdout for each format the row pins), run with
+# --format added; every run starts in an empty directory, and the files a
+# run leaves there are pinned in GOLDEN_FILES
 GOLDEN = [
     ("coeffs --n 2 --d 2", 0, {
         "plain": "1 2 3 2 1\n",
@@ -1033,6 +848,42 @@ GOLDEN = [
                "2,2,inconclusive,3,3,budget-exhausted,6\n",
     }),
     ("table --n 2 --d 0", 1, NO_OUTPUT),
+    ("coeffs --n 2 --d 3", 0, {"plain": "1 3 6 7 6 3 1\n"}),
+    ("bw --n 2 --d 3 --method formula", 0, {"plain": "value 8\nmethod formula\n"}),
+    ("bw --n 3 --d 3 --method hales-scan", 0,
+     {"plain": "value 14\nmethod edge-scan\nwitness 0,2,2 1,2,2\n"}),
+    ("bw --n 2 --d 2 --method brute", 0,
+     {"plain": "value 3\nmethod brute-force\nstatus proved\nnodes 9\n"}),
+    ("table --n 2 --d 5", 0,
+     {"plain": f"d\tn=1\tn=2\n1\t1\t1\n2\t2\t3\n3\t4\t8\n4\t7\t21\n5\t13\t56\nnote: {NOTE}\n"}),
+    ("table --n 3 --d 4", 0, {"json": '{"d_max": 4, "n_max": 3, "note": "' + NOTE
+                              + '", "rows": [[1, 1, 1], [2, 3, 4], [4, 8, 14], [7, 21, 48]]}\n'}),
+    ("label --n 2 --d 2 --order hales", 0,
+     {"plain": "0,0\t1\n0,1\t2\n1,0\t3\n0,2\t4\n1,1\t5\n2,0\t6\n1,2\t7\n2,1\t8\n2,2\t9\n"}),
+    ("label --n 2 --d 2 --order lex", 0,
+     {"plain": "0,0\t1\n0,1\t2\n0,2\t3\n1,0\t4\n1,1\t5\n1,2\t6\n2,0\t7\n2,1\t8\n2,2\t9\n"}),
+    # rank prints a 1-based label, and unrank reads a 0-based rank
+    ("rank --n 2 --d 2 --order hales 1,1", 0, {"plain": "5\n"}),
+    ("rank --n 2 --d 2 --order hales 0,0", 0, {"plain": "1\n"}),
+    ("rank --n 2 --d 2 --order lex 1,1", 0, {"plain": "5\n"}),
+    ("unrank --n 2 --d 2 --order hales 1", 0, {"plain": "0,1\n"}),
+    ("unrank --n 2 --d 2 --order hales 0", 0, {"plain": "0,0\n"}),
+    ("unrank --n 2 --d 3 --order lex 26", 0, {"plain": "2,2,2\n"}),
+    # one dimension needs no coefficient row, even at a huge n
+    ("rank --n 20000000 --d 1 5", 0, {"plain": "6\n"}),
+    ("unrank --n 20000000 --d 1 5", 0, {"plain": "5\n"}),
+    ("bounds --n 1000000000 --d 12", 0, {"json": (
+        '{"bandwidth": 39392556955861062289154081912004844987369036428636033742241'
+        '4696782399138904830031809569814175000001, "d": 12, '
+        '"lower": 39392556950874641434956716625023462460506332997160374385161'
+        '7522908766320311948084481861479700000001, "n": 1000000000, '
+        '"upper": 3788440890908590312286093477177287180924376266454385488159799860'
+        '26608291873950043036609661905558269675000001}\n')}),
+    ("estimate --n 1 --d 9", 0, {"json": '{"d": 9, "estimate": 258.368770254864, "exact": 252, '
+                                         '"n": 1, "ratio": 1.02527289783676, '
+                                         '"sqrt_factor": 0.252313252202016}\n'}),
+    ("export-matrix --n 1 --d 1 --order hales --kind adjacency --out p11.mtx --self-test", 0,
+     {"plain": "path p11.mtx\nkind adjacency\norder hales\nsize 2\nnnz 1\nhalf_bandwidth 1\n"}),
 ]
 GOLDEN_FILES = {
     "bw --n 1 --d 2 --method brute --out c.tsv": {"c.tsv": CERT},
@@ -1041,17 +892,22 @@ GOLDEN_FILES = {
         "%%MatrixMarket matrix coordinate integer symmetric\n4 4 8\n"
         "1 1 2\n2 1 -1\n2 2 2\n3 1 -1\n3 3 2\n4 2 -1\n4 3 -1\n4 4 2\n"
     )},
+    "export-matrix --n 1 --d 1 --order hales --kind adjacency --out p11.mtx --self-test": {
+        "p11.mtx": "%%MatrixMarket matrix coordinate integer symmetric\n2 2 1\n2 1 1\n"},
 }
 
 
-@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
-@pytest.mark.parametrize(
-    "args,exit_code,stdout", GOLDEN, ids=[case[0] for case in GOLDEN]
-)
-def test_golden_output(capsys, tmp_path, monkeypatch, args, exit_code, stdout, fmt):
+GOLDEN_RUNS = [(args, exit_code, fmt, out)
+               for args, exit_code, stdout in GOLDEN for fmt, out in stdout.items()]
+
+
+@pytest.mark.parametrize("args,exit_code,fmt,stdout", GOLDEN_RUNS,
+                         ids=[f"{args}-{fmt}" for args, _, fmt, _ in GOLDEN_RUNS])
+def test_golden_output(capsys, tmp_path, monkeypatch, args, exit_code, fmt, stdout):
     monkeypatch.chdir(tmp_path)
-    code, out, _ = run(capsys, *args.split(), "--format", fmt)
-    assert (code, out) == (exit_code, stdout[fmt])
+    code, out, err = run(capsys, *args.split(), "--format", fmt)
+    assert (code, out) == (exit_code, stdout)
+    assert not (out and err)  # a run that prints its answer writes no stderr
     written = {path.name: path.read_text(encoding="utf-8") for path in tmp_path.iterdir()}
     assert written == GOLDEN_FILES.get(args, {})
 
