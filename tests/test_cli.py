@@ -42,6 +42,58 @@ def test_coeffs_on_deep_cold_rows(capsys):
     assert values[600] == trinomial_coeff(600, 600)
 
 
+def test_coeffs_csv(capsys):
+    code, out, _ = run(capsys, "coeffs", "--n", "2", "--d", "2", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["k", "coefficient"]
+    assert rows[1:] == [["0", "1"], ["1", "2"], ["2", "3"], ["3", "2"], ["4", "1"]]
+
+
+def test_bw_lex_scan(capsys):
+    code, out, _ = run(capsys, "bw", "--n", "2", "--d", "3", "--method", "lex")
+    assert code == 0
+    assert "value 9" in out.splitlines()[0]
+
+
+def test_bw_brute_budget_exhausted_exits_2(capsys):
+    code, out, _ = run(
+        capsys, "bw", "--n", "2", "--d", "2", "--method", "brute", "--budget", "5",
+    )
+    assert code == 2
+    assert "status budget-exhausted" in out
+
+
+def test_bounds_output(capsys):
+    code, out, _ = run(capsys, "bounds", "--n", "2", "--d", "3")
+    assert code == 0
+    assert out.splitlines() == ["lower 7", "bandwidth 8", "upper 19"]
+
+
+def test_ratio_csv(capsys):
+    code, out, _ = run(capsys, "ratio", "--n", "2", "--d", "3", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["d", "bw_hales", "bw_lex", "ratio"]
+    assert rows[3] == ["3", "8", "9", "0.888889"]
+
+
+def test_estimate_plain(capsys):
+    code, out, _ = run(capsys, "estimate", "--n", "2", "--d", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "estimate 7.61656"
+    assert lines[1] == "exact 7"
+
+
+def test_verify_optimal_inconclusive_exit(capsys):
+    code, out, _ = run(
+        capsys, "verify-optimal", "--n", "2", "--d", "2", "--budget", "5",
+    )
+    assert code == 2
+    assert "inconclusive" in out
+
+
 def test_bw_brute_writes_certificate(capsys, tmp_path):
     # --no-accelerate still parses and changes neither stdout nor the file
     runs = []
