@@ -24,7 +24,7 @@ from .bandwidth import (
     bw_lex,
     ratio_table,
 )
-from .coeffs import check_grid, coeff_row, max_coeff, read_rank, shown, significant_digits, top_sums
+from .coeffs import check_grid, coeff_row, max_coeff, read_rank, shown, significant_digits, top_sums, worded
 from .grid import (
     BLOCK_LINES,
     DEFAULT_SCAN_BUDGET,
@@ -188,6 +188,10 @@ def cmd_bw(args) -> int:
 def cmd_table(args) -> int:
     n_max, d_max = args.n, args.d
     check_grid(n_max, d_max)  # no grid at all would make an empty table
+    if (cells := n_max * d_max) > DEFAULT_SCAN_BUDGET:  # before a stream per column is made
+        raise BudgetExceededError(worded(
+            "a table of n=1..{n} by d=1..{d} has {cells} cells; over the table budget ({budget} cells)",
+            {"n": n_max, "d": d_max, "cells": cells, "budget": DEFAULT_SCAN_BUDGET}))
     # every column's stream starts, and a walk past the row budget is
     # refused, before any column is summed
     series = [accumulate(top_sums(n, d_max)) for n in range(1, n_max + 1)]
@@ -428,8 +432,10 @@ def cmd_export_matrix(args) -> int:
     n, d = args.n, args.d
     check_budget(n, d, args.budget, "export")
     # read apart from the labels written, so the self-test checks the file
-    # against a route that a fault of the label array does not reach
-    half_bandwidth = labeling_bandwidth(args.order, n, d, args.budget).value
+    # against a route that a fault of the label array does not reach; the
+    # export's budget is the one that binds, as the Hales DP's n*d^2 steps
+    # exceed the (n+1)^d vertices only at P_1^3, 9 against 8
+    half_bandwidth = labeling_bandwidth(args.order, n, d, max(args.budget, DEFAULT_SCAN_BUDGET)).value
     nnz = _write_matrix_market(args.out, n, d, label_array(args.order, n, d), args.kind)
     if args.self_test:
         _self_test_export(args.out, args.kind, half_bandwidth)
@@ -516,7 +522,8 @@ COMMANDS = {
         ("--method", ("formula", "hales-scan", "lex", "brute"), "formula",
          "how to compute it (default formula)"),
         ("--budget", positive_int, None,
-         "scan budget in vertices, or search budget in nodes for --method brute"), *SEARCH)),
+         "scan budget in vertices (in n*d^2 steps for --method hales-scan), "
+         "or search budget in nodes for --method brute"), *SEARCH)),
     "table": ("bandwidth table for n=1..N, d=1..D", ()),
     "label": ("full labeling listing in label order", (ORDER, SCAN_BUDGET)),
     "rank": ("1-based label of a vertex", (

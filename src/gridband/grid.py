@@ -51,7 +51,7 @@ from itertools import compress, count, product
 from operator import mul, sub
 
 from .coeffs import TEXT_CAP, BudgetExceededError, InternalInvariantError  # re-exported
-from .coeffs import check_budget, check_rank, shown, significant_digits, worded
+from .coeffs import check_budget, check_grid, check_rank, shown, significant_digits, worded
 from .hales import Vertex, check_vertex, hales_bandwidth, weight_shifts
 
 DEFAULT_SCAN_BUDGET = 1_000_000
@@ -365,13 +365,19 @@ def labeling_bandwidth(
     `load_labeling_file` returns.  The Hales order's value and witness come
     from the DP of `hales.hales_bandwidth`, with no label built.  For any
     other labeling, `_edge_scan` reads the value and the witness edge's two
-    lex positions from the labels, decoded here into vertices.  Grids larger
-    than max_vertices are refused outright, on every route, rather than
-    scanned for hours.
+    lex positions from the labels, decoded here into vertices.  A scan is
+    refused outright, rather than run for hours, when the grid has more than
+    max_vertices vertices; the Hales DP, which builds no vertex, is refused
+    when its n*d^2 steps are more than max_vertices.
     """
-    check_budget(n, d, max_vertices, "edge-scan")
     if labeling == "hales":
+        check_grid(n, d)
+        if (steps := n * d * d) > max_vertices:
+            raise BudgetExceededError(worded(
+                "the Hales DP on P_{n}^{d} takes {steps} steps (n*d^2); over the scan budget ({budget} steps)",
+                {"n": n, "d": d, "steps": steps, "budget": max_vertices}))
         return BandwidthReport(*hales_bandwidth(n, d))
+    check_budget(n, d, max_vertices, "edge-scan")
     if isinstance(labeling, str):
         labeling = label_array(labeling, n, d)
     elif len(labeling) != (total := (n + 1) ** d):

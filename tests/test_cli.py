@@ -588,7 +588,8 @@ HELP = {
     "bw": ("bandwidth by formula, edge scan, or search", [
         ("--method", ("formula", "hales-scan", "lex", "brute"), ""),
         ("--budget", (),
-         "scan budget in vertices, or search budget in nodes for --method brute"),
+         "scan budget in vertices (in n*d^2 steps for --method hales-scan), "
+         "or search budget in nodes for --method brute"),
         *SEARCH_HELP,
     ]),
     "table": ("bandwidth table for n=1..N, d=1..D", []),
@@ -661,9 +662,10 @@ def test_command_help_names_every_option(capsys, command):
 
 ROW_REFUSAL = ("gridband: error: coefficient row 2 for n = 100000000 would hold about "
                "10800000054 bits; the row budget is 268435456 bits")
+E18 = 10**18
 # (argv, exit code, sha256 of stdout or "" when there is none, last stderr
-# line); the usage line printed above an error is not pinned, and no run
-# leaves a file
+# line); stderr is that line alone, or the usage line above it, which is not
+# pinned, and each run takes under a second of CPU and leaves no file
 PARSE_CASES = [
     ("bw --n", 1, "", "gridband bw: error: argument --n: expected one argument"),
     ("bw --n 1 --d 1 --method", 1, "",
@@ -734,6 +736,31 @@ PARSE_CASES = [
     ("rank --n 100000000 --d 2 0,0", 2, "", ROW_REFUSAL),
     ("unrank --n 100000000 --d 2 0", 2, "", ROW_REFUSAL),
     ("coeffs --n 100000000 --d 2", 2, "", ROW_REFUSAL),
+    # grids with (n+1)^d far past any budget or float: each is refused from the
+    # bit length of n+1 alone, and names the count as (n+1)^d
+    (f"label --n 1 --d {E18}", 2, "",
+     f"gridband: error: P_1^{E18} has 2^{E18} vertices; over the output budget (1000000 vertices)"),
+    ("export-matrix --n 2 --d 1000000000 --out x.mtx", 2, "", "gridband: error: P_2^1000000000 "
+     "has 3^1000000000 vertices; over the export budget (1000000 vertices)"),
+    ("bw --n 5 --d 1000000000 --method brute --time-limit 3", 2, "", "gridband: error: "
+     "P_5^1000000000 has 6^1000000000 vertices; over the exhaustive-search budget (1000000 vertices)"),
+    (f"unrank --n 3 --d {E18} -1", 1, "", f"gridband: error: rank -1 outside [0, 4^{E18} - 1]"),
+    (f"unrank --n 3 --d {E18} --order lex -1", 1, "",
+     f"gridband: error: rank -1 outside [0, 4^{E18} - 1]"),
+    (f"unrank --n 3 --d {E18} --order lex 0", 2, "", f"gridband: error: a vertex of P_3^{E18} "
+     f"has {E18} coordinates; over the unrank budget (1000000 coordinates)"),
+    ("estimate --n 1000000000 --d 1000000000", 1, "", "gridband: error: (n+1)^(d+1) = "
+     "1000000001^1000000001 is beyond float range; no float estimate exists"),
+    ("bw --n 1 --d 100000 --method lex --budget 5", 2, "",
+     "gridband: error: P_1^100000 has 2^100000 vertices; over the edge-scan budget (5 vertices)"),
+    # the Hales DP builds no vertex: it is refused by its n*d^2 steps
+    ("bw --n 1 --d 20000 --method hales-scan", 2, "", "gridband: error: the Hales DP on P_1^20000 "
+     "takes 400000000 steps (n*d^2); over the scan budget (1000000 steps)"),
+    ("bw --n 1 --d 1001 --method hales-scan", 2, "", "gridband: error: the Hales DP on P_1^1001 "
+     "takes 1002001 steps (n*d^2); over the scan budget (1000000 steps)"),
+    # a table past 10^6 cells is refused before a stream per column is made
+    ("table --n 1000000000 --d 9", 2, "", "gridband: error: a table of n=1..1000000000 by d=1..9 "
+     "has 9000000000 cells; over the table budget (1000000 cells)"),
 ]
 
 
@@ -743,35 +770,15 @@ PARSE_CASES = [
 def test_command_line_parsing(capsys, tmp_path, monkeypatch, argv, exit_code, digest,
                               last_err):
     monkeypatch.chdir(tmp_path)
+    start = time.process_time()
     code, out, err = run(capsys, *argv.split())
+    assert time.process_time() - start < 1
     assert code == exit_code
     assert (hashlib.sha256(out.encode()).hexdigest() if out else "") == digest
-    assert (err.splitlines() or [""])[-1] == last_err
+    *usage, last = err.splitlines(keepends=True) or [""]
+    assert last == (last_err and f"{last_err}\n"), err
+    assert len(usage) <= 1 and all(line.startswith("usage: gridband ") for line in usage), err
     assert list(tmp_path.iterdir()) == []
-
-
-# argv shapes whose usage error quotes one item's text, here 50 000 characters
-LONG_ITEM_CASES = [
-    "bw --n {} --d 1",
-    "bw --n 1 --d 1 --method {}",
-    "bw --n 1 --d 1 --time-limit {}",
-    "export-matrix --n 1 --d 1 --out m.mtx --self-test={}",
-    "bw --n 1 --d 1 {}",
-    "{}",
-    "--{}",
-    "export-matrix --n 1 --d 1 --o={}",
-]
-
-
-@pytest.mark.parametrize("argv", LONG_ITEM_CASES)
-def test_usage_errors_cut_a_long_item(capsys, tmp_path, monkeypatch, argv):
-    # the quote keeps the item's first TEXT_CAP characters and its length
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *argv.format("x" * 50_000).split())
-    assert (code, out) == (1, "")
-    assert len(err) < 300, err
-    assert "x" * (grid.TEXT_CAP + 1) not in err
-    assert re.search(r"x'?\.\.\. \(5000\d characters\)", err), err
 
 
 NOTE = (
@@ -904,6 +911,9 @@ GOLDEN = [
     ("bw --n 2 --d 3 --method formula", 0, {"plain": "value 8\nmethod formula\n"}),
     ("bw --n 3 --d 3 --method hales-scan", 0,
      {"plain": "value 14\nmethod edge-scan\nwitness 0,2,2 1,2,2\n"}),
+    # 2^21 vertices, past the scan budget: the Hales DP builds none
+    ("bw --n 1 --d 21 --method hales-scan", 0, {"plain": "value 376429\nmethod edge-scan\nwitness "
+     "0,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1 1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1,0,1\n"}),
     ("bw --n 2 --d 2 --method brute", 0,
      {"plain": "value 3\nmethod brute-force\nstatus proved\nnodes 9\n"}),
     ("table --n 2 --d 5", 0,
@@ -964,67 +974,43 @@ def test_golden_output(capsys, tmp_path, monkeypatch, args, exit_code, fmt, stdo
     assert written == GOLDEN_FILES.get(args, {})
 
 
-# argv whose grid has (n+1)^d far past any budget or float: each is refused
-# from the bit length of n+1 alone, and names the count as (n+1)^d
-E18 = 10**18
-HUGE_CASES = [
-    (f"label --n 1 --d {E18}", 2,
-     f"P_1^{E18} has 2^{E18} vertices; over the output budget (1000000 vertices)"),
-    ("export-matrix --n 2 --d 1000000000 --out x.mtx", 2,
-     "P_2^1000000000 has 3^1000000000 vertices; over the export budget (1000000 vertices)"),
-    ("bw --n 5 --d 1000000000 --method brute --time-limit 3", 2,
-     "P_5^1000000000 has 6^1000000000 vertices; "
-     "over the exhaustive-search budget (1000000 vertices)"),
-    (f"unrank --n 3 --d {E18} -1", 1, f"rank -1 outside [0, 4^{E18} - 1]"),
-    (f"unrank --n 3 --d {E18} --order lex -1", 1, f"rank -1 outside [0, 4^{E18} - 1]"),
-    (f"unrank --n 3 --d {E18} --order lex 0", 2,
-     f"a vertex of P_3^{E18} has {E18} coordinates; over the unrank budget "
-     "(1000000 coordinates)"),
-    ("estimate --n 1000000000 --d 1000000000", 1,
-     "(n+1)^(d+1) = 1000000001^1000000001 is beyond float range; no float estimate exists"),
-    ("bw --n 1 --d 100000 --method lex --budget 5", 2,
-     "P_1^100000 has 2^100000 vertices; over the edge-scan budget (5 vertices)"),
-    ("bw --n 1 --d 20000 --method hales-scan", 2,
-     "P_1^20000 has 2^20000 vertices; over the edge-scan budget (1000000 vertices)"),
+# (argv template, exit code, filler): each refusal quotes the one item of
+# argv that holds the filler, cut by coeffs.shown to its first TEXT_CAP
+# characters and a marker of its length; the argv around the filler adds at
+# most one character to an integer's length, and nine to the text's
+NINES, LONG_TEXT = "9" * 4_200, "x" * 50_000
+CUT_MARKERS = {NINES: r"\.\.\. \(420[01] characters\)", LONG_TEXT: r"x'?\.\.\. \(5000\d characters\)"}
+CUT_CASES = [
+    ("bw --n 1 --d 1 --budget -{}", 1, NINES),
+    ("bw --n -{} --d 1", 1, NINES),
+    ("label --n 1 --d {}", 2, NINES),
+    ("bw --n {} --d 1 --method lex", 2, NINES),
+    ("estimate --n {} --d 1", 1, NINES),
+    ("bw --n 1 --d {}", 2, NINES),
+    ("unrank --n 3 --d {} -1", 1, NINES),
+    ("unrank --n 3 --d {} --order lex 0", 2, NINES),
+    ("rank --n 5{0} --d 1 9{0}", 1, NINES),
+    ("rank --n {0} --d 1 1{0}", 1, NINES),
+    # usage errors
+    ("bw --n {} --d 1", 1, LONG_TEXT),
+    ("bw --n 1 --d 1 --method {}", 1, LONG_TEXT),
+    ("bw --n 1 --d 1 --time-limit {}", 1, LONG_TEXT),
+    ("export-matrix --n 1 --d 1 --out m.mtx --self-test={}", 1, LONG_TEXT),
+    ("bw --n 1 --d 1 {}", 1, LONG_TEXT),
+    ("{}", 1, LONG_TEXT),
+    ("--{}", 1, LONG_TEXT),
+    ("export-matrix --n 1 --d 1 --o={}", 1, LONG_TEXT),
 ]
 
 
-@pytest.mark.parametrize("argv,exit_code,message", HUGE_CASES,
-                         ids=[case[0] for case in HUGE_CASES])
-def test_huge_grids_are_refused_before_their_count_is_built(
-        capsys, tmp_path, monkeypatch, argv, exit_code, message):
+@pytest.mark.parametrize("argv,exit_code,filler", CUT_CASES, ids=[case[0] for case in CUT_CASES])
+def test_refusals_cut_a_huge_integer(capsys, tmp_path, monkeypatch, argv, exit_code, filler):
     monkeypatch.chdir(tmp_path)
-    start = time.process_time()
-    code, out, err = run(capsys, *argv.split())
-    assert time.process_time() - start < 1
-    assert (code, out, err) == (exit_code, "", f"gridband: error: {message}\n")
-    assert not (tmp_path / "x.mtx").exists()
-
-
-# argv that each hold an integer of about 4 200 digits, which the refusal echoes
-# cut by coeffs.shown: its first TEXT_CAP characters and its length
-HUGE_INTEGER_CASES = [
-    ("bw --n 1 --d 1 --budget -{}", 1),
-    ("bw --n -{} --d 1", 1),
-    ("label --n 1 --d {}", 2),
-    ("bw --n {} --d 1 --method lex", 2),
-    ("estimate --n {} --d 1", 1),
-    ("bw --n 1 --d {}", 2),
-    ("unrank --n 3 --d {} -1", 1),
-    ("unrank --n 3 --d {} --order lex 0", 2),
-    ("rank --n 5{0} --d 1 9{0}", 1),
-    ("rank --n {0} --d 1 1{0}", 1),
-]
-
-
-@pytest.mark.parametrize("argv,exit_code", HUGE_INTEGER_CASES,
-                         ids=[case[0] for case in HUGE_INTEGER_CASES])
-def test_refusals_cut_a_huge_integer(capsys, argv, exit_code):
-    code, out, err = run(capsys, *argv.format("9" * 4200).split())
+    code, out, err = run(capsys, *argv.format(filler).split())
     assert (code, out) == (exit_code, "")
     assert len(err.encode()) < 300, err
-    assert "9" * (coeffs.TEXT_CAP + 1) not in err
-    assert re.search(r"\.\.\. \(420[01] characters\)", err), err
+    assert filler[: coeffs.TEXT_CAP + 1] not in err
+    assert re.search(CUT_MARKERS[filler], err), err
 
 
 def test_verify_optimal_refuses_past_the_search_budget_before_the_formula(

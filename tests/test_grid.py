@@ -448,9 +448,17 @@ def test_scan_matches_the_edge_list(monkeypatch):
 
 def test_scan_budget_error_names_budget():
     with pytest.raises(BudgetExceededError) as err:
-        labeling_bandwidth("hales", 2, 10, max_vertices=1000)
+        labeling_bandwidth("lex", 2, 10, max_vertices=1000)
     assert str(err.value) == (
         f"P_2^10 has {3 ** 10} vertices; over the edge-scan budget (1000 vertices)")
+    # the Hales DP builds no vertex: its budget is on its n*d^2 steps
+    assert labeling_bandwidth("hales", 2, 10, max_vertices=200).value == bw_hales(2, 10)
+    with pytest.raises(BudgetExceededError) as err:
+        labeling_bandwidth("hales", 2, 10, max_vertices=199)
+    assert str(err.value) == (
+        "the Hales DP on P_2^10 takes 200 steps (n*d^2); over the scan budget (199 steps)")
+    with pytest.raises(ValueError, match=re.escape("need n >= 1 and d >= 1, got n=1, d=-2000")):
+        labeling_bandwidth("hales", 1, -2000)  # a grid that does not exist, before its steps
 
 
 def test_labeling_bandwidth_takes_an_order_or_a_full_label_array():

@@ -145,6 +145,14 @@ CASES = [
     Case("estimate --n 1000000000 --d 1000000000", 1, wall=5),
     Case("bw --n 1 --d 100000 --method lex --budget 5", 2, wall=5),
     Case("bw --n 1 --d 20000 --method hales-scan", 2, wall=5),
+    # the Hales DP at its step budget, n*d^2 = 10^6, and a table of 9*10^9
+    # cells, refused before a stream per column is made
+    Case("bw --n 1 --d 1000 --method hales-scan", wall=20,
+         sha="d2b142bcbef369eeac971cb75508ff0ca81962f63fdb83876ad58120fdc98a49"),
+    Case("table --n 1000000000 --d 9", 2, wall=5, rss_mb=100),
+    # an export is refused by its own vertex budget alone, though its Hales
+    # DP takes 9 steps on these 8 vertices
+    Case("export-matrix --n 1 --d 3 --budget 8 --out p13.mtx", lines=("half_bandwidth 4",)),
     Case("verify-optimal --n 1000000000000000000 --d 1000000000000000000", 2, wall=5),
     Case("unrank --n 3 --d 1000000000000000000 --order lex 0", 2, wall=5),
     Case(f"label --n 1 --d {NINES}", 2, wall=5),
