@@ -286,8 +286,15 @@ def cmd_estimate(args) -> int:
 # ------------------------------------------------------- matrix export
 
 
-def _write_matrix_market(path: str, n: int, d: int, labels, kind: str) -> int:
+def _write_matrix_market(path: str, n: int, d: int, order: str, kind: str) -> int:
     """Write the lower triangle of the Hales or lex labels' matrix; return nnz.
+
+    cmd_export_matrix calls it after the budget check and before any work:
+    the path is opened first, and only then is the order's label array
+    built, so a path that cannot be written is refused before the labels
+    cost anything.  The array is freed on return, before the export reads
+    its half-bandwidth apart from the labels written; no refusal can follow
+    the open (see cmd_export_matrix).
 
     Rows go out in label order, one write each: the labels of the vertex's
     lighter neighbours, then a Laplacian's diagonal.  `lower_neighbours`
@@ -302,8 +309,8 @@ def _write_matrix_market(path: str, n: int, d: int, labels, kind: str) -> int:
     laplacian = kind == "laplacian"
     nnz = d * n * (n + 1) ** (d - 1) + (size if laplacian else 0)
     tail = " -1\n" if laplacian else " 1\n"
-    rows = lower_neighbours(n, d, labels)
     with open(path, "w", encoding="utf-8") as handle:
+        rows = lower_neighbours(n, d, label_array(order, n, d))
         write = handle.write
         write(MM_BANNER)
         write(f"{size} {size} {nnz}\n")
@@ -431,12 +438,15 @@ def _self_test_export(path: str, kind: str, expected_half_bandwidth: int) -> Non
 def cmd_export_matrix(args) -> int:
     n, d = args.n, args.d
     check_budget(n, d, args.budget, "export")
-    # read apart from the labels written, so the self-test checks the file
-    # against a route that a fault of the label array does not reach; the
-    # export's budget is the one that binds, as the Hales DP's n*d^2 steps
-    # exceed the (n+1)^d vertices only at P_1^3, 9 against 8
+    # --out is opened after the budget check and before any work, and no
+    # refusal can follow the open: the DP's budget, max(--budget, 10^6),
+    # covers its n*d^2 steps whenever the (n+1)^d vertices passed, as
+    # n*d^2 <= (n+1)^d everywhere but at P_1^3, 9 steps against 8 vertices
+    nnz = _write_matrix_market(args.out, n, d, args.order, args.kind)
+    # read after the write, apart from the labels written, so the self-test
+    # checks the file against a route that a fault of the label array does
+    # not reach
     half_bandwidth = labeling_bandwidth(args.order, n, d, max(args.budget, DEFAULT_SCAN_BUDGET)).value
-    nnz = _write_matrix_market(args.out, n, d, label_array(args.order, n, d), args.kind)
     if args.self_test:
         _self_test_export(args.out, args.kind, half_bandwidth)
     doc = {

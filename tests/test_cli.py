@@ -8,7 +8,6 @@ import itertools
 import json
 import re
 import sys
-import time
 import tracemalloc
 from collections import Counter
 
@@ -112,11 +111,8 @@ def test_bw_brute_writes_certificate(capsys, tmp_path):
 
 
 def test_search_vertex_cap_exits_2(capsys):
-    # refused before the vertex list is built, as the fallback scan would be too
-    for args in (("bw", "--method", "brute"), ("verify-optimal",)):
-        code, out, err = run(capsys, *args, "--n", "1", "--d", "20")
-        assert code == 2 and out == ""
-        assert "1048576 vertices" in err and "budget" in err
+    # past the vertex cap each search command is refused (PARSE_CASES);
+    # below it, a node budget stops the search
     code, out, _ = run(
         capsys, "bw", "--n", "1", "--d", "16", "--method", "brute", "--budget", "10",
     )
@@ -217,12 +213,10 @@ def test_listing_goes_out_in_blocks(monkeypatch, fmt):
 @pytest.mark.parametrize("command", [["label"], ["export-matrix", "--out", "m.mtx"]])
 def test_default_budget_is_the_scan_budget(capsys, tmp_path, monkeypatch, command):
     # 317^2 = 100 489 vertices fit the default budget of 10^6; 2^20 do not
+    # (PARSE_CASES)
     monkeypatch.chdir(tmp_path)
     code, _, _ = run(capsys, *command, "--n", "316", "--d", "2")
     assert code == 0
-    code, _, err = run(capsys, *command, "--n", "1", "--d", "20")
-    assert code == 2
-    assert "(1000000 vertices)" in err
 
 
 @pytest.mark.parametrize("side,pair", [("lower", (9, 19)), ("upper", (7, 7))])
@@ -234,23 +228,6 @@ def test_bounds_out_of_order_exits_3(capsys, monkeypatch, side, pair):
     assert (code, out) == (3, "")
     assert err == (f"gridband: internal error: bandwidth 8 outside the bracket "
                    f"[{pair[0]}, {pair[1]}] of central coefficients\n"), side
-
-
-def _unreached(*args):
-    raise AssertionError("a term was computed before the refusal")
-
-
-@pytest.mark.parametrize("argv", ["table --n 1000 --d 1000", "bounds --n 1000 --d 5000"])
-def test_refused_before_any_term(capsys, monkeypatch, argv):
-    # table starts every column's walk, and bounds the bandwidth's, before
-    # it sums or counts a term; a walk past the row budget is refused when
-    # it starts (column 45 of the table), so no term is reached
-    monkeypatch.setattr(coeffs, "_top_window", _unreached)
-    monkeypatch.setattr(coeffs, "_count_below", _unreached)
-    code, out, err = run(capsys, *argv.split())
-    assert (code, out) == (2, "")
-    assert re.fullmatch(r"gridband: error: coefficient row \d+ for n = \d+ would hold about \d+ bits; "
-                        r"the row budget is 268435456 bits\n", err), err
 
 
 def test_outputs_are_deterministic(capsys):
@@ -662,10 +639,12 @@ def test_command_help_names_every_option(capsys, command):
 
 ROW_REFUSAL = ("gridband: error: coefficient row 2 for n = 100000000 would hold about "
                "10800000054 bits; the row budget is 268435456 bits")
+P_1_20 = "gridband: error: P_1^20 has 1048576 vertices; over the {} budget (1000000 vertices)"
 E18 = 10**18
 # (argv, exit code, sha256 of stdout or "" when there is none, last stderr
 # line); stderr is that line alone, or the usage line above it, which is not
-# pinned, and each run takes under a second of CPU and leaves no file
+# pinned.  Each run leaves no file and is failed at 1 s of CPU, and a run
+# that exits nonzero runs with no_work, so its refusal comes before any work
 PARSE_CASES = [
     ("bw --n", 1, "", "gridband bw: error: argument --n: expected one argument"),
     ("bw --n 1 --d 1 --method", 1, "",
@@ -733,9 +712,29 @@ PARSE_CASES = [
      "gridband: error: P_2^2 has 9 vertices; over the export budget (4 vertices)"),
     ("export-matrix --n 1 --d 1 --out missing/x.mtx", 1, "",
      "gridband: error: [Errno 2] No such file or directory: 'missing/x.mtx'"),
+    # the path is opened before the label array and the DP
+    ("export-matrix --n 1 --d 19 --out missing/x.mtx", 1, "",
+     "gridband: error: [Errno 2] No such file or directory: 'missing/x.mtx'"),
+    # 2^20 vertices, past the default budget of 10^6; a search command is
+    # refused before its vertex list, as the fallback scan would be too
+    ("label --n 1 --d 20", 2, "", P_1_20.format("output")),
+    ("export-matrix --n 1 --d 20 --out m.mtx", 2, "", P_1_20.format("export")),
+    ("bw --n 1 --d 20 --method brute", 2, "", P_1_20.format("exhaustive-search")),
+    ("verify-optimal --n 1 --d 20", 2, "", P_1_20.format("exhaustive-search")),
+    # the search's vertex budget is read before the closed form, which would
+    # count for hours at this size
+    (f"verify-optimal --n {E18} --d {E18}", 2, "", f"gridband: error: P_{E18}^{E18} has "
+     f"{E18 + 1}^{E18} vertices; over the exhaustive-search budget (1000000 vertices)"),
     ("rank --n 100000000 --d 2 0,0", 2, "", ROW_REFUSAL),
     ("unrank --n 100000000 --d 2 0", 2, "", ROW_REFUSAL),
     ("coeffs --n 100000000 --d 2", 2, "", ROW_REFUSAL),
+    # table starts every column's walk, and bounds the bandwidth's, before
+    # it sums or counts a term; a walk past the row budget is refused when
+    # it starts (column 45 of the table)
+    ("table --n 1000 --d 1000", 2, "", "gridband: error: coefficient row 999 for n = 45 "
+     "would hold about 269466264 bits; the row budget is 268435456 bits"),
+    ("bounds --n 1000 --d 5000", 2, "", "gridband: error: coefficient row 4999 for n = 1000 "
+     "would hold about 249900059990 bits; the row budget is 268435456 bits"),
     # grids with (n+1)^d far past any budget or float: each is refused from the
     # bit length of n+1 alone, and names the count as (n+1)^d
     (f"label --n 1 --d {E18}", 2, "",
@@ -767,12 +766,12 @@ PARSE_CASES = [
 @pytest.mark.parametrize(
     "argv,exit_code,digest,last_err", PARSE_CASES, ids=[case[0] for case in PARSE_CASES]
 )
-def test_command_line_parsing(capsys, tmp_path, monkeypatch, argv, exit_code, digest,
-                              last_err):
+def test_command_line_parsing(capsys, tmp_path, monkeypatch, request, cpu_second, argv,
+                              exit_code, digest, last_err):
     monkeypatch.chdir(tmp_path)
-    start = time.process_time()
+    if exit_code:
+        request.getfixturevalue("no_work")
     code, out, err = run(capsys, *argv.split())
-    assert time.process_time() - start < 1
     assert code == exit_code
     assert (hashlib.sha256(out.encode()).hexdigest() if out else "") == digest
     *usage, last = err.splitlines(keepends=True) or [""]
@@ -1004,29 +1003,14 @@ CUT_CASES = [
 
 
 @pytest.mark.parametrize("argv,exit_code,filler", CUT_CASES, ids=[case[0] for case in CUT_CASES])
-def test_refusals_cut_a_huge_integer(capsys, tmp_path, monkeypatch, argv, exit_code, filler):
+def test_refusals_cut_a_huge_integer(capsys, tmp_path, monkeypatch, no_work, argv, exit_code,
+                                     filler):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv.format(filler).split())
     assert (code, out) == (exit_code, "")
     assert len(err.encode()) < 300, err
     assert filler[: coeffs.TEXT_CAP + 1] not in err
     assert re.search(CUT_MARKERS[filler], err), err
-
-
-def test_verify_optimal_refuses_past_the_search_budget_before_the_formula(
-        capsys, monkeypatch):
-    # the search's vertex budget is read first, so the closed form, which
-    # would count for hours at this size, is never called
-    def no_formula(n, d):
-        raise AssertionError("bw_hales ran before the budget refusal")
-
-    monkeypatch.setattr(cli, "bw_hales", no_formula)
-    start = time.process_time()
-    code, out, err = run(capsys, "verify-optimal", "--n", str(E18), "--d", str(E18))
-    assert time.process_time() - start < 1
-    message = (f"P_{E18}^{E18} has {E18 + 1}^{E18} vertices; "
-               "over the exhaustive-search budget (1000000 vertices)")
-    assert (code, out, err) == (2, "", f"gridband: error: {message}\n")
 
 
 def test_rank_range_builds_the_count_only_for_long_ranks():
@@ -1066,16 +1050,14 @@ def test_lex_rank_and_unrank_past_the_digit_limit(capsys, fmt):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
-def test_a_rank_longer_than_the_grid_is_refused_unread(capsys, monkeypatch):
+def test_a_rank_longer_than_the_grid_is_refused_unread(capsys, monkeypatch, cpu_second):
     # reading 100 000 digits would cost 0.1 s, and a few MB of them minutes;
     # a rank with more digits than 8^(k-1) >= (n+1)^d allows is never read
     def no_int(text):
         raise AssertionError("the rank's text was converted")
 
     monkeypatch.setattr(coeffs, "int", no_int, raising=False)
-    start = time.process_time()
     code, out, err = run(capsys, "unrank", "--n", "1", "--d", "10", "1" * 100_000)
-    assert time.process_time() - start < 1
     assert (code, out, err) == (1, "", "gridband: error: rank of 100000 digits outside [0, 1023]\n")
     code, out, err = run(capsys, "unrank", "--n", "1", "--d", "10", "-" + "0" * 99 + "9" * 8)
     assert (code, out, err) == (1, "", "gridband: error: rank of 8 digits outside [0, 1023]\n")

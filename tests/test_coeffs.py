@@ -59,13 +59,6 @@ def test_deep_cold_row_matches_closed_form():
         assert row[k] == trinomial_coeff(600, k), k
 
 
-def test_coeff_row_rejects_degenerate_path():
-    with pytest.raises(ValueError):
-        coeff_row(0, 3)
-    with pytest.raises(ValueError):
-        coeff_row(2, -1)
-
-
 def test_coeff_out_of_range_is_zero():
     assert coeff(2, 3, 3) == 7
     assert coeff(2, 3, -1) == 0
@@ -98,13 +91,6 @@ def test_trinomial_closed_form():
     for d in range(13):
         for k in range(2 * d + 1):
             assert trinomial_coeff(d, k) == coeff(2, d, k)
-
-
-def test_trinomial_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        trinomial_coeff(3, 7)
-    with pytest.raises(ValueError):
-        trinomial_coeff(3, -1)
 
 
 def ranked(n, d):
@@ -258,7 +244,7 @@ HUGE_REFUSALS = [
                          ids=["check_grid", "check_budget", "bw_hales", "check_row_bits",
                               "hales_unrank", "refuse_rank", "asymptotic_estimate", "lex_unrank",
                               "vertex_length", "vertex_coordinate", "parse_vertex"])
-def test_refusals_of_integers_past_the_digit_limit(call, error, message):
+def test_refusals_of_integers_past_the_digit_limit(no_work, call, error, message):
     with pytest.raises(error) as refused:
         call()
     assert str(refused.value) == message

@@ -353,14 +353,6 @@ def test_search_never_sets_the_recursion_limit(monkeypatch):
     assert search.nodes == 2**8 + 1
 
 
-def test_budget_validation():
-    with pytest.raises(ValueError, match="max_nodes must be positive"):
-        brute_force_bw(1, 1, max_nodes=0)
-    for time_limit in (0.0, -0.0, float("nan")):
-        with pytest.raises(ValueError, match="time_limit must be positive"):
-            brute_force_bw(1, 1, time_limit=time_limit)
-
-
 def test_the_search_reads_no_theorem():
     # the closed form lives in bandwidth and coeffs; of the package, the
     # search imports the grid's layout and the Hales labeling alone
